@@ -43,6 +43,7 @@ from .errors import (
     DecompositionFailure,
     DimensionMismatch,
     DjetsError,
+    DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
     MissingRule,

@@ -18,7 +18,6 @@ from .acceptance import run_all
 from .delta_modules import product_jet_decompose
 from .dsl import parse_document
 from .dvariety import (
-    constant_sharp_point,
     delta_jet_space,
     product_dvariety,
     product_sharp_point,
@@ -29,7 +28,7 @@ from .errors import DecompositionFailure, DjetsError, InvarianceViolation, Parse
 from .jets import jet_space, render_jet_space
 from .linalg import RATIONAL, LinSystem, rank
 from .render import render_scalar, render_vector
-from .series import DEFAULT_PRECISION
+from .series import DEFAULT_PRECISION, MAX_PRECISION
 from .tangent import counterexample_report, delta_tangent, restrict
 
 EXIT_OK = 0
@@ -44,7 +43,8 @@ def _add_common(parser, suppress=False):
         "-N",
         type=int,
         default=default,
-        help="working series precision (default 24, env DJETS_PRECISION)",
+        help=f"working series precision (default {DEFAULT_PRECISION}, "
+        f"at most {MAX_PRECISION}, env DJETS_PRECISION)",
     )
     parser.add_argument(
         "--order", "-m", type=int,
@@ -123,9 +123,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     precision = args.precision
     if precision is None:
-        precision = int(os.environ.get("DJETS_PRECISION", DEFAULT_PRECISION))
+        raw = os.environ.get("DJETS_PRECISION", str(DEFAULT_PRECISION))
+        try:
+            precision = int(raw)
+        except ValueError:
+            parser.error(f"DJETS_PRECISION must be an integer, not {raw!r}")
     if precision < 4:
         parser.error("precision must be at least 4")
+    if precision > MAX_PRECISION:
+        parser.error(f"precision must be at most {MAX_PRECISION}")
     if not 1 <= args.order <= 3:
         parser.error("jet order must be between 1 and 3")
     try:

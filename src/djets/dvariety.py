@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     ArityError,
     DimensionMismatch,
+    InsufficientPrecision,
     InvarianceViolation,
     NonTriangular,
     PointNotOnVariety,
@@ -87,7 +88,7 @@ class SectionValidation:
 
 
 def _triangular_rules(variety: DVariety):
-    """Orient generators of the shape  x_k - g(других)  as rewrite rules.
+    """Orient generators of the shape  x_k - g(others)  as rewrite rules.
 
     Returns a SubstitutionSystem over the ambient variables, or raises
     NonTriangular when some generator cannot be oriented.
@@ -195,10 +196,17 @@ class SharpPoint:
 def sharp_integrate(variety: DVariety, initial, order):
     """Integrate x' = s(x) from a rational point of the variety.
 
-    Standard Taylor recursion: coefficient k+1 of each coordinate is the
-    k-th coefficient of s evaluated at the truncation so far, divided by
-    k+1.  The defining equations are re-checked on the resulting series to
-    guaranteed precision.
+    Online Taylor recursion (Brent & Kung 1978; van der Hoeven 2002).  Each
+    monomial of the section is a node of a tree: the constant monomial has
+    the series 1, 0, 0, ... and every other monomial is its parent times one
+    variable.  Step k forms only coefficient k of each node, one convolution
+    of length k+1, then s_j[k] = sum over the terms of s_j of coefficient
+    (*) node at index k, and x_j[k+1] = s_j[k] / (k+1).  A rational
+    coefficient is the length-1 case of that convolution, so series
+    coefficients take the same path.  With N = order the whole run costs
+    O(N^2 * nodes) rational operations.  Series coefficients of the section
+    must be guaranteed through order N-1.  The defining equations are
+    re-checked on the resulting series to guaranteed precision.
     """
     initial = tuple(Fraction(c) for c in initial)
     if len(initial) != variety.nvars:
@@ -207,14 +215,44 @@ def sharp_integrate(variety: DVariety, initial, order):
         val = P.eval(initial)
         if val != 0:
             raise PointNotOnVariety(f"{P} evaluates to {val} at {initial}")
+    one = (0,) * variety.nvars
+    parents = {}  # monomial -> (parent monomial, variable index), parents first
+
+    def add_node(e):
+        if e == one or e in parents:
+            return
+        j = next(i for i, a in enumerate(e) if a)
+        parent = e[:j] + (e[j] - 1,) + e[j + 1 :]
+        add_node(parent)
+        parents[e] = (parent, j)
+
+    terms = []
+    for s in variety.section:
+        row = []
+        for e, c in s.terms.items():
+            if isinstance(c, TSeries):
+                if c.prec < order - 1:
+                    raise InsufficientPrecision(
+                        f"section coefficient guaranteed to order {c.prec}, "
+                        f"need {order - 1}"
+                    )
+                row.append((c.coeffs, e))
+            else:
+                row.append(((c,), e))
+            add_node(e)
+        terms.append(row)
+    nodes = {e: [] for e in parents}
+    nodes[one] = [Fraction(1)] + [Fraction(0)] * order
     coeffs = [[c] for c in initial]
     for k in range(order):
-        truncated = [TSeries(cs, k) for cs in coeffs]
-        for j, s in enumerate(variety.section):
-            value = s.eval(truncated)
-            if not isinstance(value, TSeries):
-                value = TSeries.constant(value, k)
-            coeffs[j].append(value.coeffs[k] / (k + 1))
+        for e, (parent, j) in parents.items():
+            nodes[e].append(_coefficient_of_product(nodes[parent], coeffs[j], k))
+        for j, row in enumerate(terms):
+            value = sum(
+                (_coefficient_of_product(c, nodes[e], k) for c, e in row),
+                Fraction(0),
+            )
+            coeffs[j].append(value / (k + 1))
     point = tuple(TSeries(cs, order) for cs in coeffs)
     for P in variety.generators:
         val = P.eval(point)
@@ -225,9 +263,16 @@ def sharp_integrate(variety: DVariety, initial, order):
     return SharpPoint(variety, point, initial)
 
 
-def constant_sharp_point(variety: DVariety, initial, order):
-    """The constant solution at an equilibrium or of a zero section."""
-    return sharp_integrate(variety, initial, order)
+def _coefficient_of_product(a, b, k):
+    """Coefficient k of (sum a_i t^i)(sum b_i t^i); a may stop before index k."""
+    acc = 0
+    for i in range(min(k + 1, len(a))):
+        x = a[i]
+        if x:
+            y = b[k - i]
+            if y:
+                acc += x * y
+    return acc
 
 
 def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):

@@ -9,6 +9,10 @@ class DimensionMismatch(DjetsError):
     """Operands have incompatible shapes or variable counts."""
 
 
+class DomainMismatch(DjetsError):
+    """A linear system holds an entry outside its coefficient domain."""
+
+
 class NonUnitDivisor(DjetsError):
     """Division by a truncated series whose constant term is zero."""
 

@@ -78,6 +78,12 @@ def jet_equations(generators, point, order):
         value = coeffs.get((0,) * n, 0)
         if value != 0:
             raise PointNotOnVariety(f"generator {P} evaluates to {value} at {point}")
+        if domain == SERIES:
+            # A constant Hasse derivative evaluates to a bare rational.
+            coeffs = {
+                a: c if isinstance(c, TSeries) else TSeries.constant(c, prec)
+                for a, c in coeffs.items()
+            }
         zero = TSeries.zero(prec) if domain == SERIES else Fraction(0)
         for gamma in multi_indices_with_zero(n, order - 1):
             row = []

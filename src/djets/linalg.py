@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, SingularPivot
+from .errors import DimensionMismatch, DomainMismatch, SingularPivot
 from .series import TSeries
 
 RATIONAL = "rational"
 SERIES = "series"
+
+_ENTRY_TYPES = {RATIONAL: (int, Fraction), SERIES: (TSeries,)}
 
 
 @dataclass
@@ -32,11 +34,20 @@ class LinSystem:
     prec: int | None = None  # series domain: precision for synthesized zeros
 
     def __post_init__(self):
-        for r in self.rows:
+        if self.domain not in _ENTRY_TYPES:
+            raise DomainMismatch(f"unknown domain {self.domain!r}")
+        kinds = _ENTRY_TYPES[self.domain]
+        for i, r in enumerate(self.rows):
             if len(r) != self.ncols:
                 raise DimensionMismatch(
                     f"row of length {len(r)} in a {self.ncols}-column system"
                 )
+            for j, e in enumerate(r):
+                if not isinstance(e, kinds):
+                    raise DomainMismatch(
+                        f"{type(e).__name__} entry at ({i}, {j}) of a "
+                        f"{self.domain} system"
+                    )
 
     def zero_entry(self):
         if self.domain == SERIES:

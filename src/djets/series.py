@@ -15,11 +15,15 @@ a constant series first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
 
 #: Default guaranteed order used when none is requested explicitly.
 DEFAULT_PRECISION = 24
+
+#: Largest guaranteed order the command line accepts.
+MAX_PRECISION = 1024
 
 
 class TSeries:
@@ -34,6 +38,14 @@ class TSeries:
         cs.extend([Fraction(0)] * (prec + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.prec = prec
+
+    @classmethod
+    def _of(cls, coeffs, prec):
+        """Wrap exactly prec+1 Fractions without converting them again."""
+        out = object.__new__(cls)
+        out.coeffs = tuple(coeffs)
+        out.prec = prec
+        return out
 
     @classmethod
     def constant(cls, value, prec=DEFAULT_PRECISION):
@@ -94,12 +106,12 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        return TSeries([a + b for a, b in zip(self.coeffs, o.coeffs)], n)
+        return TSeries._of([a + b for a, b in zip(self.coeffs, o.coeffs)], n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries([-c for c in self.coeffs], self.prec)
+        return TSeries._of([-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -118,16 +130,19 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b != 0:
+        # Convolve numerators over common denominators; normalise each output once.
+        da, xs = _scaled(self.coeffs, n)
+        db, ys = _scaled(o.coeffs, n)
+        nonzero_ys = [(j, b) for j, b in enumerate(ys) if b]
+        out = [0] * (n + 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in nonzero_ys:
+                    if i + j > n:
+                        break
                     out[i + j] += a * b
-        return TSeries(out, n)
+        den = da * db
+        return TSeries._of([Fraction(c, den) for c in out], n)
 
     __rmul__ = __mul__
 
@@ -146,7 +161,7 @@ class TSeries:
                 if out[j] != 0 and o.coeffs[k - j] != 0:
                     acc -= out[j] * o.coeffs[k - j]
             out.append(acc * inv0)
-        return TSeries(out, n)
+        return TSeries._of(out, n)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -172,7 +187,7 @@ class TSeries:
         if self.prec == 0:
             raise InsufficientPrecision("cannot differentiate a precision-0 series")
         out = [(k + 1) * self.coeffs[k + 1] for k in range(self.prec)]
-        return TSeries(out, self.prec - 1)
+        return TSeries._of(out, self.prec - 1)
 
     # -- comparison ----------------------------------------------------------
 
@@ -222,6 +237,13 @@ class TSeries:
         return f"TSeries({self})"
 
 
+def _scaled(coeffs, n):
+    """Common denominator d of coeffs[0..n] and the integers d * coeffs[i]."""
+    cs = coeffs[: n + 1]
+    d = lcm(*(c.denominator for c in cs))
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
 def exp_series(c, prec=DEFAULT_PRECISION):
     """The solution of y' = c*y with y(0) = 1: coefficient k is c^k / k!."""
     c = Fraction(c)
@@ -232,16 +254,6 @@ def exp_series(c, prec=DEFAULT_PRECISION):
 
 
 # -- matrices of series ------------------------------------------------------
-
-
-def series_matrix(rows, prec=DEFAULT_PRECISION):
-    """Lift a rectangular array of scalars/series to a TSeries matrix."""
-    out = []
-    for row in rows:
-        out.append(
-            [e if isinstance(e, TSeries) else TSeries.constant(e, prec) for e in row]
-        )
-    return out
 
 
 def mat_vec(A, v):
@@ -255,27 +267,6 @@ def mat_vec(A, v):
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
-
-def mat_mul(A, B):
-    if not B or any(len(row) != len(B) for row in A):
-        raise DimensionMismatch("matrix size mismatch")
-    cols = len(B[0])
-    return [
-        [
-            _dot([A[i][k] for k in range(len(B))], [B[k][j] for k in range(len(B))])
-            for j in range(cols)
-        ]
-        for i in range(len(A))
-    ]
-
-
-def _dot(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
-
 
 def transpose(A):
     return [list(col) for col in zip(*A)]

@@ -377,7 +377,7 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
     """Closure of the solution fibers under addition, constant scaling, zero.
 
     Each sample must be a constant point of the restricted base (checked
-    against the识 identifications and overridden derivative rules); the fiber
+    against the identifications and overridden derivative rules); the fiber
     solutions are the fundamental columns of the evaluated system matrix.
     """
     reports = []

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from djets.cli import main
+from djets.series import MAX_PRECISION
 
 PARABOLA = """
 dvariety parabola {
@@ -152,3 +153,40 @@ def test_order_bounds_enforced(parabola_file):
     with pytest.raises(SystemExit) as info:
         main(["jet", "--at", "p", "-m", "7", parabola_file])
     assert info.value.code == 2
+
+
+def test_precision_env_must_be_an_integer(parabola_file, monkeypatch):
+    monkeypatch.setenv("DJETS_PRECISION", "1.5")
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "--from", "p", parabola_file])
+    assert info.value.code == 2
+
+
+def test_precision_ceiling_enforced(parabola_file, monkeypatch):
+    assert MAX_PRECISION >= 192
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "--from", "p", "-N", str(MAX_PRECISION + 1), parabola_file])
+    assert info.value.code == 2
+    monkeypatch.setenv("DJETS_PRECISION", str(MAX_PRECISION + 1))
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "--from", "p", parabola_file])
+    assert info.value.code == 2
+
+
+CUSP = """
+dvariety cusp {
+  vars: x, y;
+  ideal: [y^2 - x^3];
+  section: [2*x, 3*y];
+}
+point o on cusp { coords: [0, 0]; }
+"""
+
+
+def test_horizontal_at_singular_equilibrium(tmp_path, capsys):
+    path = tmp_path / "cusp.djv"
+    path.write_text(CUSP, encoding="utf-8")
+    argv = ["horizontal", "--from", "o", "-m", "2", "-N", "12", "--format", "json"]
+    assert main(argv + [str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim_K"] == payload["dim_C"] == 4

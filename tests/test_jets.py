@@ -11,7 +11,7 @@ from djets.jets import (
     jet_of_morphism,
     jet_space,
 )
-from djets.linalg import LinSystem, RATIONAL, rank
+from djets.linalg import LinSystem, RATIONAL, SERIES, rank
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
 
@@ -78,6 +78,19 @@ def test_point_must_lie_on_variety():
     xy, x, y = plane()
     with pytest.raises(PointNotOnVariety):
         jet_equations((y - x**2,), (F(1), F(2)), 1)
+
+
+def test_series_point_equations_hold_only_series():
+    # At the cusp's singular point the Hessian entry of y^2 - x^3 is the
+    # constant 1, which must arrive as a series, not a bare rational.
+    xy = ("x", "y")
+    x = MPoly.variable(xy, "x")
+    y = MPoly.variable(xy, "y")
+    origin = (TSeries.zero(8), TSeries.zero(8))
+    system = jet_equations([y**2 - x**3], origin, 2)
+    assert system.domain == SERIES
+    assert all(isinstance(e, TSeries) for row in system.rows for e in row)
+    assert sum(1 for row in system.rows for e in row if not e.is_zero()) == 1
 
 
 def test_dimension_law_random():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.errors import SingularPivot
+from djets.errors import DomainMismatch, SingularPivot
 from djets.linalg import (
     RATIONAL,
     SERIES,
@@ -74,6 +74,16 @@ def test_series_zero_column_is_free_not_singular():
     system = LinSystem([[z, TSeries.constant(1, 6)]], 2, SERIES)
     basis = nullspace(system)
     assert len(basis) == 1 and basis[0][0] == 1 and basis[0][1] == 0
+
+
+def test_system_rejects_entries_outside_its_domain():
+    with pytest.raises(DomainMismatch):
+        LinSystem([[F(1), TSeries.constant(1, 4)]], 2, SERIES)
+    with pytest.raises(DomainMismatch):
+        LinSystem([[F(1), TSeries.constant(1, 4)]], 2, RATIONAL)
+    with pytest.raises(DomainMismatch):
+        LinSystem([[F(1)]], 1, "complex")
+    assert rank(LinSystem([[1, F(1, 2)]], 2, RATIONAL)) == 1
 
 
 def test_solve_unique_and_inconsistent():
