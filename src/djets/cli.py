@@ -151,8 +151,13 @@ def main(argv=None):
 
 
 def _load(args):
-    with open(args.file, encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read {args.file}: {reason}") from exc
+    return parse_document(text)
 
 
 def _emit(args, payload, text_lines):

@@ -144,8 +144,8 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule, order=None):
 
     Both sides are computed independently: the pairings as coordinate
     tensors of the factor solutions, the target space from the fundamental
-    matrix of the dual tensor module.  Mutual containment is decided by
-    exact rational solves on stacked series coefficients.
+    matrix of the dual tensor module.  Mutual containment is decided by one
+    exact rational elimination per direction on stacked series coefficients.
     """
     hm = horizontal_sections(dual(left), order)
     hn = horizontal_sections(dual(right), order)
@@ -153,9 +153,9 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule, order=None):
     dual_tensor = dual(tensor(left, right))
     target = horizontal_sections(dual_tensor, order)
     pairings_horizontal = all(is_horizontal(dual_tensor, p) for p in pairings)
-    contained = all(constant_combination(p, target) is not None for p in pairings)
+    contained = all(c is not None for c in constant_combination(pairings, target))
     contained = contained and all(
-        constant_combination(t, pairings) is not None for t in target
+        c is not None for c in constant_combination(target, pairings)
     )
     return TensorPairingReport(
         dim_left=left.dim,

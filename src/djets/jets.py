@@ -40,9 +40,6 @@ class JetIndexSet:
     def __len__(self):
         return len(self.indices)
 
-    def position(self, alpha):
-        return self.indices.index(alpha)
-
 
 def point_domain(point):
     return SERIES if any(isinstance(c, TSeries) for c in point) else RATIONAL

@@ -1,26 +1,34 @@
 """Exact linear algebra over Q and over the truncated-series field.
 
-Gaussian elimination is exact in both domains.  Over the rationals any
-nonzero entry can pivot; over the series field a pivot must be a unit
-(nonzero constant term), and a column that contains nonzero non-unit
-entries but no unit raises SingularPivot instead of silently losing
-precision.  Nullspace bases over Q are normalized to primitive integer
-vectors with a positive leading entry.
+Gaussian elimination is exact in both domains.  Over the series field a
+pivot must be a unit (nonzero constant term), and a column that contains
+nonzero non-unit entries but no unit raises SingularPivot instead of
+silently losing precision.  Over the rationals any nonzero entry can pivot,
+and elimination is fraction-free in the spirit of Bareiss (Math. Comp.
+1968): rows are scaled once to primitive integer vectors, updated by
+integer cross-multiplication and kept primitive by a gcd, and only the
+pivot rows are divided back into Fractions at the end.  The pivots and
+pivot rows equal those of Fraction elimination; each row below them is a
+nonzero multiple of its Fraction counterpart.
+Nullspace bases over Q are normalized to primitive integer vectors with a
+positive leading entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
-from .series import TSeries
+from .series import TSeries, integer_scaled
 
 RATIONAL = "rational"
 SERIES = "series"
 
 _ENTRY_TYPES = {RATIONAL: (int, Fraction), SERIES: (TSeries,)}
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -67,22 +75,25 @@ class LinSystem:
         return Fraction(1)
 
 
-def _pivot_ok(entry, domain):
-    if domain == SERIES:
-        return entry.is_unit()
-    return entry != 0
-
-
 def rref(rows, ncols, domain, pivot_limit=None):
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Only columns below `pivot_limit` (default all) are eligible to pivot,
     which lets callers append right-hand-side columns.  In the series domain
-    a column holding nonzero entries but no unit raises SingularPivot.
+    a column holding nonzero entries but no unit raises SingularPivot.  Over
+    Q the pivot rows are the unique reduced rows; a row below the pivots is
+    determined only up to a nonzero factor, so only whether it vanishes
+    carries meaning.
     """
-    m = [list(r) for r in rows]
     if pivot_limit is None:
         pivot_limit = ncols
+    if domain == SERIES:
+        return _rref_series(rows, pivot_limit)
+    return _rref_rational(rows, pivot_limit)
+
+
+def _rref_series(rows, pivot_limit):
+    m = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -92,26 +103,71 @@ def rref(rows, ncols, domain, pivot_limit=None):
         saw_nonzero = False
         for i in range(r, len(m)):
             e = m[i][c]
-            if e == 0:
+            if e.is_zero():
                 continue
             saw_nonzero = True
-            if _pivot_ok(e, domain):
+            if e.is_unit():
                 piv = i
                 break
         if piv is None:
-            if saw_nonzero and domain == SERIES:
+            if saw_nonzero:
                 raise SingularPivot(f"no unit pivot available in column {c}")
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = m[r][c]
         m[r] = [e / inv for e in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r and not m[i][c].is_zero():
                 f = m[i][c]
+                # No zero-skipping here: a - f*0 still lowers a's precision.
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def _rref_rational(rows, pivot_limit):
+    """Fraction-free Gauss-Jordan over Q on primitive integer rows.
+
+    Each row is scaled to integers once.  Eliminating row i against pivot
+    row r replaces it by p*row_i - f*row_r (p the pivot, f the entry of
+    row i), divided by the gcd of its entries, so every row stays a nonzero
+    multiple of the row plain Fraction elimination would hold, with the
+    same pivot choices.  Only the pivot rows are divided by their pivots,
+    at the end.
+    """
+    m = [_primitive(integer_scaled(r)[1]) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    out = []
+    for i, row in enumerate(m):
+        p = row[pivots[i]] if i < r else 1
+        out.append([Fraction(x, p) if x else _ZERO for x in row])
+    return out, pivots
+
+
+def _primitive(ints):
+    g = gcd(*ints)
+    if g > 1:
+        return [x // g for x in ints]
+    return ints
 
 
 def rank(system: LinSystem):
@@ -200,50 +256,50 @@ def solve(rows, ncols, rhs_columns, domain):
     return solutions
 
 
-def constant_combination(target, basis, min_prec=None):
-    """Rational coefficients c with target = sum c_i * basis_i, or None.
+def constant_combination(targets, basis, min_prec=None):
+    """Rational coefficients expressing each target through the basis.
 
+    Returns one entry per target: a list c with target = sum c_i * basis_i,
+    or None when the target is not a constant combination of the basis.
     The vectors have TSeries entries; each coordinate and each t-power up to
-    the shared guaranteed order contributes one rational equation, so a
-    returned combination is exact to precision.  An empty basis succeeds only
-    on a zero target.
+    the order guaranteed by the basis and all targets (and at most
+    `min_prec`) contributes one rational equation, so a returned combination
+    is exact to that precision.  All targets share one elimination of the
+    augmented system [basis | targets]; a target is contained exactly when
+    its column vanishes below the pivots.  When the basis is dependent, the
+    coefficients of its non-pivot vectors are zero.  An empty basis contains
+    only zero targets.
     """
-    rows = []
-    rhs = []
-    precs = [e.prec for e in target] + [e.prec for v in basis for e in v]
-    prec = min(precs) if precs else 0
+    targets = list(targets)
+    k = len(basis)
+    vectors = list(basis) + targets
+    prec = min((e.prec for v in vectors for e in v), default=0)
     if min_prec is not None:
         prec = min(prec, min_prec)
-    for coord in range(len(target)):
-        for power in range(prec + 1):
-            rows.append([v[coord].coeffs[power] for v in basis])
-            rhs.append(target[coord].coeffs[power])
-    if not basis:
-        return [] if all(x == 0 for x in rhs) else None
-    try:
-        sol = solve(rows, len(basis), [rhs], RATIONAL)
-    except ValueError:
-        # Dependent basis: fall back to consistency-only elimination.
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        red, pivots = rref(aug, len(basis) + 1, RATIONAL, pivot_limit=len(basis))
-        for i in range(len(pivots), len(aug)):
-            if red[i][len(basis)] != 0:
-                return None
-        x = [Fraction(0)] * len(basis)
-        for ri, pc in enumerate(pivots):
-            x[pc] = red[ri][len(basis)]
-        return x
-    if sol is None:
-        return None
-    return sol[0]
+    ncoords = len(targets[0]) if targets else 0
+    rows = [
+        [v[coord].coeffs[power] for v in vectors]
+        for coord in range(ncoords)
+        for power in range(prec + 1)
+    ]
+    red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
+    tail = red[len(pivots):]
+    out = []
+    for j in range(k, len(vectors)):
+        if any(row[j] for row in tail):
+            out.append(None)
+            continue
+        x = [_ZERO] * k
+        for row, pc in zip(red, pivots):
+            x[pc] = row[j]
+        out.append(x)
+    return out
 
 
 def mutually_contained(basis_a, basis_b):
     """True when two series-vector families span the same constant space."""
-    for v in basis_a:
-        if constant_combination(v, basis_b) is None:
-            return False
-    for v in basis_b:
-        if constant_combination(v, basis_a) is None:
-            return False
-    return True
+    return all(
+        c is not None
+        for targets, basis in ((basis_a, basis_b), (basis_b, basis_a))
+        for c in constant_combination(targets, basis)
+    )

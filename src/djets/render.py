@@ -18,7 +18,3 @@ def render_scalar(value):
 
 def render_vector(vec):
     return [render_scalar(x) for x in vec]
-
-
-def render_matrix(rows):
-    return [render_vector(r) for r in rows]

@@ -16,8 +16,3 @@ ExactScalar = Fraction
 def rat(num, den=1):
     """Shorthand rational constructor used by tests and the DSL."""
     return Fraction(num, den)
-
-
-def format_rational(q):
-    """Canonical text for a rational: "p" or "p/q", always exact."""
-    return str(Fraction(q))

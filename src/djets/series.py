@@ -15,7 +15,7 @@ a constant series first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
 
@@ -131,8 +131,8 @@ class TSeries:
             return NotImplemented
         n = min(self.prec, o.prec)
         # Convolve numerators over common denominators; normalise each output once.
-        da, xs = _scaled(self.coeffs, n)
-        db, ys = _scaled(o.coeffs, n)
+        da, xs = integer_scaled(self.coeffs[: n + 1])
+        db, ys = integer_scaled(o.coeffs[: n + 1])
         nonzero_ys = [(j, b) for j, b in enumerate(ys) if b]
         out = [0] * (n + 1)
         for i, a in enumerate(xs):
@@ -237,11 +237,13 @@ class TSeries:
         return f"TSeries({self})"
 
 
-def _scaled(coeffs, n):
-    """Common denominator d of coeffs[0..n] and the integers d * coeffs[i]."""
-    cs = coeffs[: n + 1]
-    d = lcm(*(c.denominator for c in cs))
-    return d, [c.numerator * (d // c.denominator) for c in cs]
+_ZERO = Fraction(0)
+
+
+def integer_scaled(values):
+    """Common denominator d of rationals and the integers d * value."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def exp_series(c, prec=DEFAULT_PRECISION):
@@ -275,11 +277,13 @@ def transpose(A):
 def fundamental_matrix(A, order):
     """Fundamental solution of Y' = A(t) Y with Y(0) = I.
 
-    The coefficient recursion Y_(k+1) = (A Y)_k / (k+1) is run on rational
-    coefficient matrices, so only the genuinely needed convolutions are
-    formed.  The entries of A must be guaranteed through order `order`-1;
-    the result is guaranteed through `order` and its columns form a basis of
-    the solution space over the constants.
+    The coefficient recursion Y_(k+1) = (A Y)_k / (k+1) runs on integer
+    matrices over common denominators: the coefficients of A are brought
+    once over the lcm of their denominators, each Y_k is an integer matrix
+    with one denominator, reduced by a gcd once per step, and zero entries
+    of both are skipped.  The entries of A must be guaranteed through order
+    `order`-1; the result is guaranteed through `order` and its columns form
+    a basis of the solution space over the constants.
     """
     d = len(A)
     if any(len(row) != d for row in A):
@@ -293,40 +297,52 @@ def fundamental_matrix(A, order):
         raise InsufficientPrecision(
             f"matrix entries guaranteed to order {aprec}, need {order - 1}"
         )
-    # Coefficient matrices of A, trimmed to the nonzero support.
+    # Sparse integer rows [(s, a), ...] of den_a * A_i, trimmed to the support.
+    needed = range(min(aprec, max(order - 1, 0)) + 1)
+    den_a = lcm(*(e.coeffs[i].denominator for row in A for e in row for i in needed))
     acoeffs = []
-    for i in range(min(aprec, max(order - 1, 0)) + 1):
-        Ai = [[A[r][c].coeffs[i] for c in range(d)] for r in range(d)]
+    for i in needed:
+        Ai = []
+        for row in A:
+            Ai.append([
+                (s, e.coeffs[i].numerator * (den_a // e.coeffs[i].denominator))
+                for s, e in enumerate(row)
+                if e.coeffs[i]
+            ])
         acoeffs.append(Ai)
-    while acoeffs and all(x == 0 for row in acoeffs[-1] for x in row):
+    while acoeffs and not any(acoeffs[-1]):
         acoeffs.pop()
 
-    ident = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-    ]
-    phis = [ident]
+    # Y_k = nums[k] / dens[k].
+    nums = [[[int(r == c) for c in range(d)] for r in range(d)]]
+    dens = [1]
     for k in range(order):
-        acc = [[Fraction(0)] * d for _ in range(d)]
-        for i, Ai in enumerate(acoeffs):
-            if i > k:
-                break
-            Pk = phis[k - i]
-            for r in range(d):
-                Ar = Ai[r]
-                accr = acc[r]
-                for s in range(d):
-                    a = Ar[s]
-                    if a == 0:
-                        continue
-                    Ps = Pk[s]
-                    for c in range(d):
-                        if Ps[c] != 0:
-                            accr[c] += a * Ps[c]
-        inv = Fraction(1, k + 1)
-        phis.append([[x * inv for x in row] for row in acc])
+        terms = range(min(k + 1, len(acoeffs)))
+        den = lcm(*(dens[k - i] for i in terms))
+        acc = [[0] * d for _ in range(d)]
+        for i in terms:
+            P = nums[k - i]
+            scale = den // dens[k - i]
+            for accr, Ar in zip(acc, acoeffs[i]):
+                for s, a in Ar:
+                    a *= scale
+                    for c, x in enumerate(P[s]):
+                        if x:
+                            accr[c] += a * x
+        den *= den_a * (k + 1)
+        g = gcd(den, *(x for row in acc for x in row))
+        acc = [[x // g for x in row] for row in acc]
+        nums.append(acc)
+        dens.append(den // g)
 
     return [
-        [TSeries([phis[k][r][c] for k in range(order + 1)], order) for c in range(d)]
+        [
+            TSeries._of(
+                [Fraction(n[r][c], q) if n[r][c] else _ZERO for n, q in zip(nums, dens)],
+                order,
+            )
+            for c in range(d)
+        ]
         for r in range(d)
     ]
 

@@ -31,9 +31,8 @@ from .jets import jet_equations
 from .linalg import (
     RATIONAL,
     LinSystem,
-    constant_combination,
+    mutually_contained,
     nullspace,
-    rref,
 )
 from .mpoly import MPoly
 from .series import (
@@ -499,11 +498,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
             ode_basis.append(vec)
     else:
         ode_basis = columns
-    contained = all(
-        constant_combination(v, ode_basis) is not None for v in djs.horizontal
-    ) and all(
-        constant_combination(v, djs.horizontal) is not None for v in ode_basis
-    )
+    contained = mutually_contained(djs.horizontal, ode_basis)
     return TangentEquivalenceReport(djs.dim_c, len(ode_basis), contained)
 
 

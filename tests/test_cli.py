@@ -190,3 +190,15 @@ def test_horizontal_at_singular_equilibrium(tmp_path, capsys):
     assert main(argv + [str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim_K"] == payload["dim_C"] == 4
+
+
+def test_unreadable_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.djv"
+    assert main(["integrate", "--from", "a", "-N", "8", str(missing)]) == 2
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
+    binary = tmp_path / "binary.djv"
+    binary.write_bytes(b"\xff\xfe\x00dvariety")
+    assert main(["check", str(binary)]) == 2
+    assert f"error: cannot read {binary}" in capsys.readouterr().err
+    assert main(["check", str(tmp_path)]) == 2
+    assert f"error: cannot read {tmp_path}" in capsys.readouterr().err

@@ -86,6 +86,12 @@ def test_system_rejects_entries_outside_its_domain():
     assert rank(LinSystem([[1, F(1, 2)]], 2, RATIONAL)) == 1
 
 
+def test_integer_entries_stay_exact():
+    # plain int rows are valid rational entries and must not turn into floats
+    assert nullspace(LinSystem([[2, 1]], 2, RATIONAL)) == [[F(1), F(-2)]]
+    assert solve([[2, 0], [0, 3]], 2, [[1, 1]], RATIONAL) == [[F(1, 2), F(1, 3)]]
+
+
 def test_solve_unique_and_inconsistent():
     rows = [[F(1), F(1)], [F(0), F(1)], [F(1), F(0)]]
     sol = solve(rows, 2, [[F(3), F(2), F(1)]], RATIONAL)
@@ -106,9 +112,9 @@ def test_solve_multiple_right_hand_sides_over_series():
 def test_constant_combination():
     e = exp_series(1, 10)
     e2 = exp_series(2, 10)
-    combo = constant_combination([3 * e, 2 * e2], [[e, TSeries.zero(10)],
-                                                   [TSeries.zero(10), e2]])
+    combo = constant_combination([[3 * e, 2 * e2]], [[e, TSeries.zero(10)],
+                                                     [TSeries.zero(10), e2]])[0]
     assert combo == [F(3), F(2)]
-    assert constant_combination([TSeries([0, 1], 10)], [[e]]) is None
+    assert constant_combination([[TSeries([0, 1], 10)]], [[e]])[0] is None
     assert mutually_contained([[e]], [[2 * e]])
     assert not mutually_contained([[e]], [[e2]])

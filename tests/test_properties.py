@@ -61,4 +61,4 @@ def test_horizontal_space_is_constant_linear():
         u = [c1 * p + c2 * q for p, q in zip(*space.horizontal)]
         assert u[0].derive() == 2 * (a * u[0] - b * u[1])
         assert u[1].derive() == 2 * a * u[0] - b * u[0] - a * u[1]
-        assert constant_combination(u, space.horizontal) == [c1, c2]
+        assert constant_combination([u], space.horizontal)[0] == [c1, c2]
