@@ -14,7 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .acceptance import run_all
 from .delta_modules import product_jet_decompose
 from .dsl import parse_document
 from .dvariety import (
@@ -27,7 +26,7 @@ from .dvariety import (
 from .errors import DecompositionFailure, DjetsError, InvarianceViolation, ParseError
 from .jets import jet_space, render_jet_space
 from .linalg import RATIONAL, LinSystem, rank
-from .render import render_scalar, render_vector
+from .render import render_vector
 from .series import DEFAULT_PRECISION, MAX_PRECISION
 from .tangent import counterexample_report, delta_tangent, restrict
 
@@ -135,7 +134,7 @@ def main(argv=None):
     if not 1 <= args.order <= 3:
         parser.error("jet order must be between 1 and 3")
     try:
-        return _dispatch(args, precision)
+        code, payload, lines = _dispatch(args, precision)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -148,6 +147,16 @@ def main(argv=None):
     except DjetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        _emit(args, payload, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say `| head -1`): the verdict still stands,
+        # and the rest of the output, flushed again at exit, goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def _load(args):
@@ -178,6 +187,7 @@ def _single_variety(doc, name):
 
 
 def _dispatch(args, precision):
+    """Run one command; returns (exit code, JSON payload, text lines)."""
     if args.command == "counterexample":
         report = counterexample_report(precision=precision)
         lines = ["tangent bundle:"]
@@ -189,10 +199,12 @@ def _dispatch(args, precision):
             status = "ok" if w.ok else "FAIL"
             lines.append(f"witness c={w.ratio}: {status}")
         lines.append("all checks passed" if report.ok else "FAILED")
-        _emit(args, report.to_json(), lines)
-        return EXIT_OK if report.ok else EXIT_VERIFICATION
+        return (EXIT_OK if report.ok else EXIT_VERIFICATION), report.to_json(), lines
 
     if args.command == "suite":
+        # Loaded here only: the other commands never need the suite's modules.
+        from .acceptance import run_all
+
         results = run_all(seed=args.seed)
         payload = [
             {
@@ -204,8 +216,8 @@ def _dispatch(args, precision):
             }
             for r in results
         ]
-        _emit(args, payload, [r.line() for r in results])
-        return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
+        code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
+        return code, payload, [r.line() for r in results]
 
     doc = _load(args)
 
@@ -229,8 +241,7 @@ def _dispatch(args, precision):
                 "exact": result.exact,
                 "residuals": [str(r) for r in result.residuals],
             }
-        _emit(args, payload, lines)
-        return EXIT_OK if ok else EXIT_VERIFICATION
+        return (EXIT_OK if ok else EXIT_VERIFICATION), payload, lines
 
     if args.command == "jet":
         decl = doc.point(args.at)
@@ -245,8 +256,7 @@ def _dispatch(args, precision):
             f"order {args.order}: dim {space.dim}",
         ]
         lines += ["  basis " + str([str(Fraction(e)) for e in v]) for v in space.basis]
-        _emit(args, payload, lines)
-        return EXIT_OK
+        return EXIT_OK, payload, lines
 
     if args.command == "tangent":
         variety = _single_variety(doc, args.name)
@@ -255,8 +265,7 @@ def _dispatch(args, precision):
             rules = doc.restriction(args.restriction).bind(variety.vars)
             bundle = restrict(bundle, rules)
         lines = bundle.presentation_text()
-        _emit(args, {"equations": lines}, lines)
-        return EXIT_OK
+        return EXIT_OK, {"equations": lines}, lines
 
     if args.command == "integrate":
         point = doc.sharp_point(args.from_point, precision)
@@ -267,8 +276,7 @@ def _dispatch(args, precision):
             "variety": point.variety.name,
             "coords": render_vector(point.coords),
         }
-        _emit(args, payload, lines)
-        return EXIT_OK
+        return EXIT_OK, payload, lines
 
     if args.command == "horizontal":
         decl = doc.point(args.from_point)
@@ -287,8 +295,7 @@ def _dispatch(args, precision):
         ]
         for v in space.horizontal:
             lines.append("  " + "; ".join(str(e) for e in v))
-        _emit(args, payload, lines)
-        return EXIT_OK
+        return EXIT_OK, payload, lines
 
     if args.command == "verify-product":
         left = doc.variety(args.left)
@@ -302,10 +309,12 @@ def _dispatch(args, precision):
         W = delta_jet_space(left, lp, args.order).horizontal
         Wp = delta_jet_space(right, rp, args.order).horizontal
         space = delta_jet_space(prod, pp, args.order)
-        decomposed = []
-        for v in space.horizontal:
-            dec = product_jet_decompose(v, W, Wp, left.nvars, right.nvars, args.order)
-            decomposed.append(dec.to_json())
+        decomposed = [
+            dec.to_json()
+            for dec in product_jet_decompose(
+                space.horizontal, W, Wp, left.nvars, right.nvars, args.order
+            )
+        ]
         payload = {
             "product": prod.name,
             "order": args.order,
@@ -316,8 +325,7 @@ def _dispatch(args, precision):
             f"product {prod.name}, order {args.order}: "
             f"{len(decomposed)} horizontal jets decompose with constant coefficients"
         ]
-        _emit(args, payload, lines)
-        return EXIT_OK
+        return EXIT_OK, payload, lines
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -4,9 +4,10 @@ A module is presented in a fixed basis by the matrix A of its derivation:
 the action on a coordinate vector c is delta(c) + A c, which satisfies the
 twisted Leibniz rule d(r c) = delta(r) c + r d(c) by construction.  Duals,
 tensor products, horizontal sections, and the pairing of horizontal dual
-vectors are all coordinate computations; the decomposition of a horizontal
-product jet against bases of the factor jet spaces is solved exactly over
-the series field and its coefficients are then required to be constants.
+vectors are all coordinate computations; the decomposition of horizontal
+product jets against bases of the factor jet spaces is solved exactly over
+the series field, all jets of a batch sharing one solve per coefficient
+block, and its coefficients are then required to be constants.
 """
 
 from __future__ import annotations
@@ -186,89 +187,127 @@ class ProductDecomposition:
         }
 
 
-def product_jet_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
-    """Decompose a horizontal jet on a product against factor horizontal bases.
+def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m):
+    """Decompose horizontal jets on a product against factor horizontal bases.
 
-    The jet v is indexed by the graded-lex index set of the product ambient
+    Each jet v is indexed by the graded-lex index set of the product ambient
     space; the functional extends by zero to the full tensor of the factor
     truncated algebras, so every pair (alpha1, alpha2) of factor indices
     contributes one equation -- with right side v at the concatenated index
     when its total degree stays within the jet order and zero beyond it.
     That extension is what makes the linear system uniquely solvable, so the
-    exact solve over the series field must recover the constants; any
-    non-constant coefficient or inconsistency raises DecompositionFailure.
+    exact solve over the series field must recover the constants.
+
+    The three coefficient blocks (left, right, mixed) depend only on the
+    bases: each is built once and solved once with one right-hand side per
+    jet.  Pivots are chosen among the basis columns alone, so every solution
+    equals that of a single-jet solve.  Returns one ProductDecomposition per
+    jet.  Any non-constant coefficient or inconsistency raises
+    DecompositionFailure: the first one met jet by jet, taking the left,
+    right and mixed block of each jet in turn.
     """
+    vs = list(vs)
     lam_prod = multi_indices(n_left + n_right, order_m)
     lam_left = multi_indices(n_left, order_m)
     lam_right = multi_indices(n_right, order_m)
-    if len(v) != len(lam_prod):
-        raise DimensionMismatch("jet vector does not match the product index set")
+    for v in vs:
+        if len(v) != len(lam_prod):
+            raise DimensionMismatch("jet vector does not match the product index set")
     for w in basis_left:
         if len(w) != len(lam_left):
             raise DimensionMismatch("left basis vector has the wrong length")
     for w in basis_right:
         if len(w) != len(lam_right):
             raise DimensionMismatch("right basis vector has the wrong length")
-    vmap = {alpha: x for alpha, x in zip(lam_prod, v)}
-    prec = min(x.prec for x in v)
-    zero = TSeries.zero(prec)
+    if not vs:
+        return []
+    jets = [
+        (dict(zip(lam_prod, v)), TSeries.zero(min(x.prec for x in v))) for v in vs
+    ]
+
+    def columns(alphas):
+        """One right-hand side per jet over the given product indices."""
+        return [
+            [vmap[a] if sum(a) <= order_m else zero for a in alphas]
+            for vmap, zero in jets
+        ]
 
     posL = {a: i for i, a in enumerate(lam_left)}
     posR = {a: i for i, a in enumerate(lam_right)}
-
-    def entry(alpha):
-        if sum(alpha) <= order_m:
-            return vmap[alpha]
-        return zero
-
     # Pure-left block: rows alpha1 in Lambda_left, unknowns per left basis vector.
-    rows = [[w[posL[a]] for w in basis_left] for a in lam_left]
-    rhs = [entry(a + (0,) * n_right) for a in lam_left]
-    c_left = _solve_block(rows, len(basis_left), rhs, "left")
-
-    rows = [[w[posR[a]] for w in basis_right] for a in lam_right]
-    rhs = [entry((0,) * n_left + a) for a in lam_right]
-    c_right = _solve_block(rows, len(basis_right), rhs, "right")
-
+    left = (
+        [[w[posL[a]] for w in basis_left] for a in lam_left],
+        len(basis_left),
+        [a + (0,) * n_right for a in lam_left],
+    )
+    right = (
+        [[w[posR[a]] for w in basis_right] for a in lam_right],
+        len(basis_right),
+        [(0,) * n_left + a for a in lam_right],
+    )
     # Mixed block over the full rectangle of factor indices.
-    rows = []
-    rhs = []
-    for a1 in lam_left:
-        for a2 in lam_right:
-            rows.append(
-                [
-                    wl[posL[a1]] * wr[posR[a2]]
-                    for wl in basis_left
-                    for wr in basis_right
-                ]
-            )
-            rhs.append(entry(a1 + a2))
-    flat = _solve_block(rows, len(basis_left) * len(basis_right), rhs, "mixed")
-    pair = [
-        flat[i * len(basis_right) : (i + 1) * len(basis_right)]
-        for i in range(len(basis_left))
-    ]
-    return ProductDecomposition(Fraction(0), c_left, c_right, pair)
+    mixed = (
+        [
+            [wl[posL[a1]] * wr[posR[a2]] for wl in basis_left for wr in basis_right]
+            for a1 in lam_left
+            for a2 in lam_right
+        ],
+        len(basis_left) * len(basis_right),
+        [a1 + a2 for a1 in lam_left for a2 in lam_right],
+    )
+    solved = []
+    for label, (rows, ncols, alphas) in (
+        ("left", left), ("right", right), ("mixed", mixed)
+    ):
+        outcomes = _solve_block(rows, ncols, columns(alphas), label)
+        # The first jet meets this block before any jet meets a later one.
+        if isinstance(outcomes[0], DecompositionFailure):
+            raise outcomes[0]
+        solved.append(outcomes)
+    width = len(basis_right)
+    out = []
+    for outcomes in zip(*solved):
+        for x in outcomes:
+            if isinstance(x, DecompositionFailure):
+                raise x
+        c_left, c_right, flat = outcomes
+        pair = [flat[i * width : (i + 1) * width] for i in range(len(basis_left))]
+        out.append(ProductDecomposition(Fraction(0), c_left, c_right, pair))
+    return out
 
 
-def _solve_block(rows, ncols, rhs, label):
+def _solve_block(rows, ncols, rhs_columns, label):
+    """Constant coefficients, or the DecompositionFailure, per right-hand side.
+
+    A failure that depends only on the basis (dependent columns) is raised.
+    """
     if ncols == 0:
-        if any(x != 0 for x in rhs):
-            raise DecompositionFailure(f"{label} block inconsistent with empty basis")
-        return []
+        return [
+            DecompositionFailure(f"{label} block inconsistent with empty basis")
+            if any(x != 0 for x in rhs) else []
+            for rhs in rhs_columns
+        ]
     try:
-        sols = solve(rows, ncols, [rhs], SERIES)
+        sols = solve(rows, ncols, rhs_columns, SERIES)
     except ValueError as exc:
         raise DecompositionFailure(
             f"{label} block is underdetermined; basis vectors are dependent"
         ) from exc
     if sols is None:
-        raise DecompositionFailure(f"{label} block is inconsistent")
-    out = []
-    for x in sols[0]:
-        if not x.is_constant():
-            raise DecompositionFailure(
-                f"non-constant coefficient {x} in the {label} block"
+        # Some right-hand side is inconsistent: find which, one at a time.
+        sols = []
+        for rhs in rhs_columns:
+            one = solve(rows, ncols, [rhs], SERIES)
+            sols.append(None if one is None else one[0])
+    return [_constants(x, label) for x in sols]
+
+
+def _constants(x, label):
+    if x is None:
+        return DecompositionFailure(f"{label} block is inconsistent")
+    for e in x:
+        if not e.is_constant():
+            return DecompositionFailure(
+                f"non-constant coefficient {e} in the {label} block"
             )
-        out.append(x.constant_term)
-    return out
+    return [e.constant_term for e in x]

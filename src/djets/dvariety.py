@@ -31,8 +31,8 @@ from .errors import (
 )
 from .jets import JetIndexSet, JetSpace, jet_space
 from .linalg import RATIONAL
-from .mpoly import MPoly, multi_indices, taylor_coeffs
-from .series import TSeries, fundamental_matrix
+from .mpoly import MPoly, taylor_coeffs
+from .series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec, transpose
 from . import diffpoly as dp
 
 
@@ -356,23 +356,25 @@ def _restricted_system(variety, point, order_m, B):
     basis, free = js.basis, js.free_columns
     size = len(js.indices)
     R = [[None] * len(basis) for _ in range(len(basis))]
+    columns = transpose(basis)
     for i, b in enumerate(basis):
-        Bb = [None] * size
-        for r in range(size):
-            acc = None
-            for c in range(size):
-                if B[r][c].is_zero() or (isinstance(b[c], TSeries) and b[c].is_zero()):
-                    continue
-                term = B[r][c] * b[c]
-                acc = term if acc is None else acc + term
-            Bb[r] = acc if acc is not None else TSeries.zero(point.prec)
+        kept = [
+            c for c in range(size)
+            if not (isinstance(b[c], TSeries) and b[c].is_zero())
+        ]
+        Bb = []
+        for row in B:
+            cols = [c for c in kept if not row[c].is_zero()]
+            if cols:
+                Bb.append(dot([row[c] for c in cols], [b[c] for c in cols]))
+            else:
+                Bb.append(TSeries.zero(point.prec))
         w = [Bb[r] - b[r].derive() for r in range(size)]
         coeffs = [w[fc] for fc in free]
         # residual = w - sum_j coeffs[j] * basis[j], must vanish to precision
+        expansion = mat_vec(columns, coeffs)
         for r in range(size):
-            acc = w[r]
-            for j, c in enumerate(coeffs):
-                acc = acc - c * basis[j][r]
+            acc = w[r] - expansion[r]
             if not acc.is_zero():
                 raise InvarianceViolation(
                     "dual derivation leaves the jet kernel (residual "
@@ -402,13 +404,8 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     rprec = min(e.prec for row in R for e in row)
     order = rprec + 1
     phi = fundamental_matrix(R, order)
-    horizontal = []
-    for k in range(len(js.basis)):
-        vec = None
-        for i, b in enumerate(js.basis):
-            contrib = [phi[i][k] * x for x in b]
-            vec = contrib if vec is None else [a + c for a, c in zip(vec, contrib)]
-        horizontal.append(vec)
+    # horizontal[k] = sum_i phi[i][k] * basis[i]
+    horizontal = mat_mul(transpose(phi), js.basis)
     return DeltaJetSpace(js, R, horizontal)
 
 

@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import BasePointMismatch, DimensionMismatch, PointNotOnVariety
 from .linalg import RATIONAL, SERIES, LinSystem, nullspace_with_free, primitive_vector
-from .mpoly import grlex_key, multi_indices, multi_indices_with_zero, taylor_coeffs
+from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
 from .series import TSeries
 
 

@@ -114,8 +114,9 @@ def _rref_series(rows, pivot_limit):
                 raise SingularPivot(f"no unit pivot available in column {c}")
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [e / inv for e in m[r]]
+        # e * (1/u) equals e / u in coefficients and precision.
+        inv = 1 / m[r][c]
+        m[r] = [e * inv for e in m[r]]
         for i in range(len(m)):
             if i != r and not m[i][c].is_zero():
                 f = m[i][c]

@@ -258,17 +258,71 @@ def exp_series(c, prec=DEFAULT_PRECISION):
 # -- matrices of series ------------------------------------------------------
 
 
+def dot(xs, ys):
+    """Sum of x_i * y_i as one series, equal to the left fold of `*` and `+`.
+
+    Entries are series or rationals.  The result is guaranteed to the
+    minimum precision over all pairs, where a rational takes its partner's
+    precision; a pair of rationals only adds to the constant term.  The
+    numerators of every pair are convolved as integers over one common
+    denominator and each output coefficient is normalised once.  When no
+    entry is a series the rational sum is returned.
+    """
+    if len(xs) != len(ys):
+        raise DimensionMismatch("dot of vectors of different lengths")
+    return _dot_scaled([_scaled(x) for x in xs], [_scaled(y) for y in ys])
+
+
+def _scaled(e):
+    """(denominator, integer numerators, precision or None for a rational)."""
+    if isinstance(e, TSeries):
+        d, ints = integer_scaled(e.coeffs)
+        return d, ints, e.prec
+    e = Fraction(e)
+    return e.denominator, [e.numerator], None
+
+
+def _dot_scaled(xs, ys):
+    n = min((p for x, y in zip(xs, ys) for p in (x[2], y[2]) if p is not None),
+            default=None)
+    top = 0 if n is None else n
+    terms = []
+    for (dx, ix, _), (dy, iy, _) in zip(xs, ys):
+        ix = [(i, a) for i, a in enumerate(ix[: top + 1]) if a]
+        iy = [(j, b) for j, b in enumerate(iy[: top + 1]) if b]
+        if ix and iy:
+            terms.append((dx * dy, ix, iy))
+    den = lcm(*(d for d, _, _ in terms))
+    out = [0] * (top + 1)
+    for d, ix, iy in terms:
+        f = den // d
+        for i, a in ix:
+            a *= f
+            for j, b in iy:
+                if i + j > top:
+                    break
+                out[i + j] += a * b
+    if n is None:
+        return Fraction(out[0], den)
+    return TSeries._of([Fraction(c, den) if c else _ZERO for c in out], n)
+
+
 def mat_vec(A, v):
+    """A v, one `dot` per row, each entry brought to integers once."""
     if any(len(row) != len(v) for row in A):
         raise DimensionMismatch("matrix/vector size mismatch")
-    out = []
-    for row in A:
-        acc = None
-        for a, x in zip(row, v):
-            term = a * x
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    sv = [_scaled(x) for x in v]
+    return [_dot_scaled([_scaled(a) for a in row], sv) for row in A]
+
+
+def mat_mul(A, B):
+    """A B, one `dot` per entry, each entry brought to integers once."""
+    if any(len(row) != len(B) for row in A):
+        raise DimensionMismatch("matrix size mismatch")
+    sa = [[_scaled(a) for a in row] for row in A]
+    sb = transpose([[_scaled(b) for b in row] for row in B])
+    return [[_dot_scaled(row, col) for col in sb] for row in sa]
+
 
 def transpose(A):
     return [list(col) for col in zip(*A)]

@@ -38,6 +38,7 @@ from .mpoly import MPoly
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
+    dot,
     exp_series,
     fundamental_matrix,
     mat_vec,
@@ -482,9 +483,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
         constraints = jet_equations(variety.generators, point.coords, 1)
         rational_rows = []
         for row in constraints.rows:
-            combo = [
-                _dot_series(row, col) for col in columns
-            ]
+            combo = [dot(row, col) for col in columns]
             prec = min(x.prec for x in combo)
             for k in range(prec + 1):
                 rational_rows.append([x.coeffs[k] for x in combo])
@@ -506,14 +505,6 @@ def _as_series(value, prec):
     if isinstance(value, TSeries):
         return value
     return TSeries.constant(value, prec)
-
-
-def _dot_series(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # -- the counterexample chain ----------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import djets
 from djets.cli import main
 from djets.series import MAX_PRECISION
 
@@ -202,3 +206,35 @@ def test_unreadable_file_exits_two(tmp_path, capsys):
     assert f"error: cannot read {binary}" in capsys.readouterr().err
     assert main(["check", str(tmp_path)]) == 2
     assert f"error: cannot read {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # large output: the write inside the command fails
+        (["horizontal", "--from", "generic", "-m", "3", "-N", "24", "--format",
+          "json", "counterexample.djv"], 0),
+        # small output: only the final flush fails
+        (["check", "parabola.djv"], 0),
+        (["check", "broken.djv"], 1),
+    ],
+)
+def test_closed_stdout_keeps_exit_code(tmp_path, argv, code):
+    root = Path(__file__).resolve().parent.parent / "djv"
+    (tmp_path / "broken.djv").write_text(BAD_SECTION, encoding="utf-8")
+    files = {"counterexample.djv": root / "counterexample.djv",
+             "parabola.djv": root / "parabola.djv",
+             "broken.djv": tmp_path / "broken.djv"}
+    argv = [str(files.get(a, a)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(djets.__file__).parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "djets.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == code

@@ -1,0 +1,89 @@
+"""Byte-identical CLI outputs on `djv/`.
+
+Every command below runs with `--format json`; its stdout is pinned by
+SHA-256 together with its exit code in `cli_golden.json`.  An exact engine
+must print the same bytes after any change that is meant to be a pure
+speed-up or refactor.  To re-pin after an intended output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from djets.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+COMMANDS = [
+    "check djv/counterexample.djv",
+    "check djv/parabola.djv",
+    "jet djv/parabola.djv --at p -m 2",
+    "tangent djv/counterexample.djv",
+    "counterexample -N 48",
+    "integrate djv/counterexample.djv --from flow -N 32",
+    "horizontal djv/counterexample.djv --from generic -m 1 -N 24",
+    "horizontal djv/counterexample.djv --from generic -m 2 -N 24",
+    "horizontal djv/counterexample.djv --from generic -m 3 -N 24",
+    "horizontal djv/parabola.djv --from p -m 1 -N 24",
+    "horizontal djv/parabola.djv --from p -m 3 -N 24",
+    "horizontal djv/counterexample.djv --from origin -m 2 -N 24",
+    "horizontal djv/counterexample.djv --from flow -m 3 -N 12",
+    "horizontal djv/parabola.djv --from sharp -m 2 -N 16",
+    "horizontal djv/parabola.djv --from sharp -m 3 -N 16",
+    "horizontal djv/lines.djv --from a -m 2 -N 24",
+    "verify-product L1 L2 djv/lines.djv --from a b -m 1",
+    "verify-product L1 L2 djv/lines.djv --from a b -m 2",
+    "verify-product L1 L2 djv/lines.djv --from a b -m 3",
+]
+
+
+def _argv(command):
+    return [
+        str(ROOT / word) if word.startswith("djv/") else word
+        for word in command.split()
+    ] + ["--format", "json"]
+
+
+def _digest(stdout):
+    return hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_output_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.delenv("DJETS_PRECISION", raising=False)
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))[command]
+    code = main(_argv(command))
+    got = {"exit": code, "sha256": _digest(capsys.readouterr().out)}
+    assert got == pinned
+
+
+def test_every_command_is_pinned():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(COMMANDS)
+
+
+def _record():
+    import contextlib
+    import io
+    import os
+
+    os.environ.pop("DJETS_PRECISION", None)
+    pins = {}
+    for command in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(_argv(command))
+        pins[command] = {"exit": code, "sha256": _digest(out.getvalue())}
+    text = json.dumps(pins, indent=2, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    _record()

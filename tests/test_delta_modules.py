@@ -229,7 +229,7 @@ def test_embedded_factor_jet_decomposes_to_unit_vector():
             v.append(w[alpha[0] - 1] if alpha[0] == 1 else w[0])
         else:
             v.append(TSeries.zero(N))
-    dec = product_jet_decompose(v, W, Wp, 1, 1, 1)
+    dec = product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
     assert dec.left == [F(1)] and dec.right == [F(0)]
     assert dec.pair == [[F(0)]]
     assert dec.unit == 0
@@ -241,7 +241,7 @@ def test_product_decomposition_exp_lines_m1():
     prod, space, W, Wp = build_product(left, right, (1,), (1,), 1)
     assert space.dim_c == 2
     for v in space.horizontal:
-        dec = product_jet_decompose(v, W, Wp, 1, 1, 1)
+        dec = product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
         # each coefficient is an exact rational; the jet is recovered exactly
         _assert_reconstructs(v, dec, W, Wp, 1, 1, 1)
 
@@ -252,7 +252,7 @@ def test_product_decomposition_mixed_index_m2():
     prod, space, W, Wp = build_product(left, right, (1,), (1,), 2)
     lam = multi_indices(2, 2)
     for v in space.horizontal:
-        dec = product_jet_decompose(v, W, Wp, 1, 1, 2)
+        dec = product_jet_decompose([v], W, Wp, 1, 1, 2)[0]
         _assert_reconstructs(v, dec, W, Wp, 1, 1, 2)
         # the mixed coordinate is exactly the bilinear combination
         mixed = lam.index((1, 1))
@@ -273,7 +273,7 @@ def test_product_decomposition_with_proper_subvariety_factor():
     prod, space, W, Wp = build_product(parabola, right, (1, 1), (1,), 2)
     assert space.dim_c == space.dim_k
     for v in space.horizontal:
-        dec = product_jet_decompose(v, W, Wp, 2, 1, 2)
+        dec = product_jet_decompose([v], W, Wp, 2, 1, 2)[0]
         _assert_reconstructs(v, dec, W, Wp, 2, 1, 2)
 
 
@@ -284,7 +284,7 @@ def test_decomposition_failure_on_corrupted_jet():
     v = [x for x in space.horizontal[0]]
     v[0] = v[0] * TSeries([1, 1], N)  # no longer horizontal
     with pytest.raises(DecompositionFailure):
-        product_jet_decompose(v, W, Wp, 1, 1, 1)
+        product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
 
 
 def _assert_reconstructs(v, dec, W, Wp, n_left, n_right, order_m):

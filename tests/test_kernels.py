@@ -3,9 +3,11 @@
 `sharp_integrate` is compared with the re-evaluate-every-step Taylor loop,
 `TSeries.__mul__` with a plain Fraction double loop, rational `rref` with
 plain Fraction Gauss-Jordan elimination, `rank` and `nullspace` with sympy,
-`fundamental_matrix` with the Fraction coefficient recursion, and batched
-`constant_combination` with one elimination per target.  All randomness is
-seeded, so every run checks the same cases.
+`fundamental_matrix` with the Fraction coefficient recursion, batched
+`constant_combination` with one elimination per target, `dot`, `mat_vec`
+and `mat_mul` with the fold of `*` and `+`, series division with sympy, and
+batched `product_jet_decompose` with one solve per jet and block.  All
+randomness is seeded, so every run checks the same cases.
 """
 
 import random
@@ -13,21 +15,36 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.acceptance import _random_module
-from djets.delta_modules import dual, horizontal_sections, pairing_phi, tensor
-from djets.dvariety import DVariety, sharp_integrate
-from djets.errors import InsufficientPrecision
+from djets.acceptance import PRECISION, _line, _random_module
+from djets.delta_modules import (
+    dual,
+    horizontal_sections,
+    pairing_phi,
+    product_jet_decompose,
+    tensor,
+)
+from djets.dvariety import (
+    DVariety,
+    delta_jet_space,
+    product_dvariety,
+    product_sharp_point,
+    sharp_integrate,
+)
+from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from djets.linalg import (
     RATIONAL,
+    SERIES,
     LinSystem,
     constant_combination,
     nullspace,
     primitive_vector,
     rank,
     rref,
+    solve,
 )
-from djets.mpoly import MPoly, multi_indices_with_zero
-from djets.series import TSeries, fundamental_matrix
+from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero
+from djets.series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec
+from djets.tangent import counterexample_variety
 
 NAMES = ("x", "y", "z")
 
@@ -477,3 +494,247 @@ def test_batched_combination_recovers_coefficients_and_empty_basis():
     zero = [TSeries.zero(prec)] * 3
     assert constant_combination([zero, targets[0]], []) == [[], None]
     assert constant_combination([], basis) == []
+
+
+# -- series.dot, mat_vec, mat_mul ----------------------------------------------------
+
+def reference_dot(xs, ys):
+    """The left fold of `*` and `+` that `dot` replaces."""
+    acc = None
+    for x, y in zip(xs, ys):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def assert_dot_matches(xs, ys):
+    got, want = dot(xs, ys), reference_dot(xs, ys)
+    assert got.prec == want.prec
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def random_operand(rng, denominators=None):
+    """A series of random precision (sometimes zero or sparse) or a scalar."""
+    kind = rng.random()
+    if kind < 0.15:
+        return rng.choice([0, 3, -2, F(0), F(5, 7), F(-1, 3)])
+    prec = rng.randint(0, 12)
+    if kind < 0.25:
+        return TSeries.zero(prec)
+    coeffs = []
+    for _ in range(prec + 1):
+        if rng.random() < 0.3:
+            coeffs.append(0)
+        elif denominators:
+            coeffs.append(F(rng.randint(-10**6, 10**6), rng.choice(denominators)))
+        else:
+            coeffs.append(random_rational(rng))
+    return TSeries(coeffs, prec)
+
+
+def random_dot_pair(rng, n, denominators=None):
+    xs = [random_operand(rng, denominators) for _ in range(n)]
+    ys = [random_operand(rng, denominators) for _ in range(n)]
+    # at least one series, so the fold is a series too
+    ys[rng.randrange(n)] = TSeries([random_rational(rng) for _ in range(9)], 8)
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_dot_matches_fold_with_mixed_precisions_and_scalars(seed):
+    rng = random.Random(900 + seed)
+    assert_dot_matches(*random_dot_pair(rng, rng.randint(1, 7)))
+
+
+def test_dot_matches_fold_with_large_prime_denominators():
+    rng = random.Random(901)
+    primes = primes_from(2**40, 16)
+    for _ in range(5):
+        assert_dot_matches(*random_dot_pair(rng, 6, primes))
+
+
+def test_dot_edge_cases():
+    s = TSeries([F(1, 2), 3, 0, F(-1, 4)], 3)
+    # a zero Fraction takes its partner's precision, a zero series its own
+    assert_dot_matches([F(0), s], [TSeries([1], 1), s])
+    assert_dot_matches([TSeries.zero(1), s], [s, s])
+    assert dot([F(0)], [s]).prec == 3
+    assert dot([TSeries.zero(1)], [s]).prec == 1
+    # a pair of scalars only adds to the constant term
+    assert_dot_matches([2, s, F(1, 3)], [F(3, 4), 5, 6])
+    assert dot([2, F(1, 3)], [F(3, 4), 6]) == F(7, 2)
+    with pytest.raises(DimensionMismatch):
+        dot([s, s], [s])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mat_vec_and_mat_mul_match_fold(seed):
+    rng = random.Random(950 + seed)
+    rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+    A = [[random_operand(rng) for _ in range(inner)] for _ in range(rows)]
+    # the right factor holds series only, as the callers' do
+    B = [[TSeries([random_rational(rng) for _ in range(p + 1)], p)
+          for p in (rng.randint(0, 10) for _ in range(cols))] for _ in range(inner)]
+    v = [row[0] for row in B]
+    for got, row in zip(mat_vec(A, v), A):
+        want = reference_dot(row, v)
+        assert (got.prec, got.coeffs) == (want.prec, want.coeffs)
+    product = mat_mul(A, B)
+    for r, row in enumerate(A):
+        for c in range(cols):
+            want = reference_dot(row, [b[c] for b in B])
+            got = product[r][c]
+            assert (got.prec, got.coeffs) == (want.prec, want.coeffs)
+    with pytest.raises(DimensionMismatch):
+        mat_mul(A, B[1:] if inner > 1 else B + B)
+
+
+# -- series division against sympy ----------------------------------------------------
+
+def sympy_quotient(sympy, e, u, n):
+    t = sympy.Symbol("t")
+
+    def poly(s):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                   for k, c in enumerate(s.coeffs[: n + 1]))
+
+    # 1/u modulo t^(n+1) exists since u(0) != 0; e/u is e times it, truncated.
+    inverse = sympy.invert(poly(u), t ** (n + 1), t)
+    product = sympy.expand(poly(e) * inverse)
+    quotient = sympy.Poly(sympy.rem(product, t ** (n + 1), t), t)
+    return [F(int(c.p), int(c.q)) for c in
+            (quotient.coeff_monomial(t**k) for k in range(n + 1))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_series_division_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1000 + seed)
+    pu, pe = rng.randint(0, 9), rng.randint(0, 9)
+    u = TSeries([F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))]
+                + [random_rational(rng) for _ in range(pu)], pu)
+    e = TSeries([random_rational(rng) for _ in range(pe + 1)], pe)
+    inv = 1 / u
+    assert inv.prec == u.prec
+    assert list(inv.coeffs) == sympy_quotient(sympy, TSeries.constant(1, pu), u, pu)
+    n = min(pe, pu)
+    for got in (e / u, e * inv):
+        assert got.prec == n
+        assert list(got.coeffs) == sympy_quotient(sympy, e, u, n)
+    assert (e * inv).coeffs == (e / u).coeffs
+
+
+# -- batched product_jet_decompose ----------------------------------------------------
+
+def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
+    """One jet at a time: three blocks, each solved for this jet alone."""
+    lam_prod = multi_indices(n_left + n_right, order_m)
+    lam_left = multi_indices(n_left, order_m)
+    lam_right = multi_indices(n_right, order_m)
+    vmap = dict(zip(lam_prod, v))
+    zero = TSeries.zero(min(x.prec for x in v))
+    posL = {a: i for i, a in enumerate(lam_left)}
+    posR = {a: i for i, a in enumerate(lam_right)}
+
+    def entry(alpha):
+        return vmap[alpha] if sum(alpha) <= order_m else zero
+
+    def block(rows, ncols, rhs, label):
+        if ncols == 0:
+            if any(x != 0 for x in rhs):
+                raise DecompositionFailure(
+                    f"{label} block inconsistent with empty basis")
+            return []
+        sols = solve(rows, ncols, [rhs], SERIES)
+        if sols is None:
+            raise DecompositionFailure(f"{label} block is inconsistent")
+        for x in sols[0]:
+            if not x.is_constant():
+                raise DecompositionFailure(
+                    f"non-constant coefficient {x} in the {label} block")
+        return [x.constant_term for x in sols[0]]
+
+    left = block([[w[posL[a]] for w in basis_left] for a in lam_left],
+                 len(basis_left), [entry(a + (0,) * n_right) for a in lam_left], "left")
+    right = block([[w[posR[a]] for w in basis_right] for a in lam_right],
+                  len(basis_right), [entry((0,) * n_left + a) for a in lam_right],
+                  "right")
+    rows, rhs = [], []
+    for a1 in lam_left:
+        for a2 in lam_right:
+            rows.append([wl[posL[a1]] * wr[posR[a2]]
+                         for wl in basis_left for wr in basis_right])
+            rhs.append(entry(a1 + a2))
+    flat = block(rows, len(basis_left) * len(basis_right), rhs, "mixed")
+    k = len(basis_right)
+    return left, right, [flat[i * k:(i + 1) * k] for i in range(len(basis_left))]
+
+
+def product_suite(order_m):
+    """The acceptance product suites plus a parabola factor, at order m."""
+    xy = ("x", "y")
+    x, y = MPoly.variable(xy, "x"), MPoly.variable(xy, "y")
+    parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x),
+                        name="parabola")
+    x1, x2 = _line(1, "exp_line"), _line(2, "exp2_line")
+    for left, left_pt, right, right_pt in [
+        (x1, (1,), x2, (1,)),
+        (counterexample_variety(), (2, 1), x1, (1,)),
+        (parabola, (1, 1), x1, (1,)),
+    ]:
+        lp = sharp_integrate(left, left_pt, PRECISION)
+        rp = sharp_integrate(right, right_pt, PRECISION)
+        pp = product_sharp_point(product_dvariety(left, right), lp, rp)
+        W = delta_jet_space(left, lp, order_m).horizontal
+        Wp = delta_jet_space(right, rp, order_m).horizontal
+        space = delta_jet_space(product_dvariety(left, right), pp, order_m)
+        yield space.horizontal, (W, Wp, left.nvars, right.nvars, order_m)
+
+
+def reference_failure(vs, args):
+    for v in vs:
+        try:
+            reference_decompose(v, *args)
+        except DecompositionFailure as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("order_m", [1, 2])
+def test_batched_decomposition_matches_per_jet(order_m):
+    for vs, args in product_suite(order_m):
+        got = product_jet_decompose(vs, *args)
+        assert len(got) == len(vs)
+        for dec, v in zip(got, vs):
+            assert (dec.left, dec.right, dec.pair) == reference_decompose(v, *args)
+            assert dec.unit == 0
+        assert product_jet_decompose([], *args) == []
+
+
+@pytest.mark.parametrize("order_m", [1, 2])
+def test_batch_with_corrupted_jets_fails_like_per_jet(order_m):
+    bump = TSeries([1, 1], PRECISION)
+    seen = set()
+    for vs, args in product_suite(order_m):
+        last = len(vs[0]) - 1  # a mixed or right coordinate
+        corruptions = [
+            {len(vs) - 1: [0]},            # the last jet, first coordinate
+            {0: [last]},                   # the first jet, last coordinate
+            {0: [last], len(vs) - 1: [0]},  # both: the first jet's failure wins
+        ]
+        for corruption in corruptions:
+            batch = [list(v) for v in vs]
+            for j, coords in corruption.items():
+                for c in coords:
+                    batch[j][c] = batch[j][c] * bump + F(1, 3)
+            message = reference_failure(batch, args)
+            assert message is not None
+            with pytest.raises(DecompositionFailure) as caught:
+                product_jet_decompose(batch, *args)
+            assert str(caught.value) == message
+            seen.add(message.split(" block")[0].split()[-1] + " " +
+                     ("inconsistent" if "inconsistent" in message else "non-constant"))
+    # the corruptions reach both kinds of failure
+    assert any(s.endswith("inconsistent") for s in seen)
+    assert any(s.endswith("non-constant") for s in seen)
