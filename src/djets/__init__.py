@@ -58,7 +58,6 @@ from .errors import (
 from .jets import JetIndexSet, JetSpace, jet_equations, jet_of_morphism, jet_space
 from .linalg import LinSystem, nullspace, rank
 from .mpoly import MPoly, hasse_derivative, taylor_coeffs
-from .scalars import ExactScalar, rat
 from .series import (
     DEFAULT_PRECISION,
     TSeries,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .delta_modules import product_jet_decompose
 from .dsl import parse_document
@@ -187,7 +188,11 @@ def _single_variety(doc, name):
 
 
 def _dispatch(args, precision):
-    """Run one command; returns (exit code, JSON payload, text lines)."""
+    """Run one command; returns (exit code, JSON payload, text lines).
+
+    Lines that print series are generated lazily, so `--format json` never
+    renders them.
+    """
     if args.command == "counterexample":
         report = counterexample_report(precision=precision)
         lines = ["tangent bundle:"]
@@ -269,9 +274,7 @@ def _dispatch(args, precision):
 
     if args.command == "integrate":
         point = doc.sharp_point(args.from_point, precision)
-        lines = [
-            f"{v} = {c}" for v, c in zip(point.variety.vars, point.coords)
-        ]
+        lines = (f"{v} = {c}" for v, c in zip(point.variety.vars, point.coords))
         payload = {
             "variety": point.variety.name,
             "coords": render_vector(point.coords),
@@ -289,12 +292,13 @@ def _dispatch(args, precision):
             "horizontal_basis": [render_vector(v) for v in space.horizontal],
             "precision": space.precision,
         }
-        lines = [
-            f"dim over series field: {space.dim_k}",
-            f"dim over constants:    {space.dim_c}",
-        ]
-        for v in space.horizontal:
-            lines.append("  " + "; ".join(str(e) for e in v))
+        lines = chain(
+            [
+                f"dim over series field: {space.dim_k}",
+                f"dim over constants:    {space.dim_c}",
+            ],
+            ("  " + "; ".join(str(e) for e in v) for v in space.horizontal),
+        )
         return EXIT_OK, payload, lines
 
     if args.command == "verify-product":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DecompositionFailure, DimensionMismatch
+from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import SERIES, constant_combination, solve
 from .mpoly import multi_indices
 from .series import TSeries, fundamental_matrix, mat_vec
@@ -43,15 +43,23 @@ class DeltaModule:
 
     @classmethod
     def from_rows(cls, rows, prec=None):
-        lifted = []
-        for row in rows:
-            lifted.append(
-                tuple(
-                    e if isinstance(e, TSeries) else TSeries.constant(e, prec)
-                    for e in row
-                )
+        """Lift rational entries to constant series of order `prec`.
+
+        Without `prec` they take the lowest order among the series entries;
+        a rational entry with no series entry to take it from raises
+        InsufficientPrecision.
+        """
+        rows = [tuple(row) for row in rows]
+        if prec is None:
+            prec = min(
+                (e.prec for row in rows for e in row if isinstance(e, TSeries)),
+                default=None,
             )
-        return cls(tuple(lifted))
+            if prec is None and any(rows):
+                raise InsufficientPrecision(
+                    "from_rows needs a precision when no entry is a series"
+                )
+        return cls(tuple(tuple(TSeries.lift(e, prec) for e in row) for row in rows))
 
 
 def dual(module: DeltaModule):
@@ -284,7 +292,7 @@ def _solve_block(rows, ncols, rhs_columns, label):
     if ncols == 0:
         return [
             DecompositionFailure(f"{label} block inconsistent with empty basis")
-            if any(x != 0 for x in rhs) else []
+            if any(rhs) else []
             for rhs in rhs_columns
         ]
     try:
@@ -293,12 +301,6 @@ def _solve_block(rows, ncols, rhs_columns, label):
         raise DecompositionFailure(
             f"{label} block is underdetermined; basis vectors are dependent"
         ) from exc
-    if sols is None:
-        # Some right-hand side is inconsistent: find which, one at a time.
-        sols = []
-        for rhs in rhs_columns:
-            one = solve(rows, ncols, [rhs], SERIES)
-            sols.append(None if one is None else one[0])
     return [_constants(x, label) for x in sols]
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, MissingRule, NonTriangular
 from .mpoly import MPoly
+from .series import TSeries, format_terms, power
 
 
 def _prime_str(name, order):
@@ -139,16 +140,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = DiffPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, DiffPoly.constant(self.vars, 1))
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -231,40 +223,25 @@ class DiffPoly:
             total = term if total is None else total + term
         if total is None:
             prec = min(x.prec for x in coords)
-            from .series import TSeries
-
             return TSeries.zero(max(prec - self.max_order(), 0))
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-
         def key_sort(item):
             key, _ = item
             deg = sum(e for _, e in key)
             return (-deg, [(j, k, -e) for (j, k), e in key])
 
-        parts = []
-        for key, c in sorted(self.terms.items(), key=key_sort):
-            mono = "*".join(
-                (f"{_prime_str(self.vars[j], k)}^{e}" if e > 1 else _prime_str(self.vars[j], k))
-                for (j, k), e in key
+        return format_terms(
+            (
+                c,
+                "*".join(
+                    _prime_str(self.vars[j], k) + (f"^{e}" if e > 1 else "")
+                    for (j, k), e in key
+                ),
             )
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if not mono:
-                body = str(a)
-            elif a == 1:
-                body = mono
-            else:
-                body = f"{a}*{mono}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            for key, c in sorted(self.terms.items(), key=key_sort)
+        )
 
     def __repr__(self):
         return f"DiffPoly({self})"
@@ -314,9 +291,6 @@ class SubstitutionSystem:
         for j, rhs in self.derivative_rules.items():
             if rhs.vars != self.vars:
                 raise DimensionMismatch("rule right side over the wrong variables")
-
-    def eliminated_indices(self):
-        return [j for j, _ in self.algebraic_rules]
 
 
 def reduce(p: DiffPoly, system: SubstitutionSystem):

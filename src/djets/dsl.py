@@ -259,14 +259,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
-            value = Fraction(int(tok.text))
-            if self.peek() and self.peek().kind == "/":
-                self.next()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return ("num", value)
+            return ("num", self.parse_fraction(tok))
         if tok.kind == "name":
             return ("var", tok.text)
         if tok.kind == "(":
@@ -280,15 +273,17 @@ class _Parser:
         if self.peek() and self.peek().kind == "-":
             self.next()
             sign = -1
-        tok = self.expect("int")
-        value = Fraction(int(tok.text))
-        if self.peek() and self.peek().kind == "/":
-            self.next()
-            den = self.expect("int")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.line, den.col)
-            value = Fraction(int(tok.text), int(den.text))
-        return sign * value
+        return sign * self.parse_fraction(self.expect("int"))
+
+    def parse_fraction(self, num):
+        """The literal `num` or `num/den`, the int token `num` already read."""
+        if not (self.peek() and self.peek().kind == "/"):
+            return Fraction(int(num.text))
+        self.next()
+        den = self.expect("int")
+        if int(den.text) == 0:
+            raise ParseError("zero denominator", den.line, den.col)
+        return Fraction(int(num.text), int(den.text))
 
 
 def parse_document(text):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BasePointMismatch, DimensionMismatch, PointNotOnVariety
-from .linalg import RATIONAL, SERIES, LinSystem, nullspace_with_free, primitive_vector
+from .linalg import RATIONAL, SERIES, LinSystem, nullspace_with_free
 from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
 from .series import TSeries
 
@@ -77,10 +77,7 @@ def jet_equations(generators, point, order):
             raise PointNotOnVariety(f"generator {P} evaluates to {value} at {point}")
         if domain == SERIES:
             # A constant Hasse derivative evaluates to a bare rational.
-            coeffs = {
-                a: c if isinstance(c, TSeries) else TSeries.constant(c, prec)
-                for a, c in coeffs.items()
-            }
+            coeffs = {a: TSeries.lift(c, prec) for a, c in coeffs.items()}
         zero = TSeries.zero(prec) if domain == SERIES else Fraction(0)
         for gamma in multi_indices_with_zero(n, order - 1):
             row = []
@@ -130,8 +127,6 @@ def jet_space(generators, point, order):
     system = jet_equations(generators, point, order)
     lam = JetIndexSet.build(len(point), order)
     basis, free = nullspace_with_free(system)
-    if system.domain == RATIONAL:
-        basis = [primitive_vector(v) for v in basis]
     return JetSpace(point, order, lam, system, basis, free)
 
 
@@ -188,17 +183,6 @@ def _truncated_mul(d1, d2, order):
                 continue
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
-
-
-def apply_jet_matrix(matrix, vector):
-    out = []
-    for row in matrix:
-        acc = None
-        for a, x in zip(row, vector):
-            term = a * x
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else Fraction(0))
-    return out
 
 
 def render_jet_space(space: JetSpace):

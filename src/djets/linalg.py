@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
 from .series import TSeries, integer_scaled
@@ -178,6 +178,15 @@ def rank(system: LinSystem):
 
 def nullspace(system: LinSystem):
     """A basis of exact kernel vectors; count = ncols - rank."""
+    return nullspace_with_free(system)[0]
+
+
+def nullspace_with_free(system: LinSystem):
+    """A kernel basis and the free column of each basis vector.
+
+    Over the series field the free coordinate of each vector is the exact
+    constant 1; over Q each vector is made primitive.
+    """
     red, pivots = rref(system.rows, system.ncols, system.domain)
     free = [c for c in range(system.ncols) if c not in pivots]
     basis = []
@@ -189,50 +198,23 @@ def nullspace(system: LinSystem):
         if system.domain == RATIONAL:
             v = primitive_vector(v)
         basis.append(v)
-    return basis
-
-
-def nullspace_with_free(system: LinSystem):
-    """Like nullspace, but also reports the free column of each basis vector."""
-    red, pivots = rref(system.rows, system.ncols, system.domain)
-    free = [c for c in range(system.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [system.zero_entry() for _ in range(system.ncols)]
-        v[fc] = system.one_entry()
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
-        basis.append(v)
     return basis, free
 
 
 def primitive_vector(v):
     """Scale a rational vector to coprime integers, leading entry positive."""
-    if all(x == 0 for x in v):
-        return list(v)
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
-    ints = [x * denom for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x.numerator)
-    ints = [x / g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    ints = _primitive(integer_scaled(v)[1])
+    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
+    return [Fraction(sign * x) for x in ints]
 
 
 def solve(rows, ncols, rhs_columns, domain):
     """Solve M x = b for each right-hand-side column simultaneously.
 
     Requires the solution to be unique (full column rank); raises
-    ValueError("underdetermined") otherwise.  Returns None when some
-    right-hand side is inconsistent with the eliminated system, and a list
-    of solution vectors when all are solvable.
+    ValueError("underdetermined") otherwise.  Returns one entry per
+    right-hand side: its solution vector, or None when it is inconsistent
+    with the eliminated system.
     """
     k = len(rhs_columns)
     nrows = len(rows)
@@ -243,18 +225,7 @@ def solve(rows, ncols, rhs_columns, domain):
     red, pivots = rref(aug, ncols + k, domain, pivot_limit=ncols)
     if len(pivots) < ncols:
         raise ValueError("underdetermined")
-    # Rows beyond the pivots must have vanishing right-hand sides.
-    for i in range(len(pivots), nrows):
-        for j in range(k):
-            if red[i][ncols + j] != 0:
-                return None
-    solutions = []
-    for j in range(k):
-        x = [None] * ncols
-        for ri, pc in enumerate(pivots):
-            x[pc] = red[ri][ncols + j]
-        solutions.append(x)
-    return solutions
+    return _read_solutions(red, pivots, ncols, ncols + k)
 
 
 def constant_combination(targets, basis, min_prec=None):
@@ -284,13 +255,23 @@ def constant_combination(targets, basis, min_prec=None):
         for power in range(prec + 1)
     ]
     red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
+    return _read_solutions(red, pivots, k, len(vectors))
+
+
+def _read_solutions(red, pivots, first, stop):
+    """One entry per right-hand-side column j in range(first, stop) of `red`.
+
+    The entry is None when column j does not vanish below the pivot rows;
+    otherwise it has one coordinate per unknown column (those below
+    `first`): the pivot rows' column j at the pivot columns, zero elsewhere.
+    """
     tail = red[len(pivots):]
     out = []
-    for j in range(k, len(vectors)):
+    for j in range(first, stop):
         if any(row[j] for row in tail):
             out.append(None)
             continue
-        x = [_ZERO] * k
+        x = [_ZERO] * first
         for row, pc in zip(red, pivots):
             x[pc] = row[j]
         out.append(x)

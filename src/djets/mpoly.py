@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch, UnknownName
-from .series import TSeries
+from .series import TSeries, format_terms, power
 
 
 def grlex_key(alpha):
@@ -97,10 +97,6 @@ class MPoly:
         exps[variables.index(name)] = 1
         return cls(variables, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, variables, exps, coeff=1):
-        return cls(variables, {tuple(exps): coeff})
-
     # -- queries --------------------------------------------------------------
 
     def is_zero(self):
@@ -108,10 +104,6 @@ class MPoly:
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self):
-        zero = (0,) * len(self.vars)
-        return self.terms.get(zero, Fraction(0))
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -192,16 +184,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = MPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, MPoly.constant(self.vars, 1))
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -296,33 +279,14 @@ class MPoly:
     # -- rendering -----------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        parts = []
-        for e in keys:
-            c = self.terms[e]
-            mono = "*".join(
-                (f"{v}^{k}" if k > 1 else v) for v, k in zip(self.vars, e) if k
+        return format_terms(
+            (
+                self.terms[e],
+                "*".join((f"{v}^{k}" if k > 1 else v) for v, k in zip(self.vars, e) if k),
             )
-            if isinstance(c, TSeries):
-                body = f"({c})" + (f"*{mono}" if mono else "")
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                a = abs(c)
-                if not mono:
-                    body = str(a)
-                elif a == 1:
-                    body = mono
-                else:
-                    body = f"{a}*{mono}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            for e in keys
+        )
 
     def __repr__(self):
         return f"MPoly({self})"

@@ -56,9 +56,9 @@ class TSeries:
         return cls([], prec)
 
     @classmethod
-    def var(cls, prec=DEFAULT_PRECISION):
-        """The series t."""
-        return cls([0, 1], prec)
+    def lift(cls, value, prec):
+        """A series as it is; a rational as the constant series of order `prec`."""
+        return value if isinstance(value, TSeries) else cls.constant(value, prec)
 
     # -- coercion -----------------------------------------------------------
 
@@ -170,17 +170,7 @@ class TSeries:
         return o.__truediv__(self)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = TSeries.constant(1, self.prec)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, n, TSeries.constant(1, self.prec))
 
     def derive(self):
         """Termwise d/dt; the result is guaranteed one order less."""
@@ -206,38 +196,49 @@ class TSeries:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = "t"
-            else:
-                mono = f"t^{k}"
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        tail = f"O(t^{self.prec + 1})"
-        if not parts:
-            return f"0 + {tail}"
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return f"{text} + {tail}"
+        terms = (
+            (c, "" if k == 0 else "t" if k == 1 else f"t^{k}")
+            for k, c in enumerate(self.coeffs)
+            if c
+        )
+        return f"{format_terms(terms)} + O(t^{self.prec + 1})"
 
     def __repr__(self):
         return f"TSeries({self})"
 
 
 _ZERO = Fraction(0)
+
+
+def power(base, n, one):
+    """base**n by square-and-multiply from `one`; NotImplemented unless n is natural."""
+    if not isinstance(n, int) or n < 0:
+        return NotImplemented
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def format_terms(terms):
+    """Sign-joined text of (coefficient, monomial) pairs; "0" when there are none.
+
+    A rational coefficient prints as its absolute value before `*monomial`,
+    omitted when it is 1 and the monomial is not, and its sign joins the
+    term; a series coefficient prints in parentheses and joins with "+".
+    """
+    text = ""
+    for c, mono in terms:
+        if isinstance(c, TSeries):
+            sign, body = "+", f"({c})" + (f"*{mono}" if mono else "")
+        else:
+            sign, a = ("-" if c < 0 else "+"), abs(c)
+            body = f"{a}*{mono}" if mono and a != 1 else mono or str(a)
+        text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
+    return text or "0"
 
 
 def integer_scaled(values):

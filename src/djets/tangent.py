@@ -470,7 +470,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     djs = delta_jet_space(variety, point, 1)
     J = [
         [
-            _as_series(s.partial(v).eval(point.coords), point.prec)
+            TSeries.lift(s.partial(v).eval(point.coords), point.prec)
             for v in variety.vars
         ]
         for s in variety.section
@@ -499,12 +499,6 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
         ode_basis = columns
     contained = mutually_contained(djs.horizontal, ode_basis)
     return TangentEquivalenceReport(djs.dim_c, len(ode_basis), contained)
-
-
-def _as_series(value, prec):
-    if isinstance(value, TSeries):
-        return value
-    return TSeries.constant(value, prec)
 
 
 # -- the counterexample chain ----------------------------------------------------
@@ -618,11 +612,11 @@ def counterexample_report(
             rhs_val = rhs.eval(coords)
             if kind == "algebraic":
                 lhs_val = point[lhs]
-                res = lhs_val - _as_series(rhs_val, precision)
+                res = lhs_val - TSeries.lift(rhs_val, precision)
                 text = f"{lhs} = {rhs}"
             else:
                 lhs_val = point[lhs].derive()
-                res = lhs_val - _as_series(rhs_val, precision)
+                res = lhs_val - TSeries.lift(rhs_val, precision)
                 text = f"delta {lhs} = {rhs}"
             residuals.append((text, res.is_zero()))
         image = point["u"] - point["v"]

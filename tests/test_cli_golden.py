@@ -1,9 +1,11 @@
 """Byte-identical CLI outputs on `djv/`.
 
-Every command below runs with `--format json`; its stdout is pinned by
-SHA-256 together with its exit code in `cli_golden.json`.  An exact engine
-must print the same bytes after any change that is meant to be a pure
-speed-up or refactor.  To re-pin after an intended output change:
+Every command in COMMANDS runs with `--format json`, every command in
+TEXT_COMMANDS with `--format text`; its stdout is pinned by SHA-256
+together with its exit code in `cli_golden.json` and `cli_golden_text.json`.
+An exact engine must print the same bytes after any change that is meant
+to be a pure speed-up or refactor.  To re-pin after an intended output
+change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -19,6 +21,7 @@ from djets.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+GOLDEN_TEXT = Path(__file__).resolve().parent / "cli_golden_text.json"
 
 COMMANDS = [
     "check djv/counterexample.djv",
@@ -42,12 +45,23 @@ COMMANDS = [
     "verify-product L1 L2 djv/lines.djv --from a b -m 3",
 ]
 
+TEXT_COMMANDS = [
+    "check djv/parabola.djv",
+    "jet djv/parabola.djv --at p -m 2",
+    "tangent djv/counterexample.djv",
+    "tangent djv/counterexample.djv --restrict toZ",
+    "counterexample -N 48",
+    "integrate djv/counterexample.djv --from flow -N 32",
+    "horizontal djv/counterexample.djv --from generic -m 3 -N 24",
+    "horizontal djv/parabola.djv --from sharp -m 2 -N 16",
+]
 
-def _argv(command):
+
+def _argv(command, fmt="json"):
     return [
         str(ROOT / word) if word.startswith("djv/") else word
         for word in command.split()
-    ] + ["--format", "json"]
+    ] + ["--format", fmt]
 
 
 def _digest(stdout):
@@ -67,20 +81,37 @@ def test_every_command_is_pinned():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(COMMANDS)
 
 
+@pytest.mark.parametrize("command", TEXT_COMMANDS)
+def test_text_output_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.delenv("DJETS_PRECISION", raising=False)
+    pinned = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))[command]
+    code = main(_argv(command, "text"))
+    got = {"exit": code, "sha256": _digest(capsys.readouterr().out)}
+    assert got == pinned
+
+
+def test_every_text_command_is_pinned():
+    pinned = json.loads(GOLDEN_TEXT.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(TEXT_COMMANDS)
+
+
 def _record():
     import contextlib
     import io
     import os
 
     os.environ.pop("DJETS_PRECISION", None)
-    pins = {}
-    for command in COMMANDS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(_argv(command))
-        pins[command] = {"exit": code, "sha256": _digest(out.getvalue())}
-    text = json.dumps(pins, indent=2, sort_keys=True) + "\n"
-    GOLDEN.write_text(text, encoding="utf-8")
+    for path, commands, fmt in (
+        (GOLDEN, COMMANDS, "json"), (GOLDEN_TEXT, TEXT_COMMANDS, "text")
+    ):
+        pins = {}
+        for command in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(_argv(command, fmt))
+            pins[command] = {"exit": code, "sha256": _digest(out.getvalue())}
+        text = json.dumps(pins, indent=2, sort_keys=True) + "\n"
+        path.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from djets.dvariety import (
     product_sharp_point,
     sharp_integrate,
 )
-from djets.errors import DecompositionFailure
+from djets.errors import DecompositionFailure, InsufficientPrecision
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
 
@@ -307,3 +307,19 @@ def _assert_reconstructs(v, dec, W, Wp, n_left, n_right, order_m):
                 for j, wp in enumerate(Wp):
                     acc = acc + dec.pair[i][j] * w[posL[a1]] * wp[posR[a2]]
         assert value == acc
+
+
+def test_from_rows_lifts_rationals_to_the_lowest_series_precision():
+    m = DeltaModule.from_rows([[1, TSeries([1, 2], 7)], [TSeries([3], 5), F(1, 2)]])
+    assert [[e.prec for e in row] for row in m.matrix] == [[5, 7], [5, 5]]
+    assert m.matrix[0][0] == TSeries.constant(1, 5)
+    assert m.matrix[1][1] == TSeries.constant(F(1, 2), 5)
+    assert DeltaModule.from_rows([[1]], 3).matrix == ((TSeries.constant(1, 3),),)
+    assert DeltaModule.from_rows([]).dim == 0
+
+
+def test_from_rows_of_rationals_needs_a_precision():
+    with pytest.raises(InsufficientPrecision):
+        DeltaModule.from_rows([[1]])
+    with pytest.raises(InsufficientPrecision):
+        DeltaModule.from_rows([[F(1, 2), 0], [0, 1]])

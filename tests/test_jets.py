@@ -6,14 +6,13 @@ import pytest
 from djets.errors import BasePointMismatch, PointNotOnVariety, SingularPivot
 from djets.jets import (
     JetIndexSet,
-    apply_jet_matrix,
     jet_equations,
     jet_of_morphism,
     jet_space,
 )
 from djets.linalg import LinSystem, RATIONAL, SERIES, rank
 from djets.mpoly import MPoly, multi_indices
-from djets.series import TSeries, exp_series
+from djets.series import TSeries, exp_series, mat_vec
 
 
 def plane():
@@ -205,5 +204,5 @@ def test_apply_jet_matrix_maps_source_basis_into_target():
     src = jet_space((y - x**2,), (F(1), F(1)), 1)
     tgt = jet_space((), (F(1),), 1)
     matrix = jet_of_morphism(proj, (F(1), F(1)), 1, src, tgt)
-    image = apply_jet_matrix(matrix, src.basis[0])
+    image = mat_vec(matrix, src.basis[0])
     assert image == [F(1)]

@@ -5,9 +5,10 @@
 plain Fraction Gauss-Jordan elimination, `rank` and `nullspace` with sympy,
 `fundamental_matrix` with the Fraction coefficient recursion, batched
 `constant_combination` with one elimination per target, `dot`, `mat_vec`
-and `mat_mul` with the fold of `*` and `+`, series division with sympy, and
-batched `product_jet_decompose` with one solve per jet and block.  All
-randomness is seeded, so every run checks the same cases.
+and `mat_mul` with the fold of `*` and `+`, series division, Hasse
+derivatives and `exp_series` with sympy, and batched `product_jet_decompose`
+with one solve per jet and block.  All randomness is seeded, so every run
+checks the same cases.
 """
 
 import random
@@ -43,7 +44,7 @@ from djets.linalg import (
     solve,
 )
 from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero
-from djets.series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec
+from djets.series import TSeries, dot, exp_series, fundamental_matrix, mat_mul, mat_vec
 from djets.tangent import counterexample_variety
 
 NAMES = ("x", "y", "z")
@@ -647,7 +648,7 @@ def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
                     f"{label} block inconsistent with empty basis")
             return []
         sols = solve(rows, ncols, [rhs], SERIES)
-        if sols is None:
+        if sols[0] is None:
             raise DecompositionFailure(f"{label} block is inconsistent")
         for x in sols[0]:
             if not x.is_constant():
@@ -738,3 +739,45 @@ def test_batch_with_corrupted_jets_fails_like_per_jet(order_m):
     # the corruptions reach both kinds of failure
     assert any(s.endswith("inconsistent") for s in seen)
     assert any(s.endswith("non-constant") for s in seen)
+
+
+# -- Hasse derivatives and exp_series against sympy -----------------------------------
+
+def to_sympy(sympy, p):
+    gens = sympy.symbols(p.vars)
+    return sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.prod([g**e for g, e in zip(gens, exps)])
+        for exps, c in p.terms.items()
+    ), gens
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hasse_derivative_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2000 + seed)
+    p = MPoly(NAMES, {
+        tuple(rng.randint(0, 4) for _ in NAMES): random_rational(rng)
+        for _ in range(rng.randint(1, 6))
+    })
+    expr, gens = to_sympy(sympy, p)
+    for alpha in multi_indices_with_zero(len(NAMES), 4):
+        # D^alpha / alpha! is the divided-power derivative.
+        want = sympy.diff(expr, *[(g, a) for g, a in zip(gens, alpha)])
+        want = want / sympy.prod([sympy.factorial(a) for a in alpha])
+        got, _ = to_sympy(sympy, p.hasse(alpha))
+        assert sympy.expand(got - want) == 0, alpha
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, F(3, 2), F(-7, 5), 4])
+def test_exp_series_matches_sympy(c):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    n = 14
+    c = F(c)
+    expansion = sympy.exp(sympy.Rational(c.numerator, c.denominator) * t).series(t, 0, n + 1)
+    poly = sympy.Poly(expansion.removeO(), t)
+    want = [F(int(q.p), int(q.q)) for q in (poly.coeff_monomial(t**k) for k in range(n + 1))]
+    got = exp_series(c, n)
+    assert got.prec == n
+    assert list(got.coeffs) == want

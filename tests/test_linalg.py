@@ -96,7 +96,7 @@ def test_solve_unique_and_inconsistent():
     rows = [[F(1), F(1)], [F(0), F(1)], [F(1), F(0)]]
     sol = solve(rows, 2, [[F(3), F(2), F(1)]], RATIONAL)
     assert sol == [[F(1), F(2)]]
-    assert solve(rows, 2, [[F(3), F(2), F(5)]], RATIONAL) is None
+    assert solve(rows, 2, [[F(3), F(2), F(5)]], RATIONAL) == [None]
     with pytest.raises(ValueError):
         solve([[F(1), F(1)]], 2, [[F(1)]], RATIONAL)
 
