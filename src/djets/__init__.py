@@ -40,6 +40,7 @@ from .dvariety import (
 from .errors import (
     ArityError,
     BasePointMismatch,
+    BasisLimit,
     DecompositionFailure,
     DimensionMismatch,
     DjetsError,
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .jets import JetIndexSet, JetSpace, jet_equations, jet_of_morphism, jet_space
 from .linalg import LinSystem, nullspace, rank
-from .mpoly import MPoly, hasse_derivative, taylor_coeffs
+from .mpoly import MPoly, groebner, hasse_derivative, normal_form, taylor_coeffs
 from .series import (
     DEFAULT_PRECISION,
     TSeries,

@@ -465,7 +465,7 @@ def _suite_functoriality(rng, cases):
         n3 = rng.randint(1, 2)
         order = rng.randint(1, 3)
         vars1, f = _random_map(rng, n1, n2)
-        vars2, g = _random_map(rng, n2, n3)
+        _, g = _random_map(rng, n2, n3)
         a = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n1))
         fa = tuple(p.eval(a) for p in f)
         gfa = tuple(p.eval(fa) for p in g)

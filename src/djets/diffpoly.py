@@ -251,7 +251,7 @@ def total_derivative(p: DiffPoly):
     """The formal total derivative: Leibniz over each term, x_j^(k) -> x_j^(k+1)."""
     out = DiffPoly.zero(p.vars)
     for key, c in p.terms.items():
-        for idx, ((j, k), e) in enumerate(key):
+        for (j, k), e in key:
             factors = dict(key)
             factors[(j, k)] = e - 1
             factors[(j, k + 1)] = factors.get((j, k + 1), 0) + 1

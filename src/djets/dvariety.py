@@ -26,14 +26,12 @@ from .errors import (
     DimensionMismatch,
     InsufficientPrecision,
     InvarianceViolation,
-    NonTriangular,
     PointNotOnVariety,
 )
 from .jets import JetIndexSet, JetSpace, jet_space
 from .linalg import RATIONAL
-from .mpoly import MPoly, taylor_coeffs
+from .mpoly import MPoly, normal_form, taylor_coeffs
 from .series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec, transpose
-from . import diffpoly as dp
 
 
 @dataclass(frozen=True)
@@ -82,102 +80,24 @@ def prolongation(variety: DVariety):
 @dataclass
 class SectionValidation:
     ok: bool
-    exact: bool
     residuals: list
-    sampled_points: int = 0
 
 
-def _triangular_rules(variety: DVariety):
-    """Orient generators of the shape  x_k - g(others)  as rewrite rules.
-
-    Returns a SubstitutionSystem over the ambient variables, or raises
-    NonTriangular when some generator cannot be oriented.
-    """
-    remaining = list(variety.generators)
-    rules = []
-    eliminated = set()
-    progress = True
-    while remaining and progress:
-        progress = False
-        for P in list(remaining):
-            oriented = _orient(P, variety.vars, eliminated)
-            if oriented is not None:
-                j, rhs = oriented
-                rules.append((j, rhs))
-                eliminated.add(j)
-                remaining.remove(P)
-                progress = True
-    if remaining:
-        raise NonTriangular(
-            f"generators not triangular: {[str(p) for p in remaining]}"
-        )
-    # Triangularity of SubstitutionSystem wants each rhs to avoid variables
-    # eliminated at-or-before its own rule, so emit in reverse discovery order.
-    rules.reverse()
-    return dp.SubstitutionSystem(tuple(variety.vars), {}, tuple(rules))
-
-
-def _orient(P, variables, already):
-    """Try to solve P = 0 for a variable occurring linearly with constant coefficient."""
-    for j, v in enumerate(variables):
-        if j in already:
-            continue
-        unit = [0] * len(variables)
-        unit[j] = 1
-        coeff = Fraction(0)
-        rest = {}
-        usable = True
-        for e, c in P.terms.items():
-            if e[j] == 0:
-                rest[e] = c
-            elif e[j] == 1 and sum(e) == 1:
-                if not isinstance(c, Fraction):
-                    usable = False
-                    break
-                coeff += c
-            else:
-                usable = False
-                break
-        if not usable or coeff == 0:
-            continue
-        rhs = MPoly(variables, {e: -c / coeff for e, c in rest.items()})
-        if rhs.mentions(v):
-            continue
-        return j, rhs
-    return None
-
-
-def validate_section(variety: DVariety, samples=()):
+def validate_section(variety: DVariety):
     """Check that the section lands in the prolongation over the variety.
 
     For each generator P the residual E_P = sum_j dP/dx_j * s_j must lie in
-    the ideal.  Membership is decided exactly by triangular reduction when
-    the generators can be oriented as rewrite rules; otherwise the residuals
-    are tested at the supplied sample points (sharp or plain) and the result
-    is flagged as sampled-only.  With no generators the check is vacuous.
+    the ideal.  Membership is exact: the returned residuals are the grevlex
+    normal forms of the E_P (mpoly.normal_form), all zero exactly when the
+    section is valid.  With no generators the check is vacuous.
     """
     residuals = []
     for P in variety.generators:
         E = MPoly.zero(variety.vars)
         for v, s in zip(variety.vars, variety.section):
             E = E + P.partial(v) * s
-        residuals.append(E)
-    if not residuals:
-        return SectionValidation(True, True, [])
-    try:
-        system = _triangular_rules(variety)
-    except NonTriangular:
-        if not samples:
-            raise
-        ok = True
-        for E in residuals:
-            for pt in samples:
-                if E.eval(pt) != 0:
-                    ok = False
-        return SectionValidation(ok, False, residuals, sampled_points=len(samples))
-    reduced = [dp.reduce(dp.DiffPoly.from_mpoly(E), system) for E in residuals]
-    ok = all(r.is_zero() for r in reduced)
-    return SectionValidation(ok, True, reduced)
+        residuals.append(normal_form(E, variety.generators))
+    return SectionValidation(all(r.is_zero() for r in residuals), residuals)
 
 
 @dataclass
@@ -307,7 +227,7 @@ def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
                 if 0 < sum(combined) <= order_m:
                     target = pos[combined]
                     row[target] = row[target] + alpha[j] * value
-    return B, lam
+    return B
 
 
 @dataclass
@@ -339,7 +259,7 @@ def induced_module_derivation(variety: DVariety, point: SharpPoint, order_m):
     under the dual operator is asserted to precision (InvarianceViolation
     otherwise) before the matrix is returned.
     """
-    B, _ = _derivation_matrix(variety, point, order_m)
+    B = _derivation_matrix(variety, point, order_m)
     if variety.generators:
         _restricted_system(variety, point, order_m, B)
     return B
@@ -393,7 +313,7 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     basis over the constants of the same cardinality as the jet dimension
     over the series field.
     """
-    B, lam = _derivation_matrix(variety, point, order_m)
+    B = _derivation_matrix(variety, point, order_m)
     if variety.generators:
         js, R = _restricted_system(variety, point, order_m, B)
     else:
@@ -425,7 +345,6 @@ def constants_variety_jets(variety_generators, point, order_m, order=None):
     horizontal = [
         [TSeries.constant(c, order) for c in vec] for vec in js.basis
     ]
-    size = len(js.indices)
     zero_matrix = [
         [TSeries.zero(order) for _ in range(len(js.basis))]
         for _ in range(len(js.basis))

@@ -40,6 +40,10 @@ class NonTriangular(DjetsError):
     """Algebraic substitution rules do not form a triangular system."""
 
 
+class BasisLimit(DjetsError):
+    """A Groebner basis grows past its fixed bound, mpoly.MAX_BASIS."""
+
+
 class MissingRule(DjetsError):
     """A derivative symbol has no rewrite under the substitution system."""
 

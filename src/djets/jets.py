@@ -158,7 +158,7 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
 
     # Taylor data of each component, constant term removed.
     expansions = []
-    for fi, bi in zip(f, image):
+    for fi in f:
         coeffs = dict(taylor_coeffs(fi, point, order))
         coeffs.pop((0,) * len(point), None)
         expansions.append(coeffs)

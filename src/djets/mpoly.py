@@ -11,9 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add, itemgetter, le, sub
 
-from .errors import DimensionMismatch, UnknownName
+from .errors import BasisLimit, DimensionMismatch, DomainMismatch, UnknownName
 from .series import TSeries, format_terms, power
+
+# Largest Groebner basis, counting elements not yet inter-reduced, that
+# `groebner` and `normal_form` build before they give up.
+MAX_BASIS = 64
 
 
 def grlex_key(alpha):
@@ -325,3 +330,105 @@ def taylor_coeffs(p, point, order):
         if value != 0:
             out[alpha] = value
     return out
+
+
+def grevlex_key(alpha):
+    """Sort key realizing graded reverse lex: a larger key is a larger monomial."""
+    return (sum(alpha), tuple(-a for a in reversed(alpha)))
+
+
+def _subtract(terms, g, shift, c):
+    """terms -= c * x^shift * g, in place on term maps."""
+    for e, gc in g.items():
+        m = tuple(map(add, e, shift))
+        terms[m] = terms.get(m, 0) - c * gc
+        if not terms[m]:
+            del terms[m]
+
+
+def _reduce(terms, basis):
+    """Remainder of a term map on full division by (lead, monic terms) pairs."""
+    terms = dict(terms)
+    remainder = {}
+    while terms:
+        lead = max(terms, key=grevlex_key)
+        for g_lead, g in basis:
+            if all(map(le, g_lead, lead)):
+                _subtract(terms, g, tuple(map(sub, lead, g_lead)), terms[lead])
+                break
+        else:
+            remainder[lead] = terms.pop(lead)
+    return remainder
+
+
+def _buchberger(generators):
+    """A Groebner basis as (leading monomial, monic terms) pairs; see groebner."""
+    if any(not isinstance(c, Fraction) for g in generators for c in g.terms.values()):
+        raise DomainMismatch("Groebner bases need rational coefficients")
+    basis, pairs = [], {}
+    for g in generators:
+        if g.terms:
+            _extend(basis, pairs, g.terms)
+    while pairs:
+        (i, j), (_key, lcm) = min(pairs.items(), key=itemgetter(1, 0))
+        del pairs[i, j]
+        # Chain criterion: a g_k whose lead divides the lcm and whose pairs
+        # with g_i and g_j are done gives S(g_i, g_j) a standard representation.
+        if any(
+            k not in (i, j) and all(map(le, lead, lcm))
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, (lead, _g) in enumerate(basis)
+        ):
+            continue
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        spoly = {tuple(map(add, e, map(sub, lcm, li))): c for e, c in gi.items()}
+        _subtract(spoly, gj, tuple(map(sub, lcm, lj)), 1)
+        rest = _reduce(spoly, basis)
+        if rest:
+            _extend(basis, pairs, rest)
+    return basis
+
+
+def _extend(basis, pairs, terms):
+    """Append terms, made monic, to the basis and queue its S-pairs by lcm."""
+    if len(basis) == MAX_BASIS:
+        raise BasisLimit(f"Groebner basis exceeds MAX_BASIS = {MAX_BASIS} elements")
+    lead = max(terms, key=grevlex_key)
+    for i, (other, _g) in enumerate(basis):
+        # Coprime leading monomials: the S-polynomial reduces to zero.
+        if any(map(min, lead, other)):
+            lcm = tuple(map(max, lead, other))
+            pairs[i, len(basis)] = (grevlex_key(lcm), lcm)
+    basis.append((lead, {e: c / terms[lead] for e, c in terms.items()}))
+
+
+def groebner(generators):
+    """The reduced monic Groebner basis of the ideal, in grevlex order.
+
+    Buchberger's algorithm over the rationals (Buchberger 1965; Cox, Little
+    & O'Shea, Ideals, Varieties, and Algorithms, ch. 2) with the normal
+    selection strategy: the next S-pair is always the one whose lcm of
+    leading monomials is smallest.  Pairs with coprime leading monomials
+    and pairs met by the chain criterion are skipped.  The basis comes
+    sorted by leading monomial.  Raises BasisLimit once the basis would
+    exceed MAX_BASIS elements.
+    """
+    # Ascending order puts every divisor of a leading monomial first: keep
+    # one element per minimal leading monomial, then reduce each by the rest.
+    minimal = []
+    for lead, g in sorted(_buchberger(generators), key=lambda pair: grevlex_key(pair[0])):
+        if not any(all(map(le, other, lead)) for other, _g in minimal):
+            minimal.append((lead, g))
+    return [
+        MPoly(generators[0].vars, _reduce(g, minimal[:k] + minimal[k + 1:]))
+        for k, (_lead, g) in enumerate(minimal)
+    ]
+
+
+def normal_form(p, generators):
+    """The remainder of p on division by a grevlex Groebner basis of the generators.
+
+    It is unique for the ideal, and zero exactly when p lies in it.
+    """
+    return MPoly(p.vars, _reduce(p.terms, _buchberger(generators)))

@@ -42,6 +42,7 @@ from .series import (
     exp_series,
     fundamental_matrix,
     mat_vec,
+    transpose,
 )
 
 
@@ -93,7 +94,7 @@ class LinearDVariety:
         """delta(u_i) as polynomials in base and fiber variables."""
         allv = self.all_vars
         out = []
-        for i, u in enumerate(self.fiber_vars):
+        for i in range(len(self.fiber_vars)):
             rhs = MPoly.zero(allv)
             for j, w in enumerate(self.fiber_vars):
                 rhs = rhs + self.fiber_matrix[i][j].embed(allv) * MPoly.variable(
@@ -388,9 +389,7 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
             [TSeries.constant(e.eval(pt), order) for e in row]
             for row in bundle.fiber_matrix
         ]
-        cols = fundamental_matrix(A, order)
-        d = len(cols)
-        sols = [[cols[r][c] for r in range(d)] for c in range(d)]
+        sols = transpose(fundamental_matrix(A, order))
 
         def satisfies(vec):
             Av = mat_vec(A, vec)
@@ -406,7 +405,7 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
             for c in scalars
             for s in sols
         )
-        zero_ok = satisfies([TSeries.zero(order) for _ in range(d)])
+        zero_ok = satisfies([TSeries.zero(order) for _ in A])
         reports.append(
             FiberLinearityReport(pt, len(sols), additive, scaling, zero_ok)
         )
@@ -478,7 +477,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     order = min(e.prec for row in J for e in row) + 1 if J else point.prec
     phi = fundamental_matrix(J, order)
     d = len(phi)
-    columns = [[phi[r][c] for r in range(d)] for c in range(d)]
+    columns = transpose(phi)
     if variety.generators:
         constraints = jet_equations(variety.generators, point.coords, 1)
         rational_rows = []

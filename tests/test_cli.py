@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import djets
+import djets.cli
+import djets.mpoly
 from djets.cli import main
 from djets.series import MAX_PRECISION
 
@@ -54,6 +56,62 @@ def test_check_reports_residual_and_exit_one(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
     assert "INVALID" in out and "residual" in out
+
+
+NON_TRIANGULAR = """
+dvariety circle { vars: x, y; ideal: [x^2 + y^2 - 25]; section: [-y, x]; }
+dvariety lines { vars: x, y, z; ideal: [x*y, x*z]; section: [-x, y, z]; }
+dvariety cusp { vars: x, y; ideal: [y^2 - x^3]; section: [2*x, 3*y]; }
+dvariety swapped { vars: x, y; ideal: [x^2 + y^2 - 25]; section: [y, x]; }
+point q on lines { coords: [0, 1, 1]; }
+"""
+
+
+@pytest.fixture
+def non_triangular_file(tmp_path):
+    path = tmp_path / "non_triangular.djv"
+    path.write_text(NON_TRIANGULAR, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["circle", "lines", "cusp"])
+def test_check_is_exact_on_any_ideal(non_triangular_file, capsys, name):
+    # no generator has the shape x_k - g(others)
+    assert main(["check", non_triangular_file, "--name", name]) == 0
+    assert capsys.readouterr().out == f"{name}: valid [exact]\n"
+
+
+def test_check_prints_the_normal_form_of_the_residual(non_triangular_file, capsys):
+    argv = ["check", non_triangular_file, "--name", "swapped"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "swapped: INVALID [exact]\n  residual: 4*x*y\n"
+    assert main(argv + ["--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"swapped": {"ok": False, "exact": True, "residuals": ["4*x*y"]}}
+
+
+def test_check_names_the_basis_bound(non_triangular_file, capsys, monkeypatch):
+    monkeypatch.setattr(djets.mpoly, "MAX_BASIS", 1)
+    assert main(["check", non_triangular_file, "--name", "lines"]) == 2
+    assert "MAX_BASIS = 1" in capsys.readouterr().err
+
+
+def test_jet_at_a_smooth_point_of_a_reducible_variety(non_triangular_file, capsys):
+    # (0, 1, 1) is a smooth point of the plane x = 0 inside V(x*y, x*z)
+    assert main(["jet", "--at", "q", non_triangular_file]) == 0
+    out, err = capsys.readouterr()
+    assert "dim 2" in out and err == ""
+
+
+def test_internal_error_exits_three_without_traceback(parabola_file, capsys, monkeypatch):
+    def fail(*_args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(djets.cli, "delta_jet_space", fail)
+    assert main(["horizontal", "--from", "p", "-N", "8", parabola_file]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected state\n"
+    assert "Traceback" not in err
 
 
 def test_jet_command_prints_basis(parabola_file, capsys):

@@ -78,7 +78,7 @@ def test_prolongation_of_circle():
 
 def test_validate_plane_system_vacuous():
     result = validate_section(plane_system())
-    assert result.ok and result.exact
+    assert result.ok and result.residuals == []
 
 
 def test_validate_parabola_section():
@@ -92,20 +92,23 @@ def test_validate_rejects_bad_section():
     one = MPoly.constant(xy, 1)
     bad = DVariety(xy, (y - x**2,), (one, one))
     result = validate_section(bad)
-    assert not result.ok and result.exact
-    # residual is 1 - 2x up to sign convention of the reduction
+    assert not result.ok
+    # the residual is its grevlex normal form: x^2 reduces to y
     assert result.residuals[0] == -2 * MPoly.variable(xy, "x") + 1
+    bad = DVariety(xy, (y - x**2,), (x, one))
+    assert validate_section(bad).residuals == [-2 * y + 1]
 
 
-def test_validate_sampled_fallback():
-    # circle ideal cannot be oriented as a triangular rewrite
+def test_validate_circle_exactly():
+    # the circle ideal has no generator of the shape x_k - g(others)
     xy = ("x", "y")
     x = MPoly.variable(xy, "x")
     y = MPoly.variable(xy, "y")
     circle = DVariety(xy, (x**2 + y**2 - 1,), (-y, x))
-    result = validate_section(circle, samples=[(F(1), F(0)), (F(0), F(1)),
-                                               (F(3, 5), F(4, 5))])
-    assert result.ok and not result.exact and result.sampled_points == 3
+    result = validate_section(circle)
+    assert result.ok and result.residuals == [MPoly.zero(xy)]
+    swapped = DVariety(xy, circle.generators, (y, x))
+    assert validate_section(swapped).residuals == [4 * x * y]
 
 
 # -- sharp integration -------------------------------------------------------------
@@ -175,7 +178,8 @@ def test_induced_derivation_satisfies_leibniz_on_monomials():
     X = plane_system()
     point = sharp_integrate(X, (2, 1), 10)
     for order_m in (2, 3):
-        B, lam = _derivation_matrix(X, point, order_m)
+        B = _derivation_matrix(X, point, order_m)
+        lam = JetIndexSet.build(X.nvars, order_m)
         pos = {a: i for i, a in enumerate(lam.indices)}
 
         def d_of(alpha):
@@ -251,7 +255,8 @@ def test_delta_jets_dimension_law_across_examples():
         assert space.dim_c == space.dim_k
         # horizontal vectors satisfy the jet equations and the dual condition
         system = space.jet.system
-        B, lam = _derivation_matrix(variety, point, order_m)
+        B = _derivation_matrix(variety, point, order_m)
+        lam = JetIndexSet.build(variety.nvars, order_m)
         for v in space.horizontal:
             for row in system.rows:
                 acc = None

@@ -1,11 +1,15 @@
-"""No module in `src/djets` imports a name it does not use.
+"""No module in `src/djets` imports a name it does not use, and no
+function binds a local it never reads.
 
-The scan reads each module with the stdlib `ast`: every name bound by an
+The scans read each module with the stdlib `ast`.  Every name bound by an
 import must occur as a name somewhere in the same module.  `__init__.py` is
 skipped, because its imports are the package's re-exports.  The single
 allowed exception is `cli.sharp_integrate`: the benchmark's tracer wraps
 every binding of `dvariety.sharp_integrate`, and its self-test requires
-this one to exist.
+this one to exist.  Every name a function binds (assignment, loop or
+unpacking target, `with ... as`, `except ... as`) must be read somewhere in
+that function, nested functions included; a target that is deliberately
+unused takes a name starting with `_`.
 """
 
 import ast
@@ -28,6 +32,22 @@ def unused_imports(path):
     return sorted(name for name in imported if name not in used)
 
 
+def dead_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        names = [n for n in nodes if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        read |= {name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        bound |= {n.name for n in nodes if isinstance(n, ast.ExceptHandler) and n.name}
+        found |= {(func.name, name) for name in bound - read if not name.startswith("_")}
+    return sorted(found)
+
+
 def test_no_unused_imports_in_src():
     found = {
         (path.stem, name)
@@ -48,3 +68,37 @@ def test_the_scan_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["lcm", "os"]
+
+
+def test_no_dead_locals_in_src():
+    found = [
+        (path.stem, *entry)
+        for path in sorted(SRC.glob("*.py"))
+        for entry in dead_locals(path)
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_dead_local(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(pairs):\n"
+        "    total = 0\n"
+        "    for i, (a, b) in enumerate(pairs):\n"
+        "        unused = a * 2\n"
+        "        total += b\n"
+        "    for _k, _ in pairs:\n"
+        "        pass\n"
+        "    try:\n"
+        "        return total\n"
+        "    except ValueError as exc:\n"
+        "        return None\n"
+        "\n"
+        "def g():\n"
+        "    seen = []\n"
+        "    def inner():\n"
+        "        seen.append(1)\n"
+        "    return inner\n",
+        encoding="utf-8",
+    )
+    assert dead_locals(module) == [("f", "exc"), ("f", "i"), ("f", "unused")]

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.errors import DimensionMismatch
+import djets.mpoly
+from djets.errors import BasisLimit, DimensionMismatch, DomainMismatch
 from djets.mpoly import (
     MPoly,
+    groebner,
     hasse_derivative,
     multi_indices,
     multi_indices_with_zero,
+    normal_form,
     taylor_coeffs,
 )
 from djets.series import TSeries
@@ -238,3 +241,70 @@ def test_series_coefficients_supported():
     q = p.map_coeffs(lambda c: c.derive())
     assert q == MPoly(xy, {(0, 1): TSeries.constant(1, 7)})
     assert p.leading_coeff_in("y") == MPoly(xy, {(0, 0): s})
+
+
+# -- Groebner bases and normal forms -----------------------------------------------
+
+XYZ = ("x", "y", "z")
+
+
+def random_poly(rng, degree, terms):
+    return MPoly(XYZ, {
+        tuple(rng.randint(0, degree) for _ in XYZ): F(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(rng.randint(1, terms))
+    })
+
+
+def test_normal_form_matches_sympy_grevlex_reduction():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(XYZ)
+
+    def to_sympy(p):
+        rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(rep or {(0, 0, 0): 0}, *gens, domain="QQ")
+
+    for seed in range(150):
+        rng = random.Random(3000 + seed)
+        ideal = [random_poly(rng, 2, 3) for _ in range(rng.randint(1, 3))]
+        p = random_poly(rng, 3, 5)
+        want = sympy.groebner([to_sympy(g) for g in ideal], *gens, order="grevlex", domain="QQ")
+        assert to_sympy(normal_form(p, ideal)) == want.reduce(to_sympy(p))[1], seed
+        assert {to_sympy(g) for g in groebner(ideal)} == set(want.polys), seed
+
+
+def lifo_blowup_ideal():
+    # Popping S-pairs last-in-first-out ran for minutes on this ideal; the
+    # normal strategy (smallest lcm first) finishes at once.
+    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+    return [-x**2 * z + z**2 + z, 3 * x**2 * y**2, 3 * x * y * z**2 - 2 * y * z**2 + 2 * x**2]
+
+
+def test_groebner_of_the_lifo_blowup_ideal():
+    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+    ideal = lifo_blowup_ideal()
+    basis = groebner(ideal)
+    assert len(basis) == 7
+    assert basis[0] == z**3 + x**2 + 3 * z**2 + 2 * z
+    assert all(normal_form(g, basis) == 0 for g in ideal)
+    assert normal_form(x**2 * y, ideal) == -y * z**2 - y * z
+
+
+def test_groebner_edge_cases():
+    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+    assert groebner([]) == [] and groebner([MPoly.zero(XYZ)]) == []
+    assert normal_form(x * y + 1, []) == x * y + 1
+    assert groebner([2 * x, x + 3]) == [MPoly.constant(XYZ, 1)]
+    assert normal_form(x * y + z, [2 * x, x + 3]) == 0
+    assert groebner([2 * x * y - 4, 3 * x * y]) == [MPoly.constant(XYZ, 1)]
+    assert groebner([x**2 - y, x**2 - y]) == [x**2 - y]
+
+
+def test_groebner_basis_bound(monkeypatch):
+    monkeypatch.setattr(djets.mpoly, "MAX_BASIS", 5)
+    with pytest.raises(BasisLimit, match="MAX_BASIS = 5"):
+        groebner(lifo_blowup_ideal())
+
+
+def test_groebner_needs_rational_coefficients():
+    with pytest.raises(DomainMismatch):
+        groebner([MPoly(XYZ, {(1, 0, 0): TSeries([1, 1], 4)})])
