@@ -18,11 +18,10 @@ from .delta_modules import (
     verify_tensor_pairing,
 )
 from .diffpoly import (
-    DiffPoly,
     SubstitutionSystem,
+    derivation,
     log_derivative_constant_identity,
     reduce,
-    total_derivative,
 )
 from .dvariety import (
     DVariety,
@@ -58,7 +57,7 @@ from .errors import (
 )
 from .jets import JetIndexSet, JetSpace, jet_equations, jet_of_morphism, jet_space
 from .linalg import LinSystem, nullspace, rank
-from .mpoly import MPoly, groebner, hasse_derivative, normal_form, taylor_coeffs
+from .mpoly import MPoly, groebner, normal_form, taylor_coeffs
 from .series import (
     DEFAULT_PRECISION,
     TSeries,

@@ -10,6 +10,7 @@ errors (parse problems, unknown names, points off the variety, and so on),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,6 +64,7 @@ def _add_common(parser, suppress=False):
     )
 
 
+@functools.cache  # one parser per process; parsing never changes it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="djets",

@@ -96,7 +96,8 @@ def validate_section(variety: DVariety):
         E = MPoly.zero(variety.vars)
         for v, s in zip(variety.vars, variety.section):
             E = E + P.partial(v) * s
-        residuals.append(normal_form(E, variety.generators))
+        residuals.append(E)
+    residuals = normal_form(residuals, variety.generators)
     return SectionValidation(all(r.is_zero() for r in residuals), residuals)
 
 

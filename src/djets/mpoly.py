@@ -307,11 +307,6 @@ def _zero_like(point):
     return Fraction(0)
 
 
-def hasse_derivative(p, alpha):
-    """Module-level spelling of the divided-power derivative."""
-    return p.hasse(alpha)
-
-
 def taylor_coeffs(p, point, order):
     """Coefficients of p on the basis (z - point)^alpha, |alpha| <= order.
 
@@ -426,9 +421,11 @@ def groebner(generators):
     ]
 
 
-def normal_form(p, generators):
-    """The remainder of p on division by a grevlex Groebner basis of the generators.
+def normal_form(polys, generators):
+    """The remainders of polys on division by a grevlex Groebner basis of the generators.
 
-    It is unique for the ideal, and zero exactly when p lies in it.
+    Each is unique for the ideal, and zero exactly when its polynomial lies
+    in it.  The basis is computed once for the whole list.
     """
-    return MPoly(p.vars, _reduce(p.terms, _buchberger(generators)))
+    basis = _buchberger(generators)
+    return [MPoly(p.vars, _reduce(p.terms, basis)) for p in polys]

@@ -592,7 +592,7 @@ def counterexample_report(
 
     kernel = dp.log_derivative_constant_identity(
         W.substitution_system(),
-        dp.DiffPoly.variable(allv, "u") - dp.DiffPoly.variable(allv, "v"),
+        MPoly.variable(allv, "u") - MPoly.variable(allv, "v"),
     )
 
     witnesses = []

@@ -1,25 +1,20 @@
 import random
-from fractions import Fraction as F
 
 import pytest
 
 from djets.diffpoly import (
-    DiffPoly,
     SubstitutionSystem,
+    derivation,
     log_derivative_constant_identity,
     reduce,
-    total_derivative,
 )
 from djets.dvariety import DVariety, sharp_integrate
 from djets.errors import MissingRule, NonTriangular
 from djets.mpoly import MPoly
+from djets.tangent import counterexample_variety
 
 VARS = ("x", "y", "u", "v")
 IDX = {name: i for i, name in enumerate(VARS)}
-
-
-def dvar(name, order=0):
-    return DiffPoly.variable(VARS, name, order)
 
 
 def mvar(name):
@@ -41,81 +36,119 @@ def w_system():
     )
 
 
-# -- total derivative ------------------------------------------------------------
+def random_poly(rng, variables, nterms=3):
+    out = MPoly.zero(variables)
+    for _ in range(nterms):
+        term = MPoly.constant(variables, rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 3)):
+            term = term * MPoly.variable(variables, variables[rng.randrange(len(variables))])
+        out = out + term
+    return out
 
-def test_total_derivative_square():
-    assert total_derivative(dvar("x") ** 2) == 2 * dvar("x") * dvar("x", 1)
+
+# -- the derivation ----------------------------------------------------------------
+
+def rotation():
+    """x' -> y, y' -> -x, u' -> u, v' -> 0."""
+    x, y = mvar("x"), mvar("y")
+    rules = {IDX["x"]: y, IDX["y"]: -x, IDX["u"]: mvar("u"), IDX["v"]: MPoly.zero(VARS)}
+    return SubstitutionSystem(VARS, derivative_rules=rules)
 
 
-def test_total_derivative_linear():
-    assert total_derivative(dvar("u") - dvar("v")) == dvar("u", 1) - dvar("v", 1)
+def test_derivation_of_square():
+    x, y = mvar("x"), mvar("y")
+    assert derivation(x**2, rotation()) == 2 * x * y
 
 
-def test_total_derivative_product():
-    assert total_derivative(dvar("x") * dvar("y")) == (
-        dvar("x", 1) * dvar("y") + dvar("x") * dvar("y", 1)
+def test_derivation_is_linear():
+    assert derivation(2 * mvar("u") - 3 * mvar("v") + 5, rotation()) == 2 * mvar("u")
+
+
+def test_derivation_of_product():
+    x, y = mvar("x"), mvar("y")
+    assert derivation(x * y, rotation()) == y**2 - x**2
+    assert derivation(x**2 + y**2, rotation()).is_zero()
+
+
+def test_derivation_of_constant_is_zero():
+    assert derivation(MPoly.constant(VARS, 7), SubstitutionSystem(VARS)).is_zero()
+
+
+def test_derivation_reduces_its_rules():
+    # u' -> y*u with y -> x: the result is in normal form, free of y
+    x, y, u = mvar("x"), mvar("y"), mvar("u")
+    system = SubstitutionSystem(
+        VARS, derivative_rules={IDX["u"]: y * u}, algebraic_rules=((IDX["y"], x),)
     )
+    assert derivation(u**2, system) == 2 * x * u**2
 
-
-def test_total_derivative_is_a_derivation_randomized():
+def test_derivation_is_leibniz_randomized():
     rng = random.Random(17)
-
-    def random_poly():
-        out = DiffPoly.zero(VARS)
-        for _ in range(3):
-            term = DiffPoly.constant(VARS, rng.randint(-2, 2))
-            for _ in range(rng.randint(0, 2)):
-                term = term * dvar(VARS[rng.randrange(4)], rng.randint(0, 2))
-            out = out + term
-        return out
-
     for _ in range(100):
-        p, q = random_poly(), random_poly()
-        assert total_derivative(p * q) == (
-            total_derivative(p) * q + p * total_derivative(q)
+        rules = {j: random_poly(rng, VARS) for j in range(len(VARS))}
+        algebraic = ()
+        if rng.random() < 0.5:
+            g = random_poly(rng, ("x", "u")).embed(VARS)
+            algebraic = ((IDX["y"], g),)
+        system = SubstitutionSystem(VARS, rules, algebraic)
+        p, q = random_poly(rng, VARS), random_poly(rng, VARS)
+        assert derivation(p * q, system) == (
+            derivation(p, system) * reduce(q, system)
+            + reduce(p, system) * derivation(q, system)
         )
+
+
+def test_missing_rule_detected():
+    system = SubstitutionSystem(VARS, derivative_rules={IDX["x"]: MPoly.zero(VARS)})
+    with pytest.raises(MissingRule, match="no rewrite for u'"):
+        derivation(mvar("u"), system)
+    # a variable the algebraic rules eliminate needs no rule of its own
+    system = SubstitutionSystem(
+        VARS,
+        derivative_rules={IDX["x"]: MPoly.zero(VARS)},
+        algebraic_rules=((IDX["y"], mvar("x")),),
+    )
+    assert derivation(mvar("y"), system).is_zero()
 
 
 # -- reduction -------------------------------------------------------------------
 
 def test_reduce_difference_derivative():
-    got = reduce(total_derivative(dvar("u") - dvar("v")), w_system())
     x, u, v = mvar("x"), mvar("u"), mvar("v")
-    assert got == x * u - x * v
+    assert derivation(u - v, w_system()) == x * u - x * v
 
 
 def test_reduce_kills_base_derivative():
-    assert reduce(dvar("x", 1), w_system()).is_zero()
+    assert derivation(mvar("x"), w_system()).is_zero()
 
 
 def test_reduce_without_rules_is_identity():
-    assert reduce(dvar("x"), SubstitutionSystem(VARS)) == mvar("x")
+    p = mvar("x") * mvar("y") + 3
+    assert reduce(p, SubstitutionSystem(VARS)) == p
 
 
 def test_reduce_eliminates_identified_variable_at_all_orders():
-    got = reduce(dvar("y", 2) + dvar("y"), w_system())
-    assert got == mvar("x")  # y'' -> x'' -> 0 and y -> x
+    x, y = mvar("x"), mvar("y")
+    system = w_system()
+    assert reduce(y**2 + y, system) == x**2 + x
+    # y'' -> x'' -> 0 and y -> x
+    assert reduce(derivation(derivation(y, system), system) + y, system) == x
+
+
+def test_reduce_applies_rules_in_order():
+    x, y, u = mvar("x"), mvar("y"), mvar("u")
+    # rule for x mentions y, which the later rule eliminates
+    system = SubstitutionSystem(VARS, algebraic_rules=((IDX["x"], y + 1), (IDX["y"], u**2)))
+    assert reduce(x * y, system) == u**4 + u**2
 
 
 def test_reduce_is_idempotent():
     rng = random.Random(19)
     system = w_system()
     for _ in range(30):
-        p = DiffPoly.zero(VARS)
-        for _ in range(3):
-            term = DiffPoly.constant(VARS, rng.randint(-2, 2))
-            for _ in range(rng.randint(1, 2)):
-                term = term * dvar(VARS[rng.randrange(4)], rng.randint(0, 2))
-            p = p + term
-        once = reduce(p, system)
-        again = reduce(DiffPoly.from_mpoly(once, VARS), system)
-        assert once == again
-
-
-def test_missing_rule_detected():
-    system = SubstitutionSystem(VARS, derivative_rules={IDX["x"]: MPoly.zero(VARS)})
-    with pytest.raises(MissingRule):
-        reduce(dvar("u", 1), system)
+        once = reduce(random_poly(rng, VARS), system)
+        assert reduce(once, system) == once
+        assert not once.mentions("y")
 
 
 def test_non_triangular_rules_rejected():
@@ -124,12 +157,14 @@ def test_non_triangular_rules_rejected():
         SubstitutionSystem(VARS, algebraic_rules=((IDX["y"], x), (IDX["x"], y)))
     with pytest.raises(NonTriangular):
         SubstitutionSystem(VARS, algebraic_rules=((IDX["x"], x + 1),))
+    with pytest.raises(NonTriangular):
+        SubstitutionSystem(VARS, algebraic_rules=((IDX["x"], y), (IDX["x"], y)))
 
 
 # -- the kernel identity -----------------------------------------------------------
 
 def test_kernel_identity_on_restricted_bundle():
-    assert log_derivative_constant_identity(w_system(), dvar("u") - dvar("v"))
+    assert log_derivative_constant_identity(w_system(), mvar("u") - mvar("v"))
 
 
 def test_kernel_identity_fails_for_perturbed_system():
@@ -143,7 +178,7 @@ def test_kernel_identity_fails_for_perturbed_system():
         },
         algebraic_rules=((IDX["y"], x),),
     )
-    assert not log_derivative_constant_identity(perturbed, dvar("u") - dvar("v"))
+    assert not log_derivative_constant_identity(perturbed, mvar("u") - mvar("v"))
 
 
 def test_kernel_identity_trivial_when_everything_is_constant():
@@ -155,33 +190,35 @@ def test_kernel_identity_trivial_when_everything_is_constant():
             IDX["v"]: MPoly.zero(VARS),
         },
     )
-    assert log_derivative_constant_identity(frozen, dvar("u") - dvar("v"))
+    assert log_derivative_constant_identity(frozen, mvar("u") - mvar("v"))
 
 
 # -- consistency with the series model -----------------------------------------------
 
-def test_reduction_commutes_with_series_evaluation():
-    # on the parabola with section (1, 2x): rewriting via the presentation and
-    # substituting the integrated sharp point give the same series
+def _parabola():
     xy = ("x", "y")
     x = MPoly.variable(xy, "x")
     y = MPoly.variable(xy, "y")
-    parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x))
-    point = sharp_integrate(parabola, (1, 1), 12)
+    variety = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x))
     system = SubstitutionSystem(
-        xy,
-        derivative_rules={0: MPoly.constant(xy, 1), 1: 2 * x},
-        algebraic_rules=((1, x**2),),
+        xy, derivative_rules=dict(enumerate(variety.section)), algebraic_rules=((1, x**2),)
     )
+    return variety, system, (1, 1)
+
+
+def _plane_x():
+    variety = counterexample_variety()
+    return variety, SubstitutionSystem(variety.vars, dict(enumerate(variety.section))), (1, 2)
+
+
+def test_reduction_commutes_with_series_evaluation():
+    # at a sharp point t -> x(t), d/dt p(x(t)) = (derivation p)(x(t)): on the
+    # parabola through its algebraic rule y -> x^2, on X through its rules alone
     rng = random.Random(23)
-    for _ in range(20):
-        p = DiffPoly.zero(xy)
-        for _ in range(3):
-            term = DiffPoly.constant(xy, rng.randint(-2, 2))
-            for _ in range(rng.randint(1, 2)):
-                term = term * DiffPoly.variable(xy, xy[rng.randrange(2)], rng.randint(0, 2))
-            p = p + term
-        direct = p.eval_at_series(point.coords)
-        reduced = DiffPoly.from_mpoly(reduce(p, system), xy)
-        via_normal_form = reduced.eval_at_series(point.coords)
-        assert direct == via_normal_form
+    for variety, system, start in (_parabola(), _plane_x()):
+        point = sharp_integrate(variety, start, 12)
+        for _ in range(100):
+            p = random_poly(rng, variety.vars)
+            if p.is_constant():
+                continue
+            assert derivation(p, system).eval(point.coords) == p.eval(point.coords).derive()

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import djets.mpoly
 from djets.dvariety import (
     DVariety,
     SharpPoint,
@@ -109,6 +110,21 @@ def test_validate_circle_exactly():
     assert result.ok and result.residuals == [MPoly.zero(xy)]
     swapped = DVariety(xy, circle.generators, (y, x))
     assert validate_section(swapped).residuals == [4 * x * y]
+
+
+def test_validate_runs_buchberger_once(monkeypatch):
+    # one basis serves every residual: the twisted cubic with a redundant generator
+    xyz = ("x", "y", "z")
+    x, y, z = (MPoly.variable(xyz, v) for v in xyz)
+    cubic = DVariety(xyz, (y - x**2, z - x**3, x * z - y**2),
+                     (MPoly.constant(xyz, 1), 2 * x, 3 * x**2))
+    calls = []
+    buchberger = djets.mpoly._buchberger
+    monkeypatch.setattr(djets.mpoly, "_buchberger",
+                        lambda gens: calls.append(gens) or buchberger(gens))
+    result = validate_section(cubic)
+    assert result.ok and len(result.residuals) == 3
+    assert len(calls) == 1
 
 
 # -- sharp integration -------------------------------------------------------------
