@@ -21,6 +21,7 @@ from .diffpoly import (
     SubstitutionSystem,
     derivation,
     log_derivative_constant_identity,
+    log_derivative_normal_form,
     reduce,
 )
 from .dvariety import (

@@ -132,11 +132,8 @@ def check_kernel_identity():
                      diagonal_restriction())
         allv = W.all_vars
         w = MPoly.variable(allv, "u") - MPoly.variable(allv, "v")
-        system = W.substitution_system()
-        dw = dp.derivation(w, system)
-        normal_form = dp.reduce(dp.derivation(dw, system) * w - dw * dw, system)
-        ok = normal_form.is_zero() and dp.log_derivative_constant_identity(system, w)
-        return ok, f"normal form = {normal_form}"
+        normal_form = dp.log_derivative_normal_form(W.substitution_system(), w)
+        return normal_form.is_zero(), f"normal form = {normal_form}"
 
     return _timed("kernel-identity",
                   "second log derivative of u - v vanishes symbolically", 1.0, run)

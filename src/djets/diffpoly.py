@@ -83,12 +83,17 @@ def derivation(p: MPoly, system: SubstitutionSystem):
     return out
 
 
-def log_derivative_constant_identity(system: SubstitutionSystem, w: MPoly):
-    """Division-free check that the log-derivative of w is constant on the system.
+def log_derivative_normal_form(system: SubstitutionSystem, w: MPoly):
+    """The normal form of delta(delta(w)) * w - delta(w)^2 on the system.
 
-    Verifies delta(delta(w)) * w - delta(w)^2 reduces to the zero normal
-    form, which is the cleared-denominator form of delta(delta(w)/w) = 0 on
-    the locus where w does not vanish.
+    It is the cleared-denominator form of delta(delta(w)/w), so it is zero
+    exactly when the log-derivative of w is constant on the locus where w
+    does not vanish.
     """
     dw = derivation(w, system)
-    return reduce(derivation(dw, system) * w - dw * dw, system).is_zero()
+    return reduce(derivation(dw, system) * w - dw * dw, system)
+
+
+def log_derivative_constant_identity(system: SubstitutionSystem, w: MPoly):
+    """Division-free check that the log-derivative of w is constant on the system."""
+    return log_derivative_normal_form(system, w).is_zero()

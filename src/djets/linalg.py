@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
-from .series import TSeries, integer_scaled
+from .series import TSeries, integer_rows, integer_scaled
 
 RATIONAL = "rational"
 SERIES = "series"
@@ -249,11 +249,9 @@ def constant_combination(targets, basis, min_prec=None):
     if min_prec is not None:
         prec = min(prec, min_prec)
     ncoords = len(targets[0]) if targets else 0
-    rows = [
-        [v[coord].coeffs[power] for v in vectors]
-        for coord in range(ncoords)
-        for power in range(prec + 1)
-    ]
+    rows = []
+    for coord in range(ncoords):
+        rows += integer_rows([v[coord] for v in vectors], prec)
     red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
     return _read_solutions(red, pivots, k, len(vectors))
 

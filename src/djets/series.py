@@ -10,12 +10,24 @@ constants are exactly the degree-0 series, i.e. plain rationals.
 Equality between two series means agreement through the smaller of the two
 guaranteed orders; comparing against an int or Fraction lifts the scalar to
 a constant series first.
+
+A series is stored as prec+1 integer numerators `nums` over one positive
+denominator `den`, reduced so that gcd(den, *nums) == 1; the zero series
+has den == 1.  The kernels add, multiply, differentiate, truncate, compare
+and convolve these integers directly and reduce each result by one gcd, in
+the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
+Introduction", ICMS 2010); only division still runs on Fractions.  The
+tuple of Fractions `coeffs` is built only when read.  Only this module
+builds a series from integers, through `TSeries._ints`, so every series is
+in this reduced form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
 
@@ -27,33 +39,59 @@ MAX_PRECISION = 1024
 
 
 class TSeries:
-    """A truncated power series c0 + c1*t + ... + cN*t^N + O(t^(N+1))."""
+    """A truncated power series c0 + c1*t + ... + cN*t^N + O(t^(N+1)).
 
-    __slots__ = ("coeffs", "prec")
+    Stored as N+1 integer numerators `nums` over one positive denominator
+    `den`, with gcd(den, *nums) == 1; the zero series has den == 1.
+    `coeffs`, the tuple of Fractions nums[k]/den, is built on first read.
+    """
+
+    __slots__ = ("nums", "den", "prec", "_coeffs")
 
     def __init__(self, coeffs, prec):
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
-        cs = [Fraction(c) for c in list(coeffs)[: prec + 1]]
-        cs.extend([Fraction(0)] * (prec + 1 - len(cs)))
-        self.coeffs = tuple(cs)
+        cs = list(coeffs)[: prec + 1]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
+        pad = prec + 1 - len(cs)
+        # Over the lcm of reduced denominators the numerators are coprime to it.
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        self.nums = tuple(nums + [0] * pad)
+        self.den = den
         self.prec = prec
+        self._coeffs = tuple(cs + [_ZERO] * pad)
 
     @classmethod
-    def _of(cls, coeffs, prec):
-        """Wrap exactly prec+1 Fractions without converting them again."""
+    def _ints(cls, nums, den, prec, reduced=False):
+        """Wrap prec+1 integer numerators over den > 0, reduced by one gcd.
+
+        `reduced` skips the gcd for callers whose integers are already
+        reduced: a negation, or a constant from one Fraction.
+        """
+        if not reduced:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
         out = object.__new__(cls)
-        out.coeffs = tuple(coeffs)
+        out.nums = tuple(nums)
+        out.den = den
         out.prec = prec
+        out._coeffs = None
         return out
 
     @classmethod
     def constant(cls, value, prec=DEFAULT_PRECISION):
-        return cls([Fraction(value)], prec)
+        if prec < 0:
+            raise InsufficientPrecision("series precision must be >= 0")
+        value = Fraction(value)
+        return cls._ints((value.numerator,) + (0,) * prec, value.denominator, prec,
+                         reduced=True)
 
     @classmethod
     def zero(cls, prec=DEFAULT_PRECISION):
-        return cls([], prec)
+        return cls.constant(0, prec)
 
     @classmethod
     def lift(cls, value, prec):
@@ -72,22 +110,35 @@ class TSeries:
     # -- queries ------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients c0 .. cN as Fractions."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            if den == 1:
+                cs = tuple(Fraction(x) if x else _ZERO for x in self.nums)
+            else:
+                cs = tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
+            self._coeffs = cs
+        return cs
+
+    @property
     def constant_term(self):
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_unit(self):
-        return self.coeffs[0] != 0
+        return self.nums[0] != 0
 
     def is_constant(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def order(self):
         """Index of the first nonzero coefficient, or None if zero to precision."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, x in enumerate(self.nums):
+            if x:
                 return k
         return None
 
@@ -97,7 +148,9 @@ class TSeries:
             raise InsufficientPrecision(
                 f"cannot raise precision from {self.prec} to {prec}"
             )
-        return TSeries(self.coeffs, prec)
+        if prec < 0:
+            raise InsufficientPrecision("series precision must be >= 0")
+        return TSeries._ints(self.nums[: prec + 1], self.den, prec)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -106,12 +159,18 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        return TSeries._of([a + b for a, b in zip(self.coeffs, o.coeffs)], n)
+        da, db = self.den, o.den
+        if da == db:
+            return TSeries._ints([a + b for a, b in zip(self.nums, o.nums)], da, n)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        nums = [a * fa + b * fb for a, b in zip(self.nums, o.nums)]
+        return TSeries._ints(nums, da * fa, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries._of([-c for c in self.coeffs], self.prec)
+        return TSeries._ints([-x for x in self.nums], self.den, self.prec, reduced=True)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -130,19 +189,16 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        # Convolve numerators over common denominators; normalise each output once.
-        da, xs = integer_scaled(self.coeffs[: n + 1])
-        db, ys = integer_scaled(o.coeffs[: n + 1])
-        nonzero_ys = [(j, b) for j, b in enumerate(ys) if b]
+        # One integer convolution over the product of the denominators.
+        nonzero_ys = [(j, b) for j, b in enumerate(o.nums[: n + 1]) if b]
         out = [0] * (n + 1)
-        for i, a in enumerate(xs):
+        for i, a in enumerate(self.nums[: n + 1]):
             if a:
                 for j, b in nonzero_ys:
                     if i + j > n:
                         break
                     out[i + j] += a * b
-        den = da * db
-        return TSeries._of([Fraction(c, den) for c in out], n)
+        return TSeries._ints(out, self.den * o.den, n)
 
     __rmul__ = __mul__
 
@@ -150,18 +206,19 @@ class TSeries:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if o.coeffs[0] == 0:
+        if not o.nums[0]:
             raise NonUnitDivisor("divisor has zero constant term")
         n = min(self.prec, o.prec)
-        inv0 = Fraction(1) / o.coeffs[0]
+        xs, ys = self.coeffs, o.coeffs
+        inv0 = Fraction(1) / ys[0]
         out = []
         for k in range(n + 1):
-            acc = self.coeffs[k]
+            acc = xs[k]
             for j in range(k):
-                if out[j] != 0 and o.coeffs[k - j] != 0:
-                    acc -= out[j] * o.coeffs[k - j]
+                if out[j] != 0 and ys[k - j] != 0:
+                    acc -= out[j] * ys[k - j]
             out.append(acc * inv0)
-        return TSeries._of(out, n)
+        return TSeries(out, n)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -176,8 +233,8 @@ class TSeries:
         """Termwise d/dt; the result is guaranteed one order less."""
         if self.prec == 0:
             raise InsufficientPrecision("cannot differentiate a precision-0 series")
-        out = [(k + 1) * self.coeffs[k + 1] for k in range(self.prec)]
-        return TSeries._of(out, self.prec - 1)
+        out = [(k + 1) * self.nums[k + 1] for k in range(self.prec)]
+        return TSeries._ints(out, self.den, self.prec - 1)
 
     # -- comparison ----------------------------------------------------------
 
@@ -186,7 +243,11 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        return self.coeffs[: n + 1] == o.coeffs[: n + 1]
+        xs, ys = self.nums[: n + 1], o.nums[: n + 1]
+        da, db = self.den, o.den
+        if da == db:
+            return xs == ys
+        return all(a * db == b * da for a, b in zip(xs, ys))
 
     __hash__ = None
 
@@ -247,6 +308,18 @@ def integer_scaled(values):
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def integer_rows(entries, prec):
+    """Rows k = 0..prec of the t^k coefficients of the series `entries`.
+
+    Row k holds the stored numerators over the lcm of the entries'
+    denominators: a positive multiple of the rational row, which spans the
+    same equations.
+    """
+    den = lcm(*(e.den for e in entries))
+    scaled = [(e.nums, den // e.den) for e in entries]
+    return [[nums[k] * f for nums, f in scaled] for k in range(prec + 1)]
+
+
 def exp_series(c, prec=DEFAULT_PRECISION):
     """The solution of y' = c*y with y(0) = 1: coefficient k is c^k / k!."""
     c = Fraction(c)
@@ -265,9 +338,9 @@ def dot(xs, ys):
     Entries are series or rationals.  The result is guaranteed to the
     minimum precision over all pairs, where a rational takes its partner's
     precision; a pair of rationals only adds to the constant term.  The
-    numerators of every pair are convolved as integers over one common
-    denominator and each output coefficient is normalised once.  When no
-    entry is a series the rational sum is returned.
+    stored numerators of every pair are convolved over the lcm of the pair
+    denominators and the sum is reduced by one gcd.  When no entry is a
+    series the rational sum is returned.
     """
     if len(xs) != len(ys):
         raise DimensionMismatch("dot of vectors of different lengths")
@@ -277,10 +350,9 @@ def dot(xs, ys):
 def _scaled(e):
     """(denominator, integer numerators, precision or None for a rational)."""
     if isinstance(e, TSeries):
-        d, ints = integer_scaled(e.coeffs)
-        return d, ints, e.prec
+        return e.den, e.nums, e.prec
     e = Fraction(e)
-    return e.denominator, [e.numerator], None
+    return e.denominator, (e.numerator,), None
 
 
 def _dot_scaled(xs, ys):
@@ -305,11 +377,11 @@ def _dot_scaled(xs, ys):
                 out[i + j] += a * b
     if n is None:
         return Fraction(out[0], den)
-    return TSeries._of([Fraction(c, den) if c else _ZERO for c in out], n)
+    return TSeries._ints(out, den, n)
 
 
 def mat_vec(A, v):
-    """A v, one `dot` per row, each entry brought to integers once."""
+    """A v, one `dot` per row on the stored numerators of each entry."""
     if any(len(row) != len(v) for row in A):
         raise DimensionMismatch("matrix/vector size mismatch")
     sv = [_scaled(x) for x in v]
@@ -317,7 +389,7 @@ def mat_vec(A, v):
 
 
 def mat_mul(A, B):
-    """A B, one `dot` per entry, each entry brought to integers once."""
+    """A B, one `dot` per entry on the stored numerators of each entry."""
     if any(len(row) != len(B) for row in A):
         raise DimensionMismatch("matrix size mismatch")
     sa = [[_scaled(a) for a in row] for row in A]
@@ -333,12 +405,14 @@ def fundamental_matrix(A, order):
     """Fundamental solution of Y' = A(t) Y with Y(0) = I.
 
     The coefficient recursion Y_(k+1) = (A Y)_k / (k+1) runs on integer
-    matrices over common denominators: the coefficients of A are brought
-    once over the lcm of their denominators, each Y_k is an integer matrix
-    with one denominator, reduced by a gcd once per step, and zero entries
-    of both are skipped.  The entries of A must be guaranteed through order
-    `order`-1; the result is guaranteed through `order` and its columns form
-    a basis of the solution space over the constants.
+    matrices: the stored numerators of A are put over the lcm of the entry
+    denominators, each Y_k is an integer matrix with one denominator,
+    reduced by a gcd once per step, and each row of a step is the sum of
+    the rows of earlier steps weighted by the nonzero entries of A.  Each
+    entry of the result is put over the lcm of the step denominators.
+    The entries of A must be guaranteed through order `order`-1; the result
+    is guaranteed through `order` and its columns form a basis of the
+    solution space over the constants.
     """
     d = len(A)
     if any(len(row) != d for row in A):
@@ -353,18 +427,13 @@ def fundamental_matrix(A, order):
             f"matrix entries guaranteed to order {aprec}, need {order - 1}"
         )
     # Sparse integer rows [(s, a), ...] of den_a * A_i, trimmed to the support.
-    needed = range(min(aprec, max(order - 1, 0)) + 1)
-    den_a = lcm(*(e.coeffs[i].denominator for row in A for e in row for i in needed))
+    den_a = lcm(*(e.den for row in A for e in row))
     acoeffs = []
-    for i in needed:
-        Ai = []
-        for row in A:
-            Ai.append([
-                (s, e.coeffs[i].numerator * (den_a // e.coeffs[i].denominator))
-                for s, e in enumerate(row)
-                if e.coeffs[i]
-            ])
-        acoeffs.append(Ai)
+    for i in range(min(aprec, max(order - 1, 0)) + 1):
+        acoeffs.append([
+            [(s, e.nums[i] * (den_a // e.den)) for s, e in enumerate(row) if e.nums[i]]
+            for row in A
+        ])
     while acoeffs and not any(acoeffs[-1]):
         acoeffs.pop()
 
@@ -374,28 +443,33 @@ def fundamental_matrix(A, order):
     for k in range(order):
         terms = range(min(k + 1, len(acoeffs)))
         den = lcm(*(dens[k - i] for i in terms))
-        acc = [[0] * d for _ in range(d)]
-        for i in terms:
-            P = nums[k - i]
-            scale = den // dens[k - i]
-            for accr, Ar in zip(acc, acoeffs[i]):
-                for s, a in Ar:
-                    a *= scale
-                    for c, x in enumerate(P[s]):
-                        if x:
-                            accr[c] += a * x
+        scales = [den // dens[k - i] for i in terms]
+        acc = []
+        for r in range(d):
+            # Row r of sum_i A_i Y_(k-i).
+            weights, rows = [], []
+            for i in terms:
+                P, f = nums[k - i], scales[i]
+                for s, a in acoeffs[i][r]:
+                    weights.append(a * f)
+                    rows.append(P[s])
+            if rows:
+                acc.append([sum(map(mul, weights, col)) for col in zip(*rows)])
+            else:
+                acc.append([0] * d)
         den *= den_a * (k + 1)
-        g = gcd(den, *(x for row in acc for x in row))
-        acc = [[x // g for x in row] for row in acc]
+        g = gcd(den, *chain.from_iterable(acc))
+        if g != 1:
+            den //= g
+            acc = [[x // g for x in row] for row in acc]
         nums.append(acc)
-        dens.append(den // g)
+        dens.append(den)
 
+    den = lcm(*dens)
+    scales = [den // q for q in dens]
     return [
         [
-            TSeries._of(
-                [Fraction(n[r][c], q) if n[r][c] else _ZERO for n, q in zip(nums, dens)],
-                order,
-            )
+            TSeries._ints([n[r][c] * f for n, f in zip(nums, scales)], den, order)
             for c in range(d)
         ]
         for r in range(d)

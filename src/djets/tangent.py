@@ -41,6 +41,7 @@ from .series import (
     dot,
     exp_series,
     fundamental_matrix,
+    integer_rows,
     mat_vec,
     transpose,
 )
@@ -483,9 +484,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
         rational_rows = []
         for row in constraints.rows:
             combo = [dot(row, col) for col in columns]
-            prec = min(x.prec for x in combo)
-            for k in range(prec + 1):
-                rational_rows.append([x.coeffs[k] for x in combo])
+            rational_rows += integer_rows(combo, min(x.prec for x in combo))
         kernel = nullspace(LinSystem(rational_rows, d, RATIONAL))
         ode_basis = []
         for coeffs in kernel:

@@ -6,8 +6,10 @@ from djets.diffpoly import (
     SubstitutionSystem,
     derivation,
     log_derivative_constant_identity,
+    log_derivative_normal_form,
     reduce,
 )
+from djets import acceptance, diffpoly
 from djets.dvariety import DVariety, sharp_integrate
 from djets.errors import MissingRule, NonTriangular
 from djets.mpoly import MPoly
@@ -179,6 +181,10 @@ def test_kernel_identity_fails_for_perturbed_system():
         algebraic_rules=((IDX["y"], x),),
     )
     assert not log_derivative_constant_identity(perturbed, mvar("u") - mvar("v"))
+    # delta w = x u - 2 x v, delta(delta w) = -2 x^2 v on this system.
+    assert log_derivative_normal_form(perturbed, mvar("u") - mvar("v")) == (
+        -(x**2) * u**2 + 2 * x**2 * u * v - 2 * x**2 * v**2
+    )
 
 
 def test_kernel_identity_trivial_when_everything_is_constant():
@@ -191,6 +197,20 @@ def test_kernel_identity_trivial_when_everything_is_constant():
         },
     )
     assert log_derivative_constant_identity(frozen, mvar("u") - mvar("v"))
+
+
+def test_kernel_identity_check_derives_twice(monkeypatch):
+    calls = []
+    original = diffpoly.derivation
+
+    def counted(p, system):
+        calls.append(p)
+        return original(p, system)
+
+    monkeypatch.setattr(diffpoly, "derivation", counted)
+    result = acceptance.check_kernel_identity()
+    assert result.passed and result.detail == "normal form = 0"
+    assert len(calls) == 2
 
 
 # -- consistency with the series model -----------------------------------------------

@@ -9,15 +9,20 @@ every binding of `dvariety.sharp_integrate`, and its self-test requires
 this one to exist.  Every name a function binds (assignment, loop or
 unpacking target, `with ... as`, `except ... as`) must be read somewhere in
 that function, nested functions included; a target that is deliberately
-unused takes a name starting with `_`.
+unused takes a name starting with `_`.  Outside `series.py` no module in
+`src/djets` or `tests` touches `TSeries._ints` or `_coeffs`, so every
+series is built by that module in its reduced integer form.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "djets"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "djets"
 
 ALLOWED = {("cli", "sharp_integrate")}
+
+SERIES_PRIVATE = {"_ints", "_coeffs"}
 
 
 def unused_imports(path):
@@ -102,3 +107,33 @@ def test_the_scan_sees_a_dead_local(tmp_path):
         encoding="utf-8",
     )
     assert dead_locals(module) == [("f", "exc"), ("f", "i"), ("f", "unused")]
+
+
+def series_private_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SERIES_PRIVATE
+    })
+
+
+def test_only_series_touches_the_integer_form():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = [
+        (path.parent.name, path.stem, name)
+        for path in paths
+        if path != SRC / "series.py"
+        for name in series_private_uses(path)
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_the_integer_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from djets.series import TSeries\n"
+        "s = TSeries._ints([2, 4], 1, 1)\n"
+        "print(s._coeffs, s.nums, s.den, s.coeffs)\n",
+        encoding="utf-8",
+    )
+    assert series_private_uses(module) == ["_coeffs", "_ints"]

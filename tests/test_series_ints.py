@@ -1,0 +1,256 @@
+"""The stored form of a series, and the integer rows read from it.
+
+A TSeries keeps prec+1 integer numerators over one positive denominator,
+reduced so that gcd(den, *nums) == 1, with den == 1 for the zero series.
+Every operation below starts from seeded operands with 40-bit prime
+denominators, negative entries and mismatched precisions, checks that its
+result is in that form, and compares `coeffs` with a plain Fraction loop
+kept in this file.  The readers of the stored numerators -- rational `rref`
+on integer rows and `constant_combination` -- are compared with the same
+computation on Fraction rows.
+"""
+
+import random
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+
+from djets.acceptance import _random_module
+from djets.delta_modules import dual, horizontal_sections, pairing_phi, tensor
+from djets.linalg import RATIONAL, constant_combination, rref
+from djets.series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec
+
+PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
+DENOMINATORS = PRIMES + (1, 2, 3, 12)
+
+
+def assert_canonical(s):
+    assert type(s.den) is int and all(type(x) is int for x in s.nums)
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.prec + 1
+    if not any(s.nums):
+        assert s.den == 1
+
+
+def assert_matches(got, want):
+    """`got` is canonical and equals the reference (coefficients, prec)."""
+    coeffs, prec = want
+    assert_canonical(got)
+    assert got.prec == prec
+    assert list(got.coeffs) == coeffs
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def random_operand(rng, prec=None, unit=False):
+    """A series and its reference (Fraction coefficients, prec)."""
+    prec = rng.randint(0, 9) if prec is None else prec
+    coeffs = []
+    for _ in range(prec + 1):
+        u = rng.random()
+        if u < 0.25 or (u < 0.35 and not unit):
+            coeffs.append(F(0))
+        elif u < 0.45:
+            coeffs.append(F(rng.randint(-9, 9)))
+        else:
+            coeffs.append(F(rng.randint(-10**6, 10**6), rng.choice(DENOMINATORS)))
+    if unit and coeffs[0] == 0:
+        coeffs[0] = F(rng.choice([1, -1]), rng.choice(PRIMES))
+    return TSeries(coeffs, prec), (coeffs, prec)
+
+
+# -- Fraction references ------------------------------------------------------
+
+def ref_add(a, b):
+    n = min(a[1], b[1])
+    return [a[0][k] + b[0][k] for k in range(n + 1)], n
+
+
+def ref_neg(a):
+    return [-c for c in a[0]], a[1]
+
+
+def ref_mul(a, b):
+    n = min(a[1], b[1])
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[0][i] * b[0][j]
+    return out, n
+
+
+def ref_div(a, b):
+    n = min(a[1], b[1])
+    out = []
+    for k in range(n + 1):
+        acc = a[0][k] - sum((out[j] * b[0][k - j] for j in range(k)), F(0))
+        out.append(acc / b[0][0])
+    return out, n
+
+
+def ref_derive(a):
+    return [(k + 1) * a[0][k + 1] for k in range(a[1])], a[1] - 1
+
+
+def ref_dot(xs, ys):
+    total = ref_mul(xs[0], ys[0])
+    for x, y in zip(xs[1:], ys[1:]):
+        total = ref_add(total, ref_mul(x, y))
+    return total
+
+
+def ref_fundamental(A, order):
+    """Y_(k+1) = (A Y)_k / (k+1) over Fractions; entry (r, c) as (coeffs, order)."""
+    d = len(A)
+    ys = [[[F(int(r == c)) for c in range(d)] for r in range(d)]]
+    for k in range(order):
+        nxt = [[F(0)] * d for _ in range(d)]
+        for i in range(k + 1):
+            for r in range(d):
+                for s in range(d):
+                    a = A[r][s][0][i]
+                    for c in range(d):
+                        nxt[r][c] += a * ys[k - i][s][c]
+        ys.append([[x / (k + 1) for x in row] for row in nxt])
+    return [[([y[r][c] for y in ys], order) for c in range(d)] for r in range(d)]
+
+
+# -- the stored form after each operation ---------------------------------------
+
+@pytest.mark.parametrize("seed", range(25))
+def test_arithmetic_keeps_the_reduced_form(seed):
+    rng = random.Random(4000 + seed)
+    (a, ra), (b, rb) = random_operand(rng), random_operand(rng)
+    (u, ru) = random_operand(rng, unit=True)
+    assert_canonical(a)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, ref_neg(rb)))
+    assert_matches(-a, ref_neg(ra))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(a / u, ref_div(ra, ru))
+    if a.prec:
+        assert_matches(a.derive(), ref_derive(ra))
+    m = rng.randint(0, a.prec)
+    assert_matches(a.at_precision(m), (ra[0][: m + 1], m))
+
+
+def test_cancellation_reduces_to_the_lowest_denominator():
+    p = PRIMES[0]
+    a = TSeries([F(1, p), F(-3, 2 * p), F(5, 6)], 2)
+    assert_matches(a - a, ([F(0)] * 3, 2))
+    assert_matches(a + (-a), ([F(0)] * 3, 2))
+    assert_matches(a * 0, ([F(0)] * 3, 2))
+    # equal denominators whose sum shares a factor with them
+    sixth = TSeries([F(1, 6), F(-1, 6)], 1)
+    assert_matches(sixth + sixth, ([F(1, 3), F(-1, 3)], 1))
+    assert (sixth + sixth).den == 3
+    # dropping the coefficient with the largest denominator
+    assert a.at_precision(0).den == p
+    assert TSeries([F(1, 2), F(1, p)], 1).at_precision(0).den == 2
+    # the derivative of t^2/2 is t, over 1
+    assert_matches(TSeries([0, 0, F(1, 2)], 2).derive(), ([F(0), F(1)], 1))
+    assert TSeries([0, 0, F(1, 2)], 2).derive().den == 1
+
+
+def test_constructor_accepts_ints_fractions_and_strings():
+    s = TSeries(["1/2", 3, F(-2, 6)], 4)
+    assert (s.nums, s.den, s.prec) == ((3, 18, -2, 0, 0), 6, 4)
+    assert s.coeffs == (F(1, 2), F(3), F(-1, 3), F(0), F(0))
+    assert_canonical(TSeries([F(1, 4), 7, "5/3"], 1))
+    assert TSeries([F(1, 4), 7, "5/3"], 1).den == 4
+    assert (TSeries.zero(3).nums, TSeries.zero(3).den) == ((0, 0, 0, 0), 1)
+    assert_canonical(TSeries.constant(F(-4, 6), 2))
+    with pytest.raises(AttributeError):
+        s.coeffs = (F(0),)
+
+
+def random_matrix(rng, rows, cols, low=0):
+    """Series of precisions low..low+9, and their references."""
+    pairs = [[random_operand(rng, rng.randint(low, low + 9)) for _ in range(cols)]
+             for _ in range(rows)]
+    return ([[s for s, _ in row] for row in pairs],
+            [[r for _, r in row] for row in pairs])
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_series_linear_algebra_keeps_the_reduced_form(seed):
+    rng = random.Random(4100 + seed)
+    rows, inner, cols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+    A, RA = random_matrix(rng, rows, inner)
+    B, RB = random_matrix(rng, inner, cols)
+    v, rv = [row[0] for row in B], [row[0] for row in RB]
+    assert_matches(dot(A[0], v), ref_dot(RA[0], rv))
+    for got, row in zip(mat_vec(A, v), RA):
+        assert_matches(got, ref_dot(row, rv))
+    product = mat_mul(A, B)
+    for r in range(rows):
+        for c in range(cols):
+            assert_matches(product[r][c], ref_dot(RA[r], [row[c] for row in RB]))
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_fundamental_matrix_keeps_the_reduced_form(d):
+    rng = random.Random(4200 + d)
+    order = rng.randint(3, 7)
+    A, RA = random_matrix(rng, d, d, low=order - 1)
+    phi = fundamental_matrix(A, order)
+    want = ref_fundamental(RA, order)
+    for got_row, want_row in zip(phi, want):
+        for got, ref in zip(got_row, want_row):
+            assert_matches(got, ref)
+
+
+# -- integer rows ------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_rref_on_integer_rows_equals_fraction_rows(seed):
+    rng = random.Random(4300 + seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1:
+        # a dependent row, so that some systems have rows below the pivots
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+    limit = rng.randint(0, ncols)
+    want = rref([[F(x) for x in row] for row in rows], ncols, RATIONAL, pivot_limit=limit)
+    assert rref(rows, ncols, RATIONAL, pivot_limit=limit) == want
+    # a positive multiple of each row, as the series readers build them
+    scaled = [[F(x, q) for x in row] for row, q in zip(rows, PRIMES * 2)]
+    assert rref(scaled, ncols, RATIONAL, pivot_limit=limit) == want
+
+
+def reference_combination(targets, basis):
+    """constant_combination on Fraction rows read from `coeffs`."""
+    k = len(basis)
+    vectors = list(basis) + list(targets)
+    prec = min(e.prec for v in vectors for e in v)
+    rows = [[v[c].coeffs[p] for v in vectors]
+            for c in range(len(vectors[0])) for p in range(prec + 1)]
+    red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
+    out = []
+    for j in range(k, len(vectors)):
+        if any(row[j] for row in red[len(pivots):]):
+            out.append(None)
+            continue
+        x = [F(0)] * k
+        for row, pc in zip(red, pivots):
+            x[pc] = row[j]
+        out.append(x)
+    return out
+
+
+def test_constant_combination_equals_fraction_rows_on_acceptance_pairs():
+    # the module pairs of the acceptance tensor-pairing check (seed 1)
+    rng = random.Random(1)
+    for _ in range(20):
+        dm, dn = rng.randint(1, 3), rng.randint(1, 3)
+        left, right = _random_module(rng, dm), _random_module(rng, dn)
+        hm = horizontal_sections(dual(left))
+        hn = horizontal_sections(dual(right))
+        pairings = [pairing_phi(v, w) for v in hm for w in hn]
+        target = horizontal_sections(dual(tensor(left, right)))
+        for targets, basis in ((pairings, target), (target, pairings)):
+            got = constant_combination(targets, basis)
+            assert got == reference_combination(targets, basis)
+            assert all(c is not None for c in got)
