@@ -64,7 +64,6 @@ from .series import (
     TSeries,
     exp_series,
     fundamental_matrix,
-    horizontal_test,
 )
 from .tangent import (
     GElement,

@@ -130,14 +130,18 @@ def _rref_series(rows, pivot_limit):
 def _rref_rational(rows, pivot_limit):
     """Fraction-free Gauss-Jordan over Q on primitive integer rows.
 
-    Each row is scaled to integers once.  Eliminating row i against pivot
+    Each row is scaled to integers once; a row of ints is only copied, so
+    the caller's lists are never changed.  Eliminating row i against pivot
     row r replaces it by p*row_i - f*row_r (p the pivot, f the entry of
     row i), divided by the gcd of its entries, so every row stays a nonzero
     multiple of the row plain Fraction elimination would hold, with the
     same pivot choices.  Only the pivot rows are divided by their pivots,
     at the end.
     """
-    m = [_primitive(integer_scaled(r)[1]) for r in rows]
+    m = [
+        _primitive(list(r) if all(type(x) is int for x in r) else integer_scaled(r)[1])
+        for r in rows
+    ]
     pivots = []
     r = 0
     for c in range(pivot_limit):

@@ -16,10 +16,10 @@ denominator `den`, reduced so that gcd(den, *nums) == 1; the zero series
 has den == 1.  The kernels add, multiply, differentiate, truncate, compare
 and convolve these integers directly and reduce each result by one gcd, in
 the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
-Introduction", ICMS 2010); only division still runs on Fractions.  The
-tuple of Fractions `coeffs` is built only when read.  Only this module
-builds a series from integers, through `TSeries._ints`, so every series is
-in this reduced form.
+Introduction", ICMS 2010); division keeps the quotient so far as integers
+over the lcm of its reduced denominators.  The tuple of Fractions `coeffs`
+is built only when read.  Only this module builds a series from integers,
+through `TSeries._ints`, so every series is in this reduced form.
 """
 
 from __future__ import annotations
@@ -209,16 +209,30 @@ class TSeries:
         if not o.nums[0]:
             raise NonUnitDivisor("divisor has zero constant term")
         n = min(self.prec, o.prec)
-        xs, ys = self.coeffs, o.coeffs
-        inv0 = Fraction(1) / ys[0]
-        out = []
+        # q_k = (x_k - sum_(j<k) q_j y_(k-j)) / y_0 with q_j = out[j] / den,
+        # where den is the lcm of the reduced denominators of q_0 .. q_(k-1).
+        xs, dx, dy, y0 = self.nums, self.den, o.den, o.nums[0]
+        ys = [(j, b) for j, b in enumerate(o.nums[1 : n + 1], 1) if b]
+        out, den = [], 1
         for k in range(n + 1):
-            acc = xs[k]
-            for j in range(k):
-                if out[j] != 0 and ys[k - j] != 0:
-                    acc -= out[j] * ys[k - j]
-            out.append(acc * inv0)
-        return TSeries(out, n)
+            s = 0
+            for j, b in ys:
+                if j > k:
+                    break
+                s += out[k - j] * b
+            num = xs[k] * den * dy - dx * s
+            d = dx * den * y0
+            g = gcd(num, d)
+            if d < 0:
+                g = -g
+            num //= g
+            d //= g
+            h = gcd(den, d)
+            if h != d:
+                out = [x * (d // h) for x in out]
+            out.append(num * (den // h))
+            den *= d // h
+        return TSeries._ints(out, den, n)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -272,15 +286,22 @@ _ZERO = Fraction(0)
 
 
 def power(base, n, one):
-    """base**n by square-and-multiply from `one`; NotImplemented unless n is natural."""
+    """base**n by square-and-multiply from `one`; NotImplemented unless n is natural.
+
+    For n >= 1 it makes n.bit_length() - 1 squarings of the base and
+    popcount(n) products into the result, the first of them with `one`;
+    the base is squared only while bits of n remain (Knuth, TAOCP vol. 2,
+    sec. 4.6.3).  For n == 0 it returns `one` and makes no product.
+    """
     if not isinstance(n, int) or n < 0:
         return NotImplemented
     result = one
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -474,32 +495,3 @@ def fundamental_matrix(A, order):
         ]
         for r in range(d)
     ]
-
-
-def horizontal_test(v, A):
-    """Check v' = A v to guaranteed precision.
-
-    Returns (True, constants) where `constants` are the coordinates of v in
-    the fundamental basis (necessarily constant), or (False, None).
-    """
-    d = len(v)
-    if len(A) != d or any(len(row) != d for row in A):
-        raise DimensionMismatch("horizontal_test needs matching dimensions")
-    lhs = [x.derive() for x in v]
-    rhs = mat_vec(A, v)
-    if not all(a == b for a, b in zip(lhs, rhs)):
-        return False, None
-    nv = min(x.prec for x in v)
-    na = min(e.prec for row in A for e in row)
-    order = min(nv, na + 1)
-    # Psi = Phi^{-1}: solves Psi' = -Psi A with Psi(0) = I, obtained from the
-    # fundamental matrix of -A^T by transposing.
-    neg_at = [[-A[c][r] for c in range(d)] for r in range(d)]
-    psi = transpose(fundamental_matrix(neg_at, order))
-    coords = mat_vec(psi, v)
-    for x in coords:
-        if not x.is_constant():
-            raise InsufficientPrecision(
-                "solution coordinates failed to be constant at this precision"
-            )
-    return True, [x.constant_term for x in coords]

@@ -4,8 +4,10 @@ Every command in COMMANDS runs with `--format json`, every command in
 TEXT_COMMANDS with `--format text`; its stdout is pinned by SHA-256
 together with its exit code in `cli_golden.json` and `cli_golden_text.json`.
 An exact engine must print the same bytes after any change that is meant
-to be a pure speed-up or refactor.  To re-pin after an intended output
-change:
+to be a pure speed-up or refactor.  LARGE_COMMANDS run at sizes the
+benchmark never reaches and are pinned in `cli_golden.json` as well; the
+ones in LARGE_BUDGETS must also finish within their budget in seconds.
+To re-pin after an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -13,6 +15,7 @@ change:
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,13 @@ COMMANDS = [
     "verify-product L1 L2 djv/lines.djv --from a b -m 2",
     "verify-product L1 L2 djv/lines.djv --from a b -m 3",
 ]
+
+LARGE_COMMANDS = [
+    "counterexample -N 256",
+    "horizontal djv/counterexample.djv --from generic -m 3 -N 96",
+]
+
+LARGE_BUDGETS = {"counterexample -N 256": 1.0}
 
 TEXT_COMMANDS = [
     "check djv/parabola.djv",
@@ -77,8 +87,24 @@ def test_json_output_is_pinned(command, capsys, monkeypatch):
     assert got == pinned
 
 
+@pytest.mark.parametrize("command", LARGE_COMMANDS)
+def test_large_json_output_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.delenv("DJETS_PRECISION", raising=False)
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))[command]
+    start = time.perf_counter()
+    code = main(_argv(command))
+    seconds = time.perf_counter() - start
+    got = {"exit": code, "sha256": _digest(capsys.readouterr().out)}
+    assert got == pinned
+    budget = LARGE_BUDGETS.get(command)
+    assert budget is None or seconds < budget, (
+        f"{command} took {seconds:.2f}s, budget {budget}s"
+    )
+
+
 def test_every_command_is_pinned():
-    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(COMMANDS)
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(COMMANDS + LARGE_COMMANDS)
 
 
 @pytest.mark.parametrize("command", TEXT_COMMANDS)
@@ -102,7 +128,8 @@ def _record():
 
     os.environ.pop("DJETS_PRECISION", None)
     for path, commands, fmt in (
-        (GOLDEN, COMMANDS, "json"), (GOLDEN_TEXT, TEXT_COMMANDS, "text")
+        (GOLDEN, COMMANDS + LARGE_COMMANDS, "json"),
+        (GOLDEN_TEXT, TEXT_COMMANDS, "text"),
     ):
         pins = {}
         for command in commands:

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from djets.errors import InsufficientPrecision, NonUnitDivisor
+from djets.mpoly import MPoly
 from djets.series import (
     TSeries,
     exp_series,
     fundamental_matrix,
-    horizontal_test,
-    transpose,
+    power,
 )
 
 
@@ -73,6 +73,55 @@ def test_division_inverts_multiplication():
         a = TSeries([F(rng.randint(-4, 4)) for _ in range(9)], 8)
         b = TSeries([F(rng.choice([1, 2, -1, 3]))] + [F(rng.randint(-4, 4)) for _ in range(8)], 8)
         assert (a / b) * b == a
+
+
+class Counted:
+    """An integer whose products are logged as squarings or other products."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        self.log.append("square" if other is self else "product")
+        return Counted(self.value * other.value, self.log)
+
+
+@pytest.mark.parametrize("n", range(65))
+def test_power_squares_only_while_bits_remain(n):
+    log = []
+    got = power(Counted(3, log), n, Counted(1, log))
+    assert got.value == 3**n
+    assert log.count("square") == max(n.bit_length() - 1, 0)
+    assert log.count("product") == bin(n).count("1")
+    if n == 0:
+        assert log == []
+
+
+def test_power_rejects_negative_and_non_integer_exponents():
+    s = TSeries([1, 2], 3)
+    assert power(s, -1, TSeries.constant(1, 3)) is NotImplemented
+    assert power(s, F(1, 2), TSeries.constant(1, 3)) is NotImplemented
+    with pytest.raises(TypeError):
+        s ** -1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_and_polynomial_powers_equal_repeated_products(seed):
+    rng = random.Random(700 + seed)
+    prec = rng.randint(0, 10)
+    s = TSeries([F(rng.randint(-9, 9), rng.choice([1, 2, 7, 1099511627689]))
+                 for _ in range(prec + 1)], prec)
+    names = ("x", "y")
+    p = MPoly(names, {
+        (rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(3)
+    })
+    s_prod, p_prod = TSeries.constant(1, prec), MPoly.constant(names, 1)
+    for n in range(12):
+        got = s**n
+        assert (got.nums, got.den, got.prec) == (s_prod.nums, s_prod.den, s_prod.prec)
+        assert p**n == p_prod
+        s_prod, p_prod = s_prod * s, p_prod * p
 
 
 def test_precision_tracking():
@@ -204,33 +253,3 @@ def test_fundamental_matrix_satisfies_ode_and_initial_value():
 def test_fundamental_matrix_precision_guard():
     with pytest.raises(InsufficientPrecision):
         fundamental_matrix([[TSeries.constant(1, 3)]], 10)
-
-
-# -- horizontal tests ------------------------------------------------------------------
-
-def test_horizontal_exp_solution():
-    ok, consts = horizontal_test([exp_series(1, 12)], [[TSeries.constant(1, 12)]])
-    assert ok and consts == [F(1)]
-
-
-def test_horizontal_rejects_constant_under_scaling_system():
-    ok, consts = horizontal_test([TSeries.constant(1, 12)],
-                                 [[TSeries.constant(1, 12)]])
-    assert not ok and consts is None
-
-
-def test_horizontal_constant_under_zero_system():
-    ok, consts = horizontal_test([TSeries.constant(F(7, 3), 12)],
-                                 [[TSeries.zero(12)]])
-    assert ok and consts == [F(7, 3)]
-
-
-def test_horizontal_coordinates_of_combination():
-    # v = 2*phi_1 - 3*phi_2 must report exactly (2, -3)
-    A = [[TSeries([0, 1], 12), TSeries.constant(1, 12)],
-         [TSeries.zero(12), TSeries([2, -1], 12)]]
-    phi = fundamental_matrix(A, 12)
-    cols = transpose(phi)
-    v = [2 * a - 3 * b for a, b in zip(cols[0], cols[1])]
-    ok, consts = horizontal_test(v, A)
-    assert ok and consts == [F(2), F(-3)]

@@ -12,14 +12,15 @@ computation on Fraction rows.
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from djets.acceptance import _random_module
 from djets.delta_modules import dual, horizontal_sections, pairing_phi, tensor
+from djets.errors import NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
-from djets.series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec
+from djets.series import TSeries, dot, exp_series, fundamental_matrix, mat_mul, mat_vec
 
 PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
 DENOMINATORS = PRIMES + (1, 2, 3, 12)
@@ -201,6 +202,86 @@ def test_fundamental_matrix_keeps_the_reduced_form(d):
             assert_matches(got, ref)
 
 
+# -- division ------------------------------------------------------------------------
+
+def reference(s):
+    return list(s.coeffs), s.prec
+
+
+def rescales(coeffs):
+    """Whether some denominator does not divide the lcm of those before it."""
+    dens = [c.denominator for c in coeffs]
+    return any(lcm(*dens[:k]) % dens[k] for k in range(1, len(dens)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_division_when_quotient_denominators_shrink_then_grow(seed):
+    rng = random.Random(4400 + seed)
+    prec = rng.randint(6, 14)
+    p, r = rng.sample(PRIMES, 2)
+    q = []
+    for k in range(prec + 1):
+        # a large denominator, then small ones, then a new large one
+        den = p if k < 2 else rng.choice((1, 2, 3)) if k < prec // 2 else p * r
+        q.append(F(rng.randint(-10**6, 10**6) or 1, den))
+    assert rescales(q)
+    quotient = TSeries(q, prec)
+    u, ru = random_operand(rng, prec, unit=True)
+    x = quotient * u
+    got = x / u
+    assert_matches(got, ref_div(reference(x), ru))
+    assert got.coeffs == quotient.coeffs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_division_by_large_negative_constant_terms(seed):
+    rng = random.Random(4500 + seed)
+    a, ra = random_operand(rng)
+    u, ru = random_operand(rng, unit=True)
+    head = F(-(2**60 + rng.randrange(2**60)), rng.choice(PRIMES))
+    u = TSeries((head,) + u.coeffs[1:], u.prec)
+    ru = ([head] + ru[0][1:], ru[1])
+    assert_matches(a / u, ref_div(ra, ru))
+    assert_matches(1 / u, ref_div(reference(TSeries.constant(1, u.prec)), ru))
+
+
+@pytest.mark.parametrize("prec", [96, 200])
+def test_inverse_of_exponential(prec):
+    c = F(-3, 7)
+    u = exp_series(c, prec)
+    inv = 1 / u
+    assert_matches(inv, ref_div(reference(TSeries.constant(1, prec)), reference(u)))
+    assert inv.coeffs == exp_series(-c, prec).coeffs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_divided_by_a_factor_is_the_other_factor(seed):
+    rng = random.Random(4600 + seed)
+    u, _ = random_operand(rng, unit=True)
+    v, _ = random_operand(rng, u.prec)
+    got = (u * v) / u
+    assert (got.nums, got.den, got.prec) == (v.nums, v.den, v.prec)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_division_by_constants(seed):
+    rng = random.Random(4700 + seed)
+    a, ra = random_operand(rng)
+    for c in (F(-3, rng.choice(PRIMES)), F(rng.choice(PRIMES), 12), 5, -1):
+        want = ref_div(ra, reference(TSeries.constant(c, a.prec)))
+        assert_matches(a / c, want)
+        assert_matches(a / TSeries.constant(c, a.prec), want)
+
+
+def test_division_by_a_zero_constant_term_is_rejected():
+    p = PRIMES[0]
+    for divisor in (TSeries([0, F(1, p), 2], 2), TSeries.zero(3), TSeries([0], 0)):
+        with pytest.raises(NonUnitDivisor):
+            TSeries([1, 2, 3], 3) / divisor
+        with pytest.raises(NonUnitDivisor):
+            1 / divisor
+
+
 # -- integer rows ------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(40))
@@ -214,7 +295,12 @@ def test_rational_rref_on_integer_rows_equals_fraction_rows(seed):
         rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
     limit = rng.randint(0, ncols)
     want = rref([[F(x) for x in row] for row in rows], ncols, RATIONAL, pivot_limit=limit)
-    assert rref(rows, ncols, RATIONAL, pivot_limit=limit) == want
+    before = [list(row) for row in rows]
+    got = rref(rows, ncols, RATIONAL, pivot_limit=limit)
+    assert got == want
+    # integer rows are read, never changed or handed back
+    assert rows == before
+    assert not any(out is row for out in got[0] for row in rows)
     # a positive multiple of each row, as the series readers build them
     scaled = [[F(x, q) for x in row] for row, q in zip(rows, PRIMES * 2)]
     assert rref(scaled, ncols, RATIONAL, pivot_limit=limit) == want
