@@ -18,7 +18,6 @@ from .delta_modules import (
     verify_tensor_pairing,
 )
 from .diffpoly import (
-    SubstitutionSystem,
     derivation,
     log_derivative_constant_identity,
     log_derivative_normal_form,
@@ -33,7 +32,6 @@ from .dvariety import (
     induced_module_derivation,
     product_dvariety,
     product_sharp_point,
-    prolongation,
     sharp_integrate,
     validate_section,
 )
@@ -47,7 +45,6 @@ from .errors import (
     DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
-    MissingRule,
     NonTriangular,
     NonUnitDivisor,
     ParseError,
@@ -66,7 +63,6 @@ from .series import (
     fundamental_matrix,
 )
 from .tangent import (
-    GElement,
     LinearDVariety,
     RestrictionRule,
     counterexample_report,

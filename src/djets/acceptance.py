@@ -132,7 +132,7 @@ def check_kernel_identity():
                      diagonal_restriction())
         allv = W.all_vars
         w = MPoly.variable(allv, "u") - MPoly.variable(allv, "v")
-        normal_form = dp.log_derivative_normal_form(W.substitution_system(), w)
+        normal_form = dp.log_derivative_normal_form(W.dvariety(), w)
         return normal_form.is_zero(), f"normal form = {normal_form}"
 
     return _timed("kernel-identity",
@@ -437,12 +437,19 @@ def _suite_leibniz(rng, cases):
 
 
 def _random_system(rng, variables):
-    """First-order rules for every variable; half the time y -> g(x) as well."""
-    rules = {j: _random_mpoly(rng, variables, degree=2) for j in range(len(variables))}
-    algebraic = ()
+    """A random section on the plane (x, y); half the time restricted to y = g(x).
+
+    Then y is eliminated and its rule is the derivative of g, so the
+    section is valid.
+    """
+    x, y = variables
+    section = [_random_mpoly(rng, variables, degree=2) for _ in variables]
     if rng.random() < 0.5:
-        algebraic = ((1, _random_mpoly(rng, variables[:1], degree=2).embed(variables)),)
-    return dp.SubstitutionSystem(variables, rules, algebraic)
+        g = _random_mpoly(rng, variables[:1], degree=2).embed(variables)
+        section[1] = section[0] * g.partial(x)
+        return DVariety(variables, (MPoly.variable(variables, y) - g,), tuple(section),
+                        eliminated=(y,))
+    return DVariety(variables, (), tuple(section))
 
 
 def _random_map(rng, n_src, n_tgt):

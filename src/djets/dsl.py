@@ -110,19 +110,6 @@ def bind_expression(ast, variables):
     raise ParseError(f"malformed expression node {kind!r}")
 
 
-def expression_names(ast):
-    kind = ast[0]
-    if kind == "num":
-        return set()
-    if kind == "var":
-        return {ast[1]}
-    if kind == "neg":
-        return expression_names(ast[1])
-    if kind == "pow":
-        return expression_names(ast[1])
-    return expression_names(ast[1]) | expression_names(ast[2])
-
-
 # -- document objects ----------------------------------------------------------------
 
 
@@ -435,38 +422,3 @@ def _validate(doc):
                 raise UnknownName(f"point {pname!r} has a cyclic integrate chain")
             seen.add(cur)
             cur = doc.points[cur].integrate_from
-
-
-def render_document(doc: DslDocument):
-    """Print a document back to parsable text (round-trip check support)."""
-    lines = []
-    for name, variety in doc.varieties.items():
-        lines.append(f"dvariety {name} {{")
-        lines.append(f"  vars: {', '.join(variety.vars)};")
-        lines.append(
-            "  ideal: [" + ", ".join(str(p) for p in variety.generators) + "];"
-        )
-        lines.append(
-            "  section: [" + ", ".join(str(p) for p in variety.section) + "];"
-        )
-        lines.append("}")
-    for name, decl in doc.restrictions.items():
-        lines.append(f"restrict {name} {{")
-        for kind, lhs, ast in decl.rules:
-            names = sorted(expression_names(ast))
-            rhs = bind_expression(ast, tuple(names) if names else ("_",))
-            if kind == "identify":
-                lines.append(f"  {lhs} = {rhs};")
-            else:
-                lines.append(f"  delta {lhs} = {rhs};")
-        lines.append("}")
-    for name, decl in doc.points.items():
-        if decl.coords is not None:
-            coords = ", ".join(str(c) for c in decl.coords)
-            lines.append(f"point {name} on {decl.variety} {{ coords: [{coords}]; }}")
-        else:
-            lines.append(
-                f"point {name} on {decl.variety} "
-                f"{{ integrate from {decl.integrate_from}; }}"
-            )
-    return "\n".join(lines) + "\n"

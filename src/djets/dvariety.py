@@ -27,6 +27,7 @@ from .errors import (
     InsufficientPrecision,
     InvarianceViolation,
     PointNotOnVariety,
+    UnknownName,
 )
 from .jets import JetIndexSet, JetSpace, jet_space
 from .linalg import RATIONAL
@@ -36,12 +37,16 @@ from .series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec, transpos
 
 @dataclass(frozen=True)
 class DVariety:
-    """Ambient variables, ideal generators, and a section of the prolongation."""
+    """Ambient variables, ideal generators, and a section of the prolongation.
+
+    diffpoly.reduce ranks the `eliminated` variables first (mpoly.block_key).
+    """
 
     vars: tuple
     generators: tuple
     section: tuple
     name: str = ""
+    eliminated: tuple = ()
 
     def __post_init__(self):
         if len(self.section) != len(self.vars):
@@ -52,29 +57,12 @@ class DVariety:
         for p in tuple(self.generators) + tuple(self.section):
             if p.vars != tuple(self.vars):
                 raise DimensionMismatch("polynomial over the wrong variable tuple")
+        if not set(self.eliminated) <= set(self.vars):
+            raise UnknownName(f"eliminated {self.eliminated} not among {self.vars}")
 
     @property
     def nvars(self):
         return len(self.vars)
-
-
-def prolongation(variety: DVariety):
-    """Equations of the prolongation in variables (x, u_x).
-
-    Each generator P contributes P itself and the linearization
-    sum_j dP/dx_j(x) * u_j; coefficients are rational constants so no
-    extra coefficient-derivative term appears.
-    """
-    fiber = tuple("u_" + v for v in variety.vars)
-    allvars = tuple(variety.vars) + fiber
-    out = []
-    for P in variety.generators:
-        out.append(P.embed(allvars))
-        lin = MPoly.zero(allvars)
-        for v, uv in zip(variety.vars, fiber):
-            lin = lin + P.partial(v).embed(allvars) * MPoly.variable(allvars, uv)
-        out.append(lin)
-    return out
 
 
 @dataclass

@@ -37,15 +37,11 @@ class BasePointMismatch(DjetsError):
 
 
 class NonTriangular(DjetsError):
-    """Algebraic substitution rules do not form a triangular system."""
+    """A Groebner basis element of identifications does not lead with a variable."""
 
 
 class BasisLimit(DjetsError):
     """A Groebner basis grows past its fixed bound, mpoly.MAX_BASIS."""
-
-
-class MissingRule(DjetsError):
-    """A derivative symbol has no rewrite under the substitution system."""
 
 
 class InvarianceViolation(DjetsError):

@@ -110,9 +110,6 @@ class MPoly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name):
         j = self.vars.index(name)
         return max((e[j] for e in self.terms), default=0)
@@ -251,19 +248,6 @@ class MPoly:
     def map_coeffs(self, fn):
         return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
 
-    def subs(self, name, replacement):
-        """Substitute a polynomial (same variable tuple) for one variable."""
-        point = []
-        for v in self.vars:
-            if v == name:
-                point.append(replacement)
-            else:
-                point.append(MPoly.variable(self.vars, v))
-        result = self.eval(point)
-        if not isinstance(result, MPoly):
-            result = MPoly.constant(self.vars, result)
-        return result
-
     def embed(self, variables):
         """The same polynomial over a larger variable tuple (matched by name)."""
         variables = tuple(variables)
@@ -332,6 +316,25 @@ def grevlex_key(alpha):
     return (sum(alpha), tuple(-a for a in reversed(alpha)))
 
 
+def block_key(first):
+    """Sort key of the block order that ranks the variables at indices `first` first.
+
+    Monomials compare by grevlex on their exponents in the first block and,
+    on a tie, by grevlex on the rest.  Any monomial that mentions the first
+    block outranks every monomial free of it, so this is an elimination
+    order (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3
+    sec. 1).  With an empty first block it is grevlex.
+    """
+    first = frozenset(first)
+
+    def key(alpha):
+        head = tuple(a for j, a in enumerate(alpha) if j in first)
+        tail = tuple(a for j, a in enumerate(alpha) if j not in first)
+        return grevlex_key(head), grevlex_key(tail)
+
+    return key
+
+
 def _subtract(terms, g, shift, c):
     """terms -= c * x^shift * g, in place on term maps."""
     for e, gc in g.items():
@@ -341,12 +344,12 @@ def _subtract(terms, g, shift, c):
             del terms[m]
 
 
-def _reduce(terms, basis):
+def _reduce(terms, basis, key=grevlex_key):
     """Remainder of a term map on full division by (lead, monic terms) pairs."""
     terms = dict(terms)
     remainder = {}
     while terms:
-        lead = max(terms, key=grevlex_key)
+        lead = max(terms, key=key)
         for g_lead, g in basis:
             if all(map(le, g_lead, lead)):
                 _subtract(terms, g, tuple(map(sub, lead, g_lead)), terms[lead])
@@ -356,14 +359,14 @@ def _reduce(terms, basis):
     return remainder
 
 
-def _buchberger(generators):
+def _buchberger(generators, key=grevlex_key):
     """A Groebner basis as (leading monomial, monic terms) pairs; see groebner."""
     if any(not isinstance(c, Fraction) for g in generators for c in g.terms.values()):
         raise DomainMismatch("Groebner bases need rational coefficients")
     basis, pairs = [], {}
     for g in generators:
         if g.terms:
-            _extend(basis, pairs, g.terms)
+            _extend(basis, pairs, g.terms, key)
     while pairs:
         (i, j), (_key, lcm) = min(pairs.items(), key=itemgetter(1, 0))
         del pairs[i, j]
@@ -379,28 +382,29 @@ def _buchberger(generators):
         (li, gi), (lj, gj) = basis[i], basis[j]
         spoly = {tuple(map(add, e, map(sub, lcm, li))): c for e, c in gi.items()}
         _subtract(spoly, gj, tuple(map(sub, lcm, lj)), 1)
-        rest = _reduce(spoly, basis)
+        rest = _reduce(spoly, basis, key)
         if rest:
-            _extend(basis, pairs, rest)
+            _extend(basis, pairs, rest, key)
     return basis
 
 
-def _extend(basis, pairs, terms):
+def _extend(basis, pairs, terms, key=grevlex_key):
     """Append terms, made monic, to the basis and queue its S-pairs by lcm."""
     if len(basis) == MAX_BASIS:
         raise BasisLimit(f"Groebner basis exceeds MAX_BASIS = {MAX_BASIS} elements")
-    lead = max(terms, key=grevlex_key)
+    lead = max(terms, key=key)
     for i, (other, _g) in enumerate(basis):
         # Coprime leading monomials: the S-polynomial reduces to zero.
         if any(map(min, lead, other)):
             lcm = tuple(map(max, lead, other))
-            pairs[i, len(basis)] = (grevlex_key(lcm), lcm)
+            pairs[i, len(basis)] = (key(lcm), lcm)
     basis.append((lead, {e: c / terms[lead] for e, c in terms.items()}))
 
 
-def groebner(generators):
-    """The reduced monic Groebner basis of the ideal, in grevlex order.
+def groebner(generators, key=grevlex_key):
+    """The reduced monic Groebner basis of the ideal in the order `key`.
 
+    The order is grevlex unless a key such as `block_key` is given.
     Buchberger's algorithm over the rationals (Buchberger 1965; Cox, Little
     & O'Shea, Ideals, Varieties, and Algorithms, ch. 2) with the normal
     selection strategy: the next S-pair is always the one whose lcm of
@@ -412,20 +416,21 @@ def groebner(generators):
     # Ascending order puts every divisor of a leading monomial first: keep
     # one element per minimal leading monomial, then reduce each by the rest.
     minimal = []
-    for lead, g in sorted(_buchberger(generators), key=lambda pair: grevlex_key(pair[0])):
+    for lead, g in sorted(_buchberger(generators, key), key=lambda pair: key(pair[0])):
         if not any(all(map(le, other, lead)) for other, _g in minimal):
             minimal.append((lead, g))
     return [
-        MPoly(generators[0].vars, _reduce(g, minimal[:k] + minimal[k + 1:]))
+        MPoly(generators[0].vars, _reduce(g, minimal[:k] + minimal[k + 1:], key))
         for k, (_lead, g) in enumerate(minimal)
     ]
 
 
-def normal_form(polys, generators):
-    """The remainders of polys on division by a grevlex Groebner basis of the generators.
+def normal_form(polys, generators, key=grevlex_key):
+    """The remainders of polys on division by a Groebner basis of the generators.
 
-    Each is unique for the ideal, and zero exactly when its polynomial lies
-    in it.  The basis is computed once for the whole list.
+    The basis is computed once for the whole list, in the order `key`
+    (grevlex unless given).  Each remainder is unique for the ideal and the
+    order, and zero exactly when its polynomial lies in the ideal.
     """
-    basis = _buchberger(generators)
-    return [MPoly(p.vars, _reduce(p.terms, basis)) for p in polys]
+    basis = _buchberger(generators, key)
+    return [MPoly(p.vars, _reduce(p.terms, basis, key)) for p in polys]

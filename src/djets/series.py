@@ -286,19 +286,24 @@ _ZERO = Fraction(0)
 
 
 def power(base, n, one):
-    """base**n by square-and-multiply from `one`; NotImplemented unless n is natural.
+    """base**n by square-and-multiply; NotImplemented unless n is natural.
 
     For n >= 1 it makes n.bit_length() - 1 squarings of the base and
-    popcount(n) products into the result, the first of them with `one`;
-    the base is squared only while bits of n remain (Knuth, TAOCP vol. 2,
-    sec. 4.6.3).  For n == 0 it returns `one` and makes no product.
+    popcount(n) - 1 products into the result: the first power of the base
+    that a set bit selects is the first partial result, not a product with
+    `one`, so `one` must be an exact unit for the base (a series `one`
+    carries the base's own precision).  The base is squared only while bits
+    of n remain (Knuth, TAOCP vol. 2, sec. 4.6.3).  For n == 0 it returns
+    `one` and makes no product.
     """
     if not isinstance(n, int) or n < 0:
         return NotImplemented
-    result = one
+    if n == 0:
+        return one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base

@@ -4,9 +4,11 @@ The differential tangent bundle of a D-variety on ambient affine space is
 its Jacobian linearization: fiber variables u with delta(u) = J_s(x) u,
 where J_s is the Jacobian matrix of the section; proper subvarieties also
 carry the order-1 jet rows of their ideal as linear fiber constraints.
-Restriction substitutes triangular identifications into every equation and
-may override base derivative rules, reproducing presentations like the
-diagonal restriction used in the counterexample.
+Restriction imposes identifications, which generate an ideal, and may
+override base derivative rules: every equation is reduced by one Groebner
+normal form modulo that ideal, in the block order that ranks the eliminated
+variables first, reproducing presentations like the diagonal restriction
+used in the counterexample.
 
 The multiplicative group element machinery lives here too: log derivatives,
 membership in the group of units whose log derivative is constant, and the
@@ -34,7 +36,7 @@ from .linalg import (
     mutually_contained,
     nullspace,
 )
-from .mpoly import MPoly
+from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
@@ -51,11 +53,9 @@ from .series import (
 class RestrictionRule:
     """One clause of a restriction block.
 
-    kind "identify": an algebraic equation lhs = rhs; when both sides are
-    bare variables the later one (ambient order) is eliminated in favor of
-    the earlier, so the stored display keeps the equation as written while
-    computation substitutes e.g. y -> x.  kind "derivative": overrides the
-    base rule for delta(var).
+    kind "identify": an algebraic equation lhs = rhs, kept as written for
+    display; see restrict for the variable it eliminates.  kind
+    "derivative": overrides the base rule for delta(var).
     """
 
     kind: str
@@ -67,11 +67,13 @@ class RestrictionRule:
 class LinearDVariety:
     """A linear fiber bundle over a D-variety base, given by equations.
 
-    base_rules maps each surviving base variable to the polynomial value of
-    its derivative; fiber_matrix J gives delta(u) = J(x) u; fiber_constraints
+    base_rules maps each base variable to the polynomial value of its
+    derivative; fiber_matrix J gives delta(u) = J(x) u; fiber_constraints
     are rows of linear relations among the fiber variables with polynomial
-    coefficients (order-1 jet rows of the base ideal).  identifications and
-    overridden derivative rules are kept for display and reduction.
+    coefficients (order-1 jet rows of the base ideal).  identifications are
+    the restriction clauses as written, for display.  substitutions is the
+    reduced Groebner basis of their ideal, each element v - r stored as
+    v -> r: v is eliminated and r mentions only surviving base variables.
     """
 
     base: DVariety
@@ -79,6 +81,7 @@ class LinearDVariety:
     fiber_matrix: list
     fiber_constraints: list = field(default_factory=list)
     identifications: list = field(default_factory=list)  # RestrictionRule displays
+    substitutions: dict = field(default_factory=dict)  # var name -> MPoly (base vars)
     base_rules: dict = field(default_factory=dict)  # var name -> MPoly (base vars)
 
     def __post_init__(self):
@@ -111,9 +114,8 @@ class LinearDVariety:
         eqs = []
         for rule in self.identifications:
             eqs.append(("algebraic", rule.lhs, rule.rhs.embed(allv)))
-        dropped = _eliminated_names(self.identifications, self.base.vars)
         for v in self.base.vars:
-            if v in dropped:
+            if v in self.substitutions:
                 continue
             eqs.append(("derivative", v, self.base_rules[v].embed(allv)))
         for u, rhs in zip(self.fiber_vars, self.fiber_equations()):
@@ -136,56 +138,65 @@ class LinearDVariety:
                 out.append(f"0 = {rhs}")
         return out
 
-    def substitution_system(self):
-        """The presentation as a rewrite system over base + fiber variables."""
+    def dvariety(self):
+        """The bundle as a D-variety over base + fiber variables.
+
+        Its generators are the identification basis v - r.  Each surviving
+        base variable keeps its rule and each fiber variable its equation;
+        an eliminated v gets the derivative of its replacement r, so the
+        section passes validate_section by construction.
+        """
         allv = self.all_vars
-        idx = {v: i for i, v in enumerate(allv)}
-        algebraic = []
-        for rule in self.identifications:
-            lhs_name, rhs = _orient_identification(rule, self.base.vars)
-            algebraic.append((idx[lhs_name], rhs.embed(allv)))
-        dropped = _eliminated_names(self.identifications, self.base.vars)
-        derivative = {}
-        for v in self.base.vars:
-            if v not in dropped:
-                derivative[idx[v]] = self.base_rules[v].embed(allv)
-        for u, rhs in zip(self.fiber_vars, self.fiber_equations()):
-            derivative[idx[u]] = rhs
-        return dp.SubstitutionSystem(allv, derivative, tuple(algebraic))
+        rules = {v: self.base_rules[v].embed(allv) for v in self.base.vars}
+        for v, r in self.substitutions.items():
+            r = r.embed(allv)
+            rules[v] = sum(
+                (rules[w] * r.partial(w) for w in self.base.vars if r.mentions(w)),
+                MPoly.zero(allv),
+            )
+        rules.update(zip(self.fiber_vars, self.fiber_equations()))
+        generators = tuple(
+            MPoly.variable(allv, v) - r.embed(allv) for v, r in self.substitutions.items()
+        )
+        return DVariety(allv, generators, tuple(rules[v] for v in allv),
+                        eliminated=tuple(self.substitutions))
 
 
-def _orient_identification(rule: RestrictionRule, variables):
-    """Return (eliminated variable, replacement) for an identification.
+def _eliminated(rule: RestrictionRule, variables):
+    """The variable an identification eliminates: of two bare variables the
+    later in ambient order, otherwise the left side."""
+    later = variables[variables.index(rule.lhs) + 1:]
+    return next((v for v in later if rule.rhs == MPoly.variable(variables, v)), rule.lhs)
 
-    A bare-variable identification is oriented to eliminate the later
-    ambient variable; otherwise the left side is eliminated.
+
+def _identification_basis(identifications, variables):
+    """The reduced basis of the identifications as substitutions, and its order.
+
+    The order is the block order that ranks the variables the identifications
+    eliminate first.  Each element v - r must lead with a single variable v
+    and is returned as v -> r; else NonTriangular names the first
+    identification after which the basis so far has an element that does not.
     """
-    lhs = rule.lhs
-    rhs = rule.rhs
-    rhs_var = _as_variable(rhs)
-    if rhs_var is not None:
-        if variables.index(rhs_var) > variables.index(lhs):
-            return rhs_var, MPoly.variable(rhs.vars, lhs)
-    if rhs.mentions(lhs):
-        raise NonTriangular(f"rule {lhs} = {rhs} mentions its own left side")
-    return lhs, rhs
+    generators = [MPoly.variable(variables, r.lhs) - r.rhs for r in identifications]
+    key = block_key({variables.index(_eliminated(r, variables)) for r in identifications})
 
+    def bad_element(basis):
+        return next((g for g in basis if sum(max(g.terms, key=key)) != 1), None)
 
-def _as_variable(p: MPoly):
-    if len(p.terms) != 1:
-        return None
-    (exps, c), = p.terms.items()
-    if c != 1 or sum(exps) != 1:
-        return None
-    return p.vars[exps.index(1)]
-
-
-def _eliminated_names(identifications, variables):
-    out = set()
-    for rule in identifications:
-        name, _ = _orient_identification(rule, variables)
-        out.add(name)
-    return out
+    basis = groebner(generators, key)
+    if bad_element(basis) is not None:
+        for k, rule in enumerate(identifications, 1):
+            g = bad_element(groebner(generators[:k], key))
+            if g is not None:
+                raise NonTriangular(
+                    f"identification {rule.lhs} = {rule.rhs} gives the basis "
+                    f"element {g}, which does not lead with a single variable"
+                )
+    substitutions = {}
+    for g in basis:
+        name = variables[max(g.terms, key=key).index(1)]
+        substitutions[name] = MPoly.variable(variables, name) - g
+    return substitutions, key
 
 
 def delta_tangent(variety: DVariety, fiber_names=None):
@@ -215,47 +226,34 @@ def delta_tangent(variety: DVariety, fiber_names=None):
 
 
 def restrict(bundle: LinearDVariety, rules):
-    """Apply triangular identifications and derivative overrides to a bundle.
+    """Impose identifications and derivative overrides on a bundle.
 
-    Identifications are substituted through the base rules, the fiber
-    matrix, and the fiber constraints; derivative overrides replace base
-    rules outright.  The returned presentation lists the identifications as
-    written, the surviving base derivative rules, and the substituted fiber
-    equations.
+    The identifications, earlier ones included, generate an ideal whose
+    reduced basis must be v - r with v single variables (_identification_basis);
+    the v are eliminated, chains included.  Overrides replace base rules, and
+    base rules, fiber matrix and fiber constraints are reduced by one normal
+    form modulo that basis.  The constraints stay display rows, outside the
+    ideal.  The presentation lists the identifications as written, the
+    surviving base rules and the reduced fiber equations.
     """
     base_vars = bundle.base.vars
-    identifications = [r for r in rules if r.kind == "identify"]
+    identifications = bundle.identifications + [r for r in rules if r.kind == "identify"]
     overrides = {r.lhs: r.rhs for r in rules if r.kind == "derivative"}
-
-    subs = []
-    for rule in identifications:
-        name, rhs = _orient_identification(rule, base_vars)
-        subs.append((name, rhs))
-
-    def substituted(p: MPoly):
-        for name, rhs in subs:
-            p = p.subs(name, rhs.embed(p.vars))
-        return p
-
-    new_rules = {}
-    for v in base_vars:
-        if v in overrides:
-            new_rules[v] = substituted(overrides[v])
-        else:
-            new_rules[v] = substituted(bundle.base_rules[v])
-    new_matrix = [
-        [substituted(e) for e in row] for row in bundle.fiber_matrix
-    ]
-    new_constraints = [
-        [substituted(e) for e in row] for row in bundle.fiber_constraints
-    ]
+    substitutions, key = _identification_basis(identifications, base_vars)
+    basis = [MPoly.variable(base_vars, v) - r for v, r in substitutions.items()]
+    rows = [[overrides.get(v, bundle.base_rules[v]) for v in base_vars]]
+    rows += bundle.fiber_matrix + bundle.fiber_constraints
+    reduced = iter(normal_form([e for row in rows for e in row], basis, key))
+    rows = [[next(reduced) for _ in row] for row in rows]
+    n = len(bundle.fiber_matrix)
     return LinearDVariety(
         base=bundle.base,
         fiber_vars=bundle.fiber_vars,
-        fiber_matrix=new_matrix,
-        fiber_constraints=new_constraints,
-        identifications=bundle.identifications + identifications,
-        base_rules=new_rules,
+        fiber_matrix=rows[1:1 + n],
+        fiber_constraints=rows[1 + n:],
+        identifications=identifications,
+        substitutions=substitutions,
+        base_rules=dict(zip(base_vars, rows[0])),
     )
 
 
@@ -270,21 +268,6 @@ def log_derivative(a: TSeries):
 def in_log_constant_group(a: TSeries):
     """Units whose log derivative is constant: delta(delta(a)/a) = 0 to precision."""
     return log_derivative(a).derive().is_zero()
-
-
-@dataclass(frozen=True)
-class GElement:
-    """A unit series with certified constant log derivative."""
-
-    value: TSeries
-    ratio: Fraction
-
-    @classmethod
-    def from_series(cls, a: TSeries):
-        ell = log_derivative(a)
-        if not ell.is_constant():
-            raise ZeroInput(f"series {a} has non-constant log derivative")
-        return cls(a, ell.constant_term)
 
 
 # -- degree bookkeeping for the impossibility step ------------------------------
@@ -423,9 +406,8 @@ def _check_restricted_base_point(bundle: LinearDVariety, pt):
             raise PointNotOnVariety(
                 f"sample {pt} violates identification {rule.lhs} = {rule.rhs}"
             )
-    dropped = _eliminated_names(bundle.identifications, base_vars)
     for v in base_vars:
-        if v in dropped:
+        if v in bundle.substitutions:
             continue
         # constant points must be equilibria of the restricted base rules
         if bundle.base_rules[v].eval(pt) != 0:
@@ -590,7 +572,7 @@ def counterexample_report(
     allv = W.all_vars
 
     kernel = dp.log_derivative_constant_identity(
-        W.substitution_system(),
+        W.dvariety(),
         MPoly.variable(allv, "u") - MPoly.variable(allv, "v"),
     )
 

@@ -198,6 +198,66 @@ def test_tangent_command_with_restriction(tmp_path, capsys):
     assert out[1] == "delta x = 0"
 
 
+CHAINS = """
+dvariety P { vars: x, y, z; ideal: []; section: [x^2 - y^2, x^2 - x*y, z]; }
+restrict ch { x = z; z = y; }
+restrict hc { z = y; x = z; }
+dvariety T { vars: x, y, w; ideal: []; section: [y, w, x*w]; }
+restrict tri { y = w^2; x = y + 1; }
+restrict self { x = x^2 + y; }
+restrict unit { x = y; x = y + 1; }
+restrict first { x = x^2 + y; z = x; }
+"""
+
+
+def test_tangent_reduces_chained_identifications(tmp_path, capsys):
+    path = tmp_path / "chains.djv"
+    path.write_text(CHAINS, encoding="utf-8")
+    assert main(["tangent", "--restrict", "ch", "--name", "P", str(path)]) == 0
+    chain = capsys.readouterr().out.splitlines()
+    assert chain == [
+        "x = z",
+        "z = y",
+        "delta y = 0",
+        "delta u_x = 2*y*u_x - 2*y*u_y",
+        "delta u_y = y*u_x - y*u_y",
+        "delta u_z = u_z",
+    ]
+    # the other rule order echoes its rules as written and reduces the same way
+    assert main(["tangent", "--restrict", "hc", "--name", "P", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["z = y", "x = z"] + chain[2:]
+
+
+def test_tangent_reduces_a_triangular_pair_written_out_of_order(tmp_path, capsys):
+    # substituting y = w^2 before x = y + 1 would leave y behind
+    path = tmp_path / "chains.djv"
+    path.write_text(CHAINS, encoding="utf-8")
+    assert main(["tangent", "--restrict", "tri", "--name", "T", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "y = w^2",
+        "x = y + 1",
+        "delta w = w^3 + w",
+        "delta u_x = u_y",
+        "delta u_y = u_w",
+        "delta u_w = w^2*u_w + w*u_x + u_w",
+    ]
+
+
+@pytest.mark.parametrize("restriction, rule", [
+    ("self", "x = x^2 + y"),
+    ("unit", "x = y + 1"),
+    ("first", "x = x^2 + y"),
+])
+def test_identifications_that_do_not_substitute_exit_2(tmp_path, capsys, restriction, rule):
+    path = tmp_path / "chains.djv"
+    path.write_text(CHAINS, encoding="utf-8")
+    assert main(["tangent", "--restrict", restriction, "--name", "P", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: identification {rule} gives the basis element ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 def test_precision_env_override(parabola_file, capsys, monkeypatch):
     monkeypatch.setenv("DJETS_PRECISION", "5")
     assert main(["integrate", "--from", "p", parabola_file]) == 0

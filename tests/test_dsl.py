@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.dsl import parse_document, render_document
+from djets.dsl import bind_expression, parse_document
 from djets.dvariety import validate_section
 from djets.errors import ArityError, ParseError, UnknownName
 from djets.mpoly import MPoly
@@ -21,6 +21,55 @@ restrict toZ {
 point p on X { coords: [2, 1]; }
 point flow on X { integrate from p; }
 """
+
+
+def expression_names(ast):
+    """The variable names an expression tree mentions."""
+    kind = ast[0]
+    if kind == "num":
+        return set()
+    if kind == "var":
+        return {ast[1]}
+    if kind == "neg":
+        return expression_names(ast[1])
+    if kind == "pow":
+        return expression_names(ast[1])
+    return expression_names(ast[1]) | expression_names(ast[2])
+
+
+def render_document(doc):
+    """Print a document back to parsable text (round-trip check support)."""
+    lines = []
+    for name, variety in doc.varieties.items():
+        lines.append(f"dvariety {name} {{")
+        lines.append(f"  vars: {', '.join(variety.vars)};")
+        lines.append(
+            "  ideal: [" + ", ".join(str(p) for p in variety.generators) + "];"
+        )
+        lines.append(
+            "  section: [" + ", ".join(str(p) for p in variety.section) + "];"
+        )
+        lines.append("}")
+    for name, decl in doc.restrictions.items():
+        lines.append(f"restrict {name} {{")
+        for kind, lhs, ast in decl.rules:
+            names = sorted(expression_names(ast))
+            rhs = bind_expression(ast, tuple(names) if names else ("_",))
+            if kind == "identify":
+                lines.append(f"  {lhs} = {rhs};")
+            else:
+                lines.append(f"  delta {lhs} = {rhs};")
+        lines.append("}")
+    for name, decl in doc.points.items():
+        if decl.coords is not None:
+            coords = ", ".join(str(c) for c in decl.coords)
+            lines.append(f"point {name} on {decl.variety} {{ coords: [{coords}]; }}")
+        else:
+            lines.append(
+                f"point {name} on {decl.variety} "
+                f"{{ integrate from {decl.integrate_from}; }}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_plane_document_and_validate():

@@ -13,7 +13,6 @@ from djets.dvariety import (
     induced_module_derivation,
     product_dvariety,
     product_sharp_point,
-    prolongation,
     sharp_integrate,
     validate_section,
 )
@@ -42,37 +41,6 @@ def plane_system():
     x = MPoly.variable(xy, "x")
     y = MPoly.variable(xy, "y")
     return DVariety(xy, (), (x**2 - y**2, x**2 - x * y), name="X")
-
-
-# -- prolongation -------------------------------------------------------------
-
-def test_prolongation_of_affine_space_is_empty():
-    assert prolongation(line()) == []
-
-
-def test_prolongation_of_parabola():
-    eqs = prolongation(parabola())
-    allv = ("x", "y", "u_x", "u_y")
-    x = MPoly.variable(allv, "x")
-    y = MPoly.variable(allv, "y")
-    ux = MPoly.variable(allv, "u_x")
-    uy = MPoly.variable(allv, "u_y")
-    assert eqs[0] == y - x**2
-    assert eqs[1] == uy - 2 * x * ux
-
-
-def test_prolongation_of_circle():
-    xy = ("x", "y")
-    x = MPoly.variable(xy, "x")
-    y = MPoly.variable(xy, "y")
-    circle = DVariety(xy, (x**2 + y**2 - 1,), (MPoly.zero(xy), MPoly.zero(xy)))
-    eqs = prolongation(circle)
-    allv = ("x", "y", "u_x", "u_y")
-    xx = MPoly.variable(allv, "x")
-    yy = MPoly.variable(allv, "y")
-    ux = MPoly.variable(allv, "u_x")
-    uy = MPoly.variable(allv, "u_y")
-    assert eqs[1] == 2 * xx * ux + 2 * yy * uy
 
 
 # -- section validation ----------------------------------------------------------
@@ -121,7 +89,7 @@ def test_validate_runs_buchberger_once(monkeypatch):
     calls = []
     buchberger = djets.mpoly._buchberger
     monkeypatch.setattr(djets.mpoly, "_buchberger",
-                        lambda gens: calls.append(gens) or buchberger(gens))
+                        lambda gens, key: calls.append(gens) or buchberger(gens, key))
     result = validate_section(cubic)
     assert result.ok and len(result.residuals) == 3
     assert len(calls) == 1

@@ -2,9 +2,11 @@
 
 Each mutation deletes, duplicates or swaps a token, or replaces it with
 another token of the same file.  Every mutated document goes through
-`check`, `jet`, `tangent`, `integrate` and `horizontal`; each exit code
-must be 0, 1 or 2 (ok, verification failed, bad input), never 3 (internal
-error).  Mutated ideals also drive the Groebner normal form behind `check`.
+`check`, `jet`, `tangent`, `integrate` and `horizontal`, and the
+counterexample document also through `tangent --restrict toZ`; each exit
+code must be 0, 1 or 2 (ok, verification failed, bad input), never 3
+(internal error).  Mutated ideals drive the Groebner normal form behind
+`check`, and mutated restriction blocks the one behind `restrict`.
 """
 
 import contextlib
@@ -24,13 +26,13 @@ dvariety cusp { vars: x, y; ideal: [y^2 - x^3]; section: [2*x, 3*y]; }
 point o on cusp { coords: [1, 1]; }
 """
 
-# (document, point to integrate from, dvariety for `tangent`)
+# (document, point to integrate from, dvariety for `tangent`, restriction or None)
 SOURCES = [
-    ((DJV / "counterexample.djv").read_text(encoding="utf-8"), "generic", "X"),
-    ((DJV / "parabola.djv").read_text(encoding="utf-8"), "p", "parabola"),
-    ((DJV / "lines.djv").read_text(encoding="utf-8"), "a", "L1"),
-    (PROBE, "c", "circle"),
-    (PROBE, "o", "cusp"),
+    ((DJV / "counterexample.djv").read_text(encoding="utf-8"), "generic", "X", "toZ"),
+    ((DJV / "parabola.djv").read_text(encoding="utf-8"), "p", "parabola", None),
+    ((DJV / "lines.djv").read_text(encoding="utf-8"), "a", "L1", None),
+    (PROBE, "c", "circle", None),
+    (PROBE, "o", "cusp", None),
 ]
 
 TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
@@ -67,17 +69,20 @@ def test_mutated_documents_exit_with_a_defined_code(tmp_path):
     path = tmp_path / "mutated.djv"
     codes = set()
     for n in range(MUTATIONS):
-        text, point, variety = SOURCES[n % len(SOURCES)]
+        text, point, variety, restriction = SOURCES[n % len(SOURCES)]
         mutated = mutate(text, rng)
         path.write_text(mutated, encoding="utf-8")
         file = str(path)
-        for argv in (
+        argvs = [
             ["check", file],
             ["jet", file, "--at", point],
             ["tangent", file, "--name", variety],
             ["integrate", file, "--from", point, "-N", "8"],
             ["horizontal", file, "--from", point, "-m", "1", "-N", "8"],
-        ):
+        ]
+        if restriction:
+            argvs.append(["tangent", file, "--restrict", restriction])
+        for argv in argvs:
             code, err = run(argv)
             assert code in (0, 1, 2), (argv, mutated, err)
             assert "Traceback" not in err

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.dvariety import DVariety, sharp_integrate
+from djets.diffpoly import log_derivative_constant_identity
+from djets.dvariety import DVariety, sharp_integrate, validate_section
 from djets.errors import NonUnitDivisor, PointNotOnVariety, ZeroInput
 from djets.mpoly import MPoly
 from djets.series import TSeries, exp_series
 from djets.tangent import (
-    GElement,
     RestrictionRule,
     counterexample_report,
     counterexample_variety,
@@ -97,6 +97,57 @@ def test_restrict_twice_equals_composed_rules():
     assert W_stepwise.presentation_text() == W_composed.presentation_text()
 
 
+def chain_bundle():
+    """The plane system on (x, y, z) restricted by the chain x = z, z = y."""
+    xyz = ("x", "y", "z")
+    x, y, z = (MPoly.variable(xyz, v) for v in xyz)
+    plane = DVariety(xyz, (), (x**2 - y**2, x**2 - x * y, z))
+    return restrict(delta_tangent(plane), [RestrictionRule("identify", "x", z),
+                                           RestrictionRule("identify", "z", y)])
+
+
+def test_chained_identifications_reduce_fully():
+    W = chain_bundle()
+    y = MPoly.variable(("x", "y", "z"), "y")
+    assert W.substitutions == {"x": y, "z": y}
+    assert W.presentation_text() == [
+        "x = z",
+        "z = y",
+        "delta y = 0",
+        "delta u_x = 2*y*u_x - 2*y*u_y",
+        "delta u_y = y*u_x - y*u_y",
+        "delta u_z = u_z",
+    ]
+
+
+def triangular_bundle():
+    """Section (y, w, x*w) on (x, y, w) restricted by y = w^2, x = y + 1."""
+    xyw = ("x", "y", "w")
+    x, y, w = (MPoly.variable(xyw, v) for v in xyw)
+    base = DVariety(xyw, (), (y, w, x * w))
+    return restrict(delta_tangent(base), [RestrictionRule("identify", "y", w**2),
+                                          RestrictionRule("identify", "x", y + 1)])
+
+
+def test_restricted_dvariety_passes_section_validation():
+    for W in (restricted_bundle(), chain_bundle(), triangular_bundle()):
+        V = W.dvariety()
+        assert V.vars == W.all_vars and V.eliminated == tuple(W.substitutions)
+        assert len(V.generators) == len(W.substitutions)
+        assert validate_section(V).ok
+    # an eliminated variable moves as its replacement: y = w^2, x = w^2 + 1
+    V = triangular_bundle().dvariety()
+    w = MPoly.variable(V.vars, "w")
+    assert V.section[:3] == (2 * w**4 + 2 * w**2, 2 * w**4 + 2 * w**2, w**3 + w)
+
+
+def test_kernel_identity_runs_on_the_chain_bundle():
+    W = chain_bundle()
+    ux, uy = (MPoly.variable(W.all_vars, u) for u in ("u_x", "u_y"))
+    assert log_derivative_constant_identity(W.dvariety(), ux - uy)
+    assert not log_derivative_constant_identity(W.dvariety(), ux)
+
+
 # -- log derivative and the group -----------------------------------------------------
 
 def test_log_derivative_of_exponential_is_its_rate():
@@ -141,13 +192,6 @@ def test_group_closure_and_kernel():
         assert in_log_constant_group(1 / a)
         if log_derivative(a).is_zero():
             assert a.is_constant()
-
-
-def test_gelement_certification():
-    g = GElement.from_series(exp_series(F(2, 3), 12))
-    assert g.ratio == F(2, 3)
-    with pytest.raises(ZeroInput):
-        GElement.from_series(TSeries([1, 1], 12))
 
 
 # -- the counterexample chain ----------------------------------------------------------
