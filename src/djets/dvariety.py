@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import (
     ArityError,
@@ -32,7 +34,16 @@ from .errors import (
 from .jets import JetIndexSet, JetSpace, jet_space
 from .linalg import RATIONAL
 from .mpoly import MPoly, normal_form, taylor_coeffs
-from .series import TSeries, dot, fundamental_matrix, mat_mul, mat_vec, transpose
+from .series import (
+    TSeries,
+    dot,
+    from_hurwitz,
+    fundamental_matrix,
+    integer_scaled,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -105,17 +116,33 @@ class SharpPoint:
 def sharp_integrate(variety: DVariety, initial, order):
     """Integrate x' = s(x) from a rational point of the variety.
 
-    Online Taylor recursion (Brent & Kung 1978; van der Hoeven 2002).  Each
-    monomial of the section is a node of a tree: the constant monomial has
-    the series 1, 0, 0, ... and every other monomial is its parent times one
-    variable.  Step k forms only coefficient k of each node, one convolution
-    of length k+1, then s_j[k] = sum over the terms of s_j of coefficient
-    (*) node at index k, and x_j[k+1] = s_j[k] / (k+1).  A rational
-    coefficient is the length-1 case of that convolution, so series
-    coefficients take the same path.  With N = order the whole run costs
-    O(N^2 * nodes) rational operations.  Series coefficients of the section
-    must be guaranteed through order N-1.  The defining equations are
-    re-checked on the resulting series to guaranteed precision.
+    Online Taylor recursion (Brent & Kung 1978; van der Hoeven 2002) on
+    Hurwitz coefficients X_k = k! x_k (Keigher, Comm. Algebra 1997), in
+    which a product is the binomial convolution (fg)_k = sum_i C(k,i) f_i
+    g_(k-i) and x' = s(x) reads X_(k+1) = S_k, with no division by k+1.
+    Each monomial of the section is a node of a tree: the constant monomial
+    has the series 1, 0, 0, ... and every other monomial is its parent
+    times one variable.  Step k forms only coefficient k of each node, one
+    binomial convolution of length k+1, then X_j[k+1] = sum over the terms
+    of s_j of the convolution of each coefficient with its node; a
+    rational coefficient is the length-1 case.  The binomial row is updated
+    by additions from step to step.
+
+    The work runs on integers.  Time and space are rescaled to y(tau) =
+    mu * x(lam * tau), with mu the lcm of the initial denominators and lam
+    the least integer making every rational coefficient of the scaled
+    section integral, so with rational data every Hurwitz coefficient is an
+    integer and the loop makes no gcd.  Series coefficients enter as their
+    stored numerators over the lcm of their denominators.  Then step k's
+    new coordinates share one denominator, reduced by one gcd per step, and
+    coefficient k of every node is put over the lcm of the products of the
+    denominators it convolves.  With N = order the run makes O(N^2) integer
+    multiply-adds per node and per series coefficient, and O(N^2) integer
+    additions for the binomial rows; a rational coefficient costs one
+    product per step.  `series.from_hurwitz` turns the rows into reduced
+    series.  Series coefficients of the section must be guaranteed through
+    order N-1.  The defining equations are re-checked on the resulting
+    series to guaranteed precision.
     """
     initial = tuple(Fraction(c) for c in initial)
     if len(initial) != variety.nvars:
@@ -135,34 +162,88 @@ def sharp_integrate(variety: DVariety, initial, order):
         add_node(parent)
         parents[e] = (parent, j)
 
-    terms = []
+    # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e(lam tau) y^e.
+    mu, x0 = integer_scaled(initial)
+    lam = 1
     for s in variety.section:
-        row = []
         for e, c in s.terms.items():
+            add_node(e)
             if isinstance(c, TSeries):
                 if c.prec < order - 1:
                     raise InsufficientPrecision(
                         f"section coefficient guaranteed to order {c.prec}, "
                         f"need {order - 1}"
                     )
-                row.append((c.coeffs, e))
+                c = 1
+            lam = lcm(lam, (c * Fraction(mu) ** (1 - sum(e))).denominator)
+    # Rational terms (a, e) with integer a; series terms (H, e) with Hurwitz
+    # numerators H over den_c, the lcm of the series denominators.
+    den_c = lcm(*(
+        c.den for s in variety.section for c in s.terms.values()
+        if isinstance(c, TSeries)
+    ))
+    rational, series = [], []
+    for s in variety.section:
+        r_row, s_row = [], []
+        for e, c in s.terms.items():
+            f = lam * Fraction(mu) ** (1 - sum(e))
+            if isinstance(c, TSeries):
+                f = int(f) * (den_c // c.den)
+                h = []
+                for n in c.nums[:order]:
+                    h.append(n * f)
+                    f *= lam * len(h)
+                s_row.append((h, e))
             else:
-                row.append(((c,), e))
-            add_node(e)
-        terms.append(row)
-    nodes = {e: [] for e in parents}
-    nodes[one] = [Fraction(1)] + [Fraction(0)] * order
-    coeffs = [[c] for c in initial]
+                r_row.append((int(c * f) * den_c, e))
+        rational.append(r_row)
+        series.append(s_row)
+
+    convolved = {j for parent, j in parents.values() if parent != one}
+    xs = [[a] for a in x0]  # X_k over dx[k]
+    dx = [1]
+    nodes = {one: [1]}  # coefficient k over dn[k]
+    nodes.update((e, []) for e in parents)
+    dn = [1]
+    binom = [1]
     for k in range(order):
+        if k:
+            binom = [1, *map(add, binom, binom[1:]), 1]
+            nodes[one].append(0)
+            # the dn form a divisibility chain, and dn[i] == 1 forces dx[i] == 1
+            dn.append(dx[k] if dn[-1] == 1 else
+                      lcm(*(dn[i] * dx[k - i] for i in range(k))))
+        d = dn[k]
+        if d == 1:
+            w = v = binom
+        else:
+            w = [b * (d // (dn[i] * dx[k - i])) for i, b in enumerate(binom)]
+            v = [b * (d // dn[k - i]) for i, b in enumerate(binom)]
+        # weighted[j][i] = w_i * X_j[k-i], shared by the nodes of coordinate j;
+        # a child of the constant monomial is the coordinate itself.
+        weighted = {j: list(map(mul, w, reversed(xs[j]))) for j in convolved}
         for e, (parent, j) in parents.items():
-            nodes[e].append(_coefficient_of_product(nodes[parent], coeffs[j], k))
-        for j, row in enumerate(terms):
-            value = sum(
-                (_coefficient_of_product(c, nodes[e], k) for c, e in row),
-                Fraction(0),
-            )
-            coeffs[j].append(value / (k + 1))
-    point = tuple(TSeries(cs, order) for cs in coeffs)
+            if parent == one:
+                nodes[e].append(w[0] * xs[j][k])
+            else:
+                nodes[e].append(sum(map(mul, nodes[parent], weighted[j])))
+        step = []
+        for r_row, s_row in zip(rational, series):
+            acc = 0
+            for a, e in r_row:
+                acc += a * nodes[e][k]
+            for h, e in s_row:
+                acc += sum(map(mul, map(mul, v, h), reversed(nodes[e])))
+            step.append(acc)
+        d *= den_c
+        if d != 1:
+            g = gcd(d, *step)
+            d //= g
+            step = [a // g for a in step]
+        for x, a in zip(xs, step):
+            x.append(a)
+        dx.append(d)
+    point = tuple(from_hurwitz(xs, dx, mu, lam))
     for P in variety.generators:
         val = P.eval(point)
         if val != 0:
@@ -170,18 +251,6 @@ def sharp_integrate(variety: DVariety, initial, order):
                 f"integrated point leaves the variety: {P} -> {val}"
             )
     return SharpPoint(variety, point, initial)
-
-
-def _coefficient_of_product(a, b, k):
-    """Coefficient k of (sum a_i t^i)(sum b_i t^i); a may stop before index k."""
-    acc = 0
-    for i in range(min(k + 1, len(a))):
-        x = a[i]
-        if x:
-            y = b[k - i]
-            if y:
-                acc += x * y
-    return acc
 
 
 def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):

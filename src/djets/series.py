@@ -17,9 +17,12 @@ has den == 1.  The kernels add, multiply, differentiate, truncate, compare
 and convolve these integers directly and reduce each result by one gcd, in
 the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
 Introduction", ICMS 2010); division keeps the quotient so far as integers
-over the lcm of its reduced denominators.  The tuple of Fractions `coeffs`
-is built only when read.  Only this module builds a series from integers,
-through `TSeries._ints`, so every series is in this reduced form.
+over the lcm of its reduced denominators.  `from_hurwitz` turns integer
+rows of Hurwitz coefficients k! x_k, the form in which
+`dvariety.sharp_integrate` integrates, into series with one gcd each.  The
+tuple of Fractions `coeffs` is built only when read.  Only this module
+builds a series from integers, through `TSeries._ints`, so every series is
+in this reduced form.
 """
 
 from __future__ import annotations
@@ -344,6 +347,30 @@ def integer_rows(entries, prec):
     den = lcm(*(e.den for e in entries))
     scaled = [(e.nums, den // e.den) for e in entries]
     return [[nums[k] * f for nums, f in scaled] for k in range(prec + 1)]
+
+
+def from_hurwitz(rows, dens, scale=1, step=1):
+    """Series x_k = X_k / (k! * dens[k] * scale * step**k) from integer rows X.
+
+    Each row holds the Hurwitz numerators X_0 .. X_N of one series, where
+    X_k / dens[k] is k! times coefficient k (Keigher, "On the ring of
+    Hurwitz series", Comm. Algebra 1997), in the time and space scaled by
+    `step` and `scale`.  Every series is put over the one denominator
+    N! * lcm(dens) * scale * step**N, so numerator k is X_k * (N!/k!) *
+    step**(N-k) * lcm(dens)/dens[k], and is reduced by one gcd.
+    """
+    order = len(dens) - 1
+    den = lcm(*dens)
+    factors = [den // d for d in dens]
+    f = 1
+    for k in range(order, 0, -1):
+        factors[k] *= f
+        f *= k * step
+    factors[0] *= f
+    den *= f * scale
+    return [
+        TSeries._ints(list(map(mul, row, factors)), den, order) for row in rows
+    ]
 
 
 def exp_series(c, prec=DEFAULT_PRECISION):

@@ -141,12 +141,20 @@ class LinearDVariety:
     def dvariety(self):
         """The bundle as a D-variety over base + fiber variables.
 
-        Its generators are the identification basis v - r.  Each surviving
+        Its generators are the identification basis v - r and the nonzero
+        normal forms of the base generators modulo that basis, in the block
+        order that ranks the eliminated variables first.  Each surviving
         base variable keeps its rule and each fiber variable its equation;
         an eliminated v gets the derivative of its replacement r, so the
-        section passes validate_section by construction.
+        identification basis passes validate_section by construction and the
+        base generators pass it when the restricted base rules keep the
+        base ideal.
         """
         allv = self.all_vars
+        base_vars = self.base.vars
+        basis = [MPoly.variable(base_vars, v) - r for v, r in self.substitutions.items()]
+        key = block_key({base_vars.index(v) for v in self.substitutions})
+        base_ideal = normal_form(list(self.base.generators), basis, key)
         rules = {v: self.base_rules[v].embed(allv) for v in self.base.vars}
         for v, r in self.substitutions.items():
             r = r.embed(allv)
@@ -155,8 +163,8 @@ class LinearDVariety:
                 MPoly.zero(allv),
             )
         rules.update(zip(self.fiber_vars, self.fiber_equations()))
-        generators = tuple(
-            MPoly.variable(allv, v) - r.embed(allv) for v, r in self.substitutions.items()
+        generators = tuple(g.embed(allv) for g in basis) + tuple(
+            g.embed(allv) for g in base_ideal if not g.is_zero()
         )
         return DVariety(allv, generators, tuple(rules[v] for v in allv),
                         eliminated=tuple(self.substitutions))

@@ -51,9 +51,13 @@ COMMANDS = [
 LARGE_COMMANDS = [
     "counterexample -N 256",
     "horizontal djv/counterexample.djv --from generic -m 3 -N 96",
+    "integrate djv/counterexample.djv --from generic -N 256",
 ]
 
-LARGE_BUDGETS = {"counterexample -N 256": 1.0}
+LARGE_BUDGETS = {
+    "counterexample -N 256": 1.0,
+    "integrate djv/counterexample.djv --from generic -N 256": 1.0,
+}
 
 TEXT_COMMANDS = [
     "check djv/parabola.djv",

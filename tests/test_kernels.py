@@ -13,6 +13,7 @@ checks the same cases.
 
 import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 
@@ -31,7 +32,12 @@ from djets.dvariety import (
     product_sharp_point,
     sharp_integrate,
 )
-from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
+from djets.errors import (
+    DecompositionFailure,
+    DimensionMismatch,
+    InsufficientPrecision,
+    PointNotOnVariety,
+)
 from djets.linalg import (
     RATIONAL,
     SERIES,
@@ -44,7 +50,15 @@ from djets.linalg import (
     solve,
 )
 from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero
-from djets.series import TSeries, dot, exp_series, fundamental_matrix, mat_mul, mat_vec
+from djets.series import (
+    TSeries,
+    dot,
+    exp_series,
+    from_hurwitz,
+    fundamental_matrix,
+    mat_mul,
+    mat_vec,
+)
 from djets.tangent import counterexample_variety
 
 NAMES = ("x", "y", "z")
@@ -97,6 +111,7 @@ def assert_matches_reference(variety, initial, order):
         assert got.prec == want.prec == order
         assert got.coeffs == want.coeffs
         assert all(type(c) is F for c in got.coeffs)
+        assert gcd(got.den, *got.nums) == 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -159,6 +174,104 @@ def test_sharp_integrate_on_a_proper_subvariety():
     y = MPoly.variable(xy, "y")
     parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x))
     assert_matches_reference(parabola, (F(1, 2), F(1, 4)), 12)
+
+
+def test_sharp_integrate_with_large_prime_denominators():
+    p, q, r, s, u = primes_from(2**40, 5)
+    xy = NAMES[:2]
+    x = MPoly.variable(xy, "x")
+    y = MPoly.variable(xy, "y")
+    section = (F(1, p) * x * y + F(-3, q), F(2, r) * x**2 + y - F(5, u))
+    variety = DVariety(xy, (), section)
+    assert_matches_reference(variety, (F(5, p), F(-7, s)), 8)
+    assert_matches_reference(variety, (F(1, q), 3), 8)
+
+
+def test_sharp_integrate_series_coefficient_with_distinct_denominators():
+    # x' = c(t) x + x^2/3 with c_k = (k+1)/(k+2)
+    xs = ("x",)
+    x = MPoly.variable(xs, "x")
+    order = 24
+    c = TSeries([F(k + 1, k + 2) for k in range(order)], order - 1)
+    variety = DVariety(xs, (), (MPoly(xs, {(1,): c}) + F(1, 3) * x**2,))
+    for x0 in (1, F(1, 3), F(-2, 5)):
+        assert_matches_reference(variety, (x0,), order)
+
+
+def test_sharp_integrate_series_coefficients_over_different_denominators():
+    # x' = c1(t) y + c0(t), y' = x y / 5 + c2(t) x^2, with 40-bit prime denominators
+    p, q, r = primes_from(2**40, 3)
+    xy = NAMES[:2]
+    x = MPoly.variable(xy, "x")
+    y = MPoly.variable(xy, "y")
+    order = 10
+    c0 = TSeries([F(1, p), 0, F(-2, p), F(3, 7)], order)
+    c1 = TSeries([2, F(1, q), F(1, 3)], order)
+    c2 = TSeries([F(k - 4, r * (k + 1)) for k in range(order + 1)], order)
+    section = (MPoly(xy, {(0, 1): c1, (0, 0): c0}), F(1, 5) * x * y + MPoly(xy, {(2, 0): c2}))
+    variety = DVariety(xy, (), section)
+    assert_matches_reference(variety, (F(1, 2), F(-3, q)), order)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_sharp_integrate_orders_zero_and_one(order):
+    for seed in range(6):
+        rng = random.Random(seed)
+        nvars = 1 + seed % 3
+        variety = random_section(rng, nvars)
+        initial = [random_rational(rng) for _ in range(nvars)]
+        assert_matches_reference(variety, initial, order)
+    xs = ("x",)
+    c = TSeries([F(2, 3)], 0)
+    variety = DVariety(xs, (), (MPoly(xs, {(1,): c, (2,): F(1, 7)}),))
+    assert_matches_reference(variety, (F(3, 4),), order)
+
+
+def test_sharp_integrate_mixes_degrees_zero_to_three():
+    xyz = NAMES
+    x, y, z = (MPoly.variable(xyz, v) for v in xyz)
+    section = (
+        F(1, 2) + x - F(1, 3) * y * z + x**3,
+        F(-2, 5) * x * y * z + y**2 - 1,
+        z - F(3, 4) * x**2 * y + F(1, 6) * z**3 + x * y,
+    )
+    assert_matches_reference(DVariety(xyz, (), section), (F(1, 3), F(-1, 2), 2), 12)
+
+
+def test_sharp_integrate_counterexample_variety():
+    assert_matches_reference(counterexample_variety(), (2, 1), 64)
+
+
+def test_sharp_integrate_rechecks_the_integrated_point():
+    # s = (1, 1) is not tangent to y = x^2: from (0, 0) the point leaves it.
+    xy = NAMES[:2]
+    x = MPoly.variable(xy, "x")
+    y = MPoly.variable(xy, "y")
+    one = MPoly.constant(xy, 1)
+    variety = DVariety(xy, (y - x**2,), (one, one))
+    with pytest.raises(PointNotOnVariety, match="integrated point leaves the variety"):
+        sharp_integrate(variety, (0, 0), 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_hurwitz_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    order = rng.randint(0, 12)
+    scale, step = rng.randint(1, 30), rng.randint(1, 6)
+    dens = [rng.choice([1, 2, 6, 7, 2**40 + 15]) for _ in range(order + 1)]
+    rows = [
+        [rng.randint(-50, 50) * factorial(k) * rng.choice([1, scale, step**k])
+         for k in range(order + 1)]
+        for _ in range(3)
+    ]
+    rows.append([0] * (order + 1))
+    got = from_hurwitz(rows, dens, scale, step)
+    for series, row in zip(got, rows):
+        want = [F(a, factorial(k) * d * scale * step**k)
+                for k, (a, d) in enumerate(zip(row, dens))]
+        assert series.prec == order
+        assert list(series.coeffs) == want
+        assert gcd(series.den, *series.nums) == 1
 
 
 # -- TSeries.__mul__ ---------------------------------------------------------------

@@ -141,6 +141,33 @@ def test_restricted_dvariety_passes_section_validation():
     assert V.section[:3] == (2 * w**4 + 2 * w**2, 2 * w**4 + 2 * w**2, w**3 + w)
 
 
+def test_restricted_dvariety_keeps_the_base_ideal():
+    # the parabola y = x^2 with section (x, 2x^2), restricted by no rules
+    xy = ("x", "y")
+    x, y = (MPoly.variable(xy, v) for v in xy)
+    parabola = DVariety(xy, (y - x**2,), (x, 2 * x**2))
+    V = restrict(delta_tangent(parabola), []).dvariety()
+    assert V.generators == ((y - x**2).embed(V.vars),)
+    assert validate_section(V).ok
+    # y'/y = 2 on the locus, on the bundle as on the parabola itself
+    assert log_derivative_constant_identity(parabola, y)
+    assert log_derivative_constant_identity(V, y.embed(V.vars))
+
+
+def test_restricted_dvariety_reduces_the_base_ideal():
+    xy = ("x", "y")
+    x, y = (MPoly.variable(xy, v) for v in xy)
+    circle = DVariety(xy, (x**2 + y**2 - 1,), (-y, x))
+    W = restrict(delta_tangent(circle), [RestrictionRule("identify", "y", x)])
+    assert W.dvariety().generators == tuple(
+        g.embed(W.all_vars) for g in (y - x, 2 * x**2 - 1)
+    )
+    # a base generator in the ideal of the identifications reduces to 0
+    parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x))
+    W = restrict(delta_tangent(parabola), [RestrictionRule("identify", "y", x**2)])
+    assert W.dvariety().generators == ((y - x**2).embed(W.all_vars),)
+
+
 def test_kernel_identity_runs_on_the_chain_bundle():
     W = chain_bundle()
     ux, uy = (MPoly.variable(W.all_vars, u) for u in ("u_x", "u_y"))
