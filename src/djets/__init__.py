@@ -29,7 +29,6 @@ from .dvariety import (
     SharpPoint,
     constants_variety_jets,
     delta_jet_space,
-    induced_module_derivation,
     product_dvariety,
     product_sharp_point,
     sharp_integrate,
@@ -54,7 +53,7 @@ from .errors import (
     ZeroInput,
 )
 from .jets import JetIndexSet, JetSpace, jet_equations, jet_of_morphism, jet_space
-from .linalg import LinSystem, nullspace, rank
+from .linalg import LinSystem, nullspace
 from .mpoly import MPoly, groebner, normal_form, taylor_coeffs
 from .series import (
     DEFAULT_PRECISION,

@@ -278,10 +278,8 @@ def _dispatch(args, precision):
         return EXIT_OK, payload, lines
 
     if args.command == "horizontal":
-        decl = doc.point(args.from_point)
-        variety = doc.variety(decl.variety)
         point = doc.sharp_point(args.from_point, precision)
-        space = delta_jet_space(variety, point, args.order)
+        space = delta_jet_space(point.variety, point, args.order)
         payload = {
             "dim_K": space.dim_k,
             "dim_C": space.dim_c,

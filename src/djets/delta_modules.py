@@ -92,17 +92,17 @@ def tensor(left: DeltaModule, right: DeltaModule):
     return DeltaModule(tuple(rows))
 
 
-def horizontal_sections(module: DeltaModule, order=None):
+def horizontal_sections(module: DeltaModule):
     """A basis over the constants of {c : delta(c) + A c = 0}.
 
     The solutions of c' = -A c are the columns of the fundamental matrix of
-    -A, so the count always equals the module dimension.
+    -A, so the count always equals the module dimension.  They are
+    guaranteed one order past the module's precision.
     """
     if module.dim == 0:
         return []
-    order = module.prec + 1 if order is None else order
     neg = [[-e for e in row] for row in module.matrix]
-    phi = fundamental_matrix(neg, order)
+    phi = fundamental_matrix(neg, module.prec + 1)
     return transpose(phi)
 
 
@@ -147,7 +147,7 @@ class TensorPairingReport:
         }
 
 
-def verify_tensor_pairing(left: DeltaModule, right: DeltaModule, order=None):
+def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     """Check that pairings of horizontal dual vectors span the dual tensor's
     horizontal space, with equal dimensions and exact-zero residuals.
 
@@ -156,11 +156,11 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule, order=None):
     matrix of the dual tensor module.  Mutual containment is decided by one
     exact rational elimination per direction on stacked series coefficients.
     """
-    hm = horizontal_sections(dual(left), order)
-    hn = horizontal_sections(dual(right), order)
+    hm = horizontal_sections(dual(left))
+    hn = horizontal_sections(dual(right))
     pairings = [pairing_phi(v, w) for v in hm for w in hn]
     dual_tensor = dual(tensor(left, right))
-    target = horizontal_sections(dual_tensor, order)
+    target = horizontal_sections(dual_tensor)
     pairings_horizontal = all(is_horizontal(dual_tensor, p) for p in pairings)
     contained = all(c is not None for c in constant_combination(pairings, target))
     contained = contained and all(

@@ -26,15 +26,16 @@ from operator import add, mul
 from .errors import (
     ArityError,
     DimensionMismatch,
+    DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
     PointNotOnVariety,
     UnknownName,
 )
 from .jets import JetIndexSet, JetSpace, jet_space
-from .linalg import RATIONAL
 from .mpoly import MPoly, normal_form, taylor_coeffs
 from .series import (
+    DEFAULT_PRECISION,
     TSeries,
     dot,
     from_hurwitz,
@@ -106,7 +107,6 @@ class SharpPoint:
 
     variety: DVariety
     coords: tuple
-    initial: tuple
 
     @property
     def prec(self):
@@ -250,7 +250,7 @@ def sharp_integrate(variety: DVariety, initial, order):
             raise PointNotOnVariety(
                 f"integrated point leaves the variety: {P} -> {val}"
             )
-    return SharpPoint(variety, point, initial)
+    return SharpPoint(variety, point)
 
 
 def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
@@ -290,10 +290,13 @@ def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
 
 @dataclass
 class DeltaJetSpace:
-    """A differential jet space: jet kernel, restricted derivation, horizontal basis."""
+    """A differential jet space: the algebraic jet space and a horizontal basis.
+
+    The horizontal vectors are a basis over the constants of the jets v
+    with Dv = 0, as many as the jet dimension over the series field.
+    """
 
     jet: JetSpace
-    derivation: list
     horizontal: list
 
     @property
@@ -306,21 +309,7 @@ class DeltaJetSpace:
 
     @property
     def precision(self):
-        precs = [e.prec for v in self.horizontal for e in v if isinstance(e, TSeries)]
-        return min(precs) if precs else None
-
-
-def induced_module_derivation(variety: DVariety, point: SharpPoint, order_m):
-    """The derivation matrix on the ambient truncated local algebra.
-
-    When the variety is a proper subvariety, stability of the jet kernel
-    under the dual operator is asserted to precision (InvarianceViolation
-    otherwise) before the matrix is returned.
-    """
-    B = _derivation_matrix(variety, point, order_m)
-    if variety.generators:
-        _restricted_system(variety, point, order_m, B)
-    return B
+        return min((e.prec for v in self.horizontal for e in v), default=None)
 
 
 def _restricted_system(variety, point, order_m, B):
@@ -378,36 +367,31 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
         js = jet_space(variety.generators, point.coords, order_m)
         R = B
     if not js.basis:
-        return DeltaJetSpace(js, R, [])
+        return DeltaJetSpace(js, [])
     rprec = min(e.prec for row in R for e in row)
     order = rprec + 1
     phi = fundamental_matrix(R, order)
     # horizontal[k] = sum_i phi[i][k] * basis[i]
     horizontal = mat_mul(transpose(phi), js.basis)
-    return DeltaJetSpace(js, R, horizontal)
+    return DeltaJetSpace(js, horizontal)
 
 
-def constants_variety_jets(variety_generators, point, order_m, order=None):
+def constants_variety_jets(variety_generators, point, order_m, order=DEFAULT_PRECISION):
     """Jets of the constant points of a variety defined over the constants.
 
     The horizontal vectors are exactly the rational nullspace of the jet
-    equations, lifted to constant series; this realizes the zero-section
-    D-variety structure on V(C).
+    equations, lifted to constant series of order `order`; this realizes
+    the zero-section D-variety structure on V(C).  A coordinate that is not
+    rational, such as a series, raises DomainMismatch.
     """
-    from .series import DEFAULT_PRECISION
-
-    order = DEFAULT_PRECISION if order is None else order
-    point = tuple(Fraction(c) for c in point)
-    js = jet_space(variety_generators, point, order_m)
-    assert js.domain == RATIONAL
+    for i, c in enumerate(point):
+        if isinstance(c, TSeries):
+            raise DomainMismatch(f"coordinate {i} of a constant point is a series")
+    js = jet_space(variety_generators, tuple(map(Fraction, point)), order_m)
     horizontal = [
         [TSeries.constant(c, order) for c in vec] for vec in js.basis
     ]
-    zero_matrix = [
-        [TSeries.zero(order) for _ in range(len(js.basis))]
-        for _ in range(len(js.basis))
-    ]
-    return DeltaJetSpace(js, zero_matrix, horizontal)
+    return DeltaJetSpace(js, horizontal)
 
 
 def product_dvariety(left: DVariety, right: DVariety):
@@ -438,6 +422,4 @@ def product_dvariety(left: DVariety, right: DVariety):
 
 
 def product_sharp_point(product: DVariety, left: SharpPoint, right: SharpPoint):
-    coords = tuple(left.coords) + tuple(right.coords)
-    initial = tuple(left.initial) + tuple(right.initial)
-    return SharpPoint(product, coords, initial)
+    return SharpPoint(product, tuple(left.coords) + tuple(right.coords))

@@ -175,13 +175,8 @@ def _primitive(ints):
     return ints
 
 
-def rank(system: LinSystem):
-    _, pivots = rref(system.rows, system.ncols, system.domain)
-    return len(pivots)
-
-
 def nullspace(system: LinSystem):
-    """A basis of exact kernel vectors; count = ncols - rank."""
+    """A basis of exact kernel vectors, one per non-pivot column."""
     return nullspace_with_free(system)[0]
 
 
@@ -232,15 +227,15 @@ def solve(rows, ncols, rhs_columns, domain):
     return _read_solutions(red, pivots, ncols, ncols + k)
 
 
-def constant_combination(targets, basis, min_prec=None):
+def constant_combination(targets, basis):
     """Rational coefficients expressing each target through the basis.
 
     Returns one entry per target: a list c with target = sum c_i * basis_i,
     or None when the target is not a constant combination of the basis.
     The vectors have TSeries entries; each coordinate and each t-power up to
-    the order guaranteed by the basis and all targets (and at most
-    `min_prec`) contributes one rational equation, so a returned combination
-    is exact to that precision.  All targets share one elimination of the
+    the order guaranteed by the basis and all targets contributes one
+    rational equation, so a returned combination is exact to that
+    precision.  All targets share one elimination of the
     augmented system [basis | targets]; a target is contained exactly when
     its column vanishes below the pivots.  When the basis is dependent, the
     coefficients of its non-pivot vectors are zero.  An empty basis contains
@@ -250,8 +245,6 @@ def constant_combination(targets, basis, min_prec=None):
     k = len(basis)
     vectors = list(basis) + targets
     prec = min((e.prec for v in vectors for e in v), default=0)
-    if min_prec is not None:
-        prec = min(prec, min_prec)
     ncoords = len(targets[0]) if targets else 0
     rows = []
     for coord in range(ncoords):

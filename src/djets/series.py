@@ -19,10 +19,10 @@ the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
 Introduction", ICMS 2010); division keeps the quotient so far as integers
 over the lcm of its reduced denominators.  `from_hurwitz` turns integer
 rows of Hurwitz coefficients k! x_k, the form in which
-`dvariety.sharp_integrate` integrates, into series with one gcd each.  The
-tuple of Fractions `coeffs` is built only when read.  Only this module
-builds a series from integers, through `TSeries._ints`, so every series is
-in this reduced form.
+`dvariety.sharp_integrate` integrates and `exp_series` is built, into
+series with one gcd each.  The tuple of Fractions `coeffs` is built only
+when read.  Only this module builds a series from integers, through
+`TSeries._ints`, so every series is in this reduced form.
 """
 
 from __future__ import annotations
@@ -374,12 +374,15 @@ def from_hurwitz(rows, dens, scale=1, step=1):
 
 
 def exp_series(c, prec=DEFAULT_PRECISION):
-    """The solution of y' = c*y with y(0) = 1: coefficient k is c^k / k!."""
+    """The solution of y' = c*y with y(0) = 1: coefficient k is c^k / k!,
+    built by `from_hurwitz` from the Hurwitz coefficients p^k over the step
+    q of c = p/q, with one gcd."""
+    if prec < 0:
+        raise InsufficientPrecision("series precision must be >= 0")
     c = Fraction(c)
-    out = [Fraction(1)]
-    for k in range(prec):
-        out.append(out[-1] * c / (k + 1))
-    return TSeries(out, prec)
+    p = c.numerator
+    return from_hurwitz([[p**k for k in range(prec + 1)]], [1] * (prec + 1), 1,
+                        c.denominator)[0]
 
 
 # -- matrices of series ------------------------------------------------------

@@ -94,18 +94,17 @@ class LinearDVariety:
     def all_vars(self):
         return tuple(self.base.vars) + tuple(self.fiber_vars)
 
+    def _linear_form(self, coeffs):
+        """sum_j coeffs[j] * u_j as a polynomial in base and fiber variables."""
+        allv = self.all_vars
+        rhs = MPoly.zero(allv)
+        for c, u in zip(coeffs, self.fiber_vars):
+            rhs = rhs + c.embed(allv) * MPoly.variable(allv, u)
+        return rhs
+
     def fiber_equations(self):
         """delta(u_i) as polynomials in base and fiber variables."""
-        allv = self.all_vars
-        out = []
-        for i in range(len(self.fiber_vars)):
-            rhs = MPoly.zero(allv)
-            for j, w in enumerate(self.fiber_vars):
-                rhs = rhs + self.fiber_matrix[i][j].embed(allv) * MPoly.variable(
-                    allv, w
-                )
-            out.append(rhs)
-        return out
+        return [self._linear_form(row) for row in self.fiber_matrix]
 
     def presentation(self):
         """Equations as (kind, lhs text, rhs polynomial) triples, display order:
@@ -121,22 +120,11 @@ class LinearDVariety:
         for u, rhs in zip(self.fiber_vars, self.fiber_equations()):
             eqs.append(("derivative", u, rhs))
         for row in self.fiber_constraints:
-            rhs = MPoly.zero(allv)
-            for coeff, u in zip(row, self.fiber_vars):
-                rhs = rhs + coeff.embed(allv) * MPoly.variable(allv, u)
-            eqs.append(("constraint", "0", rhs))
+            eqs.append(("constraint", "0", self._linear_form(row)))
         return eqs
 
     def presentation_text(self):
-        out = []
-        for kind, lhs, rhs in self.presentation():
-            if kind == "algebraic":
-                out.append(f"{lhs} = {rhs}")
-            elif kind == "derivative":
-                out.append(f"delta {lhs} = {rhs}")
-            else:
-                out.append(f"0 = {rhs}")
-        return out
+        return [_equation_text(*eq) for eq in self.presentation()]
 
     def dvariety(self):
         """The bundle as a D-variety over base + fiber variables.
@@ -168,6 +156,12 @@ class LinearDVariety:
         )
         return DVariety(allv, generators, tuple(rules[v] for v in allv),
                         eliminated=tuple(self.substitutions))
+
+
+def _equation_text(kind, lhs, rhs):
+    """One presentation equation (kind, lhs text, rhs polynomial) as text;
+    the lhs of a constraint is "0"."""
+    return f"delta {lhs} = {rhs}" if kind == "derivative" else f"{lhs} = {rhs}"
 
 
 def _eliminated(rule: RestrictionRule, variables):
@@ -476,13 +470,7 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
             combo = [dot(row, col) for col in columns]
             rational_rows += integer_rows(combo, min(x.prec for x in combo))
         kernel = nullspace(LinSystem(rational_rows, d, RATIONAL))
-        ode_basis = []
-        for coeffs in kernel:
-            vec = None
-            for c, col in zip(coeffs, columns):
-                contrib = [TSeries.constant(c, point.prec) * x for x in col]
-                vec = contrib if vec is None else [a + b for a, b in zip(vec, contrib)]
-            ode_basis.append(vec)
+        ode_basis = [mat_vec(phi, coeffs) for coeffs in kernel]
     else:
         ode_basis = columns
     contained = mutually_contained(djs.horizontal, ode_basis)
@@ -563,21 +551,24 @@ class CounterexampleReport:
         }
 
 
-def counterexample_report(
-    precision=DEFAULT_PRECISION,
-    ratios=(0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 5)),
-):
+#: The ratios c of the witnesses (c, c, 2 exp(ct), exp(ct)).
+WITNESS_RATIOS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 5))
+
+
+def counterexample_report(precision=DEFAULT_PRECISION):
     """Build the full verification chain for the restricted tangent bundle.
 
     Constructs the plane D-variety, linearizes it, restricts to the constant
     diagonal, checks the symbolic kernel identity for the image map
     (x, y, u, v) -> u - v, and verifies the witness family
-    (c, c, 2 exp(ct), exp(ct)) against every restricted equation.
+    (c, c, 2 exp(ct), exp(ct)), c in WITNESS_RATIOS, against every
+    restricted equation.
     """
     X = counterexample_variety()
     T = delta_tangent(X, fiber_names=("u", "v"))
     W = restrict(T, diagonal_restriction())
     allv = W.all_vars
+    presentation = W.presentation()
 
     kernel = dp.log_derivative_constant_identity(
         W.dvariety(),
@@ -585,7 +576,7 @@ def counterexample_report(
     )
 
     witnesses = []
-    for c in ratios:
+    for c in WITNESS_RATIOS:
         c = Fraction(c)
         g = exp_series(c, precision)
         point = {
@@ -596,37 +587,32 @@ def counterexample_report(
         }
         coords = [point[v] for v in allv]
         residuals = []
-        for kind, lhs, rhs in W.presentation():
-            rhs_val = rhs.eval(coords)
-            if kind == "algebraic":
-                lhs_val = point[lhs]
-                res = lhs_val - TSeries.lift(rhs_val, precision)
-                text = f"{lhs} = {rhs}"
-            else:
-                lhs_val = point[lhs].derive()
-                res = lhs_val - TSeries.lift(rhs_val, precision)
-                text = f"delta {lhs} = {rhs}"
-            residuals.append((text, res.is_zero()))
+        for kind, lhs, rhs in presentation:
+            lhs_val = point[lhs] if kind == "algebraic" else point[lhs].derive()
+            res = lhs_val - TSeries.lift(rhs.eval(coords), precision)
+            residuals.append((_equation_text(kind, lhs, rhs), res.is_zero()))
         image = point["u"] - point["v"]
-        in_group = in_log_constant_group(image) if image.is_unit() else False
-        ratio_matches = in_group and log_derivative(image) == c
+        separated = image.is_unit()
+        # one log derivative for membership (in_log_constant_group) and the ratio
+        log = log_derivative(image) if separated else None
+        in_group = separated and log.derive().is_zero()
         witnesses.append(
             WitnessResult(
                 ratio=c,
                 residuals=residuals,
                 image=image,
                 image_in_group=in_group,
-                image_ratio_matches=ratio_matches,
-                separated=image.is_unit(),
+                image_ratio_matches=in_group and log == c,
+                separated=separated,
             )
         )
 
     return CounterexampleReport(
         tangent_equations=[
-            f"delta {u} = {rhs}"
+            _equation_text("derivative", u, rhs)
             for u, rhs in zip(T.fiber_vars, T.fiber_equations())
         ],
-        restricted_equations=W.presentation_text(),
+        restricted_equations=[_equation_text(*eq) for eq in presentation],
         kernel_identity=kernel,
         witnesses=witnesses,
         precision=precision,

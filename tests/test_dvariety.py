@@ -10,14 +10,13 @@ from djets.dvariety import (
     SharpPoint,
     constants_variety_jets,
     delta_jet_space,
-    induced_module_derivation,
     product_dvariety,
     product_sharp_point,
     sharp_integrate,
     validate_section,
 )
 from djets.dvariety import _derivation_matrix
-from djets.errors import InvarianceViolation, PointNotOnVariety
+from djets.errors import DomainMismatch, InvarianceViolation, PointNotOnVariety
 from djets.jets import JetIndexSet, jet_equations
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
@@ -135,7 +134,7 @@ def test_sharp_point_stays_on_variety():
 
 def test_induced_derivation_identity_flow():
     point = sharp_integrate(line(), (1,), 8)
-    matrix = induced_module_derivation(line(), point, 1)
+    matrix = _derivation_matrix(line(), point, 1)
     assert matrix[0][0] == 1
 
 
@@ -143,7 +142,7 @@ def test_induced_derivation_constant_section():
     xs = ("x",)
     const = DVariety(xs, (), (MPoly.constant(xs, 5),))
     point = sharp_integrate(const, (0,), 8)
-    matrix = induced_module_derivation(const, point, 1)
+    matrix = _derivation_matrix(const, point, 1)
     assert matrix[0][0].is_zero()
 
 
@@ -151,7 +150,7 @@ def test_induced_derivation_plane_system_is_jacobian():
     X = plane_system()
     point = sharp_integrate(X, (2, 1), 10)
     a1, a2 = point.coords
-    matrix = induced_module_derivation(X, point, 1)
+    matrix = _derivation_matrix(X, point, 1)
     assert matrix[0][0] == 2 * a1 and matrix[0][1] == -2 * a2
     assert matrix[1][0] == 2 * a1 - a2 and matrix[1][1] == -a1
 
@@ -265,7 +264,7 @@ def test_invariance_violation_for_fake_sharp_point():
     good = sharp_integrate(variety, (1, 1), 10)
     assert delta_jet_space(variety, good, 1).dim_c == 1
     drift = TSeries([1, 1], 10)  # 1 + t, not a solution of x' = x
-    fake = SharpPoint(variety, (drift, drift * drift), (F(1), F(1)))
+    fake = SharpPoint(variety, (drift, drift * drift))
     with pytest.raises(InvarianceViolation):
         delta_jet_space(variety, fake, 1)
 
@@ -293,6 +292,14 @@ def test_constant_points_diagonal():
     for c in (F(1), F(-2), F(3, 7)):
         space = constants_variety_jets((x - y,), (c, c), 1, order=8)
         assert space.jet.basis == [[F(1), F(1)]]
+
+
+def test_constant_points_reject_a_series_coordinate():
+    xy = ("x", "y")
+    x = MPoly.variable(xy, "x")
+    y = MPoly.variable(xy, "y")
+    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point"):
+        constants_variety_jets((x - y,), (1, exp_series(1, 6)), 1)
 
 
 # -- flow derivatives (dual numbers) -------------------------------------------------

@@ -1,7 +1,12 @@
-"""Seeded token-level mutations of `.djv` inputs never end in an internal error.
+"""Seeded mutations of `.djv` inputs never end in an internal error.
 
-Each mutation deletes, duplicates or swaps a token, or replaces it with
-another token of the same file.  Every mutated document goes through
+A token mutation deletes, duplicates or swaps a token, or replaces it with
+another token of the same file; most of these documents no longer parse.
+A structural mutation follows the grammar instead: it replaces a rational
+literal, an exponent, or a variable by another variable of the same
+dvariety block, drops or duplicates an item of a bracketed list, or swaps
+two section components; at least half of these documents must parse, so
+the commands get past the parser.  Every mutated document goes through
 `check`, `jet`, `tangent`, `integrate` and `horizontal`, and the
 counterexample document also through `tangent --restrict toZ`; each exit
 code must be 0, 1 or 2 (ok, verification failed, bad input), never 3
@@ -16,6 +21,8 @@ import re
 from pathlib import Path
 
 from djets.cli import main
+from djets.dsl import parse_document
+from djets.errors import DjetsError
 
 DJV = Path(__file__).resolve().parent.parent / "djv"
 
@@ -57,6 +64,68 @@ def mutate(text, rng):
     return text[:start] + text[other[0]:other[1]] + text[end:]
 
 
+BLOCK = re.compile(r"dvariety\s+\w+\s*\{(.*?)\}", re.S)
+VARS = re.compile(r"vars\s*:([^;]*);")
+LIST = re.compile(r"\[([^\[\]]*)\]")
+COMMENT = re.compile(r"#[^\n]*")
+LITERALS = ["0", "1", "2", "7", "12", "1/2", "3/5"]
+
+
+def structural_edits(text):
+    """Candidate edits (start, end, replacements) by kind, outside comments."""
+    comments = [m.span() for m in COMMENT.finditer(text)]
+    spans = [
+        (m.start(), m.end(), m.group()) for m in TOKEN.finditer(text)
+        if not any(a <= m.start() < b for a, b in comments)
+    ]
+    edits = {"literal": [], "exponent": [], "variable": [], "list item": [], "swap": []}
+    for i, (start, end, tok) in enumerate(spans):
+        if not tok.isdigit():
+            continue
+        neighbours = {spans[i - 1][2], spans[min(i + 1, len(spans) - 1)][2]}
+        if spans[i - 1][2] == "^":
+            edits["exponent"].append((start, end, [str(e) for e in range(5)]))
+        elif "/" in neighbours:  # one side of a p/q literal: a positive integer
+            edits["literal"].append((start, end, LITERALS[1:5]))
+        else:
+            edits["literal"].append((start, end, LITERALS))
+    for block in BLOCK.finditer(text):
+        declared = VARS.search(block.group(1))
+        if declared is None:
+            continue
+        names = declared.group(1).replace(",", " ").split()
+        offset = block.start(1)
+        for m in re.finditer(r"[A-Za-z_]\w*", block.group(1)[declared.end():]):
+            others = [v for v in names if v != m.group()]
+            if m.group() in names and others:
+                start = offset + declared.end() + m.start()
+                edits["variable"].append((start, start + len(m.group()), others))
+    for m in LIST.finditer(text):
+        if not m.group(1).strip():
+            continue
+        items = [item.strip() for item in m.group(1).split(",")]
+        start, end = m.span(1)
+        for k, item in enumerate(items):
+            dropped = items[:k] + items[k + 1:]
+            doubled = items[:k + 1] + items[k:]
+            edits["list item"].append(
+                (start, end, [", ".join(dropped), ", ".join(doubled)])
+            )
+        if re.search(r"section\s*:\s*$", text[:m.start()]):
+            for a in range(len(items)):
+                for b in range(a + 1, len(items)):
+                    swapped = list(items)
+                    swapped[a], swapped[b] = items[b], items[a]
+                    edits["swap"].append((start, end, [", ".join(swapped)]))
+    return {kind: sites for kind, sites in edits.items() if sites}
+
+
+def mutate_structure(text, rng):
+    edits = structural_edits(text)
+    start, end, choices = rng.choice(edits[rng.choice(sorted(edits))])
+    return text[:start] + rng.choice(choices) + text[end:]
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -64,28 +133,45 @@ def run(argv):
     return code, err.getvalue()
 
 
+def parses(text):
+    try:
+        parse_document(text)
+    except DjetsError:
+        return False
+    return True
+
+
 def test_mutated_documents_exit_with_a_defined_code(tmp_path):
     rng = random.Random(2024)
+    structure_rng = random.Random(2025)
     path = tmp_path / "mutated.djv"
     codes = set()
+    parsed = {"token": 0, "structure": 0}
     for n in range(MUTATIONS):
         text, point, variety, restriction = SOURCES[n % len(SOURCES)]
-        mutated = mutate(text, rng)
-        path.write_text(mutated, encoding="utf-8")
-        file = str(path)
-        argvs = [
-            ["check", file],
-            ["jet", file, "--at", point],
-            ["tangent", file, "--name", variety],
-            ["integrate", file, "--from", point, "-N", "8"],
-            ["horizontal", file, "--from", point, "-m", "1", "-N", "8"],
-        ]
-        if restriction:
-            argvs.append(["tangent", file, "--restrict", restriction])
-        for argv in argvs:
-            code, err = run(argv)
-            assert code in (0, 1, 2), (argv, mutated, err)
-            assert "Traceback" not in err
-            codes.add(code)
+        mutants = {
+            "token": mutate(text, rng),
+            "structure": mutate_structure(text, structure_rng),
+        }
+        for kind, mutated in mutants.items():
+            parsed[kind] += parses(mutated)
+            path.write_text(mutated, encoding="utf-8")
+            file = str(path)
+            argvs = [
+                ["check", file],
+                ["jet", file, "--at", point],
+                ["tangent", file, "--name", variety],
+                ["integrate", file, "--from", point, "-N", "8"],
+                ["horizontal", file, "--from", point, "-m", "1", "-N", "8"],
+            ]
+            if restriction:
+                argvs.append(["tangent", file, "--restrict", restriction])
+            for argv in argvs:
+                code, err = run(argv)
+                assert code in (0, 1, 2), (argv, mutated, err)
+                assert "Traceback" not in err
+                codes.add(code)
     # the mutations reach both accepted and rejected inputs
     assert {0, 2} <= codes
+    # most structural mutants get past the parser (about one token mutant in five does)
+    assert 2 * parsed["structure"] >= MUTATIONS, parsed

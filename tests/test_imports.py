@@ -11,7 +11,10 @@ unpacking target, `with ... as`, `except ... as`) must be read somewhere in
 that function, nested functions included; a target that is deliberately
 unused takes a name starting with `_`.  Outside `series.py` no module in
 `src/djets` or `tests` touches `TSeries._ints` or `_coeffs`, so every
-series is built by that module in its reduced integer form.
+series is built by that module in its reduced integer form.  Every public
+top-level function or class of a module in `src/djets` other than
+`__init__.py` is read somewhere in those modules, as a name or an
+attribute: an API that only the tests or the re-exports use is dead code.
 """
 
 import ast
@@ -137,3 +140,64 @@ def test_the_scan_sees_the_integer_form(tmp_path):
         encoding="utf-8",
     )
     assert series_private_uses(module) == ["_coeffs", "_ints"]
+
+
+def public_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def names_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def dead_api(paths):
+    read = set().union(*(names_read(path) for path in paths))
+    return sorted(
+        (path.stem, name)
+        for path in paths
+        for name in public_definitions(path)
+        if name not in read
+    )
+
+
+def test_every_public_definition_is_read_in_src():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert dead_api(paths) == []
+
+
+def test_the_scan_sees_dead_api(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from b import used_elsewhere\n"
+        "class Used:\n"
+        "    pass\n"
+        "class Unused:\n"
+        "    def method(self):\n"
+        "        return Used()\n"
+        "def helper():\n"
+        "    return used_elsewhere()\n"
+        "def _private():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\n"
+        "def used_elsewhere():\n"
+        "    return a.helper\n"
+        "def only_defined():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert dead_api(paths) == [("a", "Unused"), ("b", "only_defined")]

@@ -18,7 +18,7 @@ import pytest
 
 from djets.acceptance import _random_module
 from djets.delta_modules import dual, horizontal_sections, pairing_phi, tensor
-from djets.errors import NonUnitDivisor
+from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
 from djets.series import TSeries, dot, exp_series, fundamental_matrix, mat_mul, mat_vec
 
@@ -252,6 +252,21 @@ def test_inverse_of_exponential(prec):
     inv = 1 / u
     assert_matches(inv, ref_div(reference(TSeries.constant(1, prec)), reference(u)))
     assert inv.coeffs == exp_series(-c, prec).coeffs
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2, -2, F(1, 2), F(-3, 5), F(7, 3)])
+@pytest.mark.parametrize("prec", [0, 1, 96, 256])
+def test_exp_series_is_reduced_and_equals_powers_over_factorials(c, prec):
+    want, term = [], F(1)
+    for k in range(prec + 1):
+        want.append(term)
+        term = term * c / (k + 1)
+    assert_matches(exp_series(c, prec), (want, prec))
+
+
+def test_exp_series_rejects_a_negative_precision():
+    with pytest.raises(InsufficientPrecision):
+        exp_series(F(1, 2), -1)
 
 
 @pytest.mark.parametrize("seed", range(12))

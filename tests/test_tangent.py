@@ -9,6 +9,8 @@ from djets.errors import NonUnitDivisor, PointNotOnVariety, ZeroInput
 from djets.mpoly import MPoly
 from djets.series import TSeries, exp_series
 from djets.tangent import (
+    WITNESS_RATIOS,
+    LinearDVariety,
     RestrictionRule,
     counterexample_report,
     counterexample_variety,
@@ -241,8 +243,8 @@ def test_counterexample_chain_passes():
 
 def test_counterexample_witness_detail():
     # the unit-rate witness: delta(2g) = 2*1*(2g - g) and delta(g) = 1*(2g - g)
-    report = counterexample_report(precision=16, ratios=(1,))
-    (witness,) = report.witnesses
+    report = counterexample_report(precision=16)
+    (witness,) = [w for w in report.witnesses if w.ratio == 1]
     assert witness.ok
     g = exp_series(1, 16)
     assert (2 * g).derive() == 2 * 1 * (2 * g - g)
@@ -251,9 +253,29 @@ def test_counterexample_witness_detail():
 
 
 def test_counterexample_witness_zero_rate():
-    report = counterexample_report(precision=12, ratios=(0,))
-    (witness,) = report.witnesses
+    report = counterexample_report(precision=12)
+    (witness,) = [w for w in report.witnesses if w.ratio == 0]
     assert witness.ok  # the constant point (0, 0, 2, 1)
+
+
+def test_counterexample_report_divides_once_per_witness(monkeypatch):
+    divisions, presentations = [], []
+    truediv = TSeries.__truediv__
+    presentation = LinearDVariety.presentation
+    monkeypatch.setattr(TSeries, "__truediv__",
+                        lambda a, b: divisions.append(b) or truediv(a, b))
+    monkeypatch.setattr(LinearDVariety, "presentation",
+                        lambda self: presentations.append(self) or presentation(self))
+    report = counterexample_report(precision=96)
+    assert report.ok and len(report.witnesses) == len(WITNESS_RATIOS) == 7
+    assert len(divisions) == 7
+    assert len(presentations) == 1
+
+
+def test_counterexample_witnesses_follow_the_ratios():
+    report = counterexample_report(precision=12)
+    assert [w.ratio for w in report.witnesses] == list(WITNESS_RATIOS)
+    assert all(type(w.ratio) is F for w in report.witnesses)
 
 
 # -- the degree step --------------------------------------------------------------------
