@@ -277,28 +277,12 @@ def corpus(order=PRECISION):
         (X, (2, 1)),
     ]
     entries = [(v, sharp_integrate(v, pt, order)) for v, pt in singles]
-    prod_a = product_dvariety(_line(1), _line(2))
-    entries.append(
-        (
-            prod_a,
-            product_sharp_point(
-                prod_a,
-                sharp_integrate(_line(1), (1,), order),
-                sharp_integrate(_line(2), (1,), order),
-            ),
-        )
-    )
-    prod_b = product_dvariety(X, _line(1))
-    entries.append(
-        (
-            prod_b,
-            product_sharp_point(
-                prod_b,
-                sharp_integrate(X, (2, 1), order),
-                sharp_integrate(_line(1), (1,), order),
-            ),
-        )
-    )
+    for left, left_pt, right, right_pt in ((_line(1), (1,), _line(2), (1,)),
+                                           (X, (2, 1), _line(1), (1,))):
+        prod = product_dvariety(left, right)
+        point = product_sharp_point(prod, sharp_integrate(left, left_pt, order),
+                                    sharp_integrate(right, right_pt, order))
+        entries.append((prod, point))
     return entries
 
 
@@ -446,7 +430,7 @@ def _random_system(rng, variables):
     section = [_random_mpoly(rng, variables, degree=2) for _ in variables]
     if rng.random() < 0.5:
         g = _random_mpoly(rng, variables[:1], degree=2).embed(variables)
-        section[1] = section[0] * g.partial(x)
+        section[1] = g.lie({x: section[0]})
         return DVariety(variables, (MPoly.variable(variables, y) - g,), tuple(section),
                         eliminated=(y,))
     return DVariety(variables, (), tuple(section))
@@ -516,8 +500,7 @@ def _suite_group_closure(rng, cases):
 def _suite_fiber_linearity(rng, cases):
     X = counterexample_variety()
     W = restrict(delta_tangent(X, fiber_names=("u", "v")), diagonal_restriction())
-    checked = 0
-    while checked < cases:
+    for _ in range(cases):
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         reports = fiber_linearity_check(
             W,
@@ -527,7 +510,6 @@ def _suite_fiber_linearity(rng, cases):
         )
         if not reports[0].ok:
             return False, f"fiber linearity failed at ({c}, {c})"
-        checked += 1
     return True, None
 
 

@@ -112,6 +112,18 @@ def is_horizontal(module: DeltaModule, vec):
     return all((x.derive() + y).is_zero() for x, y in zip(vec, Av))
 
 
+def mutually_contained(basis_a, basis_b):
+    """True when two families of series vectors span the same constant space.
+
+    Each direction is one linalg.constant_combination elimination.
+    """
+    return all(
+        c is not None
+        for targets, basis in ((basis_a, basis_b), (basis_b, basis_a))
+        for c in constant_combination(targets, basis)
+    )
+
+
 def pairing_phi(v, w):
     """Coordinate tensor of two functionals: (v (x) w)[i*dim_w + j] = v_i w_j."""
     return [vi * wj for vi in v for wj in w]
@@ -161,18 +173,13 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     pairings = [pairing_phi(v, w) for v in hm for w in hn]
     dual_tensor = dual(tensor(left, right))
     target = horizontal_sections(dual_tensor)
-    pairings_horizontal = all(is_horizontal(dual_tensor, p) for p in pairings)
-    contained = all(c is not None for c in constant_combination(pairings, target))
-    contained = contained and all(
-        c is not None for c in constant_combination(target, pairings)
-    )
     return TensorPairingReport(
         dim_left=left.dim,
         dim_right=right.dim,
         dim_pairings=len(pairings),
         dim_tensor_horizontal=len(target),
-        pairings_horizontal=pairings_horizontal,
-        mutually_contained=contained,
+        pairings_horizontal=all(is_horizontal(dual_tensor, p) for p in pairings),
+        mutually_contained=mutually_contained(pairings, target),
     )
 
 

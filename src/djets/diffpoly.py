@@ -36,12 +36,8 @@ def derivation(p: MPoly, variety: DVariety):
     p is reduced first and the sum runs over the variables of its normal
     form; the sum is reduced again, so the result is in normal form.
     """
-    p = reduce(p, variety)
-    out = MPoly.zero(variety.vars)
-    for name, s in zip(variety.vars, variety.section):
-        if p.mentions(name):
-            out = out + s * p.partial(name)
-    return reduce(out, variety)
+    images = dict(zip(variety.vars, variety.section))
+    return reduce(reduce(p, variety).lie(images), variety)
 
 
 def log_derivative_normal_form(variety: DVariety, w: MPoly):

@@ -10,15 +10,18 @@
     point sp on X { integrate from p; }
 
 Polynomial expressions use explicit `*` and `^` with integer or p/q
-rational literals.  Restriction rules are parsed to expression trees and
-bound to a concrete variety's variables at the point of use, so one
-restriction block can serve any variety that declares the names it uses.
+rational literals.  Sums and products may be of any length; parentheses
+and leading minus signs nest at most MAX_NESTING deep.  Restriction rules
+are parsed to expression trees and bound to a concrete variety's variables
+at the point of use, so one restriction block can serve any variety that
+declares the names it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .dvariety import DVariety, sharp_integrate
 from .errors import ArityError, ParseError, UnknownName
@@ -29,6 +32,9 @@ from .tangent import RestrictionRule
 # -- tokens ----------------------------------------------------------------------
 
 _PUNCT = set("{}[]():;,=^*+-/")
+
+#: Deepest nesting of parentheses and leading minus signs in an expression.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -86,28 +92,35 @@ def tokenize(text):
 # -- expression trees --------------------------------------------------------------
 
 
+_BINARY = {"add": add, "sub": sub, "mul": mul}
+
+
 def bind_expression(ast, variables):
-    """Build an MPoly over the given variable tuple from an expression tree."""
+    """Build an MPoly over the given variable tuple from an expression tree.
+
+    The parser nests chains of sums and products to the left, so the left
+    spine of binary nodes is folded by a loop: its length costs no recursion.
+    """
+    spine = []
+    while ast[0] in _BINARY:
+        spine.append(ast)
+        ast = ast[1]
     kind = ast[0]
     if kind == "num":
-        return MPoly.constant(variables, ast[1])
-    if kind == "var":
+        out = MPoly.constant(variables, ast[1])
+    elif kind == "var":
         if ast[1] not in variables:
             raise UnknownName(f"unknown variable {ast[1]!r}")
-        return MPoly.variable(variables, ast[1])
-    if kind == "neg":
-        return -bind_expression(ast[1], variables)
-    if kind == "pow":
-        return bind_expression(ast[1], variables) ** ast[2]
-    left = bind_expression(ast[1], variables)
-    right = bind_expression(ast[2], variables)
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "mul":
-        return left * right
-    raise ParseError(f"malformed expression node {kind!r}")
+        out = MPoly.variable(variables, ast[1])
+    elif kind == "neg":
+        out = -bind_expression(ast[1], variables)
+    elif kind == "pow":
+        out = bind_expression(ast[1], variables) ** ast[2]
+    else:
+        raise ParseError(f"malformed expression node {kind!r}")
+    for kind, _, right in reversed(spine):
+        out = _BINARY[kind](out, bind_expression(right, variables))
+    return out
 
 
 # -- document objects ----------------------------------------------------------------
@@ -166,9 +179,9 @@ class DslDocument:
     def rational_point(self, name):
         """Resolve a point's rational coordinates, following integrate chains."""
         decl = self.point(name)
-        if decl.coords is not None:
-            return decl.coords
-        return self.rational_point(decl.integrate_from)
+        while decl.coords is None:
+            decl = self.point(decl.integrate_from)
+        return decl.coords
 
     def sharp_point(self, name, order):
         """A series point on the named point's variety, integrated from its
@@ -186,6 +199,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses and minus signs around the position
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,11 +245,22 @@ class _Parser:
             node = ("mul", node, self.parse_factor())
         return node
 
+    def nested(self, tok, parse):
+        """parse() one level deeper than the parentheses or minus sign `tok`."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} deep", tok.line, tok.col
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_factor(self):
         tok = self.peek()
         if tok and tok.kind == "-":
             self.next()
-            return ("neg", self.parse_factor())
+            return ("neg", self.nested(tok, self.parse_factor))
         node = self.parse_atom()
         if self.peek() and self.peek().kind == "^":
             self.next()
@@ -250,7 +275,7 @@ class _Parser:
         if tok.kind == "name":
             return ("var", tok.text)
         if tok.kind == "(":
-            node = self.parse_expr()
+            node = self.nested(tok, self.parse_expr)
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
@@ -396,29 +421,28 @@ def _parse_point(parser, doc):
 
 
 def _validate(doc):
+    """Each point names a dvariety, integrates along an acyclic chain of known
+    points and resolves to one coordinate per variable of its dvariety."""
     for pname, decl in doc.points.items():
         if decl.variety not in doc.varieties:
             raise UnknownName(
                 f"point {pname!r} references unknown dvariety {decl.variety!r}"
             )
-        variety = doc.varieties[decl.variety]
-        if decl.coords is not None and len(decl.coords) != variety.nvars:
-            raise ArityError(
-                f"point {pname!r} has {len(decl.coords)} coordinates for "
-                f"{variety.nvars} variables"
-            )
-        if decl.integrate_from is not None:
-            if decl.integrate_from not in doc.points:
-                raise UnknownName(
-                    f"point {pname!r} integrates from unknown point "
-                    f"{decl.integrate_from!r}"
-                )
-    # catch integrate-from cycles
-    for pname in doc.points:
         seen = set()
-        cur = pname
-        while doc.points[cur].integrate_from is not None:
-            if cur in seen:
+        cur = decl
+        while cur.integrate_from is not None:
+            if cur.integrate_from not in doc.points:
+                raise UnknownName(
+                    f"point {cur.name!r} integrates from unknown point "
+                    f"{cur.integrate_from!r}"
+                )
+            if cur.name in seen:
                 raise UnknownName(f"point {pname!r} has a cyclic integrate chain")
-            seen.add(cur)
-            cur = doc.points[cur].integrate_from
+            seen.add(cur.name)
+            cur = doc.points[cur.integrate_from]
+        coords = doc.rational_point(pname)
+        nvars = doc.varieties[decl.variety].nvars
+        if len(coords) != nvars:
+            raise ArityError(
+                f"point {pname!r} has {len(coords)} coordinates for {nvars} variables"
+            )

@@ -11,9 +11,9 @@ algebra by
 
 and the differential jet space is the kernel of the dual operator D inside
 the algebraic jet space.  Its horizontal basis is computed by restricting
-the coordinate ODE v' = B v to the jet kernel and solving with a
-fundamental matrix, so the dimension over the constants automatically
-matches the jet dimension over the series field.
+the coordinate ODE v' = B v to the jet kernel, a delta-module whose
+horizontal sections (delta_modules.horizontal_sections) are as many over
+the constants as the jet dimension over the series field.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
+from .delta_modules import DeltaModule, horizontal_sections
 from .errors import (
     ArityError,
     DimensionMismatch,
@@ -39,7 +40,6 @@ from .series import (
     TSeries,
     dot,
     from_hurwitz,
-    fundamental_matrix,
     integer_scaled,
     mat_mul,
     mat_vec,
@@ -91,13 +91,9 @@ def validate_section(variety: DVariety):
     normal forms of the E_P (mpoly.normal_form), all zero exactly when the
     section is valid.  With no generators the check is vacuous.
     """
-    residuals = []
-    for P in variety.generators:
-        E = MPoly.zero(variety.vars)
-        for v, s in zip(variety.vars, variety.section):
-            E = E + P.partial(v) * s
-        residuals.append(E)
-    residuals = normal_form(residuals, variety.generators)
+    images = dict(zip(variety.vars, variety.section))
+    residuals = normal_form([P.lie(images) for P in variety.generators],
+                            variety.generators)
     return SectionValidation(all(r.is_zero() for r in residuals), residuals)
 
 
@@ -313,16 +309,16 @@ class DeltaJetSpace:
 
 
 def _restricted_system(variety, point, order_m, B):
-    """Jet kernel basis plus the matrix R of the horizontal ODE on it.
+    """Jet kernel basis plus the matrix A of the module derivation c' + A c on it.
 
-    For a kernel basis vector b, the combination w = B b - b' must lie back
+    For a kernel basis vector b, the combination w = b' - B b must lie back
     in the kernel; its expansion coefficients are read off the free
     coordinates and the expansion residual witnesses invariance.
     """
     js = jet_space(variety.generators, point.coords, order_m)
     basis, free = js.basis, js.free_columns
     size = len(js.indices)
-    R = [[None] * len(basis) for _ in range(len(basis))]
+    A = [[None] * len(basis) for _ in range(len(basis))]
     columns = transpose(basis)
     for i, b in enumerate(basis):
         kept = [
@@ -336,7 +332,7 @@ def _restricted_system(variety, point, order_m, B):
                 Bb.append(dot([row[c] for c in cols], [b[c] for c in cols]))
             else:
                 Bb.append(TSeries.zero(point.prec))
-        w = [Bb[r] - b[r].derive() for r in range(size)]
+        w = [b[r].derive() - Bb[r] for r in range(size)]
         coeffs = [w[fc] for fc in free]
         # residual = w - sum_j coeffs[j] * basis[j], must vanish to precision
         expansion = mat_vec(columns, coeffs)
@@ -348,31 +344,25 @@ def _restricted_system(variety, point, order_m, B):
                     f"{acc} in coordinate {r})"
                 )
         for j, c in enumerate(coeffs):
-            R[j][i] = c
-    return js, R
+            A[j][i] = c
+    return js, A
 
 
 def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     """Horizontal jets at a sharp point: {v in Jet^m(V)_a : Dv = 0}.
 
-    The horizontal coordinates satisfy v' = B v; restricting to the jet
-    kernel gives a small ODE c' = R c whose fundamental matrix delivers a
-    basis over the constants of the same cardinality as the jet dimension
-    over the series field.
+    The horizontal coordinates satisfy v' = B v; on the jet kernel they form
+    the delta-module c' + A c, whose horizontal sections are a basis over the
+    constants of the same cardinality as the jet dimension over the series
+    field.
     """
     B = _derivation_matrix(variety, point, order_m)
     if variety.generators:
-        js, R = _restricted_system(variety, point, order_m, B)
+        js, A = _restricted_system(variety, point, order_m, B)
     else:
         js = jet_space(variety.generators, point.coords, order_m)
-        R = B
-    if not js.basis:
-        return DeltaJetSpace(js, [])
-    rprec = min(e.prec for row in R for e in row)
-    order = rprec + 1
-    phi = fundamental_matrix(R, order)
-    # horizontal[k] = sum_i phi[i][k] * basis[i]
-    horizontal = mat_mul(transpose(phi), js.basis)
+        A = [[-e for e in row] for row in B]
+    horizontal = mat_mul(horizontal_sections(DeltaModule.from_rows(A)), js.basis)
     return DeltaJetSpace(js, horizontal)
 
 

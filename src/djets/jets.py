@@ -62,8 +62,7 @@ def jet_equations(generators, point, order):
     prec = _point_precision(point)
     lam = None
     rows = []
-    labels = []
-    for gi, P in enumerate(generators):
+    for P in generators:
         n = len(P.vars)
         if len(point) != n:
             raise DimensionMismatch(
@@ -88,12 +87,11 @@ def jet_equations(generators, point, order):
                 else:
                     row.append(coeffs.get(shifted, zero))
             rows.append(row)
-            labels.append((gi, gamma))
     if lam is None:
         # No generators: the ambient space contributes no constraints, but the
         # caller still needs the column count.
         lam = JetIndexSet.build(len(point), order)
-    return LinSystem(rows, len(lam), domain, labels=labels, prec=prec)
+    return LinSystem(rows, len(lam), domain, prec=prec)
 
 
 @dataclass

@@ -38,7 +38,6 @@ class LinSystem:
     rows: list
     ncols: int
     domain: str
-    labels: list | None = None
     prec: int | None = None  # series domain: precision for synthesized zeros
 
     def __post_init__(self):
@@ -271,12 +270,3 @@ def _read_solutions(red, pivots, first, stop):
             x[pc] = row[j]
         out.append(x)
     return out
-
-
-def mutually_contained(basis_a, basis_b):
-    """True when two series-vector families span the same constant space."""
-    return all(
-        c is not None
-        for targets, basis in ((basis_a, basis_b), (basis_b, basis_a))
-        for c in constant_combination(targets, basis)
-    )

@@ -227,6 +227,17 @@ class MPoly:
         exps[self.vars.index(name)] = 1
         return self.hasse(tuple(exps))
 
+    def lie(self, images):
+        """The Lie derivative sum_v images[v] * dp/dv over the variables p mentions.
+
+        `images` maps each mentioned variable name to an MPoly over self.vars.
+        """
+        out = MPoly.zero(self.vars)
+        for v in self.vars:
+            if self.mentions(v):
+                out = out + images[v] * self.partial(v)
+        return out
+
     def eval(self, point):
         """Evaluate at a point of rationals, series, or polynomials."""
         point = list(point)

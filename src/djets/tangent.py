@@ -22,6 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diffpoly as dp
+from .delta_modules import (
+    DeltaModule,
+    horizontal_sections,
+    is_horizontal,
+    mutually_contained,
+)
 from .dvariety import DVariety, delta_jet_space, SharpPoint
 from .errors import (
     DimensionMismatch,
@@ -30,19 +36,13 @@ from .errors import (
     ZeroInput,
 )
 from .jets import jet_equations
-from .linalg import (
-    RATIONAL,
-    LinSystem,
-    mutually_contained,
-    nullspace,
-)
+from .linalg import RATIONAL, LinSystem, nullspace
 from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
     dot,
     exp_series,
-    fundamental_matrix,
     integer_rows,
     mat_vec,
     transpose,
@@ -102,6 +102,16 @@ class LinearDVariety:
             rhs = rhs + c.embed(allv) * MPoly.variable(allv, u)
         return rhs
 
+    def fiber_module(self, point, prec):
+        """The fiber over a base point as a delta-module: derivation matrix -J(point).
+
+        Its horizontal sections are the solutions of delta(u) = J(point) u;
+        rational entries become constant series of order `prec`.
+        """
+        return DeltaModule.from_rows(
+            [[-e.eval(point) for e in row] for row in self.fiber_matrix], prec
+        )
+
     def fiber_equations(self):
         """delta(u_i) as polynomials in base and fiber variables."""
         return [self._linear_form(row) for row in self.fiber_matrix]
@@ -145,11 +155,7 @@ class LinearDVariety:
         base_ideal = normal_form(list(self.base.generators), basis, key)
         rules = {v: self.base_rules[v].embed(allv) for v in self.base.vars}
         for v, r in self.substitutions.items():
-            r = r.embed(allv)
-            rules[v] = sum(
-                (rules[w] * r.partial(w) for w in self.base.vars if r.mentions(w)),
-                MPoly.zero(allv),
-            )
+            rules[v] = r.embed(allv).lie(rules)
         rules.update(zip(self.fiber_vars, self.fiber_equations()))
         generators = tuple(g.embed(allv) for g in basis) + tuple(
             g.embed(allv) for g in base_ideal if not g.is_zero()
@@ -232,16 +238,24 @@ def restrict(bundle: LinearDVariety, rules):
 
     The identifications, earlier ones included, generate an ideal whose
     reduced basis must be v - r with v single variables (_identification_basis);
-    the v are eliminated, chains included.  Overrides replace base rules, and
-    base rules, fiber matrix and fiber constraints are reduced by one normal
-    form modulo that basis.  The constraints stay display rows, outside the
-    ideal.  The presentation lists the identifications as written, the
-    surviving base rules and the reduced fiber equations.
+    the v are eliminated, chains included.  Overrides replace base rules; one
+    on an eliminated variable raises NonTriangular.  Base rules, fiber matrix
+    and fiber constraints are reduced by one normal form modulo that basis.
+    The constraints stay display rows, outside the ideal.  The presentation
+    lists the identifications as written, the surviving base rules and the
+    reduced fiber equations.
     """
     base_vars = bundle.base.vars
     identifications = bundle.identifications + [r for r in rules if r.kind == "identify"]
     overrides = {r.lhs: r.rhs for r in rules if r.kind == "derivative"}
     substitutions, key = _identification_basis(identifications, base_vars)
+    for v, rhs in overrides.items():
+        if v in substitutions:
+            rule = next(r for r in identifications if r.lhs == v or r.rhs.mentions(v))
+            raise NonTriangular(
+                f"derivative override delta {v} = {rhs} is on {v}, which the "
+                f"identification {rule.lhs} = {rule.rhs} eliminates"
+            )
     basis = [MPoly.variable(base_vars, v) - r for v, r in substitutions.items()]
     rows = [[overrides.get(v, bundle.base_rules[v]) for v in base_vars]]
     rows += bundle.fiber_matrix + bundle.fiber_constraints
@@ -365,33 +379,25 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
 
     Each sample must be a constant point of the restricted base (checked
     against the identifications and overridden derivative rules); the fiber
-    solutions are the fundamental columns of the evaluated system matrix.
+    solutions are the horizontal sections of the fiber module there.
     """
     reports = []
     for pt in samples:
         pt = tuple(Fraction(c) for c in pt)
         _check_restricted_base_point(bundle, pt)
-        A = [
-            [TSeries.constant(e.eval(pt), order) for e in row]
-            for row in bundle.fiber_matrix
-        ]
-        sols = transpose(fundamental_matrix(A, order))
-
-        def satisfies(vec):
-            Av = mat_vec(A, vec)
-            return all((x.derive() - y).is_zero() for x, y in zip(vec, Av))
-
+        module = bundle.fiber_module(pt, order)
+        sols = horizontal_sections(module)
         additive = all(
-            satisfies([a + b for a, b in zip(s1, s2)])
+            is_horizontal(module, [a + b for a, b in zip(s1, s2)])
             for s1 in sols
             for s2 in sols
         )
         scaling = all(
-            satisfies([TSeries.constant(c, order) * x for x in s])
+            is_horizontal(module, [TSeries.constant(c, order) * x for x in s])
             for c in scalars
             for s in sols
         )
-        zero_ok = satisfies([TSeries.zero(order) for _ in A])
+        zero_ok = is_horizontal(module, [TSeries.zero(order)] * module.dim)
         reports.append(
             FiberLinearityReport(pt, len(sols), additive, scaling, zero_ok)
         )
@@ -402,9 +408,7 @@ def _check_restricted_base_point(bundle: LinearDVariety, pt):
     base_vars = bundle.base.vars
     values = dict(zip(base_vars, pt))
     for rule in bundle.identifications:
-        lhs = values[rule.lhs]
-        rhs = rule.rhs.eval([values[v] for v in rule.rhs.vars])
-        if lhs != rhs:
+        if values[rule.lhs] != rule.rhs.eval(pt):
             raise PointNotOnVariety(
                 f"sample {pt} violates identification {rule.lhs} = {rule.rhs}"
             )
@@ -447,29 +451,23 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     """Compare the order-1 jet route with the direct Jacobian linearization.
 
     Route one computes the differential jet space at the sharp point; route
-    two solves v' = J_s(a(t)) v with the fundamental matrix and keeps the
-    constant combinations satisfying the order-1 jet rows.  The two bases
-    must contain each other over the constants with exact-zero residuals.
+    two takes the horizontal sections of the fiber module of delta_tangent,
+    the solutions of v' = J_s(a(t)) v, and keeps the constant combinations
+    satisfying the order-1 jet rows.  The two bases must contain each other
+    over the constants with exact-zero residuals.
     """
     djs = delta_jet_space(variety, point, 1)
-    J = [
-        [
-            TSeries.lift(s.partial(v).eval(point.coords), point.prec)
-            for v in variety.vars
-        ]
-        for s in variety.section
-    ]
-    order = min(e.prec for row in J for e in row) + 1 if J else point.prec
-    phi = fundamental_matrix(J, order)
-    d = len(phi)
-    columns = transpose(phi)
+    columns = horizontal_sections(
+        delta_tangent(variety).fiber_module(point.coords, point.prec)
+    )
     if variety.generators:
         constraints = jet_equations(variety.generators, point.coords, 1)
         rational_rows = []
         for row in constraints.rows:
             combo = [dot(row, col) for col in columns]
             rational_rows += integer_rows(combo, min(x.prec for x in combo))
-        kernel = nullspace(LinSystem(rational_rows, d, RATIONAL))
+        kernel = nullspace(LinSystem(rational_rows, len(columns), RATIONAL))
+        phi = transpose(columns)
         ode_basis = [mat_vec(phi, coeffs) for coeffs in kernel]
     else:
         ode_basis = columns

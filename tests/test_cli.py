@@ -258,6 +258,47 @@ def test_identifications_that_do_not_substitute_exit_2(tmp_path, capsys, restric
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+def test_override_on_an_eliminated_variable_exits_2(tmp_path, capsys):
+    path = tmp_path / "chains.djv"
+    path.write_text(CHAINS + "restrict late { x = y; delta y = 1; }\n", encoding="utf-8")
+    assert main(["tangent", "--restrict", "late", "--name", "P", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: derivative override delta y = 1 is on y, which the "
+        "identification x = y eliminates\n"
+    )
+
+
+def test_jet_rejects_a_point_integrated_from_another_arity(tmp_path, capsys):
+    path = tmp_path / "mixed.djv"
+    path.write_text(
+        "dvariety X { vars: x, y; ideal: []; section: [x^2 - y^2, x^2 - x*y]; }\n"
+        + LINES + "point q on X { integrate from a; }\n",
+        encoding="utf-8",
+    )
+    assert main(["jet", "--at", "q", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point 'q' has 1 coordinates for 2 variables\n"
+
+
+@pytest.mark.parametrize("expr, code", [
+    (" + ".join(["x"] * 5000), 0),
+    ("(" * 5000 + "x" + ")" * 5000, 2),
+    ("-" * 5000 + "x", 2),
+], ids=["sum", "parentheses", "minus"])
+def test_long_and_deep_expressions_never_end_in_an_internal_error(tmp_path, capsys, expr, code):
+    path = tmp_path / "deep.djv"
+    path.write_text(f"dvariety L {{ vars: x; ideal: []; section: [{expr}]; }}\n",
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    if code == 2:
+        assert err.startswith("error: expression nested more than 100 deep at line 1, column ")
+
+
 def test_precision_env_override(parabola_file, capsys, monkeypatch):
     monkeypatch.setenv("DJETS_PRECISION", "5")
     assert main(["integrate", "--from", "p", parabola_file]) == 0

@@ -102,6 +102,38 @@ def test_point_arity_error():
         parse_document(bad)
 
 
+def test_integrated_point_arity_error():
+    # q's coordinates come from a point of the line L1, not of the plane X
+    bad = PLANE_DOC + """
+    dvariety L1 { vars: x; ideal: []; section: [x]; }
+    point a on L1 { coords: [1]; }
+    point q on X { integrate from a; }
+    """
+    with pytest.raises(ArityError, match="point 'q' has 1 coordinates for 2 variables"):
+        parse_document(bad)
+
+
+def line_section(expr):
+    doc = parse_document(f"dvariety L {{ vars: x; ideal: []; section: [{expr}]; }}")
+    return doc.variety("L").section[0]
+
+
+def test_long_sums_and_products_bind_without_recursion():
+    x = MPoly.variable(("x",), "x")
+    assert line_section(" + ".join(["x"] * 5000)) == 5000 * x
+    assert line_section(" - ".join(["x"] * 5001)) == -4999 * x
+    assert line_section("*".join(["1"] * 5000) + "*x") == x
+
+
+def test_nesting_is_bounded_with_a_position():
+    x = MPoly.variable(("x",), "x")
+    assert line_section("(" * 100 + "x" + ")" * 100) == x
+    assert line_section("-" * 100 + "x") == x
+    for expr in ("(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "-(" * 51 + "x" + ")" * 51):
+        with pytest.raises(ParseError, match="nested more than 100 deep at line 1, column "):
+            line_section(expr)
+
+
 def test_unknown_variety_reference():
     with pytest.raises(UnknownName):
         parse_document("point p on nowhere { coords: [1]; }")

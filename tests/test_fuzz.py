@@ -4,12 +4,14 @@ A token mutation deletes, duplicates or swaps a token, or replaces it with
 another token of the same file; most of these documents no longer parse.
 A structural mutation follows the grammar instead: it replaces a rational
 literal, an exponent, or a variable by another variable of the same
-dvariety block, drops or duplicates an item of a bracketed list, or swaps
-two section components; at least half of these documents must parse, so
-the commands get past the parser.  Every mutated document goes through
-`check`, `jet`, `tangent`, `integrate` and `horizontal`, and the
-counterexample document also through `tangent --restrict toZ`; each exit
-code must be 0, 1 or 2 (ok, verification failed, bad input), never 3
+dvariety block, drops or duplicates an item of a bracketed list, swaps
+two section components, or puts a list item in one of the shapes that
+once overflowed the recursion: a sum with 1,200 zeros, or 1,200
+parentheses or minus signs around it; at least half of these documents
+must parse, so the commands get past the parser.  Every mutated document
+goes through `check`, `jet`, `tangent`, `integrate` and `horizontal`, and
+the counterexample document also through `tangent --restrict toZ`; each
+exit code must be 0, 1 or 2 (ok, verification failed, bad input), never 3
 (internal error).  Mutated ideals drive the Groebner normal form behind
 `check`, and mutated restriction blocks the one behind `restrict`.
 """
@@ -71,6 +73,11 @@ COMMENT = re.compile(r"#[^\n]*")
 LITERALS = ["0", "1", "2", "7", "12", "1/2", "3/5"]
 
 
+def deep_shapes(item):
+    """The item in a long sum of zeros, and nested far past dsl.MAX_NESTING."""
+    return [item + "+0" * 1200, "(" * 1200 + item + ")" * 1200, "-" * 1200 + item]
+
+
 def structural_edits(text):
     """Candidate edits (start, end, replacements) by kind, outside comments."""
     comments = [m.span() for m in COMMENT.finditer(text)]
@@ -78,7 +85,8 @@ def structural_edits(text):
         (m.start(), m.end(), m.group()) for m in TOKEN.finditer(text)
         if not any(a <= m.start() < b for a, b in comments)
     ]
-    edits = {"literal": [], "exponent": [], "variable": [], "list item": [], "swap": []}
+    edits = {"literal": [], "exponent": [], "variable": [], "list item": [], "swap": [],
+             "nesting": []}
     for i, (start, end, tok) in enumerate(spans):
         if not tok.isdigit():
             continue
@@ -111,6 +119,9 @@ def structural_edits(text):
             edits["list item"].append(
                 (start, end, [", ".join(dropped), ", ".join(doubled)])
             )
+            edits["nesting"].append((start, end, [
+                ", ".join(items[:k] + [shape] + items[k + 1:]) for shape in deep_shapes(item)
+            ]))
         if re.search(r"section\s*:\s*$", text[:m.start()]):
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):

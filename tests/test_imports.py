@@ -15,6 +15,9 @@ series is built by that module in its reduced integer form.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
+Every module of `src/djets` sits in one layer of `LAYERS` and imports,
+at any depth of its body, only modules of lower layers, so the package
+imports form no cycle.
 """
 
 import ast
@@ -201,3 +204,73 @@ def test_the_scan_sees_dead_api(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert dead_api(paths) == [("a", "Unused"), ("b", "only_defined")]
+
+
+# Lowest first.  tangent imports diffpoly for the kernel identity and cli
+# imports acceptance for `suite`, so each sits one layer above the other.
+LAYERS = (
+    ("errors",),
+    ("series",),
+    ("mpoly", "render"),
+    ("linalg",),
+    ("jets", "delta_modules"),
+    ("dvariety",),
+    ("diffpoly",),
+    ("tangent",),
+    ("dsl",),
+    ("acceptance",),
+    ("cli",),
+    ("__init__",),
+)
+
+
+def package_imports(path):
+    """The sibling modules a module imports by relative import, anywhere in it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {a.name for a in node.names}
+    return found
+
+
+def layering_violations(paths, layers):
+    """(module, imported module) pairs whose import does not go down a layer;
+    a module missing from the layers is paired with None."""
+    rank = {name: i for i, layer in enumerate(layers) for name in layer}
+    found = []
+    for path in paths:
+        if path.stem not in rank:
+            found.append((path.stem, None))
+            continue
+        found += [
+            (path.stem, name) for name in sorted(package_imports(path))
+            if rank.get(name, len(layers)) >= rank[path.stem]
+        ]
+    return sorted(found)
+
+
+def test_imports_follow_the_layers():
+    assert layering_violations(sorted(SRC.glob("*.py")), LAYERS) == []
+
+
+def test_the_scan_sees_an_import_against_the_layers(tmp_path):
+    (tmp_path / "low.py").write_text("from . import high\n", encoding="utf-8")
+    (tmp_path / "mid.py").write_text(
+        "from .low import f\n"
+        "from .mid2 import g\n"
+        "def h():\n"
+        "    from .high import k\n"
+        "    return f, g, k\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "mid2.py").write_text("import os\n", encoding="utf-8")
+    (tmp_path / "high.py").write_text("from .low import f\n", encoding="utf-8")
+    (tmp_path / "stray.py").write_text("", encoding="utf-8")
+    layers = (("low",), ("mid", "mid2"), ("high",))
+    assert layering_violations(sorted(tmp_path.glob("*.py")), layers) == [
+        ("low", "high"), ("mid", "high"), ("mid", "mid2"), ("stray", None),
+    ]

@@ -3,13 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from djets.delta_modules import mutually_contained
 from djets.errors import DomainMismatch, SingularPivot
 from djets.linalg import (
     RATIONAL,
     SERIES,
     LinSystem,
     constant_combination,
-    mutually_contained,
     nullspace,
     primitive_vector,
     rref,

@@ -307,3 +307,23 @@ def test_groebner_basis_bound(monkeypatch):
 def test_groebner_needs_rational_coefficients():
     with pytest.raises(DomainMismatch):
         groebner([MPoly(XYZ, {(1, 0, 0): TSeries([1, 1], 4)})])
+
+
+def test_lie_derivative_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(XYZ)
+
+    def to_sympy(p):
+        rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(rep or {(0, 0, 0): 0}, *gens, domain="QQ")
+
+    for seed in range(100):
+        rng = random.Random(5000 + seed)
+        p = random_poly(rng, 3, 5)
+        # only the variables p mentions need an image
+        images = {v: random_poly(rng, 2, 3) for v in XYZ if p.mentions(v)}
+        want = to_sympy(MPoly.zero(XYZ))
+        for v, g in zip(XYZ, gens):
+            if v in images:
+                want += to_sympy(images[v]) * to_sympy(p).diff(g)
+        assert to_sympy(p.lie(images)) == want, seed

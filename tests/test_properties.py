@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction as F
 
+from djets.delta_modules import mutually_contained
 from djets.dvariety import (
     DVariety,
     constants_variety_jets,
     delta_jet_space,
     sharp_integrate,
 )
-from djets.linalg import constant_combination, mutually_contained
+from djets.linalg import constant_combination
 from djets.mpoly import MPoly
 from djets.series import TSeries
 

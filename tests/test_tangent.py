@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import djets.series
 from djets.diffpoly import log_derivative_constant_identity
-from djets.dvariety import DVariety, sharp_integrate, validate_section
-from djets.errors import NonUnitDivisor, PointNotOnVariety, ZeroInput
+from djets.dvariety import DVariety, delta_jet_space, sharp_integrate, validate_section
+from djets.errors import NonTriangular, NonUnitDivisor, PointNotOnVariety, ZeroInput
 from djets.mpoly import MPoly
 from djets.series import TSeries, exp_series
 from djets.tangent import (
@@ -175,6 +177,21 @@ def test_kernel_identity_runs_on_the_chain_bundle():
     ux, uy = (MPoly.variable(W.all_vars, u) for u in ("u_x", "u_y"))
     assert log_derivative_constant_identity(W.dvariety(), ux - uy)
     assert not log_derivative_constant_identity(W.dvariety(), ux)
+
+
+def test_restrict_rejects_an_override_on_an_eliminated_variable():
+    xy = ("x", "y")
+    rules = [
+        RestrictionRule("identify", "x", MPoly.variable(xy, "y")),
+        RestrictionRule("derivative", "y", MPoly.constant(xy, 1)),
+    ]
+    T = delta_tangent(counterexample_variety(), fiber_names=("u", "v"))
+    with pytest.raises(NonTriangular) as info:
+        restrict(T, rules)
+    assert str(info.value) == (
+        "derivative override delta y = 1 is on y, which the identification "
+        "x = y eliminates"
+    )
 
 
 # -- log derivative and the group -----------------------------------------------------
@@ -361,6 +378,58 @@ def test_fiber_linearity_rejects_off_base_samples():
     W = restricted_bundle()
     with pytest.raises(PointNotOnVariety):
         fiber_linearity_check(W, [(1, 2)], order=8)
+
+
+def exact(matrix):
+    """Every entry of a series matrix as (numerators, denominator, precision)."""
+    return [[(tuple(e.nums), e.den, e.prec) for e in row] for row in matrix]
+
+
+def parabola():
+    xy = ("x", "y")
+    x, y = MPoly.variable(xy, "x"), MPoly.variable(xy, "y")
+    return DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x))
+
+
+def test_fiber_module_is_minus_the_evaluated_fiber_matrix():
+    # the matrices m1_equivalence built by hand at a sharp point ...
+    for variety, start in [(counterexample_variety(), (2, 1)), (parabola(), (1, 1))]:
+        point = sharp_integrate(variety, start, 12)
+        J = [[TSeries.lift(s.partial(v).eval(point.coords), point.prec)
+              for v in variety.vars] for s in variety.section]
+        module = delta_tangent(variety).fiber_module(point.coords, point.prec)
+        assert exact(module.matrix) == exact([[-e for e in row] for row in J])
+    # ... and fiber_linearity_check at a constant point of the restricted bundle
+    W = restricted_bundle()
+    pt = (F(1, 3), F(1, 3))
+    A = [[TSeries.constant(e.eval(pt), 9) for e in row] for row in W.fiber_matrix]
+    assert exact(W.fiber_module(pt, 9).matrix) == exact([[-e for e in row] for row in A])
+
+
+def test_every_linear_ode_is_solved_by_horizontal_sections(monkeypatch):
+    original = djets.series.fundamental_matrix
+    inside = []  # per call: is horizontal_sections on the stack
+
+    def counted(A, order):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        inside.append("horizontal_sections" in names)
+        return original(A, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "djets" and vars(module).get("fundamental_matrix") is original:
+            monkeypatch.setattr(module, "fundamental_matrix", counted)
+    plane, curve = counterexample_variety(), parabola()
+    plane_point = sharp_integrate(plane, (2, 1), 10)
+    curve_point = sharp_integrate(curve, (1, 1), 10)
+    delta_jet_space(plane, plane_point, 2)  # no generators
+    delta_jet_space(curve, curve_point, 2)  # restricted to the jet kernel
+    m1_equivalence(plane, plane_point)
+    m1_equivalence(curve, curve_point)
+    fiber_linearity_check(restricted_bundle(), [(1, 1)], order=8)
+    assert inside == [True] * 7
 
 
 # -- the order-one equivalence ---------------------------------------------------------
