@@ -52,7 +52,7 @@ from .errors import (
     UnknownName,
     ZeroInput,
 )
-from .jets import JetIndexSet, JetSpace, jet_equations, jet_of_morphism, jet_space
+from .jets import JetSpace, jet_equations, jet_of_morphism, jet_space
 from .linalg import LinSystem, nullspace
 from .mpoly import MPoly, groebner, normal_form, taylor_coeffs
 from .series import (

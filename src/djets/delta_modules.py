@@ -108,7 +108,7 @@ def horizontal_sections(module: DeltaModule):
 
 def is_horizontal(module: DeltaModule, vec):
     """Whether delta(v) + A v vanishes to guaranteed precision."""
-    Av = mat_vec(list(map(list, module.matrix)), vec)
+    Av = mat_vec(module.matrix, vec)
     return all((x.derive() + y).is_zero() for x, y in zip(vec, Av))
 
 

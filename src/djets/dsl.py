@@ -72,9 +72,9 @@ def tokenize(text):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -33,16 +33,14 @@ from .errors import (
     PointNotOnVariety,
     UnknownName,
 )
-from .jets import JetIndexSet, JetSpace, jet_space
-from .mpoly import MPoly, normal_form, taylor_coeffs
+from .jets import JetSpace, jet_space, taylor_tails, truncated_mul
+from .mpoly import MPoly, multi_indices, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
-    dot,
     from_hurwitz,
     integer_scaled,
     mat_mul,
-    mat_vec,
     transpose,
 )
 
@@ -151,12 +149,15 @@ def sharp_integrate(variety: DVariety, initial, order):
     parents = {}  # monomial -> (parent monomial, variable index), parents first
 
     def add_node(e):
-        if e == one or e in parents:
-            return
-        j = next(i for i, a in enumerate(e) if a)
-        parent = e[:j] + (e[j] - 1,) + e[j + 1 :]
-        add_node(parent)
-        parents[e] = (parent, j)
+        # A loop, not a recursion, so a high degree needs no stack frame per
+        # degree: walk up to the tree, then add the chain parents first.
+        chain = []
+        while e != one and e not in parents:
+            j = next(i for i, a in enumerate(e) if a)
+            parent = e[:j] + (e[j] - 1,) + e[j + 1 :]
+            chain.append((e, (parent, j)))
+            e = parent
+        parents.update(reversed(chain))
 
     # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e(lam tau) y^e.
     mu, x0 = integer_scaled(initial)
@@ -253,34 +254,22 @@ def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
     """Matrix B of the induced derivation on the ambient monomial basis.
 
     Row alpha holds the coordinates of d((x-a)^alpha) on the basis
-    (x-a)^beta, beta in Lambda, using d(x_j - a_j) = Taylor expansion of
-    s_j(x) - s_j(a) around a, truncated past order m.
+    (x-a)^beta, beta in Lambda: by d(x_j - a_j) = s_j(x) - s_j(a), the sum
+    over j of alpha_j (x-a)^(alpha - e_j) times the Taylor tail of s_j
+    around a, truncated past order m.
     """
-    lam = JetIndexSet.build(variety.nvars, order_m)
-    pos = {alpha: i for i, alpha in enumerate(lam.indices)}
-    prec = point.prec
-    zero = TSeries.zero(prec)
-    # Taylor data of each section component around the moving point; the
-    # constant term cancels in s_j(x) - s_j(a).
-    tails = []
-    for s in variety.section:
-        coeffs = dict(taylor_coeffs(s, point.coords, order_m))
-        coeffs.pop((0,) * variety.nvars, None)
-        tails.append(coeffs)
-    size = len(lam)
-    B = [[zero for _ in range(size)] for _ in range(size)]
-    for alpha in lam.indices:
-        row = B[pos[alpha]]
-        for j in range(variety.nvars):
-            if alpha[j] == 0:
-                continue
-            lowered = list(alpha)
-            lowered[j] -= 1
-            for beta, value in tails[j].items():
-                combined = tuple(l + b for l, b in zip(lowered, beta))
-                if 0 < sum(combined) <= order_m:
-                    target = pos[combined]
-                    row[target] = row[target] + alpha[j] * value
+    lam = multi_indices(variety.nvars, order_m)
+    zero = TSeries.zero(point.prec)
+    tails = taylor_tails(variety.section, point.coords, order_m)
+    B = []
+    for alpha in lam:
+        row = {}
+        for j, a in enumerate(alpha):
+            if a:
+                lowered = {alpha[:j] + (a - 1,) + alpha[j + 1 :]: a}
+                for e, c in truncated_mul(lowered, tails[j], order_m).items():
+                    row[e] = row.get(e, zero) + c
+        B.append([row.get(beta, zero) for beta in lam])
     return B
 
 
@@ -311,41 +300,27 @@ class DeltaJetSpace:
 def _restricted_system(variety, point, order_m, B):
     """Jet kernel basis plus the matrix A of the module derivation c' + A c on it.
 
-    For a kernel basis vector b, the combination w = b' - B b must lie back
-    in the kernel; its expansion coefficients are read off the free
-    coordinates and the expansion residual witnesses invariance.
+    With the kernel basis b_1..b_k as rows, one product gives the rows
+    w_i = b_i' - B b_i, which must lie back in the kernel.  The free
+    coordinates of w_i are its coefficients on the basis and form column i
+    of A; w_i minus that expansion, one more product, must vanish to
+    guaranteed precision.
     """
     js = jet_space(variety.generators, point.coords, order_m)
-    basis, free = js.basis, js.free_columns
-    size = len(js.indices)
-    A = [[None] * len(basis) for _ in range(len(basis))]
-    columns = transpose(basis)
-    for i, b in enumerate(basis):
-        kept = [
-            c for c in range(size)
-            if not (isinstance(b[c], TSeries) and b[c].is_zero())
-        ]
-        Bb = []
-        for row in B:
-            cols = [c for c in kept if not row[c].is_zero()]
-            if cols:
-                Bb.append(dot([row[c] for c in cols], [b[c] for c in cols]))
-            else:
-                Bb.append(TSeries.zero(point.prec))
-        w = [b[r].derive() - Bb[r] for r in range(size)]
-        coeffs = [w[fc] for fc in free]
-        # residual = w - sum_j coeffs[j] * basis[j], must vanish to precision
-        expansion = mat_vec(columns, coeffs)
-        for r in range(size):
-            acc = w[r] - expansion[r]
+    W = [
+        [x.derive() - y for x, y in zip(b, image)]
+        for b, image in zip(js.basis, mat_mul(js.basis, transpose(B)))
+    ]
+    coeffs = [[w[c] for c in js.free_columns] for w in W]
+    for w, expansion in zip(W, mat_mul(coeffs, js.basis)):
+        for r, (x, y) in enumerate(zip(w, expansion)):
+            acc = x - y
             if not acc.is_zero():
                 raise InvarianceViolation(
                     "dual derivation leaves the jet kernel (residual "
                     f"{acc} in coordinate {r})"
                 )
-        for j, c in enumerate(coeffs):
-            A[j][i] = c
-    return js, A
+    return js, transpose(coeffs)
 
 
 def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):

@@ -3,42 +3,30 @@
 The m-th jet space of V at a point a is the space of linear functionals on
 the local algebra of V at a truncated past order m.  In the monomial
 coordinates z_alpha, alpha running over the graded-lex index set
-Lambda = {alpha : 0 < |alpha| <= m}, it is the kernel of one linear row per
-pair (ideal generator P, shift gamma with |gamma| <= m-1): the row of
-divided-power Taylor coefficients of (z-a)^gamma * P around a.  The shift
-rows are what cut the functionals down to those killing the whole ideal
-image, not just the generators themselves; at m = 1 they reduce to the
-familiar Jacobian rows.
+Lambda = {alpha : 0 < |alpha| <= m} (`mpoly.multi_indices`), it is the
+kernel of one linear row per pair (ideal generator P, shift gamma with
+|gamma| <= m-1): the row of divided-power Taylor coefficients of
+(z-a)^gamma * P around a.  The shift rows are what cut the functionals down
+to those killing the whole ideal image, not just the generators themselves;
+at m = 1 they reduce to the familiar Jacobian rows.
+
+Every jet-layer matrix is built from the same Taylor data: sparse maps from
+exponent vectors to coefficients (`mpoly.taylor_coeffs`), with the constant
+term dropped for the expansions of p(z) - p(a) (`taylor_tails`), multiplied
+by one product truncated past order m (`truncated_mul`).  The jet
+equations, the matrix of a morphism on jets and the derivation matrix of
+`dvariety` all read their rows off such products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import BasePointMismatch, DimensionMismatch, PointNotOnVariety
 from .linalg import RATIONAL, SERIES, LinSystem, nullspace_with_free
 from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
 from .series import TSeries
-
-
-@dataclass(frozen=True)
-class JetIndexSet:
-    """Graded-lex ordered exponent vectors 0 < |alpha| <= order."""
-
-    nvars: int
-    order: int
-    indices: tuple
-
-    @classmethod
-    def build(cls, nvars, order):
-        idx = tuple(multi_indices(nvars, order))
-        assert len(idx) == comb(nvars + order, order) - 1
-        return cls(nvars, order, idx)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 def point_domain(point):
@@ -50,26 +38,58 @@ def _point_precision(point):
     return min(precs) if precs else None
 
 
+def _zero(point):
+    """Zero in the point's domain: the series zero at its precision, or 0."""
+    prec = _point_precision(point)
+    return Fraction(0) if prec is None else TSeries.zero(prec)
+
+
+def taylor_tails(polys, point, order):
+    """Taylor data of each polynomial around the point, constant term dropped.
+
+    One sparse map per polynomial p, from exponent vectors 0 < |alpha| <=
+    order to the coefficients of (z - point)^alpha in p(z) - p(point).
+    """
+    one = (0,) * len(point)
+    return [
+        {a: c for a, c in taylor_coeffs(p, point, order).items() if a != one}
+        for p in polys
+    ]
+
+
+def truncated_mul(d1, d2, order):
+    """The product of two sparse Taylor maps, terms of degree > order dropped."""
+    out = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if sum(e) > order:
+                continue
+            term = c1 * c2
+            out[e] = out[e] + term if e in out else term
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def jet_equations(generators, point, order):
     """The linear system cutting out the order-m jet space at the point.
 
     One row per (generator, shift) pair as described in the module
-    docstring; raises PointNotOnVariety when a generator fails to vanish at
-    the point (exactly over Q, to guaranteed precision over series).
+    docstring, the shifted product read off on Lambda; raises
+    PointNotOnVariety when a generator fails to vanish at the point
+    (exactly over Q, to guaranteed precision over series).
     """
     point = tuple(point)
+    n = len(point)
     domain = point_domain(point)
     prec = _point_precision(point)
-    lam = None
+    zero = _zero(point)
+    lam = multi_indices(n, order)
     rows = []
     for P in generators:
-        n = len(P.vars)
-        if len(point) != n:
+        if len(P.vars) != n:
             raise DimensionMismatch(
-                f"point of length {len(point)} for {n} ambient variables"
+                f"point of length {n} for {len(P.vars)} ambient variables"
             )
-        if lam is None:
-            lam = JetIndexSet.build(n, order)
         coeffs = taylor_coeffs(P, point, order)
         value = coeffs.get((0,) * n, 0)
         if value != 0:
@@ -77,30 +97,22 @@ def jet_equations(generators, point, order):
         if domain == SERIES:
             # A constant Hasse derivative evaluates to a bare rational.
             coeffs = {a: TSeries.lift(c, prec) for a, c in coeffs.items()}
-        zero = TSeries.zero(prec) if domain == SERIES else Fraction(0)
         for gamma in multi_indices_with_zero(n, order - 1):
-            row = []
-            for alpha in lam.indices:
-                shifted = tuple(a - g for a, g in zip(alpha, gamma))
-                if any(s < 0 for s in shifted):
-                    row.append(zero)
-                else:
-                    row.append(coeffs.get(shifted, zero))
-            rows.append(row)
-    if lam is None:
-        # No generators: the ambient space contributes no constraints, but the
-        # caller still needs the column count.
-        lam = JetIndexSet.build(len(point), order)
+            shifted = truncated_mul({gamma: 1}, coeffs, order)
+            rows.append([shifted.get(alpha, zero) for alpha in lam])
     return LinSystem(rows, len(lam), domain, prec=prec)
 
 
 @dataclass
 class JetSpace:
-    """An algebraic jet space with its cut-out system and a kernel basis."""
+    """An algebraic jet space with its cut-out system and a kernel basis.
+
+    `indices` is the graded-lex index set Lambda of the jet coordinates.
+    """
 
     point: tuple
     order: int
-    indices: JetIndexSet
+    indices: tuple
     system: LinSystem
     basis: list
     free_columns: list
@@ -123,8 +135,8 @@ def jet_space(generators, point, order):
     """
     point = tuple(point)
     system = jet_equations(generators, point, order)
-    lam = JetIndexSet.build(len(point), order)
     basis, free = nullspace_with_free(system)
+    lam = tuple(multi_indices(len(point), order))
     return JetSpace(point, order, lam, system, basis, free)
 
 
@@ -137,50 +149,27 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
     (sum_alpha M[beta][alpha] * v_alpha)_beta.
     """
     point = tuple(point)
-    if len(point) != source.indices.nvars:
+    if len(point) != len(source.point):
         raise DimensionMismatch("point does not match the source ambient space")
     if tuple(source.point) != point:
         raise BasePointMismatch("point differs from the source base point")
     image = tuple(fi.eval(point) for fi in f)
-    if len(image) != target.indices.nvars:
+    if len(image) != len(target.point):
         raise DimensionMismatch("morphism arity does not match the target space")
     if not all(a == b for a, b in zip(image, target.point)):
         raise BasePointMismatch(
             f"morphism sends the base point to {image}, not {tuple(target.point)}"
         )
-    domain = point_domain(point)
-    prec = _point_precision(point)
-
-    def zero():
-        return TSeries.zero(prec) if domain == SERIES else Fraction(0)
-
-    # Taylor data of each component, constant term removed.
-    expansions = []
-    for fi in f:
-        coeffs = dict(taylor_coeffs(fi, point, order))
-        coeffs.pop((0,) * len(point), None)
-        expansions.append(coeffs)
-
-    one_key = (0,) * len(point)
+    zero = _zero(point)
+    expansions = taylor_tails(f, point, order)
     rows = []
-    for beta in target.indices.indices:
-        prod = {one_key: Fraction(1)}
+    for beta in target.indices:
+        prod = {(0,) * len(point): Fraction(1)}
         for comp, power in enumerate(beta):
             for _ in range(power):
-                prod = _truncated_mul(prod, expansions[comp], order)
-        rows.append([prod.get(alpha, zero()) for alpha in source.indices.indices])
+                prod = truncated_mul(prod, expansions[comp], order)
+        rows.append([prod.get(alpha, zero) for alpha in source.indices])
     return rows
-
-
-def _truncated_mul(d1, d2, order):
-    out = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            if sum(e) > order:
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
 
 
 def render_jet_space(space: JetSpace):
@@ -190,7 +179,7 @@ def render_jet_space(space: JetSpace):
     return {
         "point": [render_scalar(c) for c in space.point],
         "order": space.order,
-        "lambda": [list(a) for a in space.indices.indices],
+        "lambda": [list(a) for a in space.indices],
         "equations": [[render_scalar(e) for e in row] for row in space.system.rows],
         "basis": [[render_scalar(e) for e in v] for v in space.basis],
         "dim": space.dim,

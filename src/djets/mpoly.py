@@ -10,6 +10,7 @@ lexicographic order, which is also the order fixed for all jet index sets.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add, itemgetter, le, sub
 
@@ -21,30 +22,26 @@ from .series import TSeries, format_terms, power
 MAX_BASIS = 64
 
 
-def grlex_key(alpha):
-    """Sort key realizing graded-lex: by total degree, then lex on the tuple."""
-    return (sum(alpha), tuple(-a for a in alpha))
-
-
 def multi_indices(nvars, order):
     """All exponent vectors with 0 < |alpha| <= order, graded-lex ordered."""
-    out = [a for a in _boxed(nvars, order) if 0 < sum(a) <= order]
-    out.sort(key=grlex_key)
-    return out
+    return multi_indices_with_zero(nvars, order)[1:]
 
 
 def multi_indices_with_zero(nvars, order):
-    """All exponent vectors with |alpha| <= order, graded-lex ordered."""
-    out = [a for a in _boxed(nvars, order) if sum(a) <= order]
-    out.sort(key=grlex_key)
+    """All exponent vectors with |alpha| <= order, graded-lex ordered.
+
+    Degree by degree, one vector per multiset of variable indices: the
+    multisets come in lex order, which within a degree is descending lex
+    order on their exponent vectors, i.e. graded-lex.
+    """
+    out = []
+    for degree in range(order + 1):
+        for picks in combinations_with_replacement(range(nvars), degree):
+            alpha = [0] * nvars
+            for j in picks:
+                alpha[j] += 1
+            out.append(tuple(alpha))
     return out
-
-
-def _boxed(nvars, order):
-    if nvars == 0:
-        return [()]
-    rest = _boxed(nvars - 1, order)
-    return [(i,) + r for i in range(order + 1) for r in rest]
 
 
 def _coerce_coeff(c):

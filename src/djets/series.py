@@ -23,6 +23,12 @@ rows of Hurwitz coefficients k! x_k, the form in which
 series with one gcd each.  The tuple of Fractions `coeffs` is built only
 when read.  Only this module builds a series from integers, through
 `TSeries._ints`, so every series is in this reduced form.
+
+`mat_vec` and `mat_mul` are the one dot-product kernel for vectors and
+matrices of series and rationals: each entry lists its nonzero numerators
+once, and each sum of products is one integer convolution over the lcm of
+the pair denominators, reduced by one gcd.  The dot product of two vectors
+is `mat_vec([xs], ys)[0]`.
 """
 
 from __future__ import annotations
@@ -388,44 +394,34 @@ def exp_series(c, prec=DEFAULT_PRECISION):
 # -- matrices of series ------------------------------------------------------
 
 
-def dot(xs, ys):
-    """Sum of x_i * y_i as one series, equal to the left fold of `*` and `+`.
-
-    Entries are series or rationals.  The result is guaranteed to the
-    minimum precision over all pairs, where a rational takes its partner's
-    precision; a pair of rationals only adds to the constant term.  The
-    stored numerators of every pair are convolved over the lcm of the pair
-    denominators and the sum is reduced by one gcd.  When no entry is a
-    series the rational sum is returned.
-    """
-    if len(xs) != len(ys):
-        raise DimensionMismatch("dot of vectors of different lengths")
-    return _dot_scaled([_scaled(x) for x in xs], [_scaled(y) for y in ys])
-
-
 def _scaled(e):
-    """(denominator, integer numerators, precision or None for a rational)."""
+    """(denominator, nonzero (index, numerator) pairs, precision or None).
+
+    A rational has precision None and at most the pair (0, numerator).
+    """
     if isinstance(e, TSeries):
-        return e.den, e.nums, e.prec
+        return e.den, [(i, a) for i, a in enumerate(e.nums) if a], e.prec
     e = Fraction(e)
-    return e.denominator, (e.numerator,), None
+    return e.denominator, [(0, e.numerator)] if e.numerator else [], None
 
 
 def _dot_scaled(xs, ys):
+    """Sum of x_i * y_i over `_scaled` entries, as one series or a rational."""
     n = min((p for x, y in zip(xs, ys) for p in (x[2], y[2]) if p is not None),
             default=None)
     top = 0 if n is None else n
-    terms = []
-    for (dx, ix, _), (dy, iy, _) in zip(xs, ys):
-        ix = [(i, a) for i, a in enumerate(ix[: top + 1]) if a]
-        iy = [(j, b) for j, b in enumerate(iy[: top + 1]) if b]
-        if ix and iy:
-            terms.append((dx * dy, ix, iy))
+    # A pair whose lowest terms already multiply past `top` contributes nothing.
+    terms = [
+        (dx * dy, ix, iy) for (dx, ix, _), (dy, iy, _) in zip(xs, ys)
+        if ix and iy and ix[0][0] + iy[0][0] <= top
+    ]
     den = lcm(*(d for d, _, _ in terms))
     out = [0] * (top + 1)
     for d, ix, iy in terms:
         f = den // d
         for i, a in ix:
+            if i > top:
+                break
             a *= f
             for j, b in iy:
                 if i + j > top:
@@ -437,7 +433,16 @@ def _dot_scaled(xs, ys):
 
 
 def mat_vec(A, v):
-    """A v, one `dot` per row on the stored numerators of each entry."""
+    """A v for a matrix and a vector of series or rationals.
+
+    Row i is sum_j A[i][j] * v[j], equal to the left fold of `*` and `+`:
+    guaranteed to the minimum precision over all pairs of the row, where a
+    rational takes its partner's precision; a pair of rationals only adds
+    to the constant term.  The stored numerators of every pair are
+    convolved over the lcm of the pair denominators and the sum is reduced
+    by one gcd.  When no entry of a row or of v is a series the entry is
+    the rational sum.  The dot product of xs and ys is mat_vec([xs], ys)[0].
+    """
     if any(len(row) != len(v) for row in A):
         raise DimensionMismatch("matrix/vector size mismatch")
     sv = [_scaled(x) for x in v]
@@ -445,7 +450,11 @@ def mat_vec(A, v):
 
 
 def mat_mul(A, B):
-    """A B, one `dot` per entry on the stored numerators of each entry."""
+    """A B, each entry the sum of products that `mat_vec` forms for one row.
+
+    The nonzero numerators of every entry of A and B are listed once and
+    reused for every pair of a row of A and a column of B.
+    """
     if any(len(row) != len(B) for row in A):
         raise DimensionMismatch("matrix size mismatch")
     sa = [[_scaled(a) for a in row] for row in A]

@@ -41,9 +41,9 @@ from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
-    dot,
     exp_series,
     integer_rows,
+    mat_mul,
     mat_vec,
     transpose,
 )
@@ -352,8 +352,6 @@ def degree_identity_check(P: MPoly, Q: MPoly, yname="y"):
 
 @dataclass
 class FiberLinearityReport:
-    base_point: tuple
-    solutions_checked: int
     additive: bool
     scaling: bool
     zero_section: bool
@@ -361,16 +359,6 @@ class FiberLinearityReport:
     @property
     def ok(self):
         return self.additive and self.scaling and self.zero_section
-
-    def to_json(self):
-        return {
-            "base_point": [str(c) for c in self.base_point],
-            "solutions_checked": self.solutions_checked,
-            "additive": self.additive,
-            "scaling": self.scaling,
-            "zero_section": self.zero_section,
-            "ok": self.ok,
-        }
 
 
 def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISION,
@@ -398,9 +386,7 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
             for s in sols
         )
         zero_ok = is_horizontal(module, [TSeries.zero(order)] * module.dim)
-        reports.append(
-            FiberLinearityReport(pt, len(sols), additive, scaling, zero_ok)
-        )
+        reports.append(FiberLinearityReport(additive, scaling, zero_ok))
     return reports
 
 
@@ -462,12 +448,11 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     )
     if variety.generators:
         constraints = jet_equations(variety.generators, point.coords, 1)
+        phi = transpose(columns)
         rational_rows = []
-        for row in constraints.rows:
-            combo = [dot(row, col) for col in columns]
+        for combo in mat_mul(constraints.rows, phi):
             rational_rows += integer_rows(combo, min(x.prec for x in combo))
         kernel = nullspace(LinSystem(rational_rows, len(columns), RATIONAL))
-        phi = transpose(columns)
         ode_basis = [mat_vec(phi, coeffs) for coeffs in kernel]
     else:
         ode_basis = columns

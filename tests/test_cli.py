@@ -299,6 +299,41 @@ def test_long_and_deep_expressions_never_end_in_an_internal_error(tmp_path, caps
         assert err.startswith("error: expression nested more than 100 deep at line 1, column ")
 
 
+def test_a_superscript_digit_exits_2(tmp_path, capsys):
+    path = tmp_path / "superscript.djv"
+    path.write_text("dvariety L { vars: x; ideal: []; section: [x^²]; }\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '²' at line 1, column 46\n"
+
+
+def test_a_section_monomial_of_high_degree_integrates(tmp_path, capsys):
+    path = tmp_path / "power.djv"
+    path.write_text(
+        "dvariety L { vars: x; ideal: []; section: [x^2000]; }\n"
+        "point z on L { coords: [0]; }\n",
+        encoding="utf-8",
+    )
+    assert main(["integrate", "--from", "z", "-N", "4", str(path)]) == 0
+    assert capsys.readouterr().out == "x = 0 + O(t^5)\n"
+    assert main(["horizontal", "--from", "z", "-N", "4", str(path)]) == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_jet_of_order_three_in_sixteen_variables(tmp_path, capsys):
+    names = ", ".join(f"x{i}" for i in range(1, 17))
+    zeros = ", ".join(["0"] * 16)
+    ideal = ", ".join(f"x{i}" for i in range(11, 17))
+    path = tmp_path / "sixteen.djv"
+    path.write_text(
+        f"dvariety W {{ vars: {names}; ideal: [{ideal}]; section: [{zeros}]; }}\n"
+        f"point a on W {{ coords: [{zeros}]; }}\n",
+        encoding="utf-8",
+    )
+    assert main(["jet", "--at", "a", "-m", "3", str(path)]) == 0
+    # the jets of a 10-dimensional linear space: binom(13, 3) - 1
+    assert f"at ({zeros}), order 3: dim 285\n" in capsys.readouterr().out
+
+
 def test_precision_env_override(parabola_file, capsys, monkeypatch):
     monkeypatch.setenv("DJETS_PRECISION", "5")
     assert main(["integrate", "--from", "p", parabola_file]) == 0

@@ -155,6 +155,13 @@ def test_unexpected_character_rejected():
         parse_document("dvariety B { vars: x; ideal: [x?]; section: [x]; }")
 
 
+def test_only_decimal_digits_make_integers():
+    # '²' is a digit to str.isdigit, but not one int() reads
+    with pytest.raises(ParseError, match="unexpected character '²' at line 1, column "):
+        line_section("x^²")
+    assert line_section("x^٣") == MPoly.variable(("x",), "x") ** 3
+
+
 def test_rational_literals():
     doc = parse_document(
         "dvariety B { vars: x; ideal: []; section: [1/2*x - 3]; }"

@@ -17,7 +17,7 @@ from djets.dvariety import (
 )
 from djets.dvariety import _derivation_matrix
 from djets.errors import DomainMismatch, InvarianceViolation, PointNotOnVariety
-from djets.jets import JetIndexSet, jet_equations
+from djets.jets import jet_equations
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
 
@@ -162,19 +162,19 @@ def test_induced_derivation_satisfies_leibniz_on_monomials():
     point = sharp_integrate(X, (2, 1), 10)
     for order_m in (2, 3):
         B = _derivation_matrix(X, point, order_m)
-        lam = JetIndexSet.build(X.nvars, order_m)
-        pos = {a: i for i, a in enumerate(lam.indices)}
+        lam = multi_indices(X.nvars, order_m)
+        pos = {a: i for i, a in enumerate(lam)}
 
         def d_of(alpha):
             return {
                 beta: B[pos[alpha]][pos[beta]]
-                for beta in lam.indices
+                for beta in lam
                 if not B[pos[alpha]][pos[beta]].is_zero()
             }
 
         for _ in range(20):
-            alpha = lam.indices[rng.randrange(len(lam))]
-            beta = lam.indices[rng.randrange(len(lam))]
+            alpha = lam[rng.randrange(len(lam))]
+            beta = lam[rng.randrange(len(lam))]
             total = tuple(a + b for a, b in zip(alpha, beta))
             lhs = d_of(total) if sum(total) <= order_m else {}
             rhs = {}
@@ -239,7 +239,7 @@ def test_delta_jets_dimension_law_across_examples():
         # horizontal vectors satisfy the jet equations and the dual condition
         system = space.jet.system
         B = _derivation_matrix(variety, point, order_m)
-        lam = JetIndexSet.build(variety.nvars, order_m)
+        lam = multi_indices(variety.nvars, order_m)
         for v in space.horizontal:
             for row in system.rows:
                 acc = None
@@ -247,7 +247,7 @@ def test_delta_jets_dimension_law_across_examples():
                     term = a * b
                     acc = term if acc is None else acc + term
                 assert acc.is_zero()
-            for i, alpha in enumerate(lam.indices):
+            for i, alpha in enumerate(lam):
                 rhs = None
                 for j in range(len(lam)):
                     term = B[i][j] * v[j]

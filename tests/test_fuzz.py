@@ -3,11 +3,12 @@
 A token mutation deletes, duplicates or swaps a token, or replaces it with
 another token of the same file; most of these documents no longer parse.
 A structural mutation follows the grammar instead: it replaces a rational
-literal, an exponent, or a variable by another variable of the same
-dvariety block, drops or duplicates an item of a bracketed list, swaps
-two section components, or puts a list item in one of the shapes that
-once overflowed the recursion: a sum with 1,200 zeros, or 1,200
-parentheses or minus signs around it; at least half of these documents
+literal (also by the superscript digit "²", which is no integer literal),
+an exponent, or a variable by another variable of the same dvariety
+block, drops or duplicates an item of a bracketed list, swaps two section
+components, or puts a list item in one of the shapes that once overflowed
+the recursion: a sum with 1,200 zeros, or 1,200 parentheses or minus
+signs around it; at least half of these documents
 must parse, so the commands get past the parser.  Every mutated document
 goes through `check`, `jet`, `tangent`, `integrate` and `horizontal`, and
 the counterexample document also through `tangent --restrict toZ`; each
@@ -70,7 +71,7 @@ BLOCK = re.compile(r"dvariety\s+\w+\s*\{(.*?)\}", re.S)
 VARS = re.compile(r"vars\s*:([^;]*);")
 LIST = re.compile(r"\[([^\[\]]*)\]")
 COMMENT = re.compile(r"#[^\n]*")
-LITERALS = ["0", "1", "2", "7", "12", "1/2", "3/5"]
+LITERALS = ["0", "1", "2", "7", "12", "1/2", "3/5", "²"]
 
 
 def deep_shapes(item):

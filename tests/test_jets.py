@@ -5,7 +5,6 @@ import pytest
 
 from djets.errors import BasePointMismatch, PointNotOnVariety, SingularPivot
 from djets.jets import (
-    JetIndexSet,
     jet_equations,
     jet_of_morphism,
     jet_space,
@@ -21,7 +20,7 @@ def plane():
 
 
 def test_index_set_size():
-    lam = JetIndexSet.build(3, 2)
+    lam = multi_indices(3, 2)
     assert len(lam) == 9  # binom(5, 2) - 1
 
 

@@ -4,9 +4,9 @@
 `TSeries.__mul__` with a plain Fraction double loop, rational `rref` with
 plain Fraction Gauss-Jordan elimination, the rank and `nullspace` with sympy,
 `fundamental_matrix` with the Fraction coefficient recursion, batched
-`constant_combination` with one elimination per target, `dot`, `mat_vec`
-and `mat_mul` with the fold of `*` and `+`, series division, Hasse
-derivatives and `exp_series` with sympy, and batched `product_jet_decompose`
+`constant_combination` with one elimination per target, `mat_vec` (also
+as the dot product of two vectors) and `mat_mul` with the fold of `*` and
+`+`, series division, Hasse derivatives and `exp_series` with sympy, and batched `product_jet_decompose`
 with one solve per jet and block.  All randomness is seeded, so every run
 checks the same cases.
 """
@@ -51,7 +51,6 @@ from djets.linalg import (
 from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero
 from djets.series import (
     TSeries,
-    dot,
     exp_series,
     from_hurwitz,
     fundamental_matrix,
@@ -609,10 +608,10 @@ def test_batched_combination_recovers_coefficients_and_empty_basis():
     assert constant_combination([], basis) == []
 
 
-# -- series.dot, mat_vec, mat_mul ----------------------------------------------------
+# -- dot products, mat_vec, mat_mul -------------------------------------------------
 
 def reference_dot(xs, ys):
-    """The left fold of `*` and `+` that `dot` replaces."""
+    """The left fold of `*` and `+` that `mat_vec` replaces."""
     acc = None
     for x, y in zip(xs, ys):
         term = x * y
@@ -621,7 +620,7 @@ def reference_dot(xs, ys):
 
 
 def assert_dot_matches(xs, ys):
-    got, want = dot(xs, ys), reference_dot(xs, ys)
+    got, want = mat_vec([xs], ys)[0], reference_dot(xs, ys)
     assert got.prec == want.prec
     assert got.coeffs == want.coeffs
     assert all(type(c) is F for c in got.coeffs)
@@ -672,13 +671,13 @@ def test_dot_edge_cases():
     # a zero Fraction takes its partner's precision, a zero series its own
     assert_dot_matches([F(0), s], [TSeries([1], 1), s])
     assert_dot_matches([TSeries.zero(1), s], [s, s])
-    assert dot([F(0)], [s]).prec == 3
-    assert dot([TSeries.zero(1)], [s]).prec == 1
+    assert mat_vec([[F(0)]], [s])[0].prec == 3
+    assert mat_vec([[TSeries.zero(1)]], [s])[0].prec == 1
     # a pair of scalars only adds to the constant term
     assert_dot_matches([2, s, F(1, 3)], [F(3, 4), 5, 6])
-    assert dot([2, F(1, 3)], [F(3, 4), 6]) == F(7, 2)
+    assert mat_vec([[2, F(1, 3)]], [F(3, 4), 6])[0] == F(7, 2)
     with pytest.raises(DimensionMismatch):
-        dot([s, s], [s])
+        mat_vec([[s, s]], [s])[0]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -187,6 +189,26 @@ def test_index_sets_graded_lex():
     assert multi_indices(2, 1) == [(1, 0), (0, 1)]
     assert multi_indices(2, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert len(multi_indices(3, 3)) == 19
+
+
+def box_indices(nvars, order):
+    """Reference: the (order+1)^nvars box, cut to |alpha| <= order, sorted graded-lex."""
+    box = [a for a in itertools.product(range(order + 1), repeat=nvars) if sum(a) <= order]
+    return sorted(box, key=lambda a: (sum(a), [-e for e in a]))
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_index_sets_match_the_sorted_box(nvars):
+    for order in range(5):
+        want = box_indices(nvars, order)
+        assert multi_indices_with_zero(nvars, order) == want
+        assert multi_indices(nvars, order) == want[1:]
+        assert len(want) == comb(nvars + order, order)
+
+
+def test_index_sets_do_not_walk_the_box():
+    # the box of exponents 0..3 in 16 variables holds 4^16 vectors
+    assert len(multi_indices(16, 3)) == comb(19, 3) - 1 == 968
 
 
 def test_rendering_canonical():
