@@ -44,6 +44,7 @@ from .errors import (
     DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
+    JetLimit,
     NonTriangular,
     NonUnitDivisor,
     ParseError,

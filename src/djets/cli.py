@@ -250,7 +250,8 @@ def _dispatch(args, precision):
         variety = doc.variety(decl.variety)
         point = doc.rational_point(args.at)
         space = jet_space(variety.generators, point, args.order)
-        payload = render_jet_space(space)
+        # Text output prints only the basis: render the equations for JSON only.
+        payload = render_jet_space(space) if args.format == "json" else None
         at = "(" + ", ".join(str(c) for c in point) + ")"
         lines = [
             f"jet space of {variety.name or decl.variety} at {at}, "

@@ -44,6 +44,10 @@ class BasisLimit(DjetsError):
     """A Groebner basis grows past its fixed bound, mpoly.MAX_BASIS."""
 
 
+class JetLimit(DjetsError):
+    """A jet space has more coordinates than its fixed bound, mpoly.MAX_JET_COORDS."""
+
+
 class InvarianceViolation(DjetsError):
     """The induced derivation does not preserve the jet subspace.
 

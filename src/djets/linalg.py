@@ -12,6 +12,11 @@ pivot rows equal those of Fraction elimination; each row below them is a
 nonzero multiple of its Fraction counterpart.
 Nullspace bases over Q are normalized to primitive integer vectors with a
 positive leading entry.
+Constant combinations of series vectors are solved on the leading rows of
+their t-power-major integer equations only, until the basis has full rank
+there, and every other row is then checked exactly by one integer dot
+product.  Full column rank makes the coefficients unique, so the result
+is the one that eliminating every row gives.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
 from .series import TSeries, integer_rows, integer_scaled
@@ -187,10 +193,13 @@ def nullspace_with_free(system: LinSystem):
     """
     red, pivots = rref(system.rows, system.ncols, system.domain)
     free = [c for c in range(system.ncols) if c not in pivots]
+    # Fractions and TSeries are immutable, so every vector shares one zero
+    # and one unit.
+    zero, one = system.zero_entry(), system.one_entry()
     basis = []
     for fc in free:
-        v = [system.zero_entry() for _ in range(system.ncols)]
-        v[fc] = system.one_entry()
+        v = [zero] * system.ncols
+        v[fc] = one
         for ri, pc in enumerate(pivots):
             v[pc] = -red[ri][fc]
         if system.domain == RATIONAL:
@@ -233,23 +242,45 @@ def constant_combination(targets, basis):
     or None when the target is not a constant combination of the basis.
     The vectors have TSeries entries; each coordinate and each t-power up to
     the order guaranteed by the basis and all targets contributes one
-    rational equation, so a returned combination is exact to that
-    precision.  All targets share one elimination of the
-    augmented system [basis | targets]; a target is contained exactly when
-    its column vanishes below the pivots.  When the basis is dependent, the
-    coefficients of its non-pivot vectors are zero.  An empty basis contains
-    only zero targets.
+    integer equation, so a returned combination is exact to that precision.
+    When the basis is dependent, the coefficients of its non-pivot vectors
+    are zero.  An empty basis contains only zero targets.
+
+    The equations are ordered t-power first, so the leading `ncoords` rows
+    are the t^0 coefficients of every coordinate.  Only a leading block of
+    rows is eliminated: `rref` of [basis | targets] on the head, doubling
+    the head until the basis has k = len(basis) pivots in it or the head
+    holds every row.  Then each target contained in the head's span is put
+    over one denominator d and every remaining row is checked by one
+    integer dot product, d * target == sum(basis_i * d c_i).  The result is
+    the one full elimination gives: with k pivots in the head the basis has
+    full column rank, so a contained target's coefficients are unique and
+    the head finds them; without them the head is every row; and a target
+    outside the span fails some row either way.
     """
     targets = list(targets)
     k = len(basis)
     vectors = list(basis) + targets
     prec = min((e.prec for v in vectors for e in v), default=0)
     ncoords = len(targets[0]) if targets else 0
-    rows = []
-    for coord in range(ncoords):
-        rows += integer_rows([v[coord] for v in vectors], prec)
-    red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
-    return _read_solutions(red, pivots, k, len(vectors))
+    by_coord = [integer_rows([v[coord] for v in vectors], prec) for coord in range(ncoords)]
+    rows = [row for power in zip(*by_coord) for row in power]
+    head = ncoords
+    while True:
+        head = min(head, len(rows))
+        red, pivots = rref(rows[:head], len(vectors), RATIONAL, pivot_limit=k)
+        if len(pivots) == k or head == len(rows):
+            break
+        head *= 2
+    rest = rows[head:]
+    out = []
+    for j, x in enumerate(_read_solutions(red, pivots, k, len(vectors)), k):
+        if x is not None:
+            d, xs = integer_scaled(x)
+            if any(d * row[j] != sum(map(mul, xs, row)) for row in rest):
+                x = None
+        out.append(x)
+    return out
 
 
 def _read_solutions(red, pivots, first, stop):

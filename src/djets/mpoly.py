@@ -14,16 +14,30 @@ from itertools import combinations_with_replacement
 from math import comb
 from operator import add, itemgetter, le, sub
 
-from .errors import BasisLimit, DimensionMismatch, DomainMismatch, UnknownName
+from .errors import BasisLimit, DimensionMismatch, DomainMismatch, JetLimit, UnknownName
 from .series import TSeries, format_terms, power
 
 # Largest Groebner basis, counting elements not yet inter-reduced, that
 # `groebner` and `normal_form` build before they give up.
 MAX_BASIS = 64
 
+# Most jet coordinates, C(n + m, m) - 1 for n variables at order m, that
+# `multi_indices` enumerates: 16 variables at m = 3 give 968.
+MAX_JET_COORDS = 1024
+
 
 def multi_indices(nvars, order):
-    """All exponent vectors with 0 < |alpha| <= order, graded-lex ordered."""
+    """All exponent vectors with 0 < |alpha| <= order, graded-lex ordered.
+
+    These are the jet coordinates; past MAX_JET_COORDS of them JetLimit is
+    raised before any is built.
+    """
+    count = comb(nvars + order, order) - 1
+    if count > MAX_JET_COORDS:
+        raise JetLimit(
+            f"jets of order {order} in {nvars} variables have {count} "
+            f"coordinates, more than MAX_JET_COORDS = {MAX_JET_COORDS}"
+        )
     return multi_indices_with_zero(nvars, order)[1:]
 
 

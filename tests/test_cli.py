@@ -334,6 +334,36 @@ def test_jet_of_order_three_in_sixteen_variables(tmp_path, capsys):
     assert f"at ({zeros}), order 3: dim 285\n" in capsys.readouterr().out
 
 
+def test_jet_text_output_renders_no_json_payload(parabola_file, capsys, monkeypatch):
+    def refuse(space):
+        raise AssertionError("render_jet_space called for text output")
+
+    monkeypatch.setattr("djets.cli.render_jet_space", refuse)
+    assert main(["jet", "--at", "p", "-m", "2", parabola_file]) == 0
+    assert "dim" in capsys.readouterr().out
+
+
+def test_a_jet_past_the_coordinate_bound_exits_2(tmp_path, capsys, monkeypatch):
+    names = ", ".join(f"x{i}" for i in range(1, 41))
+    zeros = ", ".join(["0"] * 40)
+    path = tmp_path / "forty.djv"
+    path.write_text(
+        f"dvariety W {{ vars: {names}; ideal: [x1]; section: [{zeros}]; }}\n"
+        f"point a on W {{ coords: [{zeros}]; }}\n",
+        encoding="utf-8",
+    )
+
+    def refuse(*args):
+        raise AssertionError("jet coordinates built past the bound")
+
+    monkeypatch.setattr("djets.mpoly.multi_indices_with_zero", refuse)
+    assert main(["jet", "--at", "a", "-m", "3", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: jets of order 3 in 40 variables have 12340 coordinates, "
+        "more than MAX_JET_COORDS = 1024\n"
+    )
+
+
 def test_precision_env_override(parabola_file, capsys, monkeypatch):
     monkeypatch.setenv("DJETS_PRECISION", "5")
     assert main(["integrate", "--from", "p", parabola_file]) == 0

@@ -196,6 +196,30 @@ def test_verify_tensor_pairing_random():
     assert rep.ok and rep.dim_pairings == 6
 
 
+def test_a_target_section_perturbed_at_its_top_order_is_not_contained(monkeypatch):
+    # The t^0 rows alone give the pairings full rank, so only the check of
+    # the remaining rows in constant_combination can see the change.
+    rng = random.Random(41)
+    left, right = random_module(rng, 2), random_module(rng, 2)
+    assert verify_tensor_pairing(left, right).mutually_contained
+    hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
+    pairings = [pairing_phi(v, w) for v in hm for w in hn]
+    target = horizontal_sections(dual(tensor(left, right)))
+    top = min(e.prec for v in pairings + target for e in v)
+    bump = TSeries([0] * top + [1], top)
+
+    def perturbed(module):
+        sections = horizontal_sections(module)
+        if module.dim == 4:  # the dual tensor; the factors have dim 2
+            sections[1][2] = sections[1][2] + bump
+        return sections
+
+    monkeypatch.setattr("djets.delta_modules.horizontal_sections", perturbed)
+    rep = verify_tensor_pairing(left, right)
+    assert rep.dim_tensor_horizontal == 4 and rep.pairings_horizontal
+    assert not rep.mutually_contained
+
+
 # -- product jet decomposition -----------------------------------------------------------
 
 

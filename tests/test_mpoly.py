@@ -6,8 +6,9 @@ from math import comb
 import pytest
 
 import djets.mpoly
-from djets.errors import BasisLimit, DimensionMismatch, DomainMismatch
+from djets.errors import BasisLimit, DimensionMismatch, DomainMismatch, JetLimit
 from djets.mpoly import (
+    MAX_JET_COORDS,
     MPoly,
     groebner,
     multi_indices,
@@ -209,6 +210,13 @@ def test_index_sets_match_the_sorted_box(nvars):
 def test_index_sets_do_not_walk_the_box():
     # the box of exponents 0..3 in 16 variables holds 4^16 vectors
     assert len(multi_indices(16, 3)) == comb(19, 3) - 1 == 968
+
+
+def test_jet_coordinates_are_bounded():
+    assert len(multi_indices(MAX_JET_COORDS, 1)) == MAX_JET_COORDS
+    for nvars, order in ((MAX_JET_COORDS + 1, 1), (17, 3), (44, 2)):
+        with pytest.raises(JetLimit, match=f"in {nvars} variables"):
+            multi_indices(nvars, order)
 
 
 def test_rendering_canonical():

@@ -355,3 +355,135 @@ def test_constant_combination_equals_fraction_rows_on_acceptance_pairs():
             got = constant_combination(targets, basis)
             assert got == reference_combination(targets, basis)
             assert all(c is not None for c in got)
+
+
+# -- constant combinations: a solved head and checked rows ----------------------
+#
+# `constant_combination` eliminates the t^0 rows (doubled while the basis lacks
+# full rank there) and checks every other row by an integer dot product.  Each
+# case below is built so that one of those steps decides it, and is compared
+# with the Fraction elimination of every row.
+
+def counting_rref(monkeypatch):
+    """The row count of every rref that constant_combination runs, in order."""
+    heads = []
+
+    def counted(rows, *args, **kwargs):
+        heads.append(len(rows))
+        return rref(rows, *args, **kwargs)
+
+    monkeypatch.setattr("djets.linalg.rref", counted)
+    return heads
+
+
+def t_power(k, prec, c=1):
+    """The series c * t^k at precision prec."""
+    return TSeries([0] * k + [c], prec)
+
+
+def random_vectors(rng, count, ncoords, prec):
+    return [[random_operand(rng, prec)[0] for _ in range(ncoords)] for _ in range(count)]
+
+
+def random_coeffs(rng, count):
+    return [F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) for _ in range(count)]
+
+
+def combine(coeffs, basis, prec):
+    return [sum((c * v[i] for c, v in zip(coeffs, basis)), TSeries.zero(prec))
+            for i in range(len(basis[0]))]
+
+
+def assert_combination_matches(targets, basis):
+    got = constant_combination(targets, basis)
+    assert got == reference_combination(targets, basis)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_basis_equal_at_t0_doubles_the_head(seed, monkeypatch):
+    rng = random.Random(5100 + seed)
+    k, ncoords, prec = rng.randint(2, 3), rng.randint(1, 3), rng.randint(7, 9)
+    shared = random_vectors(rng, 1, ncoords, prec)[0]
+    late = rng.randint(1, 4)
+    basis = [[e + t_power(late, prec) * random_operand(rng, prec)[0] for e in shared]
+             for _ in range(k)]
+    coeffs = [random_coeffs(rng, k) for _ in range(3)]
+    targets = [combine(cs, basis, prec) for cs in coeffs]
+    targets.append([e + t_power(prec, prec) for e in targets[0]])
+    heads = counting_rref(monkeypatch)
+    got = assert_combination_matches(targets, basis)
+    # the t^0 rows hold one pivot, so the head grows
+    assert heads[0] == ncoords and len(heads) > 1
+    assert got == coeffs + [None]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_dependent_basis_is_eliminated_on_every_row(seed, monkeypatch):
+    rng = random.Random(5200 + seed)
+    ncoords, prec = rng.randint(2, 4), rng.randint(2, 6)
+    b0, b1 = random_vectors(rng, 2, ncoords, prec)
+    zero = [TSeries.zero(prec)] * ncoords
+    basis = [b0, zero, b1, [2 * x - y for x, y in zip(b0, b1)]]
+    coeffs = [random_coeffs(rng, 2) for _ in range(3)]
+    targets = [combine(cs, [b0, b1], prec) for cs in coeffs]
+    targets.append([x + t_power(prec, prec) for x in b0])
+    heads = counting_rref(monkeypatch)
+    got = assert_combination_matches(targets, basis)
+    # the basis never reaches full rank, so the last head is every row
+    assert heads[-1] == ncoords * (prec + 1)
+    # the non-pivot vectors (the zero and the dependent one) get coefficient 0
+    assert got == [[c0, F(0), c1, F(0)] for c0, c1 in coeffs] + [None]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_only_the_row_check_sees_a_difference_past_t0(seed, monkeypatch):
+    rng = random.Random(5300 + seed)
+    k = rng.randint(1, 3)
+    ncoords, prec = k + rng.randint(0, 2), rng.randint(1, 8)
+    basis = random_vectors(rng, k, ncoords, prec)
+    # triangular at t^0: vector i starts at coordinate i
+    for i, v in enumerate(basis):
+        v[:i] = [t_power(1, prec) * x for x in v[:i]]
+        v[i] = random_operand(rng, prec, unit=True)[0]
+    coeffs = random_coeffs(rng, k)
+    combo = combine(coeffs, basis, prec)
+    # equal to the combination through t^(prec-1), different at t^prec
+    at_top = [x + t_power(prec, prec) for x in combo]
+    # different in the last coordinate only, at any order
+    power = rng.randint(0, prec)
+    last = combo[:-1] + [combo[-1] + t_power(power, prec, rng.choice([-2, 1, 3]))]
+    heads = counting_rref(monkeypatch)
+    got = assert_combination_matches([combo, at_top, last], basis)
+    # the t^0 rows give the basis full rank: nothing else is eliminated
+    assert heads == [ncoords]
+    assert got == [coeffs, None, None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_empty_basis_contains_only_zero_targets(seed):
+    rng = random.Random(5400 + seed)
+    ncoords, prec = rng.randint(1, 3), rng.randint(0, 6)
+    zero = [TSeries.zero(prec)] * ncoords
+    top_last = zero[:-1] + [t_power(prec, prec)]
+    dense = [random_operand(rng, prec, unit=True)[0] for _ in range(ncoords)]
+    got = assert_combination_matches([zero, top_last, dense, zero], [])
+    assert got == [[], None, None, []]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_targets_below_the_basis_precision_cut_every_row(seed):
+    rng = random.Random(5500 + seed)
+    k = rng.randint(1, 3)
+    ncoords, prec = k + rng.randint(0, 1), rng.randint(4, 9)
+    basis = random_vectors(rng, k, ncoords, prec)
+    coeffs = [random_coeffs(rng, k) for _ in range(2)]
+    low = prec - rng.randint(1, 3)
+    targets = [[x.at_precision(low) for x in combine(cs, basis, prec)] for cs in coeffs]
+    # a difference past the targets' precision is not an equation
+    targets.append([x + t_power(prec, prec) for x in targets[0]])
+    targets.append([x + t_power(low, prec) for x in targets[1]])
+    got = assert_combination_matches(targets, basis)
+    assert got == coeffs + [coeffs[0], None]
+    # and the other way round: the basis through the low targets
+    assert_combination_matches(basis, targets[:k])
