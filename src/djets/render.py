@@ -1,18 +1,26 @@
 """Shared JSON-friendly rendering of exact values.
 
 Rationals serialize as strings ("p" or "p/q") so no numeric channel can
-round them; series serialize as their coefficient strings plus the
-guaranteed order.
+round them; series serialize as their coefficient strings, formatted from
+the stored integers, plus the guaranteed order.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .series import TSeries
 
 
+def _ratio(n, d):
+    """str(Fraction(n, d)) for an integer n and d > 0, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def render_scalar(value):
     if isinstance(value, TSeries):
-        return {"coeffs": [str(c) for c in value.coeffs], "prec": value.prec}
+        den = value.den
+        return {"coeffs": [_ratio(x, den) for x in value.nums], "prec": value.prec}
     return str(Fraction(value))
 
 

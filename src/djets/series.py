@@ -19,10 +19,12 @@ the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
 Introduction", ICMS 2010); division keeps the quotient so far as integers
 over the lcm of its reduced denominators.  `from_hurwitz` turns integer
 rows of Hurwitz coefficients k! x_k, the form in which
-`dvariety.sharp_integrate` integrates and `exp_series` is built, into
-series with one gcd each.  The tuple of Fractions `coeffs` is built only
-when read.  Only this module builds a series from integers, through
-`TSeries._ints`, so every series is in this reduced form.
+`dvariety.sharp_integrate` integrates, `exp_series` is built and
+`fundamental_matrix` runs its recursion, into series with one gcd each;
+`fundamental_matrix` packs each matrix row into one integer, with slots
+wide enough for a majorant of its entries.  The tuple of Fractions
+`coeffs` is built only when read.  Only this module builds a series from
+integers, through `TSeries._ints`, so every series is in this reduced form.
 
 `mat_vec` and `mat_mul` are the one dot-product kernel for vectors and
 matrices of series and rationals: each entry lists its nonzero numerators
@@ -34,8 +36,8 @@ is `mat_vec([xs], ys)[0]`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import accumulate
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
@@ -469,15 +471,22 @@ def transpose(A):
 def fundamental_matrix(A, order):
     """Fundamental solution of Y' = A(t) Y with Y(0) = I.
 
-    The coefficient recursion Y_(k+1) = (A Y)_k / (k+1) runs on integer
-    matrices: the stored numerators of A are put over the lcm of the entry
-    denominators, each Y_k is an integer matrix with one denominator,
-    reduced by a gcd once per step, and each row of a step is the sum of
-    the rows of earlier steps weighted by the nonzero entries of A.  Each
-    entry of the result is put over the lcm of the step denominators.
-    The entries of A must be guaranteed through order `order`-1; the result
-    is guaranteed through `order` and its columns form a basis of the
-    solution space over the constants.
+    The recursion runs on the Hurwitz integers H_k = k! * step^k * Y_k
+    (Keigher, Comm. Algebra 1997): H_0 = I and H_(k+1) = sum_i C(k,i) C_i
+    H_(k-i), where C_i = step^(i+1) * i! * A_i and `step` is the lcm of the
+    denominators of the i! * A_i, so the C_i are integer matrices and no
+    step takes a gcd or a division.  Row s of each H_k is packed into one
+    integer of d slots of b bits, sum_c H_k[s][c] * 2^(b*c), as in Kronecker
+    substitution (Harvey, JSC 2009) but across the columns, so each row of
+    a step is one sum of products of packed rows.  The majorant m_0 = 1,
+    m_(k+1) = sum_i C(k,i) rho_i m_(k-i), with rho_i the largest row sum of
+    |C_i|, bounds every |H_k[s][c]|, and b is two more than the bit length
+    of the largest m_k, so the slots never carry into each other.  The rows
+    are unpacked once at the end, with an offset of 2^(b-1) per slot for
+    the signs, and `from_hurwitz` makes each row of Y with one gcd per
+    entry.  The entries of A must be guaranteed through order `order`-1;
+    the result is guaranteed through `order` and its columns form a basis
+    of the solution space over the constants.
     """
     d = len(A)
     if any(len(row) != d for row in A):
@@ -491,51 +500,44 @@ def fundamental_matrix(A, order):
         raise InsufficientPrecision(
             f"matrix entries guaranteed to order {aprec}, need {order - 1}"
         )
-    # Sparse integer rows [(s, a), ...] of den_a * A_i, trimmed to the support.
-    den_a = lcm(*(e.den for row in A for e in row))
-    acoeffs = []
-    for i in range(min(aprec, max(order - 1, 0)) + 1):
-        acoeffs.append([
-            [(s, e.nums[i] * (den_a // e.den)) for s, e in enumerate(row) if e.nums[i]]
-            for row in A
-        ])
-    while acoeffs and not any(acoeffs[-1]):
-        acoeffs.pop()
+    entries = [e for row in A for e in row]
+    facts = list(accumulate(range(1, order), mul, initial=1))
+    step = lcm(*(
+        e.den // gcd(e.den, *map(mul, facts, e.nums)) for e in entries if e.den != 1
+    ))
+    # Sparse integer rows [(s, c), ...] of C_i, trimmed to the support.
+    layers = list(zip(*(e.nums[:order] for e in entries)))
+    while layers and not any(layers[-1]):
+        layers.pop()
+    cs = []
+    for i, layer in enumerate(layers):
+        f = facts[i] * step ** (i + 1)
+        ci = [[] for _ in range(d)]
+        for k, x in enumerate(layer):
+            if x:
+                r, s = divmod(k, d)
+                ci[r].append((s, x * f // entries[k].den))
+        cs.append(ci)
+    rhos = [max(sum(abs(c) for _, c in row) for row in ci) for ci in cs]
+    binoms = [[comb(k, i) for i in range(min(k + 1, len(cs)))] for k in range(order)]
+    bounds = [1]
+    for ws in binoms:
+        bounds.append(sum(map(mul, map(mul, ws, rhos), reversed(bounds))))
+    b = max(bounds).bit_length() + 2
 
-    # Y_k = nums[k] / dens[k].
-    nums = [[[int(r == c) for c in range(d)] for r in range(d)]]
-    dens = [1]
-    for k in range(order):
-        terms = range(min(k + 1, len(acoeffs)))
-        den = lcm(*(dens[k - i] for i in terms))
-        scales = [den // dens[k - i] for i in terms]
-        acc = []
-        for r in range(d):
-            # Row r of sum_i A_i Y_(k-i).
-            weights, rows = [], []
-            for i in terms:
-                P, f = nums[k - i], scales[i]
-                for s, a in acoeffs[i][r]:
-                    weights.append(a * f)
-                    rows.append(P[s])
-            if rows:
-                acc.append([sum(map(mul, weights, col)) for col in zip(*rows)])
-            else:
-                acc.append([0] * d)
-        den *= den_a * (k + 1)
-        g = gcd(den, *chain.from_iterable(acc))
-        if g != 1:
-            den //= g
-            acc = [[x // g for x in row] for row in acc]
-        nums.append(acc)
-        dens.append(den)
+    # hs[k][s] is row s of H_k packed as sum_c H_k[s][c] * 2^(b*c); H_0 = I.
+    hs = [[1 << (b * s) for s in range(d)]]
+    for ws in binoms:
+        terms = list(zip(ws, reversed(hs), cs))
+        hs.append([sum([w * c * h[s] for w, h, ci in terms for s, c in ci[r]])
+                   for r in range(d)])
 
-    den = lcm(*dens)
-    scales = [den // q for q in dens]
-    return [
-        [
-            TSeries._ints([n[r][c] * f for n, f in zip(nums, scales)], den, order)
-            for c in range(d)
-        ]
-        for r in range(d)
-    ]
+    half = 1 << (b - 1)
+    offset = sum(half << (b * c) for c in range(d))
+    mask = (1 << b) - 1
+    out = []
+    for r in range(d):
+        packed = [h[r] + offset for h in hs]
+        rows = [[((x >> (b * c)) & mask) - half for x in packed] for c in range(d)]
+        out.append(from_hurwitz(rows, [1] * (order + 1), 1, step))
+    return out

@@ -56,6 +56,7 @@ LARGE_COMMANDS = [
 
 LARGE_BUDGETS = {
     "counterexample -N 256": 1.0,
+    "horizontal djv/counterexample.djv --from generic -m 3 -N 96": 1.0,
     "integrate djv/counterexample.djv --from generic -N 256": 1.0,
 }
 

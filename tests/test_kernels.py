@@ -543,6 +543,39 @@ def test_fundamental_matrix_zero_and_constant(d):
     assert_fundamental_matches(constant, 0)
 
 
+def constant_matrix(rows, prec):
+    return [[TSeries.constant(e, prec) for e in row] for row in rows]
+
+
+# The packed rows of fundamental_matrix have slots of two more bits than the
+# largest majorant of the Hurwitz entries.  For [[2 + 3t]] and 2*I the
+# majorant equals the largest entry, so these run at the edge of the width;
+# [[0, M], [-M, 0]] fills the slots with negative entries; 1/3 + t/7 and
+# t^2/49 have non-integral Hurwitz coefficients, so time is rescaled.
+PACKED_CASES = {
+    "2+3t": ([[TSeries([2, 3], 39)]], 40),
+    "2I": (constant_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 39), 40),
+    "rotation": (constant_matrix([[0, 10**6], [-10**6, 0]], 29), 30),
+    "step": ([[TSeries([F(1, 3), F(1, 7)], 14), TSeries([0, 0, F(1, 49)], 14)],
+              [TSeries([0, 0, F(-1, 49)], 14),
+               TSeries([F(-2, 3), F(1, 7), 0, F(5, 3)], 14)]], 15),
+}
+
+
+@pytest.mark.parametrize("name", PACKED_CASES)
+def test_fundamental_matrix_packed_rows(name):
+    A, order = PACKED_CASES[name]
+    assert_fundamental_matches(A, order)
+
+
+def test_fundamental_matrix_empty_zero_and_low_orders():
+    assert fundamental_matrix([], 0) == [] == fundamental_matrix([], 1)
+    A, _ = PACKED_CASES["step"]
+    for order in (0, 1):
+        assert_fundamental_matches(A, order)
+        assert_fundamental_matches(constant_matrix([[0, 0], [0, 0]], 0), order)
+
+
 # -- batched constant_combination ------------------------------------------------------
 
 def reference_combination(target, basis):

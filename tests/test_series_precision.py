@@ -3,8 +3,11 @@
 Sums, products and quotients keep the smaller guaranteed order and their
 coefficients through any order m depend only on the inputs through m;
 `derive` loses exactly one order; `at_precision` only lowers; `==` means
-agreement through the shared order.  Hypothesis runs derandomized, so
-every run draws the same examples.
+agreement through the shared order.  `fundamental_matrix` and
+`horizontal_sections` read their inputs only through the order they need:
+extending every entry past it with random coefficients changes neither the
+output nor its claimed order.  Hypothesis runs derandomized, so every run
+draws the same examples.
 """
 
 import operator
@@ -14,8 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from djets.delta_modules import DeltaModule, horizontal_sections
 from djets.errors import InsufficientPrecision
-from djets.series import TSeries
+from djets.series import TSeries, fundamental_matrix
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -81,3 +85,49 @@ def test_equality_is_agreement_through_the_shared_order(a, b, k, shift):
     assert (changed == a) == (k > min(a.prec, same.prec))
     if a.is_constant():
         assert a == a.coeffs[0]
+
+
+@st.composite
+def extended_matrix(draw, max_dim=3, max_prec=8):
+    """A square matrix of series at one precision p, and the same matrix with
+    every entry extended past p by one to three random coefficients."""
+    d = draw(st.integers(1, max_dim))
+    p = draw(st.integers(0, max_prec))
+    A, B = [], []
+    for _ in range(d):
+        row, ext = [], []
+        for _ in range(d):
+            cs = draw(st.lists(rationals, min_size=p + 1, max_size=p + 1))
+            more = draw(st.lists(rationals, min_size=1, max_size=3))
+            row.append(TSeries(cs, p))
+            ext.append(TSeries(cs + more, p + len(more)))
+        A.append(row)
+        B.append(ext)
+    return A, B, p
+
+
+def exact(matrix):
+    return [[(e.nums, e.den, e.prec) for e in row] for row in matrix]
+
+
+@checked
+@given(extended_matrix())
+def test_fundamental_matrix_reads_only_through_order_minus_one(case):
+    A, B, p = case
+    order = p + 1
+    got = fundamental_matrix(A, order)
+    assert all(e.prec == order for row in got for e in row)
+    assert exact(fundamental_matrix(B, order)) == exact(got)
+    with pytest.raises(InsufficientPrecision):
+        fundamental_matrix(A, order + 1)
+
+
+@checked
+@given(extended_matrix())
+def test_horizontal_sections_keep_their_order_past_the_module(case):
+    A, B, p = case
+    got = horizontal_sections(DeltaModule(A))
+    longer = horizontal_sections(DeltaModule(B))
+    assert all(e.prec == p + 1 for v in got for e in v)
+    assert all(e.prec >= p + 1 for v in longer for e in v)
+    assert [[e.at_precision(p + 1) for e in v] for v in longer] == got
