@@ -10,10 +10,11 @@ algebra by
     d(f) = delta(coefficients of f) + sum_j (s_j(x) - s_j(a)) * df/dx_j
 
 and the differential jet space is the kernel of the dual operator D inside
-the algebraic jet space.  Its horizontal basis is computed by restricting
-the coordinate ODE v' = B v to the jet kernel, a delta-module whose
-horizontal sections (delta_modules.horizontal_sections) are as many over
-the constants as the jet dimension over the series field.
+the algebraic jet space.  The flow of the section carries jets at x(0) to
+jets at x(t), and its matrix on jets solves M' = B M, so the horizontal
+basis is the rational jet basis at x(0) moved by the one linear-ODE solve
+(delta_modules.horizontal_sections): as many vectors over the constants as
+the jet dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     PointNotOnVariety,
     UnknownName,
 )
-from .jets import JetSpace, jet_space, taylor_tails, truncated_mul
+from .jets import JetSpace, jet_equations, jet_space, taylor_tails, truncated_mul
 from .mpoly import MPoly, multi_indices, normal_form
 from .series import (
     DEFAULT_PRECISION,
@@ -277,8 +278,9 @@ def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
 class DeltaJetSpace:
     """A differential jet space: the algebraic jet space and a horizontal basis.
 
-    The horizontal vectors are a basis over the constants of the jets v
-    with Dv = 0, as many as the jet dimension over the series field.
+    `jet` is the rational jet space at x(0), which the flow of the section
+    carries onto the jet space at x(t).  The horizontal vectors are a basis
+    over the constants of the jets v with Dv = 0, as many as `dim_k`.
     """
 
     jet: JetSpace
@@ -297,47 +299,36 @@ class DeltaJetSpace:
         return min((e.prec for v in self.horizontal for e in v), default=None)
 
 
-def _restricted_system(variety, point, order_m, B):
-    """Jet kernel basis plus the matrix A of the module derivation c' + A c on it.
-
-    With the kernel basis b_1..b_k as rows, one product gives the rows
-    w_i = b_i' - B b_i, which must lie back in the kernel.  The free
-    coordinates of w_i are its coefficients on the basis and form column i
-    of A; w_i minus that expansion, one more product, must vanish to
-    guaranteed precision.
-    """
-    js = jet_space(variety.generators, point.coords, order_m)
-    W = [
-        [x.derive() - y for x, y in zip(b, image)]
-        for b, image in zip(js.basis, mat_mul(js.basis, transpose(B)))
-    ]
-    coeffs = [[w[c] for c in js.free_columns] for w in W]
-    for w, expansion in zip(W, mat_mul(coeffs, js.basis)):
-        for r, (x, y) in enumerate(zip(w, expansion)):
-            acc = x - y
-            if not acc.is_zero():
-                raise InvarianceViolation(
-                    "dual derivation leaves the jet kernel (residual "
-                    f"{acc} in coordinate {r})"
-                )
-    return js, transpose(coeffs)
-
-
 def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
-    """Horizontal jets at a sharp point: {v in Jet^m(V)_a : Dv = 0}.
+    """Horizontal jets at a sharp point: {v in Jet^m(V)_x(t) : Dv = 0}.
 
-    The horizontal coordinates satisfy v' = B v; on the jet kernel they form
-    the delta-module c' + A c, whose horizontal sections are a basis over the
-    constants of the same cardinality as the jet dimension over the series
-    field.
+    The flow of the section on jets, M' = B M with M(0) = I, carries the
+    jets at a = x(0) to those at x(t), so horizontal_i = M(t) v0_i solves
+    v' = B v: v0_i is the rational jet basis vector at a over its free
+    coordinate, as a constant series of the point's precision.
+
+    One matrix product checks the jet equations at x(t) on every horizontal
+    vector through the guaranteed order; a residual (an invalid section, or
+    a point not solving x' = s(x)) raises InvarianceViolation.  With no
+    generators the check is vacuous, and v' = B v is not re-checked.
     """
+    a = tuple(c.constant_term for c in point.coords)
+    js = jet_space(variety.generators, a, order_m)
+    v0 = [
+        [TSeries.constant(e / b[f], point.prec) for e in b]
+        for b, f in zip(js.basis, js.free_columns)
+    ]
     B = _derivation_matrix(variety, point, order_m)
-    if variety.generators:
-        js, A = _restricted_system(variety, point, order_m, B)
-    else:
-        js = jet_space(variety.generators, point.coords, order_m)
-        A = [[-e for e in row] for row in B]
-    horizontal = mat_mul(horizontal_sections(DeltaModule.from_rows(A)), js.basis)
+    flow = horizontal_sections(DeltaModule.from_rows([[-e for e in row] for row in B]))
+    horizontal = mat_mul(v0, flow)
+    rows = jet_equations(variety.generators, point.coords, order_m).rows
+    for r, residuals in enumerate(mat_mul(rows, transpose(horizontal))):
+        for i, res in enumerate(residuals):
+            if not res.is_zero():
+                raise InvarianceViolation(
+                    f"horizontal vector {i} fails jet equation {r}: residual "
+                    f"nonzero at order {res.order()}, guaranteed to order {res.prec}"
+                )
     return DeltaJetSpace(js, horizontal)
 
 

@@ -49,10 +49,11 @@ class JetLimit(DjetsError):
 
 
 class InvarianceViolation(DjetsError):
-    """The induced derivation does not preserve the jet subspace.
+    """A horizontal jet fails the jet equations at its sharp point.
 
-    Raised when either the section is invalid or the working precision is
-    too low to witness invariance.
+    Raised when the section is invalid or the point does not solve
+    x' = s(x); the message names the vector, the equation row, the lowest
+    order of the residual and the guaranteed order.
     """
 
 

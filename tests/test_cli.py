@@ -8,6 +8,7 @@ import pytest
 
 import djets
 import djets.cli
+import djets.dvariety
 import djets.mpoly
 from djets.cli import main
 from djets.series import MAX_PRECISION
@@ -418,6 +419,65 @@ def test_horizontal_at_singular_equilibrium(tmp_path, capsys):
     assert main(argv + [str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim_K"] == payload["dim_C"] == 4
+
+
+def test_horizontal_at_the_vertex_of_the_parabola(tmp_path, capsys):
+    # o = (0, 0) is smooth, but the jet row [-2t, 1] at the sharp point
+    # (t, t^2) has no unit in column 0; the flow carries the jet (1, 0) at o
+    # to (1, 2t).
+    path = tmp_path / "parabola.djv"
+    path.write_text(PARABOLA + "point o on parabola { coords: [0, 0]; }\n",
+                    encoding="utf-8")
+    argv = ["--format", "json", "horizontal", "--from", "o", "-N", "8", str(path)]
+    assert main(argv + ["-m", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim_K"] == payload["dim_C"] == 1
+    assert payload["horizontal_basis"] == [[
+        {"coeffs": ["1"] + ["0"] * 8, "prec": 8},
+        {"coeffs": ["0", "2"] + ["0"] * 7, "prec": 8},
+    ]]
+    for m in ("2", "3"):
+        assert main(argv + ["-m", m]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["--format", "json", "jet", "--at", "o", "-m", m, str(path)]) == 0
+        jet = json.loads(capsys.readouterr().out)
+        assert payload["dim_K"] == payload["dim_C"] == jet["dim"]
+
+
+def perturb_derivation_matrix(monkeypatch, i, j, only=lambda variety: True):
+    """Add 1 to entry (i, j) of B for the varieties `only` accepts."""
+    original = djets.dvariety._derivation_matrix
+
+    def perturbed(variety, point, order_m):
+        B = original(variety, point, order_m)
+        if only(variety):
+            B[i][j] = B[i][j] + 1
+        return B
+
+    monkeypatch.setattr(djets.dvariety, "_derivation_matrix", perturbed)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_perturbed_derivation_matrix_fails_horizontal(parabola_file, capsys,
+                                                         monkeypatch, i, j):
+    perturb_derivation_matrix(monkeypatch, i, j)
+    assert main(["horizontal", "--from", "p", "-m", "1", "-N", "8", parabola_file]) == 1
+    err = capsys.readouterr().err
+    assert err == ("verification failure: horizontal vector 0 fails jet equation 0: "
+                   "residual nonzero at order 1, guaranteed to order 8\n")
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (1, 2)])
+def test_a_perturbed_derivation_matrix_fails_verify_product(tmp_path, capsys,
+                                                            monkeypatch, i, j):
+    # Only the product's B is perturbed, inside its parabola block or from
+    # the parabola into the line; the factor spaces stay correct.
+    path = tmp_path / "product.djv"
+    path.write_text(PARABOLA + LINES, encoding="utf-8")
+    perturb_derivation_matrix(monkeypatch, i, j, lambda variety: "*" in variety.name)
+    assert main(["verify-product", "parabola", "L2", "--from", "p", "b",
+                 "-m", "1", "-N", "8", str(path)]) == 1
+    assert "fails jet equation" in capsys.readouterr().err
 
 
 def test_unreadable_file_exits_two(tmp_path, capsys):
