@@ -4,10 +4,13 @@ A module is presented in a fixed basis by the matrix A of its derivation:
 the action on a coordinate vector c is delta(c) + A c, which satisfies the
 twisted Leibniz rule d(r c) = delta(r) c + r d(c) by construction.  Duals,
 tensor products, horizontal sections, and the pairing of horizontal dual
-vectors are all coordinate computations; the decomposition of horizontal
-product jets against bases of the factor jet spaces is solved exactly over
-the series field, all jets of a batch sharing one solve per coefficient
-block, and its coefficients are then required to be constants.
+vectors are all coordinate computations; horizontal sections can be formed
+from a rational initial value, one per column, without the fundamental
+matrix.  The decomposition of horizontal product jets against bases of the
+factor jet spaces is solved exactly over the series field, all jets of a
+batch sharing one solve per factor block: the mixed block is the tensor
+product of the two factor blocks, so it is solved through them.  Its
+coefficients are then required to be constants.
 """
 
 from __future__ import annotations
@@ -92,17 +95,19 @@ def tensor(left: DeltaModule, right: DeltaModule):
     return DeltaModule(tuple(rows))
 
 
-def horizontal_sections(module: DeltaModule):
+def horizontal_sections(module: DeltaModule, initial=None):
     """A basis over the constants of {c : delta(c) + A c = 0}.
 
     The solutions of c' = -A c are the columns of the fundamental matrix of
-    -A, so the count always equals the module dimension.  They are
-    guaranteed one order past the module's precision.
+    -A, so the count always equals the module dimension.  With `initial`, a
+    dim x k matrix of rationals, only the k solutions through its columns
+    are formed, one per column.  They are guaranteed one order past the
+    module's precision.
     """
     if module.dim == 0:
         return []
     neg = [[-e for e in row] for row in module.matrix]
-    phi = fundamental_matrix(neg, module.prec + 1)
+    phi = fundamental_matrix(neg, module.prec + 1, initial)
     return transpose(phi)
 
 
@@ -213,13 +218,20 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
     That extension is what makes the linear system uniquely solvable, so the
     exact solve over the series field must recover the constants.
 
-    The three coefficient blocks (left, right, mixed) depend only on the
-    bases: each is built once and solved once with one right-hand side per
-    jet.  Pivots are chosen among the basis columns alone, so every solution
-    equals that of a single-jet solve.  Returns one ProductDecomposition per
-    jet.  Any non-constant coefficient or inconsistency raises
-    DecompositionFailure: the first one met jet by jet, taking the left,
-    right and mixed block of each jet in turn.
+    The left block M_L (rows alpha1, one column per left basis vector) and
+    the right block M_R depend only on the bases.  The mixed block is their
+    tensor product M_L (x) M_R, so a jet's mixed equations M_L X M_R^T = R
+    (R[alpha1][alpha2] the right side above) are solved through the
+    factors: M_L Y = R, one column per alpha2, then M_R X^T = Y^T.  That is
+    two series solves for all jets: M_L with every jet's left block and
+    columns of R, then M_R with every right block and rows of Y.  The left
+    and right blocks demand full column rank, so the mixed solution is the
+    unique one of the whole mixed block, and consistent exactly when both
+    steps are.  Pivots are chosen among the basis columns alone, so every
+    solution equals that of a single-jet solve.  Returns one
+    ProductDecomposition per jet.  Any non-constant coefficient or
+    inconsistency raises DecompositionFailure: the first one met jet by jet,
+    taking the left, right and mixed block of each jet in turn.
     """
     vs = list(vs)
     lam_prod = multi_indices(n_left + n_right, order_m)
@@ -240,83 +252,107 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
         (dict(zip(lam_prod, v)), TSeries.zero(min(x.prec for x in v))) for v in vs
     ]
 
-    def columns(alphas):
-        """One right-hand side per jet over the given product indices."""
-        return [
-            [vmap[a] if sum(a) <= order_m else zero for a in alphas]
-            for vmap, zero in jets
-        ]
+    def column(jet, alphas):
+        """The right-hand side of one jet over the given product indices."""
+        vmap, zero = jet
+        return [vmap[a] if sum(a) <= order_m else zero for a in alphas]
 
     posL = {a: i for i, a in enumerate(lam_left)}
     posR = {a: i for i, a in enumerate(lam_right)}
-    # Pure-left block: rows alpha1 in Lambda_left, unknowns per left basis vector.
-    left = (
-        [[w[posL[a]] for w in basis_left] for a in lam_left],
-        len(basis_left),
-        [a + (0,) * n_right for a in lam_left],
-    )
-    right = (
-        [[w[posR[a]] for w in basis_right] for a in lam_right],
-        len(basis_right),
-        [(0,) * n_left + a for a in lam_right],
-    )
-    # Mixed block over the full rectangle of factor indices.
-    mixed = (
-        [
-            [wl[posL[a1]] * wr[posR[a2]] for wl in basis_left for wr in basis_right]
-            for a1 in lam_left
-            for a2 in lam_right
-        ],
-        len(basis_left) * len(basis_right),
-        [a1 + a2 for a1 in lam_left for a2 in lam_right],
-    )
-    solved = []
-    for label, (rows, ncols, alphas) in (
-        ("left", left), ("right", right), ("mixed", mixed)
-    ):
-        outcomes = _solve_block(rows, ncols, columns(alphas), label)
-        # The first jet meets this block before any jet meets a later one.
-        if isinstance(outcomes[0], DecompositionFailure):
-            raise outcomes[0]
-        solved.append(outcomes)
-    width = len(basis_right)
+    n_l, n_r, width = len(basis_left), len(basis_right), len(lam_right)
+    left_rhs = [column(jet, [a + (0,) * n_right for a in lam_left]) for jet in jets]
+    right_rhs = [column(jet, [(0,) * n_left + a for a in lam_right]) for jet in jets]
+    # mixed_rhs[j][i2] is column alpha2 = lam_right[i2] of R for jet j.
+    mixed_rhs = [
+        [column(jet, [a1 + a2 for a1 in lam_left]) for a2 in lam_right] for jet in jets
+    ]
+    mixed = bool(basis_left and basis_right)
+
+    # M_L Y = R: the left blocks, then width columns of R per jet.
+    ys = []
+    if basis_left:
+        rows = [[w[posL[a]] for w in basis_left] for a in lam_left]
+        rhs = left_rhs + ([c for cols in mixed_rhs for c in cols] if mixed else [])
+        sols = _solve(rows, n_l, rhs, "left")
+        lefts = [_constants(x, "left", j) for j, x in enumerate(sols[: len(jets)])]
+        ycols = sols[len(jets) :]
+        if mixed:
+            ys = [ycols[j * width : (j + 1) * width] for j in range(len(jets))]
+            ys = [y if all(col is not None for col in y) else None for y in ys]
+    else:
+        lefts = [_without_basis(rhs, "left") for rhs in left_rhs]
+    # The first jet meets each block before any jet meets a later one.
+    _raise_first(lefts[:1])
+
+    # M_R X^T = Y^T: the right blocks, then n_l rows of each Y that was found.
+    if basis_right:
+        rows = [[w[posR[a]] for w in basis_right] for a in lam_right]
+        rhs = right_rhs + [
+            [col[p] for col in y] for y in ys if y is not None for p in range(n_l)
+        ]
+        sols = _solve(rows, n_r, rhs, "right")
+        rights = [_constants(x, "right", j) for j, x in enumerate(sols[: len(jets)])]
+        xrows = iter(sols[len(jets) :])
+    else:
+        rights = [_without_basis(rhs, "right") for rhs in right_rhs]
+    _raise_first(rights[:1])
+
+    # The mixed coefficients of each jet, flat over (left, right) pairs.
+    mixeds = []
+    for j, cols in enumerate(mixed_rhs):
+        if not mixed:
+            mixeds.append(_without_basis([e for col in cols for e in col], "mixed"))
+            continue
+        xs = [None] if ys[j] is None else [next(xrows) for _ in range(n_l)]
+        flat = None if any(x is None for x in xs) else [e for x in xs for e in x]
+        mixeds.append(_constants(flat, "mixed", j, n_r))
+    _raise_first(mixeds[:1])
+
     out = []
-    for outcomes in zip(*solved):
-        for x in outcomes:
-            if isinstance(x, DecompositionFailure):
-                raise x
+    for outcomes in zip(lefts, rights, mixeds):
+        _raise_first(outcomes)
         c_left, c_right, flat = outcomes
-        pair = [flat[i * width : (i + 1) * width] for i in range(len(basis_left))]
+        pair = [flat[i * n_r : (i + 1) * n_r] for i in range(n_l)]
         out.append(ProductDecomposition(Fraction(0), c_left, c_right, pair))
     return out
 
 
-def _solve_block(rows, ncols, rhs_columns, label):
-    """Constant coefficients, or the DecompositionFailure, per right-hand side.
+def _raise_first(outcomes):
+    """Raise the first DecompositionFailure among the outcomes, if any."""
+    for x in outcomes:
+        if isinstance(x, DecompositionFailure):
+            raise x
 
-    A failure that depends only on the basis (dependent columns) is raised.
-    """
-    if ncols == 0:
-        return [
-            DecompositionFailure(f"{label} block inconsistent with empty basis")
-            if any(rhs) else []
-            for rhs in rhs_columns
-        ]
+
+def _solve(rows, ncols, rhs_columns, label):
+    """The series solve of one factor block; dependent basis columns raise."""
     try:
-        sols = solve(rows, ncols, rhs_columns, SERIES)
+        return solve(rows, ncols, rhs_columns, SERIES)
     except ValueError as exc:
         raise DecompositionFailure(
             f"{label} block is underdetermined; basis vectors are dependent"
         ) from exc
-    return [_constants(x, label) for x in sols]
 
 
-def _constants(x, label):
+def _without_basis(rhs, label):
+    """The outcome of a block with no unknowns: consistent only when rhs is 0."""
+    if any(rhs):
+        return DecompositionFailure(f"{label} block inconsistent with empty basis")
+    return []
+
+
+def _constants(x, label, jet, width=None):
+    """The constant terms of a solution, or the DecompositionFailure naming
+    its first non-constant coefficient; `width` reads mixed positions as
+    (left, right) pairs."""
     if x is None:
         return DecompositionFailure(f"{label} block is inconsistent")
-    for e in x:
+    for i, e in enumerate(x):
         if not e.is_constant():
+            pos = i if width is None else divmod(i, width)
+            k = next(k for k, a in enumerate(e.nums) if k and a)
             return DecompositionFailure(
-                f"non-constant coefficient {e} in the {label} block"
+                f"non-constant coefficient {pos} of jet {jet} in the {label} "
+                f"block: nonzero at order {k}, guaranteed to order {e.prec}"
             )
     return [e.constant_term for e in x]

@@ -304,8 +304,12 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
 
     The flow of the section on jets, M' = B M with M(0) = I, carries the
     jets at a = x(0) to those at x(t), so horizontal_i = M(t) v0_i solves
-    v' = B v: v0_i is the rational jet basis vector at a over its free
-    coordinate, as a constant series of the point's precision.
+    v' = B v from v0_i, the rational jet basis vector at a over its free
+    coordinate.  The solve runs from the jet basis alone: the columns v0_i
+    are the initial value of v' = B v, so neither M(t) nor a product with
+    it is formed.  B is built from the point truncated one order below its
+    precision N, which is all a solution through order N reads (at N = 0
+    the point itself, with the solution cut back to order 0).
 
     One matrix product checks the jet equations at x(t) on every horizontal
     vector through the guaranteed order; a residual (an invalid section, or
@@ -314,13 +318,16 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     """
     a = tuple(c.constant_term for c in point.coords)
     js = jet_space(variety.generators, a, order_m)
-    v0 = [
-        [TSeries.constant(e / b[f], point.prec) for e in b]
-        for b, f in zip(js.basis, js.free_columns)
-    ]
-    B = _derivation_matrix(variety, point, order_m)
-    flow = horizontal_sections(DeltaModule.from_rows([[-e for e in row] for row in B]))
-    horizontal = mat_mul(v0, flow)
+    v0 = [[e / b[f] for e in b] for b, f in zip(js.basis, js.free_columns)]
+    low = max(point.prec - 1, 0)
+    short = SharpPoint(variety, tuple(c.at_precision(low) for c in point.coords))
+    B = _derivation_matrix(variety, short, order_m)
+    module = DeltaModule.from_rows([[-e for e in row] for row in B])
+    # One column per basis vector; with no basis, dim empty rows.
+    initial = [[v[r] for v in v0] for r in range(module.dim)]
+    horizontal = horizontal_sections(module, initial)
+    if low == point.prec:
+        horizontal = [[e.at_precision(low) for e in v] for v in horizontal]
     rows = jet_equations(variety.generators, point.coords, order_m).rows
     for r, residuals in enumerate(mat_mul(rows, transpose(horizontal))):
         for i, res in enumerate(residuals):

@@ -468,29 +468,38 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def fundamental_matrix(A, order):
-    """Fundamental solution of Y' = A(t) Y with Y(0) = I.
+def fundamental_matrix(A, order, initial=None):
+    """The solution of Y' = A(t) Y with Y(0) = `initial`, by default I.
 
-    The recursion runs on the Hurwitz integers H_k = k! * step^k * Y_k
-    (Keigher, Comm. Algebra 1997): H_0 = I and H_(k+1) = sum_i C(k,i) C_i
-    H_(k-i), where C_i = step^(i+1) * i! * A_i and `step` is the lcm of the
-    denominators of the i! * A_i, so the C_i are integer matrices and no
-    step takes a gcd or a division.  Row s of each H_k is packed into one
-    integer of d slots of b bits, sum_c H_k[s][c] * 2^(b*c), as in Kronecker
-    substitution (Harvey, JSC 2009) but across the columns, so each row of
-    a step is one sum of products of packed rows.  The majorant m_0 = 1,
-    m_(k+1) = sum_i C(k,i) rho_i m_(k-i), with rho_i the largest row sum of
-    |C_i|, bounds every |H_k[s][c]|, and b is two more than the bit length
-    of the largest m_k, so the slots never carry into each other.  The rows
-    are unpacked once at the end, with an offset of 2^(b-1) per slot for
-    the signs, and `from_hurwitz` makes each row of Y with one gcd per
-    entry.  The entries of A must be guaranteed through order `order`-1;
-    the result is guaranteed through `order` and its columns form a basis
-    of the solution space over the constants.
+    `initial` is a d x k matrix of rationals, so the k columns of the result
+    are the solutions through its columns; the default gives the
+    fundamental matrix.  The recursion runs on the Hurwitz integers
+    H_k = k! * step^k * s * Y_k (Keigher, Comm. Algebra 1997): H_0 = s * Y(0)
+    with s the lcm of the denominators of `initial` (1 for I), and
+    H_(k+1) = sum_i C(k,i) C_i H_(k-i), where C_i = step^(i+1) * i! * A_i and
+    `step` is the lcm of the denominators of the i! * A_i, so the C_i are
+    integer matrices and no step takes a gcd or a division.  Row s of each
+    H_k is packed into one integer of one b-bit slot per column,
+    sum_c H_k[s][c] * 2^(b*c), as in Kronecker substitution (Harvey, JSC
+    2009) but across the columns, so each row of a step is one sum of
+    products of packed rows.  The majorant m_0 = the largest row sum of
+    |H_0|, m_(k+1) = sum_i C(k,i) rho_i m_(k-i), with rho_i the largest row
+    sum of |C_i|, bounds every |H_k[s][c]|, and b is two more than the bit
+    length of the largest m_k, so the slots never carry into each other.
+    The rows are unpacked once at the end, with an offset of 2^(b-1) per
+    slot for the signs, and `from_hurwitz` makes each row of Y with one gcd
+    per entry.  The entries of A must be guaranteed through order
+    `order`-1; the result is guaranteed through `order`, and with the
+    default `initial` its columns form a basis of the solution space over
+    the constants.
     """
     d = len(A)
     if any(len(row) != d for row in A):
         raise DimensionMismatch("fundamental_matrix needs a square matrix")
+    if initial is not None and (
+        len(initial) != d or any(len(row) != len(initial[0]) for row in initial)
+    ):
+        raise DimensionMismatch("initial value must have one row per matrix row")
     if order < 0:
         raise InsufficientPrecision("order must be >= 0")
     if d == 0:
@@ -518,26 +527,37 @@ def fundamental_matrix(A, order):
                 r, s = divmod(k, d)
                 ci[r].append((s, x * f // entries[k].den))
         cs.append(ci)
+    # The identity is packed directly, so the plain fundamental matrix pays
+    # nothing for the initial-value form.
+    if initial is None:
+        width, scale, bounds = d, 1, [1]
+    else:
+        width = len(initial[0])
+        scale, h0 = integer_scaled([e for row in initial for e in row])
+        h0 = [h0[r * width : (r + 1) * width] for r in range(d)]
+        bounds = [max(sum(map(abs, row)) for row in h0)]
     rhos = [max(sum(abs(c) for _, c in row) for row in ci) for ci in cs]
     binoms = [[comb(k, i) for i in range(min(k + 1, len(cs)))] for k in range(order)]
-    bounds = [1]
     for ws in binoms:
         bounds.append(sum(map(mul, map(mul, ws, rhos), reversed(bounds))))
     b = max(bounds).bit_length() + 2
 
-    # hs[k][s] is row s of H_k packed as sum_c H_k[s][c] * 2^(b*c); H_0 = I.
-    hs = [[1 << (b * s) for s in range(d)]]
+    # hs[k][s] is row s of H_k packed as sum_c H_k[s][c] * 2^(b*c).
+    if initial is None:
+        hs = [[1 << (b * s) for s in range(d)]]
+    else:
+        hs = [[sum(x << (b * c) for c, x in enumerate(row)) for row in h0]]
     for ws in binoms:
         terms = list(zip(ws, reversed(hs), cs))
         hs.append([sum([w * c * h[s] for w, h, ci in terms for s, c in ci[r]])
                    for r in range(d)])
 
     half = 1 << (b - 1)
-    offset = sum(half << (b * c) for c in range(d))
+    offset = sum(half << (b * c) for c in range(width))
     mask = (1 << b) - 1
     out = []
     for r in range(d):
         packed = [h[r] + offset for h in hs]
-        rows = [[((x >> (b * c)) & mask) - half for x in packed] for c in range(d)]
-        out.append(from_hurwitz(rows, [1] * (order + 1), 1, step))
+        rows = [[((x >> (b * c)) & mask) - half for x in packed] for c in range(width)]
+        out.append(from_hurwitz(rows, [1] * (order + 1), scale, step))
     return out

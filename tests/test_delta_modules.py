@@ -1,8 +1,12 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import djets.cli
+import djets.linalg
 from djets.delta_modules import (
     DeltaModule,
     dual,
@@ -21,6 +25,7 @@ from djets.dvariety import (
     sharp_integrate,
 )
 from djets.errors import DecompositionFailure, InsufficientPrecision
+from djets.linalg import SERIES
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
 
@@ -309,6 +314,65 @@ def test_decomposition_failure_on_corrupted_jet():
     v[0] = v[0] * TSeries([1, 1], N)  # no longer horizontal
     with pytest.raises(DecompositionFailure):
         product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
+
+
+def test_decomposition_failures_without_a_usable_factor_basis():
+    # pinned messages: an empty or dependent factor basis fails in the block
+    # that first meets it, whichever way the mixed block is solved
+    prod, space, W, Wp = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
+                                       (1,), (1,), 2)
+    vs = space.horizontal
+    for bases, message in [
+        (([], Wp), "left block inconsistent with empty basis"),
+        ((W, []), "right block inconsistent with empty basis"),
+        (([], []), "left block inconsistent with empty basis"),
+        ((W + [W[0]], Wp), "left block is underdetermined; basis vectors are dependent"),
+        ((W, Wp + [Wp[1]]), "right block is underdetermined; basis vectors are dependent"),
+        (([], Wp + [Wp[0]]), "left block inconsistent with empty basis"),
+    ]:
+        with pytest.raises(DecompositionFailure) as caught:
+            product_jet_decompose(vs, *bases, 1, 1, 2)
+        assert str(caught.value) == message
+    # with the pure left coordinates cleared, only the mixed block needs the
+    # left basis
+    lam = multi_indices(2, 2)
+    right_only = [
+        [TSeries.zero(N) if alpha[0] and not alpha[1] else e for alpha, e in zip(lam, v)]
+        for v in vs
+    ]
+    with pytest.raises(DecompositionFailure) as caught:
+        product_jet_decompose(right_only, [], Wp, 1, 1, 2)
+    assert str(caught.value) == "mixed block inconsistent with empty basis"
+    with pytest.raises(DecompositionFailure) as caught:
+        product_jet_decompose(right_only, W, Wp + [Wp[0]], 1, 1, 2)
+    assert str(caught.value) == "right block is underdetermined; basis vectors are dependent"
+    # a jet of the right factor alone decomposes with no left basis at all
+    embedded = [TSeries.zero(N)] * len(lam)
+    embedded[lam.index((0, 1))], embedded[lam.index((0, 2))] = Wp[0]
+    dec = product_jet_decompose([embedded], [], Wp, 1, 1, 2)[0]
+    assert (dec.left, dec.right, dec.pair) == ([], [F(1), F(0)], [])
+    dec = product_jet_decompose([embedded], W, [Wp[0]], 1, 1, 2)[0]
+    assert (dec.left, dec.right, dec.pair) == ([F(0), F(0)], [F(1)], [[F(0)], [F(0)]])
+
+
+def test_one_product_decomposition_makes_two_series_solves(monkeypatch):
+    # M_L with the left and mixed right-hand sides, then M_R with the right
+    # ones and the rows of Y: verify-product -m 3 on the two exponential lines
+    original = djets.linalg.solve
+    domains = []
+
+    def counted(rows, ncols, rhs_columns, domain):
+        domains.append(domain)
+        return original(rows, ncols, rhs_columns, domain)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "djets" and vars(mod).get("solve") is original:
+            monkeypatch.setattr(mod, "solve", counted)
+    lines = str(Path(__file__).resolve().parent.parent / "djv" / "lines.djv")
+    code = djets.cli.main(["verify-product", "L1", "L2", lines, "--from", "a", "b",
+                           "-m", "3", "--format", "json"])
+    assert code == 0
+    assert domains.count(SERIES) == 2
 
 
 def _assert_reconstructs(v, dec, W, Wp, n_left, n_right, order_m):

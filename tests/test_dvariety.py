@@ -256,6 +256,23 @@ def test_delta_jets_dimension_law_across_examples():
                 assert v[i].derive() == rhs
 
 
+def test_parabola_horizontal_jets_at_point_precision_zero_and_one():
+    # pinned as (numerators, denominator, precision) per entry; the flow reads
+    # the point one order below its precision, and at N = 0 only x(0)
+    want = {
+        0: [[((1,), 2, 0), ((1,), 1, 0), ((0,), 1, 0), ((0,), 1, 0), ((0,), 1, 0)],
+            [((-1,), 8, 0), ((0,), 1, 0), ((1,), 4, 0), ((1,), 2, 0), ((1,), 1, 0)]],
+        1: [[((1, 0), 2, 1), ((1, 1), 1, 1), ((0, 0), 1, 1), ((0, 0), 1, 1),
+             ((0, 0), 1, 1)],
+            [((-1, 0), 8, 1), ((0, -1), 4, 1), ((1, 0), 4, 1), ((1, 1), 2, 1),
+             ((1, 2), 1, 1)]],
+    }
+    for prec, vectors in want.items():
+        space = delta_jet_space(parabola(), sharp_integrate(parabola(), (1, 1), prec), 2)
+        assert (space.dim_k, space.dim_c, space.precision) == (2, 2, prec)
+        assert [[(e.nums, e.den, e.prec) for e in v] for v in space.horizontal] == vectors
+
+
 def test_invariance_violation_for_fake_sharp_point():
     # a point on the parabola that does not integrate the section
     xy = ("x", "y")

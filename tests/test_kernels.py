@@ -3,7 +3,8 @@
 `sharp_integrate` is compared with the re-evaluate-every-step Taylor loop,
 `TSeries.__mul__` with a plain Fraction double loop, rational `rref` with
 plain Fraction Gauss-Jordan elimination, the rank and `nullspace` with sympy,
-`fundamental_matrix` with the Fraction coefficient recursion, batched
+`fundamental_matrix` with the Fraction coefficient recursion, and from an
+initial value Y0 with the fundamental matrix times Y0, batched
 `constant_combination` with one elimination per target, `mat_vec` (also
 as the dot product of two vectors) and `mat_mul` with the fold of `*` and
 `+`, series division, Hasse derivatives and `exp_series` with sympy, and batched `product_jet_decompose`
@@ -576,6 +577,55 @@ def test_fundamental_matrix_empty_zero_and_low_orders():
         assert_fundamental_matches(constant_matrix([[0, 0], [0, 0]], 0), order)
 
 
+def random_initial(rng, d, k):
+    """A d x k rational matrix with denominators, negative entries and, when
+    it has one, a zero column."""
+    rows = [[F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12])) for _ in range(k)]
+            for _ in range(d)]
+    if k:
+        zero = rng.randrange(k)
+        for row in rows:
+            row[zero] = F(0)
+    return rows
+
+
+def exact_matrix(matrix):
+    return [[(e.nums, e.den, e.prec) for e in row] for row in matrix]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fundamental_matrix_from_an_initial_value_is_the_product(seed):
+    # Y(0) = Y0 gives Phi Y0 in every numerator, denominator and precision,
+    # for fewer, as many and more columns than rows
+    rng = random.Random(700 + seed)
+    d = rng.randint(1, 5)
+    for order, density in ((0, 0.7), (1, 0.7), (rng.randint(2, 12), 0.7), (9, 0.25)):
+        A = random_series_matrix(rng, d, max(order - 1, 0) + rng.randint(0, 2), density)
+        phi = fundamental_matrix(A, order)
+        for k in sorted({0, 1, max(d - 1, 1), d, d + 2}):
+            Y0 = random_initial(rng, d, k)
+            got = fundamental_matrix(A, order, Y0)
+            assert exact_matrix(got) == exact_matrix(mat_mul(phi, Y0))
+
+
+def test_fundamental_matrix_identity_and_packed_initial_values():
+    # Y0 = I is the default; large entries of both signs still unpack exactly
+    for name in PACKED_CASES:
+        A, order = PACKED_CASES[name]
+        d = len(A)
+        identity = [[F(int(r == c)) for c in range(d)] for r in range(d)]
+        phi = fundamental_matrix(A, order)
+        assert exact_matrix(fundamental_matrix(A, order, identity)) == exact_matrix(phi)
+        Y0 = [[F(-10**6 if (r + c) % 2 else 10**6, 7) for c in range(d + 1)]
+              for r in range(d)]
+        assert exact_matrix(fundamental_matrix(A, order, Y0)) == \
+            exact_matrix(mat_mul(phi, Y0))
+    A, _ = PACKED_CASES["step"]
+    for bad in ([[1, 0]], [[1, 0], [0]]):
+        with pytest.raises(DimensionMismatch):
+            fundamental_matrix(A, 3, bad)
+
+
 # -- batched constant_combination ------------------------------------------------------
 
 def reference_combination(target, basis):
@@ -772,8 +822,10 @@ def test_series_division_matches_sympy(seed):
 
 # -- batched product_jet_decompose ----------------------------------------------------
 
-def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
-    """One jet at a time: three blocks, each solved for this jet alone."""
+def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m, jet=0):
+    """One jet at a time: three blocks, each solved for this jet alone, the
+    mixed one as the whole tensor-product block; `jet` is the jet's place in
+    its batch, which failure messages name."""
     lam_prod = multi_indices(n_left + n_right, order_m)
     lam_left = multi_indices(n_left, order_m)
     lam_right = multi_indices(n_right, order_m)
@@ -785,7 +837,7 @@ def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
     def entry(alpha):
         return vmap[alpha] if sum(alpha) <= order_m else zero
 
-    def block(rows, ncols, rhs, label):
+    def block(rows, ncols, rhs, label, width=None):
         if ncols == 0:
             if any(x != 0 for x in rhs):
                 raise DecompositionFailure(
@@ -794,10 +846,13 @@ def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
         sols = solve(rows, ncols, [rhs], SERIES)
         if sols[0] is None:
             raise DecompositionFailure(f"{label} block is inconsistent")
-        for x in sols[0]:
+        for i, x in enumerate(sols[0]):
             if not x.is_constant():
+                order = (x - x.constant_term).order()
+                pos = i if width is None else divmod(i, width)
                 raise DecompositionFailure(
-                    f"non-constant coefficient {x} in the {label} block")
+                    f"non-constant coefficient {pos} of jet {jet} in the {label} "
+                    f"block: nonzero at order {order}, guaranteed to order {x.prec}")
         return [x.constant_term for x in sols[0]]
 
     left = block([[w[posL[a]] for w in basis_left] for a in lam_left],
@@ -811,8 +866,8 @@ def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m):
             rows.append([wl[posL[a1]] * wr[posR[a2]]
                          for wl in basis_left for wr in basis_right])
             rhs.append(entry(a1 + a2))
-    flat = block(rows, len(basis_left) * len(basis_right), rhs, "mixed")
     k = len(basis_right)
+    flat = block(rows, len(basis_left) * k, rhs, "mixed", k)
     return left, right, [flat[i * k:(i + 1) * k] for i in range(len(basis_left))]
 
 
@@ -838,9 +893,9 @@ def product_suite(order_m):
 
 
 def reference_failure(vs, args):
-    for v in vs:
+    for jet, v in enumerate(vs):
         try:
-            reference_decompose(v, *args)
+            reference_decompose(v, *args, jet)
         except DecompositionFailure as exc:
             return str(exc)
     return None

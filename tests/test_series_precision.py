@@ -6,8 +6,10 @@ coefficients through any order m depend only on the inputs through m;
 agreement through the shared order.  `fundamental_matrix` and
 `horizontal_sections` read their inputs only through the order they need:
 extending every entry past it with random coefficients changes neither the
-output nor its claimed order.  Hypothesis runs derandomized, so every run
-draws the same examples.
+output nor its claimed order, with or without a rational initial value,
+and from an initial value Y0 the solution is the fundamental matrix times
+Y0 in every entry and every precision.  Hypothesis runs derandomized, so
+every run draws the same examples.
 """
 
 import operator
@@ -19,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from djets.delta_modules import DeltaModule, horizontal_sections
 from djets.errors import InsufficientPrecision
-from djets.series import TSeries, fundamental_matrix
+from djets.series import TSeries, fundamental_matrix, mat_mul
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -131,3 +133,30 @@ def test_horizontal_sections_keep_their_order_past_the_module(case):
     assert all(e.prec == p + 1 for v in got for e in v)
     assert all(e.prec >= p + 1 for v in longer for e in v)
     assert [[e.at_precision(p + 1) for e in v] for v in longer] == got
+
+
+@st.composite
+def extended_with_initial(draw):
+    """An `extended_matrix` case and a d x k rational initial value, k <= d + 1."""
+    A, B, p = draw(extended_matrix())
+    k = draw(st.integers(0, len(A) + 1))
+    row = st.lists(rationals, min_size=k, max_size=k)
+    return A, B, p, draw(st.lists(row, min_size=len(A), max_size=len(A)))
+
+
+@checked
+@given(extended_with_initial())
+def test_solutions_from_an_initial_value_read_only_through_order_minus_one(case):
+    A, B, p, Y0 = case
+    order = p + 1
+    got = fundamental_matrix(A, order, Y0)
+    assert all(e.prec == order for row in got for e in row)
+    assert exact(got) == exact(mat_mul(fundamental_matrix(A, order), Y0))
+    assert exact(fundamental_matrix(B, order, Y0)) == exact(got)
+    with pytest.raises(InsufficientPrecision):
+        fundamental_matrix(A, order + 1, Y0)
+    sections = horizontal_sections(DeltaModule(A), Y0)
+    longer = horizontal_sections(DeltaModule(B), Y0)
+    assert len(sections) == len(Y0[0])
+    assert all(e.prec == order for v in sections for e in v)
+    assert [[e.at_precision(order) for e in v] for v in longer] == sections

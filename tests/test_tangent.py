@@ -410,13 +410,13 @@ def test_every_linear_ode_is_solved_by_horizontal_sections(monkeypatch):
     original = djets.series.fundamental_matrix
     inside = []  # per call: is horizontal_sections on the stack
 
-    def counted(A, order):
+    def counted(A, order, initial=None):
         frame, names = sys._getframe(1), set()
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
         inside.append("horizontal_sections" in names)
-        return original(A, order)
+        return original(A, order, initial)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "djets" and vars(module).get("fundamental_matrix") is original:
