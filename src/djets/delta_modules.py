@@ -281,7 +281,7 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
             ys = [y if all(col is not None for col in y) else None for y in ys]
     else:
         lefts = [_without_basis(rhs, "left") for rhs in left_rhs]
-    # The first jet meets each block before any jet meets a later one.
+    # The first jet meets the left block before the right solve can raise.
     _raise_first(lefts[:1])
 
     # M_R X^T = Y^T: the right blocks, then n_l rows of each Y that was found.
@@ -295,7 +295,6 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
         xrows = iter(sols[len(jets) :])
     else:
         rights = [_without_basis(rhs, "right") for rhs in right_rhs]
-    _raise_first(rights[:1])
 
     # The mixed coefficients of each jet, flat over (left, right) pairs.
     mixeds = []
@@ -306,7 +305,6 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
         xs = [None] if ys[j] is None else [next(xrows) for _ in range(n_l)]
         flat = None if any(x is None for x in xs) else [e for x in xs for e in x]
         mixeds.append(_constants(flat, "mixed", j, n_r))
-    _raise_first(mixeds[:1])
 
     out = []
     for outcomes in zip(lefts, rights, mixeds):

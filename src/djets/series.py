@@ -496,9 +496,9 @@ def fundamental_matrix(A, order, initial=None):
     d = len(A)
     if any(len(row) != d for row in A):
         raise DimensionMismatch("fundamental_matrix needs a square matrix")
-    if initial is not None and (
-        len(initial) != d or any(len(row) != len(initial[0]) for row in initial)
-    ):
+    if initial is None:
+        initial = [[int(r == c) for c in range(d)] for r in range(d)]
+    elif len(initial) != d or any(len(row) != len(initial[0]) for row in initial):
         raise DimensionMismatch("initial value must have one row per matrix row")
     if order < 0:
         raise InsufficientPrecision("order must be >= 0")
@@ -527,15 +527,10 @@ def fundamental_matrix(A, order, initial=None):
                 r, s = divmod(k, d)
                 ci[r].append((s, x * f // entries[k].den))
         cs.append(ci)
-    # The identity is packed directly, so the plain fundamental matrix pays
-    # nothing for the initial-value form.
-    if initial is None:
-        width, scale, bounds = d, 1, [1]
-    else:
-        width = len(initial[0])
-        scale, h0 = integer_scaled([e for row in initial for e in row])
-        h0 = [h0[r * width : (r + 1) * width] for r in range(d)]
-        bounds = [max(sum(map(abs, row)) for row in h0)]
+    width = len(initial[0])
+    scale, h0 = integer_scaled([e for row in initial for e in row])
+    h0 = [h0[r * width : (r + 1) * width] for r in range(d)]
+    bounds = [max(sum(map(abs, row)) for row in h0)]
     rhos = [max(sum(abs(c) for _, c in row) for row in ci) for ci in cs]
     binoms = [[comb(k, i) for i in range(min(k + 1, len(cs)))] for k in range(order)]
     for ws in binoms:
@@ -543,10 +538,7 @@ def fundamental_matrix(A, order, initial=None):
     b = max(bounds).bit_length() + 2
 
     # hs[k][s] is row s of H_k packed as sum_c H_k[s][c] * 2^(b*c).
-    if initial is None:
-        hs = [[1 << (b * s) for s in range(d)]]
-    else:
-        hs = [[sum(x << (b * c) for c, x in enumerate(row)) for row in h0]]
+    hs = [[sum(x << (b * c) for c, x in enumerate(row)) for row in h0]]
     for ws in binoms:
         terms = list(zip(ws, reversed(hs), cs))
         hs.append([sum([w * c * h[s] for w, h, ci in terms for s, c in ci[r]])

@@ -882,6 +882,7 @@ def product_suite(order_m):
         (x1, (1,), x2, (1,)),
         (counterexample_variety(), (2, 1), x1, (1,)),
         (parabola, (1, 1), x1, (1,)),
+        (x1, (1,), parabola, (1, 1)),
     ]:
         lp = sharp_integrate(left, left_pt, PRECISION)
         rp = sharp_integrate(right, right_pt, PRECISION)
@@ -915,29 +916,85 @@ def test_batched_decomposition_matches_per_jet(order_m):
 @pytest.mark.parametrize("order_m", [1, 2])
 def test_batch_with_corrupted_jets_fails_like_per_jet(order_m):
     bump = TSeries([1, 1], PRECISION)
+    t = TSeries([0, 1], PRECISION)
     seen = set()
     for vs, args in product_suite(order_m):
-        last = len(vs[0]) - 1  # a mixed or right coordinate
+        _, _, n_left, n_right, _ = args
+        lam_prod = multi_indices(n_left + n_right, order_m)
+        last = len(vs[0]) - 1  # (0, .., m): a coordinate of the right block
         corruptions = [
             {len(vs) - 1: [0]},            # the last jet, first coordinate
             {0: [last]},                   # the first jet, last coordinate
             {0: [last], len(vs) - 1: [0]},  # both: the first jet's failure wins
         ]
+        if order_m >= 2:
+            # (1, 0, .., 1, 0, ..): a coordinate of the mixed block only
+            mix = lam_prod.index((1,) + (0,) * (n_left - 1) + (1,) + (0,) * (n_right - 1))
+            corruptions += [{0: [mix]}, {len(vs) - 1: [mix]}]
         for corruption in corruptions:
-            batch = [list(v) for v in vs]
-            for j, coords in corruption.items():
-                for c in coords:
-                    batch[j][c] = batch[j][c] * bump + F(1, 3)
-            message = reference_failure(batch, args)
-            assert message is not None
-            with pytest.raises(DecompositionFailure) as caught:
-                product_jet_decompose(batch, *args)
-            assert str(caught.value) == message
-            seen.add(message.split(" block")[0].split()[-1] + " " +
-                     ("inconsistent" if "inconsistent" in message else "non-constant"))
-    # the corruptions reach both kinds of failure
+            # scaled by 1 + t and shifted: inconsistent where a factor block is
+            # tall; shifted by t or by a constant: non-constant, or still a
+            # constant combination, where both factor blocks are square
+            for change in (lambda e: e * bump + F(1, 3), lambda e: e + t,
+                           lambda e: e + F(1, 3)):
+                batch = [list(v) for v in vs]
+                for j, coords in corruption.items():
+                    for c in coords:
+                        batch[j][c] = change(batch[j][c])
+                message = reference_failure(batch, args)
+                if message is None:
+                    got = product_jet_decompose(batch, *args)
+                    assert [(d.left, d.right, d.pair) for d in got] == [
+                        reference_decompose(v, *args) for v in batch]
+                    continue
+                with pytest.raises(DecompositionFailure) as caught:
+                    product_jet_decompose(batch, *args)
+                assert str(caught.value) == message
+                seen.add(message.split(" block")[0].split()[-1] + " " +
+                         ("inconsistent" if "inconsistent" in message else "non-constant"))
+    # the corruptions reach both kinds of failure, in the mixed block too
     assert any(s.endswith("inconsistent") for s in seen)
     assert any(s.endswith("non-constant") for s in seen)
+    if order_m >= 2:
+        assert {"mixed inconsistent", "mixed non-constant"} <= seen
+
+
+def test_mixed_failures_name_each_step_of_the_factor_solve():
+    """Unit-vector factor bases on two lines at m = 4, so a jet's mixed
+    block is read off directly: X[p][q] is the jet at (p + 1, q + 1)."""
+    order_m = 4
+    lam = multi_indices(2, order_m)
+    units = [[TSeries.constant(int(i == k), PRECISION) for i in range(order_m)]
+             for k in range(order_m)]
+    t = TSeries([0, 1], PRECISION)
+
+    def jet(**entries):
+        v = [TSeries.zero(PRECISION)] * len(lam)
+        for key, value in entries.items():
+            if not isinstance(value, TSeries):
+                value = TSeries.constant(value, PRECISION)
+            v[lam.index(tuple(int(c) for c in key[1:]))] = value
+        return v
+
+    cases = [
+        # square factors, X[1][0] = t: the (left, right) pair of a flat position
+        (units, units, jet(a21=t),
+         "non-constant coefficient (1, 0) of jet 1 in the mixed block: "
+         "nonzero at order 1, guaranteed to order 24"),
+        # a tall left factor: the mixed column alpha2 = 1 has no solution Y
+        (units[:2], units, jet(a31=1), "mixed block is inconsistent"),
+        # a tall right factor: a row of Y has no solution X
+        (units, units[:2], jet(a13=1), "mixed block is inconsistent"),
+    ]
+    for basis_left, basis_right, bad, message in cases:
+        args = (basis_left, basis_right, 1, 1, order_m)
+        batch = [jet(a11=2), bad]
+        assert reference_failure(batch, args) == message
+        with pytest.raises(DecompositionFailure) as caught:
+            product_jet_decompose(batch, *args)
+        assert str(caught.value) == message
+        (ok,) = product_jet_decompose(batch[:1], *args)
+        assert ok.pair[0][0] == 2 and sum(sum(map(abs, r)) for r in ok.pair) == 2
 
 
 # -- Hasse derivatives and exp_series against sympy -----------------------------------
