@@ -12,7 +12,6 @@ from .delta_modules import (
     DeltaModule,
     dual,
     horizontal_sections,
-    pairing_phi,
     product_jet_decompose,
     tensor,
     verify_tensor_pairing,
@@ -61,6 +60,7 @@ from .series import (
     TSeries,
     exp_series,
     fundamental_matrix,
+    kron,
 )
 from .tangent import (
     LinearDVariety,

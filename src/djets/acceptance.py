@@ -175,9 +175,8 @@ def check_dimension_law(seed=0):
             sections = horizontal_sections(module)
             if len(sections) != dim:
                 return False, f"trial {trial}: {len(sections)} sections for dim {dim}"
-            for s in sections:
-                if not is_horizontal(module, s):
-                    return False, f"trial {trial}: nonzero residual"
+            if not is_horizontal(module, *sections):
+                return False, f"trial {trial}: nonzero residual"
         return True, "50 random modules, dim of horizontal basis = module dim"
 
     return _timed("dimension-law", "horizontal sections count the module dimension",

@@ -6,7 +6,10 @@ twisted Leibniz rule d(r c) = delta(r) c + r d(c) by construction.  Duals,
 tensor products, horizontal sections, and the pairing of horizontal dual
 vectors are all coordinate computations; horizontal sections can be formed
 from a rational initial value, one per column, without the fundamental
-matrix.  The decomposition of horizontal product jets against bases of the
+matrix.  The pairings of two families of horizontal dual vectors are the
+rows of their Kronecker product `series.kron(hm, hn)`, and `is_horizontal`
+checks a whole family at once, one packed integer residual per row and
+order.  The decomposition of horizontal product jets against bases of the
 factor jet spaces is solved exactly over the series field, all jets of a
 batch sharing one solve per factor block: the mixed block is the tensor
 product of the two factor blocks, so it is solved through them.  Its
@@ -17,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import SERIES, constant_combination, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, mat_vec, transpose
+from .series import TSeries, fundamental_matrix, kron, pack, transpose
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,53 @@ def horizontal_sections(module: DeltaModule, initial=None):
     return transpose(phi)
 
 
-def is_horizontal(module: DeltaModule, vec):
-    """Whether delta(v) + A v vanishes to guaranteed precision."""
-    Av = mat_vec(module.matrix, vec)
-    return all((x.derive() + y).is_zero() for x, y in zip(vec, Av))
+def is_horizontal(module: DeltaModule, *vectors):
+    """Whether delta(v) + A v vanishes to guaranteed precision for every v.
+
+    Row r of v is checked through min(v[r].prec - 1, the precisions of row r
+    of A and of v), the order the residual v' + A v is guaranteed to.
+    Vectors with the same precisions are `pack`ed across columns over one
+    denominator D.  With a the lcm of the denominators of row r of A, row r
+    at t^m is then one packed integer whose slot c is a*D*(v_c' + A v_c)[r]
+    at t^m.  A majorant of the slots sets the slot width, so the integer is
+    0 exactly when every slot is.
+    """
+    d = module.dim
+    if any(len(v) != d for v in vectors):
+        raise DimensionMismatch("matrix/vector size mismatch")
+    if not d:
+        return True
+    rows = []
+    for row in module.matrix:
+        a = lcm(*(e.den for e in row))
+        terms = sorted((t, s, x * (a // e.den)) for s, e in enumerate(row)
+                       for t, x in enumerate(e.nums) if x)
+        rows.append((a, terms, min(e.prec for e in row)))
+    packs = {}
+    for v in vectors:
+        packs.setdefault(tuple(e.prec for e in v), []).append(v)
+    for precs, vs in packs.items():
+        if 0 in precs:
+            raise InsufficientPrecision("cannot differentiate a precision-0 series")
+        den = lcm(*(e.den for v in vs for e in v))
+        cols = [[[x * (den // e.den) for x in e.nums] for e in v] for v in vs]
+        top = max(max(map(abs, e.nums)) * (den // e.den) for v in vs for e in v)
+        most = max(a * max(precs) + sum(abs(x) for _, _, x in terms)
+                   for a, terms, _ in rows)
+        b = (top * most).bit_length() + 2
+        # packed[s][t]: coefficient t of entry s of every vector, one slot each
+        packed = [[pack(xs, b) for xs in zip(*entries)] for entries in zip(*cols)]
+        low = min(precs)
+        for r, (a, terms, arow) in enumerate(rows):
+            for m in range(min(precs[r] - 1, arow, low) + 1):
+                res = a * (m + 1) * packed[r][m + 1]
+                for t, s, x in terms:
+                    if t > m:
+                        break
+                    res += x * packed[s][m - t]
+                if res:
+                    return False
+    return True
 
 
 def mutually_contained(basis_a, basis_b):
@@ -127,11 +174,6 @@ def mutually_contained(basis_a, basis_b):
         for targets, basis in ((basis_a, basis_b), (basis_b, basis_a))
         for c in constant_combination(targets, basis)
     )
-
-
-def pairing_phi(v, w):
-    """Coordinate tensor of two functionals: (v (x) w)[i*dim_w + j] = v_i w_j."""
-    return [vi * wj for vi in v for wj in w]
 
 
 @dataclass
@@ -175,7 +217,7 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
-    pairings = [pairing_phi(v, w) for v in hm for w in hn]
+    pairings = kron(hm, hn)
     dual_tensor = dual(tensor(left, right))
     target = horizontal_sections(dual_tensor)
     return TensorPairingReport(
@@ -183,7 +225,7 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
         dim_right=right.dim,
         dim_pairings=len(pairings),
         dim_tensor_horizontal=len(target),
-        pairings_horizontal=all(is_horizontal(dual_tensor, p) for p in pairings),
+        pairings_horizontal=is_horizontal(dual_tensor, *pairings),
         mutually_contained=mutually_contained(pairings, target),
     )
 

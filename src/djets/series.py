@@ -20,9 +20,14 @@ Introduction", ICMS 2010); division keeps the quotient so far as integers
 over the lcm of its reduced denominators.  `from_hurwitz` turns integer
 rows of Hurwitz coefficients k! x_k, the form in which
 `dvariety.sharp_integrate` integrates, `exp_series` is built and
-`fundamental_matrix` runs its recursion, into series with one gcd each;
-`fundamental_matrix` packs each matrix row into one integer, with slots
-wide enough for a majorant of its entries.  The tuple of Fractions
+`fundamental_matrix` runs its recursion, into series with one gcd each.
+`pack` puts integers into b-bit slots of one integer and `unpack` reads
+them back with a 2^(b-1) offset for the signs, as in Kronecker
+substitution across columns: `fundamental_matrix` packs each matrix row,
+`kron` each factor column, and `delta_modules.is_horizontal` a family of
+vectors, always with slots wide enough for a majorant of what they hold.
+`kron` is the Kronecker product of two matrices of series, one integer
+convolution over t per output column.  The tuple of Fractions
 `coeffs` is built only when read.  Only this module builds a series from
 integers, through `TSeries._ints`, so every series is in this reduced form.
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
 
@@ -468,6 +473,71 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def pack(xs, b):
+    """sum_c xs[c] * 2^(b*c): the integers xs in b-bit slots, as in Kronecker
+    substitution (Harvey, JSC 2009).  Sums and products of packed integers
+    act slot by slot while every slot stays below 2^(b-1) in absolute value;
+    then the packed integer is 0 exactly when every slot is."""
+    return sum(map(lshift, xs, range(0, b * len(xs), b)))
+
+
+def unpack(xs, b, n):
+    """Slots 0 .. n-1 of the packed integers xs, one list per slot, inverting
+    `pack`: an offset of 2^(b-1) per slot makes every slot nonnegative, so
+    each is read by a shift and a mask and the offset is taken off again."""
+    half = 1 << (b - 1)
+    offset = pack([half] * n, b)
+    mask = (1 << b) - 1
+    xs = [x + offset for x in xs]
+    return [[((x >> shift) & mask) - half for x in xs] for shift in range(0, b * n, b)]
+
+
+def kron(A, B):
+    """The Kronecker product of two matrices of series.
+
+    Entry (i*r + k, j*s + l), for B of shape r x s, is A[i][j] * B[k][l]
+    with the `nums`, `den` and `prec` of that product.  Column j of A is
+    packed across its rows in slots r*b bits wide and column l of B in
+    b-bit slots, so the packed product holds every A[i][j] * B[k][l] in
+    slot r*i + k, and each output column is one integer convolution over t,
+    unpacked once and reduced by one gcd per entry.  The product of the
+    largest absolute numerator sums of A and B bounds every slot, and b is
+    two more than its bit length.
+    """
+    p, r = len(A), len(B)
+    q, s = (len(A[0]) if A else 0), (len(B[0]) if B else 0)
+
+    def norm(M):
+        return max((sum(map(abs, e.nums)) for row in M for e in row), default=0)
+
+    b = (norm(A) * norm(B)).bit_length() + 2
+
+    def columns(M, width):
+        """Per column: its top order and its t^k coefficients packed across rows."""
+        out = []
+        for col in zip(*M):
+            top = max(e.prec for e in col)
+            rows = [e.nums + (0,) * (top - e.prec) for e in col]
+            out.append((col, top, [pack(xs, width) for xs in zip(*rows)]))
+        return out
+
+    out = [[None] * (q * s) for _ in range(p * r)]
+    if not r:  # the slots of A would be 0 bits wide
+        return out
+    bcols = columns(B, b)
+    for j, (acol, atop, ap) in enumerate(columns(A, r * b)):
+        for l, (bcol, btop, bp) in enumerate(bcols):
+            n = min(atop, btop)
+            conv = [sum(map(mul, ap[: m + 1], bp[m::-1])) for m in range(n + 1)]
+            slots = iter(unpack(conv, b, p * r))
+            for i, x in enumerate(acol):
+                for k, y in enumerate(bcol):
+                    e = min(x.prec, y.prec)
+                    nums = next(slots)[: e + 1]
+                    out[r * i + k][s * j + l] = TSeries._ints(nums, x.den * y.den, e)
+    return out
+
+
 def fundamental_matrix(A, order, initial=None):
     """The solution of Y' = A(t) Y with Y(0) = `initial`, by default I.
 
@@ -479,16 +549,14 @@ def fundamental_matrix(A, order, initial=None):
     H_(k+1) = sum_i C(k,i) C_i H_(k-i), where C_i = step^(i+1) * i! * A_i and
     `step` is the lcm of the denominators of the i! * A_i, so the C_i are
     integer matrices and no step takes a gcd or a division.  Row s of each
-    H_k is packed into one integer of one b-bit slot per column,
-    sum_c H_k[s][c] * 2^(b*c), as in Kronecker substitution (Harvey, JSC
-    2009) but across the columns, so each row of a step is one sum of
-    products of packed rows.  The majorant m_0 = the largest row sum of
-    |H_0|, m_(k+1) = sum_i C(k,i) rho_i m_(k-i), with rho_i the largest row
-    sum of |C_i|, bounds every |H_k[s][c]|, and b is two more than the bit
-    length of the largest m_k, so the slots never carry into each other.
-    The rows are unpacked once at the end, with an offset of 2^(b-1) per
-    slot for the signs, and `from_hurwitz` makes each row of Y with one gcd
-    per entry.  The entries of A must be guaranteed through order
+    H_k is `pack`ed into one integer of one b-bit slot per column, so each
+    row of a step is one sum of products of packed rows.  The majorant
+    m_0 = the largest row sum of |H_0|, m_(k+1) = sum_i C(k,i) rho_i
+    m_(k-i), with rho_i the largest row sum of |C_i|, bounds every
+    |H_k[s][c]|, and b is two more than the bit length of the largest m_k,
+    so the slots never carry into each other.  The rows are `unpack`ed once
+    at the end, and `from_hurwitz` makes each row of Y with one gcd per
+    entry.  The entries of A must be guaranteed through order
     `order`-1; the result is guaranteed through `order`, and with the
     default `initial` its columns form a basis of the solution space over
     the constants.
@@ -538,18 +606,14 @@ def fundamental_matrix(A, order, initial=None):
     b = max(bounds).bit_length() + 2
 
     # hs[k][s] is row s of H_k packed as sum_c H_k[s][c] * 2^(b*c).
-    hs = [[sum(x << (b * c) for c, x in enumerate(row)) for row in h0]]
+    hs = [[pack(row, b) for row in h0]]
     for ws in binoms:
         terms = list(zip(ws, reversed(hs), cs))
         hs.append([sum([w * c * h[s] for w, h, ci in terms for s, c in ci[r]])
                    for r in range(d)])
 
-    half = 1 << (b - 1)
-    offset = sum(half << (b * c) for c in range(width))
-    mask = (1 << b) - 1
     out = []
     for r in range(d):
-        packed = [h[r] + offset for h in hs]
-        rows = [[((x >> (b * c)) & mask) - half for x in packed] for c in range(width)]
+        rows = unpack([h[r] for h in hs], b, width)
         out.append(from_hurwitz(rows, [1] * (order + 1), scale, step))
     return out

@@ -375,15 +375,12 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
         _check_restricted_base_point(bundle, pt)
         module = bundle.fiber_module(pt, order)
         sols = horizontal_sections(module)
-        additive = all(
-            is_horizontal(module, [a + b for a, b in zip(s1, s2)])
-            for s1 in sols
-            for s2 in sols
+        additive = is_horizontal(
+            module, *([a + b for a, b in zip(s1, s2)] for s1 in sols for s2 in sols)
         )
-        scaling = all(
-            is_horizontal(module, [TSeries.constant(c, order) * x for x in s])
-            for c in scalars
-            for s in sols
+        scaling = is_horizontal(
+            module,
+            *([TSeries.constant(c, order) * x for x in s] for c in scalars for s in sols),
         )
         zero_ok = is_horizontal(module, [TSeries.zero(order)] * module.dim)
         reports.append(FiberLinearityReport(additive, scaling, zero_ok))

@@ -12,7 +12,6 @@ from djets.delta_modules import (
     dual,
     horizontal_sections,
     is_horizontal,
-    pairing_phi,
     product_jet_decompose,
     tensor,
     verify_tensor_pairing,
@@ -27,7 +26,7 @@ from djets.dvariety import (
 from djets.errors import DecompositionFailure, InsufficientPrecision
 from djets.linalg import SERIES
 from djets.mpoly import MPoly, multi_indices
-from djets.series import TSeries, exp_series
+from djets.series import TSeries, exp_series, kron
 
 N = 16
 
@@ -145,7 +144,7 @@ def test_horizontal_count_matches_dimension():
 def test_pairing_of_trivial_horizontals():
     v = horizontal_sections(dual(module([0])))[0]
     w = horizontal_sections(dual(module([0])))[0]
-    phi = pairing_phi(v, w)
+    phi = kron([v], [w])[0]
     assert phi[0] == 1
     assert is_horizontal(dual(tensor(module([0]), module([0]))), phi)
 
@@ -155,7 +154,7 @@ def test_pairing_of_opposite_exponentials_is_constant():
     Nm = module([1])
     v = horizontal_sections(dual(Mm))[0]   # exp(-t)
     w = horizontal_sections(dual(Nm))[0]   # exp(t)
-    phi = pairing_phi(v, w)
+    phi = kron([v], [w])[0]
     assert phi[0].is_constant()
     assert is_horizontal(dual(tensor(Mm, Nm)), phi)
 
@@ -167,8 +166,8 @@ def test_pairing_is_bilinear_in_constants():
     v = horizontal_sections(dual(M))[0]
     w = horizontal_sections(dual(Nm))[1]
     c = TSeries.constant(F(7, 2), N)
-    lhs = pairing_phi([c * x for x in v], w)
-    rhs = [c * x for x in pairing_phi(v, w)]
+    lhs = kron([[c * x for x in v]], [w])[0]
+    rhs = [c * x for x in kron([v], [w])[0]]
     assert all(a == b for a, b in zip(lhs, rhs))
 
 
@@ -180,7 +179,7 @@ def test_pairing_of_horizontals_is_horizontal_randomized():
         T = dual(tensor(M, Nm))
         for v in horizontal_sections(dual(M)):
             for w in horizontal_sections(dual(Nm)):
-                assert is_horizontal(T, pairing_phi(v, w))
+                assert is_horizontal(T, kron([v], [w])[0])
 
 
 # -- the span verification -------------------------------------------------------------
@@ -208,7 +207,7 @@ def test_a_target_section_perturbed_at_its_top_order_is_not_contained(monkeypatc
     left, right = random_module(rng, 2), random_module(rng, 2)
     assert verify_tensor_pairing(left, right).mutually_contained
     hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
-    pairings = [pairing_phi(v, w) for v in hm for w in hn]
+    pairings = kron(hm, hn)
     target = horizontal_sections(dual(tensor(left, right)))
     top = min(e.prec for v in pairings + target for e in v)
     bump = TSeries([0] * top + [1], top)

@@ -1,7 +1,9 @@
 """Differential tests of the exact kernels against naive references.
 
 `sharp_integrate` is compared with the re-evaluate-every-step Taylor loop,
-`TSeries.__mul__` with a plain Fraction double loop, rational `rref` with
+`TSeries.__mul__` with a plain Fraction double loop, `kron` with the
+products of its factors' entries, the batched `is_horizontal` with the
+one-vector residual check, rational `rref` with
 plain Fraction Gauss-Jordan elimination, the rank and `nullspace` with sympy,
 `fundamental_matrix` with the Fraction coefficient recursion, and from an
 initial value Y0 with the fundamental matrix times Y0, batched
@@ -20,9 +22,10 @@ import pytest
 
 from djets.acceptance import PRECISION, _line, _random_module
 from djets.delta_modules import (
+    DeltaModule,
     dual,
     horizontal_sections,
-    pairing_phi,
+    is_horizontal,
     product_jet_decompose,
     tensor,
 )
@@ -55,6 +58,7 @@ from djets.series import (
     exp_series,
     from_hurwitz,
     fundamental_matrix,
+    kron,
     mat_mul,
     mat_vec,
 )
@@ -354,6 +358,115 @@ def test_mul_by_scalars():
     assert (a * 4).coeffs == (F(2), F(0), F(-12, 5))
     assert (F(5, 3) * a).coeffs == (F(5, 6), F(0), F(-1))
     assert (a * 0).is_zero()
+
+
+# -- kron and the batched horizontality test -------------------------------------------
+
+def random_kron_entry(rng):
+    """A series of precision 0..8: zero, constant +-10^6 (a slot at the edge
+    of the width, of either sign), or Fractions over different denominators."""
+    prec = rng.randint(0, 8)
+    u = rng.random()
+    if u < 0.15:
+        return TSeries.zero(prec)
+    if u < 0.3:
+        return TSeries.constant(rng.choice([10**6, -10**6]), prec)
+    return TSeries([F(rng.randint(-10**6, 10**6), rng.choice([1, 2, 3, 7, 12, 49]))
+                    for _ in range(prec + 1)], prec)
+
+
+def assert_kron_matches(A, B):
+    """kron(A, B) equals the products A[i][j] * B[k][l] in nums, den and prec."""
+    want = [[a * b for a in arow for b in brow] for arow in A for brow in B]
+    assert exact_matrix(kron(A, B)) == exact_matrix(want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kron_matches_the_products_of_entries(seed):
+    rng = random.Random(4300 + seed)
+    p, q, r, s = (rng.randint(1, 3) for _ in range(4))
+    A = [[random_kron_entry(rng) for _ in range(q)] for _ in range(p)]
+    B = [[random_kron_entry(rng) for _ in range(s)] for _ in range(r)]
+    assert_kron_matches(A, B)
+    assert_kron_matches(B, A)
+
+
+def test_kron_at_the_edge_of_the_slots_and_of_the_shapes():
+    # every slot holds +-10^12, the product of the two largest numerator sums
+    million = [[TSeries.constant(10**6, 4), TSeries.constant(-10**6, 4)]] * 2
+    assert_kron_matches(million, million)
+    assert_kron_matches(million, [[TSeries.constant(-10**6, 2)]])
+    assert_kron_matches([[TSeries.zero(3)]], million)
+    assert kron([], []) == [] == kron([], million) == kron(million, [])
+    assert kron([[], []], [[]]) == [[], []]
+
+
+def reference_is_horizontal(module, vec):
+    """The one-vector check: delta(v) + A v is zero to guaranteed precision."""
+    Av = mat_vec(module.matrix, vec)
+    return all((x.derive() + y).is_zero() for x, y in zip(vec, Av))
+
+
+def bumped(vec, row, order):
+    """vec with t^order added to entry `row`, at that entry's precision."""
+    e = vec[row]
+    bump = TSeries([0] * order + [1], e.prec)
+    return [e + bump if r == row else x for r, x in enumerate(vec)]
+
+
+def assert_batch_matches(module, vectors):
+    want = [reference_is_horizontal(module, v) for v in vectors]
+    assert [is_horizontal(module, v) for v in vectors] == want
+    assert is_horizontal(module, *vectors) == all(want)
+    return want
+
+
+def test_batched_horizontality_reads_each_row_to_its_own_order():
+    # Rows of precision 5 and 9, triangular, so that v[0] reaches row 0
+    # alone; v solves the equations through order 11.
+    A = [[F(1, 2), F(-3, 7)], [0, F(5, 3)]]
+    v = horizontal_sections(DeltaModule.from_rows(A, 10))[0]
+    module = DeltaModule.from_rows(
+        [[TSeries.constant(e, 5) for e in A[0]], [TSeries.constant(e, 9) for e in A[1]]]
+    )
+    # row 0 is checked through order 5, row 1 through order 9
+    want = assert_batch_matches(module, [
+        v,
+        bumped(v, 1, 7),
+        bumped(v, 0, 6), bumped(v, 0, 7),
+        bumped(v, 1, 10), bumped(v, 1, 11),
+    ])
+    assert want == [True, False, False, True, False, True]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_horizontality_matches_the_one_vector_check(seed):
+    rng = random.Random(4400 + seed)
+    d = rng.randint(1, 3)
+    prec = rng.randint(3, 8)
+    module = DeltaModule(tuple(tuple(row) for row in random_series_matrix(rng, d, prec, 0.5)))
+    sections = horizontal_sections(module)
+    vectors = []
+    for v in sections:
+        low = [e.at_precision(prec - rng.randint(0, 2)) for e in v]
+        vectors += [v, low, bumped(v, rng.randrange(d), rng.randint(1, prec + 1))]
+    rng.shuffle(vectors)
+    assert_batch_matches(module, vectors)
+    assert_batch_matches(module, sections)
+    assert is_horizontal(module, *sections)
+
+
+def test_batched_horizontality_edge_cases():
+    module = DeltaModule.from_rows([[1, 0], [F(2, 3), -1]], 4)
+    v = horizontal_sections(module)[0]
+    assert is_horizontal(module)
+    assert is_horizontal(DeltaModule(())) and is_horizontal(DeltaModule(()), [], [])
+    assert reference_is_horizontal(DeltaModule(()), [])
+    for bad in ([v[0]], v + v[:1]):
+        with pytest.raises(DimensionMismatch):
+            is_horizontal(module, v, bad)
+        with pytest.raises(DimensionMismatch):
+            reference_is_horizontal(module, bad)
 
 
 # -- rational rref ---------------------------------------------------------------------
@@ -659,7 +772,7 @@ def test_batched_combination_matches_per_target_on_module_pairs(dims):
     left, right = (_random_module(rng, d, prec) for d in dims)
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
-    pairings = [pairing_phi(v, w) for v in hm for w in hn]
+    pairings = kron(hm, hn)
     target = horizontal_sections(dual(tensor(left, right)))
     assert all(c is not None for c in assert_combinations_match(pairings, target))
     assert all(c is not None for c in assert_combinations_match(target, pairings))

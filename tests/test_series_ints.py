@@ -17,10 +17,10 @@ from math import gcd, lcm
 import pytest
 
 from djets.acceptance import _random_module
-from djets.delta_modules import dual, horizontal_sections, pairing_phi, tensor
+from djets.delta_modules import dual, horizontal_sections, tensor
 from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
-from djets.series import TSeries, exp_series, fundamental_matrix, mat_mul, mat_vec
+from djets.series import TSeries, exp_series, fundamental_matrix, kron, mat_mul, mat_vec
 
 PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
 DENOMINATORS = PRIMES + (1, 2, 3, 12)
@@ -349,7 +349,7 @@ def test_constant_combination_equals_fraction_rows_on_acceptance_pairs():
         left, right = _random_module(rng, dm), _random_module(rng, dn)
         hm = horizontal_sections(dual(left))
         hn = horizontal_sections(dual(right))
-        pairings = [pairing_phi(v, w) for v in hm for w in hn]
+        pairings = kron(hm, hn)
         target = horizontal_sections(dual(tensor(left, right)))
         for targets, basis in ((pairings, target), (target, pairings)):
             got = constant_combination(targets, basis)

@@ -8,20 +8,25 @@ agreement through the shared order.  `fundamental_matrix` and
 extending every entry past it with random coefficients changes neither the
 output nor its claimed order, with or without a rational initial value,
 and from an initial value Y0 the solution is the fundamental matrix times
-Y0 in every entry and every precision.  Hypothesis runs derandomized, so
-every run draws the same examples.
+Y0 in every entry and every precision.  `kron` and `is_horizontal` read
+their inputs the same way: an extended entry of a Kronecker product agrees
+with the original through its claimed order, which does not drop, and the
+horizontality verdict neither changes when either side is extended past
+the order the other side limits the check to, nor misses a change at that
+order.  Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import operator
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from djets.delta_modules import DeltaModule, horizontal_sections
+from djets.delta_modules import DeltaModule, horizontal_sections, is_horizontal
 from djets.errors import InsufficientPrecision
-from djets.series import TSeries, fundamental_matrix, mat_mul
+from djets.series import TSeries, fundamental_matrix, kron, mat_mul
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -160,3 +165,54 @@ def test_solutions_from_an_initial_value_read_only_through_order_minus_one(case)
     assert len(sections) == len(Y0[0])
     assert all(e.prec == order for v in sections for e in v)
     assert [[e.at_precision(order) for e in v] for v in longer] == sections
+
+
+def extended_rectangle(rng, max_dim=3, max_prec=6):
+    """A matrix of series of mixed precisions, and the same matrix with every
+    entry extended past its precision by one to three random coefficients."""
+    def rational():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+
+    rows, cols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    A, B = [], []
+    for _ in range(rows):
+        row, ext = [], []
+        for _ in range(cols):
+            p = rng.randint(0, max_prec)
+            cs = [rational() for _ in range(p + 1)]
+            more = [rational() for _ in range(rng.randint(1, 3))]
+            row.append(TSeries(cs, p))
+            ext.append(TSeries(cs + more, p + len(more)))
+        A.append(row)
+        B.append(ext)
+    return A, B
+
+
+@checked
+@given(st.randoms(use_true_random=False))
+def test_kron_reads_its_factors_only_through_the_claimed_order(rng):
+    (A, A2), (B, B2) = extended_rectangle(rng), extended_rectangle(rng)
+    got, longer = kron(A, B), kron(A2, B2)
+    for row, row2 in zip(got, longer):
+        for e, e2 in zip(row, row2):
+            assert e2.prec >= e.prec
+            assert exact([[e2.at_precision(e.prec)]]) == exact([[e]])
+
+
+@checked
+@given(extended_matrix(max_prec=6), st.randoms(use_true_random=False))
+def test_is_horizontal_reads_its_inputs_only_through_the_checked_order(case, rng):
+    A, B, p = case
+    sections = horizontal_sections(DeltaModule(A))
+    # sections extended past order p + 1: the module still limits the check to p
+    longer = [[TSeries(list(e.coeffs) + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))],
+                       p + 2) for e in v] for v in sections]
+    assert is_horizontal(DeltaModule(A), *longer)
+    # the extended module: the sections still limit the check to order p
+    assert is_horizontal(DeltaModule(B), *sections)
+    # a change at order p of the residual is still seen
+    row = rng.randrange(len(A))
+    bump = TSeries([0] * (p + 1) + [1], p + 1)
+    changed = [e + bump if r == row else e for r, e in enumerate(sections[0])]
+    assert not is_horizontal(DeltaModule(B), *sections, changed)
+    assert not is_horizontal(DeltaModule(A), *longer, changed)
