@@ -28,7 +28,6 @@ from .delta_modules import DeltaModule, horizontal_sections
 from .errors import (
     ArityError,
     DimensionMismatch,
-    DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
     PointNotOnVariety,
@@ -328,7 +327,7 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     horizontal = horizontal_sections(module, initial)
     if low == point.prec:
         horizontal = [[e.at_precision(low) for e in v] for v in horizontal]
-    rows = jet_equations(variety.generators, point.coords, order_m).rows
+    rows = jet_equations(variety.generators, point.coords, order_m)
     for r, residuals in enumerate(mat_mul(rows, transpose(horizontal))):
         for i, res in enumerate(residuals):
             if not res.is_zero():
@@ -345,12 +344,9 @@ def constants_variety_jets(variety_generators, point, order_m, order=DEFAULT_PRE
     The horizontal vectors are exactly the rational nullspace of the jet
     equations, lifted to constant series of order `order`; this realizes
     the zero-section D-variety structure on V(C).  A coordinate that is not
-    rational, such as a series, raises DomainMismatch.
+    rational, such as a series, raises DomainMismatch (`jet_space`).
     """
-    for i, c in enumerate(point):
-        if isinstance(c, TSeries):
-            raise DomainMismatch(f"coordinate {i} of a constant point is a series")
-    js = jet_space(variety_generators, tuple(map(Fraction, point)), order_m)
+    js = jet_space(variety_generators, point, order_m)
     horizontal = [
         [TSeries.constant(c, order) for c in vec] for vec in js.basis
     ]

@@ -16,6 +16,12 @@ term dropped for the expansions of p(z) - p(a) (`taylor_tails`), multiplied
 by one product truncated past order m (`truncated_mul`).  The jet
 equations, the matrix of a morphism on jets and the derivation matrix of
 `dvariety` all read their rows off such products.
+
+Jet spaces and the matrices of morphisms on jets are computed at rational
+points only, with kernels over Q; a series or other non-rational
+coordinate raises DomainMismatch.  The differential jet space at a sharp point carries the
+rational jet space at x(0) along the flow (`dvariety.delta_jet_space`), and
+reads the jet equations at the sharp point only to check its answer.
 """
 
 from __future__ import annotations
@@ -23,25 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasePointMismatch, DimensionMismatch, PointNotOnVariety
-from .linalg import RATIONAL, SERIES, LinSystem, nullspace_with_free
+from .errors import BasePointMismatch, DimensionMismatch, DomainMismatch, PointNotOnVariety
+from .linalg import LinSystem, nullspace_with_free
 from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
 from .series import TSeries
 
-
-def point_domain(point):
-    return SERIES if any(isinstance(c, TSeries) for c in point) else RATIONAL
+_ZERO = Fraction(0)
 
 
-def _point_precision(point):
-    precs = [c.prec for c in point if isinstance(c, TSeries)]
-    return min(precs) if precs else None
-
-
-def _zero(point):
-    """Zero in the point's domain: the series zero at its precision, or 0."""
-    prec = _point_precision(point)
-    return Fraction(0) if prec is None else TSeries.zero(prec)
+def _rational_point(point):
+    """The point as a tuple; a coordinate that is not rational, such as a
+    series, raises DomainMismatch."""
+    point = tuple(point)
+    for i, c in enumerate(point):
+        if not isinstance(c, (int, Fraction)):
+            kind = "a series" if isinstance(c, TSeries) else f"a {type(c).__name__}"
+            raise DomainMismatch(f"coordinate {i} of a constant point is {kind}")
+    return point
 
 
 def taylor_tails(polys, point, order):
@@ -71,18 +75,18 @@ def truncated_mul(d1, d2, order):
 
 
 def jet_equations(generators, point, order):
-    """The linear system cutting out the order-m jet space at the point.
+    """The rows of the linear system cutting out the order-m jet space.
 
     One row per (generator, shift) pair as described in the module
     docstring, the shifted product read off on Lambda; raises
     PointNotOnVariety when a generator fails to vanish at the point
-    (exactly over Q, to guaranteed precision over series).
+    (exactly over Q, to guaranteed precision over series).  At a series
+    point an entry is a series, or an exact rational where the Taylor
+    coefficient is constant; `series.mat_mul` gives such an entry the
+    precision of its partner.
     """
     point = tuple(point)
     n = len(point)
-    domain = point_domain(point)
-    prec = _point_precision(point)
-    zero = _zero(point)
     lam = multi_indices(n, order)
     rows = []
     for P in generators:
@@ -94,13 +98,10 @@ def jet_equations(generators, point, order):
         value = coeffs.get((0,) * n, 0)
         if value != 0:
             raise PointNotOnVariety(f"generator {P} evaluates to {value} at {point}")
-        if domain == SERIES:
-            # A constant Hasse derivative evaluates to a bare rational.
-            coeffs = {a: TSeries.lift(c, prec) for a, c in coeffs.items()}
         for gamma in multi_indices_with_zero(n, order - 1):
             shifted = truncated_mul({gamma: 1}, coeffs, order)
-            rows.append([shifted.get(alpha, zero) for alpha in lam])
-    return LinSystem(rows, len(lam), domain, prec=prec)
+            rows.append([shifted.get(alpha, _ZERO) for alpha in lam])
+    return rows
 
 
 @dataclass
@@ -121,23 +122,18 @@ class JetSpace:
     def dim(self):
         return len(self.basis)
 
-    @property
-    def domain(self):
-        return self.system.domain
-
 
 def jet_space(generators, point, order):
-    """Solve the jet equations; basis vectors span the exact kernel.
+    """Solve the jet equations at a rational point over Q.
 
-    Over Q the basis is normalized to primitive integer vectors; over the
-    series field each basis vector has a designated free coordinate set to
-    the exact constant 1.
+    The basis spans the exact kernel, normalized to primitive integer
+    vectors; a series coordinate raises DomainMismatch.
     """
-    point = tuple(point)
-    system = jet_equations(generators, point, order)
+    point = _rational_point(point)
+    lam = multi_indices(len(point), order)
+    system = LinSystem(jet_equations(generators, point, order), len(lam))
     basis, free = nullspace_with_free(system)
-    lam = tuple(multi_indices(len(point), order))
-    return JetSpace(point, order, lam, system, basis, free)
+    return JetSpace(point, order, tuple(lam), system, basis, free)
 
 
 def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
@@ -146,9 +142,9 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
     Row beta (target index), column alpha (source index) holds the
     coefficient of (z-a)^alpha in the Taylor expansion of (f(z)-f(a))^beta
     around a, truncated at the jet order; a source jet v maps to the vector
-    (sum_alpha M[beta][alpha] * v_alpha)_beta.
+    (sum_alpha M[beta][alpha] * v_alpha)_beta.  The point must be rational.
     """
-    point = tuple(point)
+    point = _rational_point(point)
     if len(point) != len(source.point):
         raise DimensionMismatch("point does not match the source ambient space")
     if tuple(source.point) != point:
@@ -160,7 +156,6 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
         raise BasePointMismatch(
             f"morphism sends the base point to {image}, not {tuple(target.point)}"
         )
-    zero = _zero(point)
     expansions = taylor_tails(f, point, order)
     rows = []
     for beta in target.indices:
@@ -168,7 +163,7 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
         for comp, power in enumerate(beta):
             for _ in range(power):
                 prod = truncated_mul(prod, expansions[comp], order)
-        rows.append([prod.get(alpha, zero) for alpha in source.indices])
+        rows.append([prod.get(alpha, _ZERO) for alpha in source.indices])
     return rows
 
 

@@ -1,16 +1,18 @@
-"""Exact linear algebra over Q and over the truncated-series field.
+"""Exact linear algebra over Q, and elimination over the truncated-series field.
 
-Gaussian elimination is exact in both domains.  Over the series field a
-pivot must be a unit (nonzero constant term), and a column that contains
-nonzero non-unit entries but no unit raises SingularPivot instead of
-silently losing precision.  Over the rationals any nonzero entry can pivot,
-and elimination is fraction-free in the spirit of Bareiss (Math. Comp.
+Homogeneous systems (`LinSystem`) and their kernels (`nullspace`) are over
+Q only.  `rref` and `solve` also take the series domain, which only the
+product decomposition of `delta_modules` uses: there a pivot must be a unit
+(nonzero constant term), and a column that contains nonzero non-unit
+entries but no unit raises SingularPivot instead of silently losing
+precision.  Over the rationals any nonzero entry can pivot, and
+elimination is fraction-free in the spirit of Bareiss (Math. Comp.
 1968): rows are scaled once to primitive integer vectors, updated by
 integer cross-multiplication and kept primitive by a gcd, and only the
 pivot rows are divided back into Fractions at the end.  The pivots and
 pivot rows equal those of Fraction elimination; each row below them is a
 nonzero multiple of its Fraction counterpart.
-Nullspace bases over Q are normalized to primitive integer vectors with a
+Nullspace bases are normalized to primitive integer vectors with a
 positive leading entry.
 Constant combinations of series vectors are solved on the leading rows of
 their t-power-major integer equations only, until the basis has full rank
@@ -27,57 +29,32 @@ from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
-from .series import TSeries, integer_rows, integer_scaled
+from .series import integer_rows, integer_scaled
 
 RATIONAL = "rational"
 SERIES = "series"
-
-_ENTRY_TYPES = {RATIONAL: (int, Fraction), SERIES: (TSeries,)}
 
 _ZERO = Fraction(0)
 
 
 @dataclass
 class LinSystem:
-    """A homogeneous linear system M z = 0 with tagged coefficient domain."""
+    """A homogeneous linear system M z = 0 over Q."""
 
     rows: list
     ncols: int
-    domain: str
-    prec: int | None = None  # series domain: precision for synthesized zeros
 
     def __post_init__(self):
-        if self.domain not in _ENTRY_TYPES:
-            raise DomainMismatch(f"unknown domain {self.domain!r}")
-        kinds = _ENTRY_TYPES[self.domain]
         for i, r in enumerate(self.rows):
             if len(r) != self.ncols:
                 raise DimensionMismatch(
                     f"row of length {len(r)} in a {self.ncols}-column system"
                 )
             for j, e in enumerate(r):
-                if not isinstance(e, kinds):
+                if not isinstance(e, (int, Fraction)):
                     raise DomainMismatch(
-                        f"{type(e).__name__} entry at ({i}, {j}) of a "
-                        f"{self.domain} system"
+                        f"{type(e).__name__} entry at ({i}, {j}) of a rational system"
                     )
-
-    def zero_entry(self):
-        if self.domain == SERIES:
-            prec = self.prec
-            if prec is None:
-                prec = min(
-                    (e.prec for row in self.rows for e in row),
-                    default=0,
-                )
-            return TSeries.zero(prec)
-        return Fraction(0)
-
-    def one_entry(self):
-        if self.domain == SERIES:
-            z = self.zero_entry()
-            return TSeries.constant(1, z.prec)
-        return Fraction(1)
 
 
 def rref(rows, ncols, domain, pivot_limit=None):
@@ -186,25 +163,16 @@ def nullspace(system: LinSystem):
 
 
 def nullspace_with_free(system: LinSystem):
-    """A kernel basis and the free column of each basis vector.
-
-    Over the series field the free coordinate of each vector is the exact
-    constant 1; over Q each vector is made primitive.
-    """
-    red, pivots = rref(system.rows, system.ncols, system.domain)
+    """A primitive kernel basis and the free column of each basis vector."""
+    red, pivots = rref(system.rows, system.ncols, RATIONAL)
     free = [c for c in range(system.ncols) if c not in pivots]
-    # Fractions and TSeries are immutable, so every vector shares one zero
-    # and one unit.
-    zero, one = system.zero_entry(), system.one_entry()
     basis = []
     for fc in free:
-        v = [zero] * system.ncols
-        v[fc] = one
+        v = [_ZERO] * system.ncols
+        v[fc] = 1
         for ri, pc in enumerate(pivots):
             v[pc] = -red[ri][fc]
-        if system.domain == RATIONAL:
-            v = primitive_vector(v)
-        basis.append(v)
+        basis.append(primitive_vector(v))
     return basis, free
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ZeroInput,
 )
 from .jets import jet_equations
-from .linalg import RATIONAL, LinSystem, nullspace
+from .linalg import LinSystem, nullspace
 from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
     DEFAULT_PRECISION,
@@ -447,9 +447,9 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
         constraints = jet_equations(variety.generators, point.coords, 1)
         phi = transpose(columns)
         rational_rows = []
-        for combo in mat_mul(constraints.rows, phi):
+        for combo in mat_mul(constraints, phi):
             rational_rows += integer_rows(combo, min(x.prec for x in combo))
-        kernel = nullspace(LinSystem(rational_rows, len(columns), RATIONAL))
+        kernel = nullspace(LinSystem(rational_rows, len(columns)))
         ode_basis = [mat_vec(phi, coeffs) for coeffs in kernel]
     else:
         ode_basis = columns

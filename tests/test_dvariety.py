@@ -238,11 +238,11 @@ def test_delta_jets_dimension_law_across_examples():
         assert space.dim_c == space.dim_k
         # horizontal vectors satisfy the jet equations at the sharp point and
         # the dual condition
-        system = jet_equations(variety.generators, point.coords, order_m)
+        rows = jet_equations(variety.generators, point.coords, order_m)
         B = _derivation_matrix(variety, point, order_m)
         lam = multi_indices(variety.nvars, order_m)
         for v in space.horizontal:
-            for row in system.rows:
+            for row in rows:
                 acc = None
                 for a, b in zip(row, v):
                     term = a * b
@@ -283,8 +283,15 @@ def test_invariance_violation_for_fake_sharp_point():
     assert delta_jet_space(variety, good, 1).dim_c == 1
     drift = TSeries([1, 1], 10)  # 1 + t, not a solution of x' = x
     fake = SharpPoint(variety, (drift, drift * drift))
-    with pytest.raises(InvarianceViolation):
+    # The unshifted row (-2x, 1) is an exact rational in its second entry;
+    # the residual keeps the precision of the point and of the horizontal
+    # vector.
+    with pytest.raises(InvarianceViolation) as raised:
         delta_jet_space(variety, fake, 1)
+    assert str(raised.value) == (
+        "horizontal vector 0 fails jet equation 0: residual nonzero at order 2, "
+        "guaranteed to order 10"
+    )
 
 
 # -- jets of constant points ------------------------------------------------------------
@@ -391,8 +398,7 @@ def test_flow_derivative_satisfies_linearized_system():
             assert deriv[i].derive() == rhs
         # and satisfies the order-1 jet constraints when the variety is proper
         if variety.generators:
-            system = jet_equations(variety.generators, sharp.coords, 1)
-            for row in system.rows:
+            for row in jet_equations(variety.generators, sharp.coords, 1):
                 acc = None
                 for a, b in zip(row, deriv):
                     term = a * b

@@ -17,7 +17,10 @@ top-level function or class of a module in `src/djets` other than
 attribute: an API that only the tests or the re-exports use is dead code.
 Every module of `src/djets` sits in one layer of `LAYERS` and imports,
 at any depth of its body, only modules of lower layers, so the package
-imports form no cycle.
+imports form no cycle.  Only the modules in `SERIES_DOMAIN` name the
+series domain of `linalg` (`SERIES`, or its value "series"): elimination
+over the series field stays in the product decomposition, and the jet
+layer stays over Q.
 """
 
 import ast
@@ -29,6 +32,8 @@ SRC = TESTS.parent / "src" / "djets"
 ALLOWED = {("cli", "sharp_integrate")}
 
 SERIES_PRIVATE = {"_ints", "_coeffs"}
+
+SERIES_DOMAIN = {"linalg", "delta_modules"}
 
 
 def unused_imports(path):
@@ -143,6 +148,39 @@ def test_the_scan_sees_the_integer_form(tmp_path):
         encoding="utf-8",
     )
     assert series_private_uses(module) == ["_coeffs", "_ints"]
+
+
+def names_series_domain(path):
+    """Whether a module names `SERIES` (as a name, attribute or import) or
+    spells its value "series"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(
+        isinstance(node, ast.Name) and node.id == "SERIES"
+        or isinstance(node, ast.Attribute) and node.attr == "SERIES"
+        or isinstance(node, ast.alias) and "SERIES" in (node.name, node.asname)
+        or isinstance(node, ast.Constant) and node.value == "series"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_product_decomposition_eliminates_over_series():
+    found = sorted(path.stem for path in SRC.glob("*.py") if names_series_domain(path))
+    assert set(found) <= SERIES_DOMAIN, found
+
+
+def test_the_scan_sees_the_series_domain(tmp_path):
+    sources = {
+        "name": "from .linalg import rref, SERIES\nrref([], 0, SERIES)\n",
+        "alias": "from .linalg import SERIES as S\n",
+        "attribute": "from . import linalg\nlinalg.rref([], 0, linalg.SERIES)\n",
+        "literal": "from .linalg import rref\nrref([], 0, 'series')\n",
+        "clean": "from .linalg import RATIONAL, rref\nrref([], 0, RATIONAL)  # series\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / f"{name}.py").write_text(text, encoding="utf-8")
+    assert sorted(
+        path.stem for path in tmp_path.glob("*.py") if names_series_domain(path)
+    ) == ["alias", "attribute", "literal", "name"]
 
 
 def public_definitions(path):

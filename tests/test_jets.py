@@ -3,15 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.errors import BasePointMismatch, PointNotOnVariety, SingularPivot
+from djets.errors import BasePointMismatch, DomainMismatch, PointNotOnVariety
 from djets.jets import (
     jet_equations,
     jet_of_morphism,
     jet_space,
 )
-from djets.linalg import RATIONAL, SERIES, rref
+from djets.linalg import RATIONAL, rref
 from djets.mpoly import MPoly, multi_indices
-from djets.series import TSeries, exp_series, mat_vec
+from djets.series import TSeries, exp_series, mat_mul, mat_vec
 
 
 def plane():
@@ -25,17 +25,15 @@ def test_index_set_size():
 
 
 def test_ambient_space_has_no_constraints():
-    system = jet_equations((), (F(1), F(2)), 1)
-    assert system.rows == [] and system.ncols == 2
+    assert jet_equations((), (F(1), F(2)), 1) == []
     space = jet_space((), (F(1), F(2)), 1)
-    assert space.dim == 2 and space.basis == [[1, 0], [0, 1]]
+    assert space.system.ncols == 2 and space.dim == 2 and space.basis == [[1, 0], [0, 1]]
     assert jet_space((), (F(1), F(2)), 2).dim == 5
 
 
 def test_parabola_order_one_equation():
     xy, x, y = plane()
-    system = jet_equations((y - x**2,), (F(1), F(1)), 1)
-    assert system.rows == [[F(-2), F(1)]]
+    assert jet_equations((y - x**2,), (F(1), F(1)), 1) == [[F(-2), F(1)]]
     space = jet_space((y - x**2,), (F(1), F(1)), 1)
     assert space.basis == [[F(1), F(2)]]
 
@@ -50,16 +48,16 @@ def test_parabola_order_two_rows_and_dimension():
         [F(0), F(1), F(1), F(2), F(4)],   # p = 0, q = 1
     ]
     xy, x, y = plane()
-    system = jet_equations((y - x**2,), (F(1), F(1)), 2)
+    rows = jet_equations((y - x**2,), (F(1), F(1)), 2)
     # one row per (generator, shift): shifts 0, (1,0), (0,1)
-    assert len(system.rows) == 3
+    assert len(rows) == 3
     # the unshifted row carries the divided-power Taylor coefficients
-    assert system.rows[0] == [F(-2), F(1), F(-1), F(0), F(0)]
+    assert rows[0] == [F(-2), F(1), F(-1), F(0), F(0)]
     space = jet_space((y - x**2,), (F(1), F(1)), 2)
     assert space.dim == 2
     # both bases must solve each other's systems exactly
     for v in oracle_basis:
-        for row in system.rows:
+        for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     for v in space.basis:
         # membership in the oracle span: v = v[0]*(first) + coeff*(second)
@@ -78,15 +76,21 @@ def test_point_must_lie_on_variety():
 
 def test_series_point_equations_hold_only_series():
     # At the cusp's singular point the Hessian entry of y^2 - x^3 is the
-    # constant 1, which must arrive as a series, not a bare rational.
+    # constant 1, the only nonzero entry.  It stays an exact rational, and
+    # a product with a series vector takes that vector's precision.
     xy = ("x", "y")
     x = MPoly.variable(xy, "x")
     y = MPoly.variable(xy, "y")
     origin = (TSeries.zero(8), TSeries.zero(8))
-    system = jet_equations([y**2 - x**3], origin, 2)
-    assert system.domain == SERIES
-    assert all(isinstance(e, TSeries) for row in system.rows for e in row)
-    assert sum(1 for row in system.rows for e in row if not e.is_zero()) == 1
+    rows = jet_equations([y**2 - x**3], origin, 2)
+    assert len(rows) == 3
+    assert sum(1 for row in rows for e in row if e != 0) == 1
+    assert rows[0][4] == 1 and not isinstance(rows[0][4], TSeries)
+    vec = [exp_series(k, 5) for k in range(1, 6)]
+    products = mat_mul(rows, [[v] for v in vec])
+    assert all(isinstance(p, TSeries) and p.prec == 5 for (p,) in products)
+    assert products[0][0] == vec[4]
+    assert all(p.is_zero() for (p,) in products[1:])
 
 
 def test_dimension_law_random():
@@ -165,32 +169,21 @@ def test_jet_morphism_base_point_checked():
         jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
 
 
-def test_squaring_map_invertible_at_series_unit_point():
-    # the doubling cover away from zero: full rank at a unit series point
-    xs = ("x",)
-    x = MPoly.variable(xs, "x")
+def test_jet_space_and_morphism_reject_a_series_point():
+    # Jets at a series point are carried from x(0) along the flow
+    # (`dvariety.delta_jet_space`); the algebraic jet layer works over Q.
+    xy, x, y = plane()
     a = exp_series(1, 12)
-    src = jet_space((), (a,), 2)
-    tgt = jet_space((), (a * a,), 2)
-    matrix = jet_of_morphism((x**2,), (a,), 2, src, tgt)
-    # eliminate with unit pivots: success means invertibility over the series field
-    from djets.linalg import SERIES, rref
-
-    _, pivots = rref(matrix, 2, SERIES)
-    assert len(pivots) == 2
-
-
-def test_squaring_map_singular_at_origin_point():
-    xs = ("x",)
-    x = MPoly.variable(xs, "x")
-    t = TSeries([0, 1], 8)
-    src = jet_space((), (t,), 1)
-    tgt = jet_space((), (t * t,), 1)
-    matrix = jet_of_morphism((x**2,), (t,), 1, src, tgt)
-    from djets.linalg import SERIES, rref
-
-    with pytest.raises(SingularPivot):
-        rref(matrix, 1, SERIES)
+    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point is a series"):
+        jet_space((), (F(1), a), 2)
+    with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a series"):
+        jet_space((y - x**2,), (a, a * a), 1)
+    space = jet_space((), (F(1), F(1)), 1)
+    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point is a series"):
+        jet_of_morphism((x, y), (F(1), TSeries.constant(1, 8)), 1, space, space)
+    # an inexact coordinate is refused too, not read as a binary fraction
+    with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a float"):
+        jet_space((), (0.1, F(1)), 1)
 
 
 def test_apply_jet_matrix_maps_source_basis_into_target():

@@ -584,7 +584,7 @@ def test_rank_and_nullspace_match_sympy(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(400 + seed)
     rows, ncols, _ = random_system(rng)
-    system = LinSystem(rows, ncols, RATIONAL)
+    system = LinSystem(rows, ncols)
     matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                            for row in rows])
     assert len(rref(rows, ncols, RATIONAL)[1]) == matrix.rank()
