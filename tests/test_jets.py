@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.errors import BasePointMismatch, DomainMismatch, PointNotOnVariety
+from djets.errors import BasePointMismatch, DomainMismatch, PointNotOnVariety, SingularPivot
 from djets.jets import (
     jet_equations,
     jet_of_morphism,
     jet_space,
+    taylor_tails,
+    truncated_mul,
 )
-from djets.linalg import RATIONAL, rref
+from djets.linalg import RATIONAL, SERIES, rref
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series, mat_mul, mat_vec
 
@@ -184,6 +186,44 @@ def test_jet_space_and_morphism_reject_a_series_point():
     # an inexact coordinate is refused too, not read as a binary fraction
     with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a float"):
         jet_space((), (0.1, F(1)), 1)
+
+
+def squaring_jet_matrix(a, order):
+    """The jet matrix of x -> x^2 on the affine line at the series point a.
+
+    Read off the Taylor data that the jet layer still forms at a series
+    point (as the derivation matrix of `dvariety` does), with every entry
+    lifted to a series of a's precision.
+    """
+    x = MPoly.variable(("x",), "x")
+    (tail,) = taylor_tails((x**2,), (a,), order)
+    lam = multi_indices(1, order)
+    rows = []
+    for (power,) in lam:
+        prod = {(0,): F(1)}
+        for _ in range(power):
+            prod = truncated_mul(prod, tail, order)
+        row = [prod.get(alpha, F(0)) for alpha in lam]
+        rows.append([e if isinstance(e, TSeries) else TSeries.constant(e, a.prec) for e in row])
+    return rows
+
+
+def test_squaring_map_invertible_at_series_unit_point():
+    # the doubling cover away from zero: full rank at a unit series point
+    a = exp_series(1, 12)
+    matrix = squaring_jet_matrix(a, 2)
+    assert matrix[0][0] == 2 * a and matrix[1][1] == 4 * a * a
+    # eliminate with unit pivots: success means invertibility over the series field
+    _, pivots = rref(matrix, 2, SERIES)
+    assert pivots == [0, 1]
+
+
+def test_squaring_map_singular_at_origin_point():
+    t = TSeries([0, 1], 8)
+    matrix = squaring_jet_matrix(t, 1)
+    assert matrix == [[2 * t]]
+    with pytest.raises(SingularPivot):
+        rref(matrix, 1, SERIES)
 
 
 def test_apply_jet_matrix_maps_source_basis_into_target():
