@@ -9,11 +9,12 @@ from a rational initial value, one per column, without the fundamental
 matrix.  The pairings of two families of horizontal dual vectors are the
 rows of their Kronecker product `series.kron(hm, hn)`, and `is_horizontal`
 checks a whole family at once, one packed integer residual per row and
-order.  The decomposition of horizontal product jets against bases of the
-factor jet spaces is solved exactly over the series field, all jets of a
-batch sharing one solve per factor block: the mixed block is the tensor
-product of the two factor blocks, so it is solved through them.  Its
-coefficients are then required to be constants.
+order.  A horizontal jet on a product, extended by zero to a matrix V over
+the two factor index sets with the unit index put first, decomposes as
+V = W0 C W0'^T, where W0 and W0' are the factor jet bases beside the unit
+functional.  C is solved exactly over the series field through the two
+factors, one solve per factor for a whole batch of jets, and its entries
+are then required to be constants.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
 
 @dataclass
 class ProductDecomposition:
-    """Constant coefficients expressing a product jet through factor bases."""
+    """The constant matrix C of V = W0 C W0'^T, by blocks: C[0][0], column 0
+    and row 0 past it, and the rest."""
 
     unit: Fraction
     left: list
@@ -253,27 +255,30 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
     """Decompose horizontal jets on a product against factor horizontal bases.
 
     Each jet v is indexed by the graded-lex index set of the product ambient
-    space; the functional extends by zero to the full tensor of the factor
-    truncated algebras, so every pair (alpha1, alpha2) of factor indices
-    contributes one equation -- with right side v at the concatenated index
-    when its total degree stays within the jet order and zero beyond it.
-    That extension is what makes the linear system uniquely solvable, so the
-    exact solve over the series field must recover the constants.
+    space.  It extends by zero to one matrix V over ({0} u L) x ({0} u R),
+    L and R the factor index sets: V[a1][a2] is v at the concatenated index
+    a1 + a2 while its total degree stays within the jet order, and zero
+    beyond it and at (0, 0).  With W0 = [e_0 | W] and W0' = [e_0 | W'], the
+    factor bases put beside the unit functional, a decomposition is one
+    constant matrix C with V = W0 C W0'^T: C[0][0] is the unit, column 0
+    below it the left coefficients, row 0 past it the right coefficients,
+    and the rest the mixed pairs.  The extension by zero is what makes the
+    system uniquely solvable, so the exact solve over the series field must
+    recover the constants.
 
-    The left block M_L (rows alpha1, one column per left basis vector) and
-    the right block M_R depend only on the bases.  The mixed block is their
-    tensor product M_L (x) M_R, so a jet's mixed equations M_L X M_R^T = R
-    (R[alpha1][alpha2] the right side above) are solved through the
-    factors: M_L Y = R, one column per alpha2, then M_R X^T = Y^T.  That is
-    two series solves for all jets: M_L with every jet's left block and
-    columns of R, then M_R with every right block and rows of Y.  The left
-    and right blocks demand full column rank, so the mixed solution is the
-    unique one of the whole mixed block, and consistent exactly when both
-    steps are.  Pivots are chosen among the basis columns alone, so every
-    solution equals that of a single-jet solve.  Returns one
-    ProductDecomposition per jet.  Any non-constant coefficient or
-    inconsistency raises DecompositionFailure: the first one met jet by jet,
-    taking the left, right and mixed block of each jet in turn.
+    V = W0 C W0'^T is solved through the two factors, in two series solves
+    for all jets: M_L Y = V on the rows below row 0, one column of Y per
+    column of V, then M_R X^T = Y^T past column 0, with row 0 of V and the
+    rows of Y.  Column 0 of Y is column 0 of C below row 0, X is C past
+    column 0, and C[0][0] = V[0][0].  An empty factor basis is a solve with
+    no unknowns, consistent exactly when its right-hand side is zero.  The
+    factor blocks demand full column rank, so the solution is the unique
+    one of the whole system, and consistent exactly when both steps are.
+    Pivots are chosen among the basis columns alone, so every solution
+    equals that of a single-jet solve.  Returns one ProductDecomposition
+    per jet.  Any non-constant coefficient or inconsistency raises
+    DecompositionFailure: the first one met jet by jet, taking the left,
+    right and mixed block of each jet in turn.
     """
     vs = list(vs)
     lam_prod = multi_indices(n_left + n_right, order_m)
@@ -290,78 +295,44 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
             raise DimensionMismatch("right basis vector has the wrong length")
     if not vs:
         return []
-    jets = [
-        (dict(zip(lam_prod, v)), TSeries.zero(min(x.prec for x in v))) for v in vs
-    ]
+    n_l, n_r, width = len(basis_left), len(basis_right), 1 + len(lam_right)
+    alphas_left = [(0,) * n_left] + lam_left
+    alphas_right = [(0,) * n_right] + lam_right
+    Vs = []
+    for v in vs:
+        vmap, zero = dict(zip(lam_prod, v)), TSeries.zero(min(x.prec for x in v))
+        Vs.append([[vmap.get(a1 + a2, zero) for a2 in alphas_right]
+                   for a1 in alphas_left])
 
-    def column(jet, alphas):
-        """The right-hand side of one jet over the given product indices."""
-        vmap, zero = jet
-        return [vmap[a] if sum(a) <= order_m else zero for a in alphas]
-
-    posL = {a: i for i, a in enumerate(lam_left)}
-    posR = {a: i for i, a in enumerate(lam_right)}
-    n_l, n_r, width = len(basis_left), len(basis_right), len(lam_right)
-    left_rhs = [column(jet, [a + (0,) * n_right for a in lam_left]) for jet in jets]
-    right_rhs = [column(jet, [(0,) * n_left + a for a in lam_right]) for jet in jets]
-    # mixed_rhs[j][i2] is column alpha2 = lam_right[i2] of R for jet j.
-    mixed_rhs = [
-        [column(jet, [a1 + a2 for a1 in lam_left]) for a2 in lam_right] for jet in jets
-    ]
-    mixed = bool(basis_left and basis_right)
-
-    # M_L Y = R: the left blocks, then width columns of R per jet.
-    ys = []
-    if basis_left:
-        rows = [[w[posL[a]] for w in basis_left] for a in lam_left]
-        rhs = left_rhs + ([c for cols in mixed_rhs for c in cols] if mixed else [])
-        sols = _solve(rows, n_l, rhs, "left")
-        lefts = [_constants(x, "left", j) for j, x in enumerate(sols[: len(jets)])]
-        ycols = sols[len(jets) :]
-        if mixed:
-            ys = [ycols[j * width : (j + 1) * width] for j in range(len(jets))]
-            ys = [y if all(col is not None for col in y) else None for y in ys]
-    else:
-        lefts = [_without_basis(rhs, "left") for rhs in left_rhs]
+    # M_L Y = V below row 0, width columns per jet.
+    m_left = [[w[i] for w in basis_left] for i in range(len(lam_left))]
+    rhs = [[row[c] for row in V[1:]] for V in Vs for c in range(width)]
+    sols = _solve(m_left, n_l, rhs, "left")
+    ys = [sols[j * width : (j + 1) * width] for j in range(len(Vs))]
+    found = [all(col is not None for col in y[1:]) for y in ys]
     # The first jet meets the left block before the right solve can raise.
-    _raise_first(lefts[:1])
+    _constants(ys[0][0], "left", 0, not n_l)
 
-    # M_R X^T = Y^T: the right blocks, then n_l rows of each Y that was found.
-    if basis_right:
-        rows = [[w[posR[a]] for w in basis_right] for a in lam_right]
-        rhs = right_rhs + [
-            [col[p] for col in y] for y in ys if y is not None for p in range(n_l)
-        ]
-        sols = _solve(rows, n_r, rhs, "right")
-        rights = [_constants(x, "right", j) for j, x in enumerate(sols[: len(jets)])]
-        xrows = iter(sols[len(jets) :])
-    else:
-        rights = [_without_basis(rhs, "right") for rhs in right_rhs]
-
-    # The mixed coefficients of each jet, flat over (left, right) pairs.
-    mixeds = []
-    for j, cols in enumerate(mixed_rhs):
-        if not mixed:
-            mixeds.append(_without_basis([e for col in cols for e in col], "mixed"))
-            continue
-        xs = [None] if ys[j] is None else [next(xrows) for _ in range(n_l)]
-        flat = None if any(x is None for x in xs) else [e for x in xs for e in x]
-        mixeds.append(_constants(flat, "mixed", j, n_r))
+    # M_R X^T = Y^T past column 0: row 0 of V, then the n_l rows of each Y
+    # that was found.
+    m_right = [[w[i] for w in basis_right] for i in range(len(lam_right))]
+    rhs = []
+    for V, y, ok in zip(Vs, ys, found):
+        rhs.append(V[0][1:])
+        if ok:
+            rhs += [[col[p] for col in y[1:]] for p in range(n_l)]
+    xs = iter(_solve(m_right, n_r, rhs, "right"))
 
     out = []
-    for outcomes in zip(lefts, rights, mixeds):
-        _raise_first(outcomes)
-        c_left, c_right, flat = outcomes
+    for j, (V, y, ok) in enumerate(zip(Vs, ys, found)):
+        left = _constants(y[0], "left", j, not n_l)
+        right = _constants(next(xs), "right", j, not n_r)
+        pair = [next(xs) for _ in range(n_l)] if ok else [None]
+        flat = None if any(x is None for x in pair) else [e for x in pair for e in x]
+        flat = _constants(flat, "mixed", j, not (n_l and n_r), n_r)
         pair = [flat[i * n_r : (i + 1) * n_r] for i in range(n_l)]
-        out.append(ProductDecomposition(Fraction(0), c_left, c_right, pair))
+        out.append(ProductDecomposition(V[0][0].constant_term, left, right, pair))
     return out
-
-
-def _raise_first(outcomes):
-    """Raise the first DecompositionFailure among the outcomes, if any."""
-    for x in outcomes:
-        if isinstance(x, DecompositionFailure):
-            raise x
 
 
 def _solve(rows, ncols, rhs_columns, label):
@@ -374,24 +345,21 @@ def _solve(rows, ncols, rhs_columns, label):
         ) from exc
 
 
-def _without_basis(rhs, label):
-    """The outcome of a block with no unknowns: consistent only when rhs is 0."""
-    if any(rhs):
-        return DecompositionFailure(f"{label} block inconsistent with empty basis")
-    return []
-
-
-def _constants(x, label, jet, width=None):
-    """The constant terms of a solution, or the DecompositionFailure naming
-    its first non-constant coefficient; `width` reads mixed positions as
-    (left, right) pairs."""
+def _constants(x, label, jet, empty, width=None):
+    """The constant terms of a solution.  No solution, or a non-constant
+    coefficient, raises DecompositionFailure; `empty` words the first for a
+    block without a basis, and `width` reads mixed positions as (left,
+    right) pairs in the second."""
     if x is None:
-        return DecompositionFailure(f"{label} block is inconsistent")
+        raise DecompositionFailure(
+            f"{label} block inconsistent with empty basis" if empty
+            else f"{label} block is inconsistent"
+        )
     for i, e in enumerate(x):
         if not e.is_constant():
             pos = i if width is None else divmod(i, width)
             k = next(k for k, a in enumerate(e.nums) if k and a)
-            return DecompositionFailure(
+            raise DecompositionFailure(
                 f"non-constant coefficient {pos} of jet {jet} in the {label} "
                 f"block: nonzero at order {k}, guaranteed to order {e.prec}"
             )

@@ -41,7 +41,6 @@ from .series import (
     from_hurwitz,
     integer_scaled,
     mat_mul,
-    transpose,
 )
 
 
@@ -328,7 +327,9 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     if low == point.prec:
         horizontal = [[e.at_precision(low) for e in v] for v in horizontal]
     rows = jet_equations(variety.generators, point.coords, order_m)
-    for r, residuals in enumerate(mat_mul(rows, transpose(horizontal))):
+    # One row per jet coordinate, also when there is no horizontal vector.
+    columns = [[v[r] for v in horizontal] for r in range(module.dim)]
+    for r, residuals in enumerate(mat_mul(rows, columns)):
         for i, res in enumerate(residuals):
             if not res.is_zero():
                 raise InvarianceViolation(

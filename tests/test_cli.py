@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import djets
+import djets.acceptance
 import djets.cli
 import djets.dvariety
 import djets.mpoly
+from djets.acceptance import AcceptanceResult
 from djets.cli import main
 from djets.series import MAX_PRECISION
 
@@ -182,6 +184,68 @@ def test_verify_product_command(tmp_path, capsys):
                  "-m", "2", str(path)]) == 0
     out = capsys.readouterr().out
     assert "5 horizontal jets decompose" in out
+
+
+# The point u = 0 of the line: its jet space is 0 at every order.
+POINT_AND_LINE = """
+dvariety Pt { vars: u; ideal: [u]; section: [0]; }
+dvariety L { vars: x; ideal: []; section: [x]; }
+point q on Pt { coords: [0]; }
+point a on L { coords: [1]; }
+"""
+
+
+def test_horizontal_on_a_zero_dimensional_jet_space(tmp_path, capsys):
+    path = tmp_path / "point.djv"
+    path.write_text(POINT_AND_LINE, encoding="utf-8")
+    argv = ["horizontal", "--from", "q", "-m", "2", "--format", "json", str(path)]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"dim_C": 0, "dim_K": 0, "horizontal_basis": [], "precision": None}
+
+
+def test_verify_product_with_a_zero_dimensional_factor(tmp_path, capsys):
+    # an empty factor basis: the jet of the line factor decomposes through
+    # the line's basis alone, on either side
+    path = tmp_path / "point.djv"
+    path.write_text(POINT_AND_LINE, encoding="utf-8")
+    jet = {"all_constant": True, "left": [], "pair": [], "right": ["1"], "unit": "0"}
+    for left, right, points, decomposition in [
+        ("Pt", "L", ["q", "a"], jet),
+        ("L", "Pt", ["a", "q"], {**jet, "left": ["1"], "pair": [[]], "right": []}),
+    ]:
+        argv = ["verify-product", left, right, str(path), "--from", *points]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"dim_C": 1, "jets": [decomposition], "order": 1,
+                           "product": f"{left}*{right}"}
+
+
+def test_suite_command_reports_every_result(capsys, monkeypatch):
+    results = [
+        AcceptanceResult("a", "first check", True, "3 cases", 0.12345, 5.0),
+        AcceptanceResult("b", "second check", True, "", 1.0006, 5.0),
+    ]
+    seeds = []
+
+    def run_all(seed=0):
+        seeds.append(seed)
+        return results
+
+    monkeypatch.setattr(djets.acceptance, "run_all", run_all)
+    assert main(["suite", "--format", "json", "--seed", "4"]) == 0
+    assert seeds == [4]
+    assert json.loads(capsys.readouterr().out) == [
+        {"key": "a", "title": "first check", "passed": True, "seconds": 0.123,
+         "detail": "3 cases"},
+        {"key": "b", "title": "second check", "passed": True, "seconds": 1.001,
+         "detail": ""},
+    ]
+    assert main(["suite"]) == 0
+    assert capsys.readouterr().out.splitlines() == [r.line() for r in results]
+    results[1] = AcceptanceResult("b", "second check", False, "x", 1.0, 5.0)
+    assert main(["suite"]) == 1
+    assert capsys.readouterr().out.splitlines() == [r.line() for r in results]
 
 
 def test_tangent_command_with_restriction(tmp_path, capsys):

@@ -23,12 +23,20 @@ from djets.dvariety import (
     product_sharp_point,
     sharp_integrate,
 )
-from djets.errors import DecompositionFailure, InsufficientPrecision
+from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from djets.linalg import SERIES
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series, kron
 
 N = 16
+
+# The point u = 0 of the line has the jet space 0 at every order.
+POINT_AND_LINE = """
+dvariety Pt { vars: u; ideal: [u]; section: [0]; }
+dvariety L { vars: x; ideal: []; section: [x]; }
+point q on Pt { coords: [0]; }
+point a on L { coords: [1]; }
+"""
 
 
 def module(*rows):
@@ -354,9 +362,27 @@ def test_decomposition_failures_without_a_usable_factor_basis():
     assert (dec.left, dec.right, dec.pair) == ([F(0), F(0)], [F(1)], [[F(0)], [F(0)]])
 
 
-def test_one_product_decomposition_makes_two_series_solves(monkeypatch):
-    # M_L with the left and mixed right-hand sides, then M_R with the right
-    # ones and the rows of Y: verify-product -m 3 on the two exponential lines
+def test_decomposition_rejects_vectors_of_the_wrong_length():
+    prod, space, W, Wp = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
+                                       (1,), (1,), 2)
+    vs = space.horizontal
+    for args, message in [
+        (([vs[0][:-1]], W, Wp), "jet vector does not match the product index set"),
+        ((vs, W + [W[0][:-1]], Wp), "left basis vector has the wrong length"),
+        ((vs, W, Wp + [Wp[0] + Wp[0]]), "right basis vector has the wrong length"),
+        # checked before an empty family of jets returns []
+        (([], [W[0][:-1]], Wp), "left basis vector has the wrong length"),
+    ]:
+        with pytest.raises(DimensionMismatch) as caught:
+            product_jet_decompose(*args, 1, 1, 2)
+        assert str(caught.value) == message
+
+
+def test_one_product_decomposition_makes_two_series_solves(monkeypatch, tmp_path):
+    # M_L with every column of V below row 0, then M_R with row 0 of V and the
+    # rows of Y: verify-product -m 3 on the two exponential lines, and on a
+    # point (jet space of dimension 0, so an empty left basis) times a line,
+    # where the left solve has no unknowns
     original = djets.linalg.solve
     domains = []
 
@@ -372,6 +398,13 @@ def test_one_product_decomposition_makes_two_series_solves(monkeypatch):
                            "-m", "3", "--format", "json"])
     assert code == 0
     assert domains.count(SERIES) == 2
+    point = tmp_path / "point.djv"
+    point.write_text(POINT_AND_LINE, encoding="utf-8")
+    domains.clear()
+    code = djets.cli.main(["verify-product", "Pt", "L", str(point), "--from", "q", "a",
+                           "--format", "json"])
+    assert code == 0
+    assert domains == [SERIES, SERIES]
 
 
 def _assert_reconstructs(v, dec, W, Wp, n_left, n_right, order_m):

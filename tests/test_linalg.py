@@ -100,6 +100,26 @@ def test_solve_multiple_right_hand_sides_over_series():
     assert sols[1][0] == 2 and sols[1][1] == 3
 
 
+@pytest.mark.parametrize("domain", [RATIONAL, SERIES])
+def test_solve_with_no_unknowns_checks_each_right_hand_side(domain):
+    # an empty factor basis of the product decomposition is such a system:
+    # a zero right-hand side has the empty solution, any other none at all
+    zero, one = (F(0), F(1))
+    if domain == SERIES:
+        zero, one = TSeries.zero(6), TSeries.constant(1, 6)
+    rows = [[], []]
+    sols = solve(rows, 0, [[zero, zero], [zero, one], [one, zero]], domain)
+    assert sols == [[], None, None]
+    assert solve(rows, 0, [], domain) == []
+    assert solve([], 0, [[]], domain) == [[]]
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch) as caught:
+        solve([[F(1)], [F(2)]], 1, [[F(1), F(2)], [F(1)]], RATIONAL)
+    assert str(caught.value) == "right-hand side length mismatch"
+
+
 def test_constant_combination():
     e = exp_series(1, 10)
     e2 = exp_series(2, 10)
