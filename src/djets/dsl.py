@@ -228,6 +228,14 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
+    def comma_list(self, parse):
+        """One or more items read by `parse`, separated by commas."""
+        items = [parse()]
+        while self.peek() and self.peek().kind == ",":
+            self.next()
+            items.append(parse())
+        return items
+
     # expressions: expr := term (('+'|'-') term)* ; term := factor ('*' factor)*
     # factor := '-' factor | atom ('^' int)? ; atom := rational | name | '(' expr ')'
     def parse_expr(self):
@@ -330,10 +338,7 @@ def _parse_dvariety(parser, doc):
         key = parser.expect("name")
         parser.expect(":")
         if key.text == "vars":
-            variables = [parser.expect("name").text]
-            while parser.peek() and parser.peek().kind == ",":
-                parser.next()
-                variables.append(parser.expect("name").text)
+            variables = parser.comma_list(lambda: parser.expect("name").text)
         elif key.text == "ideal":
             ideal_asts = _parse_expr_list(parser)
         elif key.text == "section":
@@ -363,10 +368,7 @@ def _parse_expr_list(parser):
     parser.expect("[")
     items = []
     if parser.peek() and parser.peek().kind != "]":
-        items.append(parser.parse_expr())
-        while parser.peek() and parser.peek().kind == ",":
-            parser.next()
-            items.append(parser.parse_expr())
+        items = parser.comma_list(parser.parse_expr)
     parser.expect("]")
     return items
 
@@ -401,10 +403,7 @@ def _parse_point(parser, doc):
         if key.text == "coords":
             parser.expect(":")
             parser.expect("[")
-            coords = [parser.parse_rational()]
-            while parser.peek() and parser.peek().kind == ",":
-                parser.next()
-                coords.append(parser.parse_rational())
+            coords = parser.comma_list(parser.parse_rational)
             parser.expect("]")
         elif key.text == "integrate":
             parser.expect_name("from")

@@ -31,11 +31,11 @@ convolution over t per output column.  The tuple of Fractions
 `coeffs` is built only when read.  Only this module builds a series from
 integers, through `TSeries._ints`, so every series is in this reduced form.
 
-`mat_vec` and `mat_mul` are the one dot-product kernel for vectors and
-matrices of series and rationals: each entry lists its nonzero numerators
+`mat_mul` is the one product of matrices of series and rationals, and a
+vector is a one-column matrix: each entry lists its nonzero numerators
 once, and each sum of products is one integer convolution over the lcm of
 the pair denominators, reduced by one gcd.  The dot product of two vectors
-is `mat_vec([xs], ys)[0]`.
+is `mat_mul([xs], transpose([ys]))[0][0]`.
 """
 
 from __future__ import annotations
@@ -439,28 +439,17 @@ def _dot_scaled(xs, ys):
     return TSeries._ints(out, den, n)
 
 
-def mat_vec(A, v):
-    """A v for a matrix and a vector of series or rationals.
-
-    Row i is sum_j A[i][j] * v[j], equal to the left fold of `*` and `+`:
-    guaranteed to the minimum precision over all pairs of the row, where a
-    rational takes its partner's precision; a pair of rationals only adds
-    to the constant term.  The stored numerators of every pair are
-    convolved over the lcm of the pair denominators and the sum is reduced
-    by one gcd.  When no entry of a row or of v is a series the entry is
-    the rational sum.  The dot product of xs and ys is mat_vec([xs], ys)[0].
-    """
-    if any(len(row) != len(v) for row in A):
-        raise DimensionMismatch("matrix/vector size mismatch")
-    sv = [_scaled(x) for x in v]
-    return [_dot_scaled([_scaled(a) for a in row], sv) for row in A]
-
-
 def mat_mul(A, B):
-    """A B, each entry the sum of products that `mat_vec` forms for one row.
+    """A B for matrices of series or rationals; a vector is a one-column matrix.
 
-    The nonzero numerators of every entry of A and B are listed once and
-    reused for every pair of a row of A and a column of B.
+    Entry (i, k) is sum_j A[i][j] * B[j][k], equal to the left fold of `*`
+    and `+`: guaranteed to the minimum precision over all pairs of the sum,
+    where a rational takes its partner's precision; a pair of rationals
+    only adds to the constant term.  When no entry of row i or of column k
+    is a series the entry is the rational sum.  The nonzero numerators of
+    every entry of A and B are listed once and reused for every pair of a
+    row of A and a column of B; each sum is one integer convolution over
+    the lcm of the pair denominators, reduced by one gcd.
     """
     if any(len(row) != len(B) for row in A):
         raise DimensionMismatch("matrix size mismatch")

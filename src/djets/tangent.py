@@ -44,7 +44,6 @@ from .series import (
     exp_series,
     integer_rows,
     mat_mul,
-    mat_vec,
     transpose,
 )
 
@@ -443,16 +442,14 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     columns = horizontal_sections(
         delta_tangent(variety).fiber_module(point.coords, point.prec)
     )
-    if variety.generators:
-        constraints = jet_equations(variety.generators, point.coords, 1)
-        phi = transpose(columns)
-        rational_rows = []
-        for combo in mat_mul(constraints, phi):
-            rational_rows += integer_rows(combo, min(x.prec for x in combo))
-        kernel = nullspace(LinSystem(rational_rows, len(columns)))
-        ode_basis = [mat_vec(phi, coeffs) for coeffs in kernel]
-    else:
-        ode_basis = columns
+    constraints = jet_equations(variety.generators, point.coords, 1)
+    rational_rows = []
+    for combo in mat_mul(constraints, transpose(columns)):
+        rational_rows += integer_rows(combo, min(x.prec for x in combo))
+    # row i of the ODE basis is sum_j kernel[i][j] * columns[j]; without
+    # generators there are no rows, the kernel is the identity and the
+    # basis is the columns themselves
+    ode_basis = mat_mul(nullspace(LinSystem(rational_rows, len(columns))), columns)
     contained = mutually_contained(djs.horizontal, ode_basis)
     return TangentEquivalenceReport(djs.dim_c, len(ode_basis), contained)
 

@@ -20,7 +20,9 @@ at any depth of its body, only modules of lower layers, so the package
 imports form no cycle.  Only the modules in `SERIES_DOMAIN` name the
 series domain of `linalg` (`SERIES`, or its value "series"): elimination
 over the series field stays in the product decomposition, and the jet
-layer stays over Q.
+layer stays over Q.  Every top-level `check_*` of `acceptance.py` is
+declared by `_criterion(key, title, budget)` with its row of `CRITERIA`
+and called exactly once in `run_all`.
 """
 
 import ast
@@ -311,4 +313,104 @@ def test_the_scan_sees_an_import_against_the_layers(tmp_path):
     layers = (("low",), ("mid", "mid2"), ("high",))
     assert layering_violations(sorted(tmp_path.glob("*.py")), layers) == [
         ("low", "high"), ("mid", "high"), ("mid", "mid2"), ("stray", None),
+    ]
+
+
+# The acceptance criteria, as (key, title, budget).  A budget is the floor
+# of the suite and is never raised to let a slow path pass, so a changed row
+# here is a changed criterion.
+CRITERIA = {
+    "check_tangent_display": (
+        "tangent-display", "Jacobian linearization of the plane system", 1.0),
+    "check_restriction_display": (
+        "restriction-display", "restriction to the constant diagonal", 1.0),
+    "check_kernel_identity": (
+        "kernel-identity", "second log derivative of u - v vanishes symbolically",
+        1.0),
+    "check_surjectivity_witnesses": (
+        "surjectivity-witnesses", "witness family (c, c, 2 exp(ct), exp(ct))", 2.0),
+    "check_dimension_law": (
+        "dimension-law", "horizontal sections count the module dimension", 10.0),
+    "check_tensor_pairing": (
+        "tensor-pairing", "pairings of horizontal duals span the dual tensor", 20.0),
+    "check_product_decomposition": (
+        "product-decomposition",
+        "horizontal product jets decompose with constant coefficients", 30.0),
+    "check_constant_points_jets": (
+        "constant-points-jets", "jets of constant points equal the rational nullspace",
+        1.0),
+    "check_m1_crosscheck": (
+        "m1-crosscheck", "order-1 jets agree with the Jacobian linearization", 10.0),
+    "check_degree_step": (
+        "degree-step", "log-derivative degree comparison never balances", 5.0),
+    "check_series_oracles": (
+        "series-oracles", "sharp integration reproduces exp and 1/(1-t)", 1.0),
+    "check_property_suites": (
+        "property-suites", "randomized invariants, 100 cases each", 60.0),
+}
+
+
+def criterion_of(func):
+    """The (key, title, budget) of a function's lone `_criterion(...)`
+    decorator, or None."""
+    if len(func.decorator_list) != 1:
+        return None
+    deco = func.decorator_list[0]
+    if not (isinstance(deco, ast.Call) and isinstance(deco.func, ast.Name)
+            and deco.func.id == "_criterion" and not deco.keywords):
+        return None
+    return tuple(ast.literal_eval(arg) for arg in deco.args)
+
+
+def criterion_violations(path, table):
+    """(check, problem) pairs: a top-level `check_*` that is not declared by
+    `_criterion` with its row of `table`, or is not called exactly once in
+    `run_all`, and a row of `table` with no check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    checks = {name: node for name, node in functions.items()
+              if name.startswith("check_")}
+    calls = [node.func.id for node in ast.walk(functions["run_all"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in checks]
+    found = [(name, "not defined") for name in table if name not in checks]
+    for name, func in checks.items():
+        declared = criterion_of(func)
+        if declared is None:
+            found.append((name, "not declared with _criterion"))
+        elif declared != table.get(name):
+            found.append((name, f"declares {declared}"))
+        if calls.count(name) != 1:
+            found.append((name, f"called {calls.count(name)} times in run_all"))
+    return sorted(found)
+
+
+def test_every_criterion_is_declared_once_and_run_once():
+    assert criterion_violations(SRC / "acceptance.py", CRITERIA) == []
+
+
+def test_the_scan_sees_a_stray_criterion(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "@_criterion('a', 'A', 1.0)\n"
+        "def check_a():\n"
+        "    return True, ''\n"
+        "def check_b():\n"
+        "    return True, ''\n"
+        "@_criterion('c', 'C', 3.0)\n"
+        "def check_c(seed=0):\n"
+        "    return True, ''\n"
+        "def run_all(seed=0):\n"
+        "    return [check_b(), check_a(), check_b()]\n",
+        encoding="utf-8",
+    )
+    table = {"check_a": ("a", "A", 1.0), "check_b": ("b", "B", 1.0),
+             "check_c": ("c", "C", 2.0), "check_d": ("d", "D", 1.0)}
+    assert criterion_violations(module, table) == [
+        ("check_b", "called 2 times in run_all"),
+        ("check_b", "not declared with _criterion"),
+        ("check_c", "called 0 times in run_all"),
+        ("check_c", "declares ('c', 'C', 3.0)"),
+        ("check_d", "not defined"),
     ]

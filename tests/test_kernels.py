@@ -7,11 +7,11 @@ one-vector residual check, rational `rref` with
 plain Fraction Gauss-Jordan elimination, the rank and `nullspace` with sympy,
 `fundamental_matrix` with the Fraction coefficient recursion, and from an
 initial value Y0 with the fundamental matrix times Y0, batched
-`constant_combination` with one elimination per target, `mat_vec` (also
-as the dot product of two vectors) and `mat_mul` with the fold of `*` and
-`+`, series division, Hasse derivatives and `exp_series` with sympy, and batched `product_jet_decompose`
-with one solve per jet and block.  All randomness is seeded, so every run
-checks the same cases.
+`constant_combination` with one elimination per target, `mat_mul` (also
+on a one-column matrix and as the dot product of two vectors) with the
+fold of `*` and `+`, series division, Hasse derivatives and `exp_series`
+with sympy, and batched `product_jet_decompose` with one solve per jet and
+block.  All randomness is seeded, so every run checks the same cases.
 """
 
 import random
@@ -60,7 +60,6 @@ from djets.series import (
     fundamental_matrix,
     kron,
     mat_mul,
-    mat_vec,
 )
 from djets.tangent import counterexample_variety
 
@@ -403,7 +402,7 @@ def test_kron_at_the_edge_of_the_slots_and_of_the_shapes():
 
 def reference_is_horizontal(module, vec):
     """The one-vector check: delta(v) + A v is zero to guaranteed precision."""
-    Av = mat_vec(module.matrix, vec)
+    Av = [row[0] for row in mat_mul(module.matrix, [[x] for x in vec])]
     return all((x.derive() + y).is_zero() for x, y in zip(vec, Av))
 
 
@@ -804,10 +803,10 @@ def test_batched_combination_recovers_coefficients_and_empty_basis():
     assert constant_combination([], basis) == []
 
 
-# -- dot products, mat_vec, mat_mul -------------------------------------------------
+# -- dot products and mat_mul ------------------------------------------------------
 
 def reference_dot(xs, ys):
-    """The left fold of `*` and `+` that `mat_vec` replaces."""
+    """The left fold of `*` and `+` that `mat_mul` replaces."""
     acc = None
     for x, y in zip(xs, ys):
         term = x * y
@@ -816,7 +815,7 @@ def reference_dot(xs, ys):
 
 
 def assert_dot_matches(xs, ys):
-    got, want = mat_vec([xs], ys)[0], reference_dot(xs, ys)
+    got, want = mat_mul([xs], [[y] for y in ys])[0][0], reference_dot(xs, ys)
     assert got.prec == want.prec
     assert got.coeffs == want.coeffs
     assert all(type(c) is F for c in got.coeffs)
@@ -867,13 +866,13 @@ def test_dot_edge_cases():
     # a zero Fraction takes its partner's precision, a zero series its own
     assert_dot_matches([F(0), s], [TSeries([1], 1), s])
     assert_dot_matches([TSeries.zero(1), s], [s, s])
-    assert mat_vec([[F(0)]], [s])[0].prec == 3
-    assert mat_vec([[TSeries.zero(1)]], [s])[0].prec == 1
+    assert mat_mul([[F(0)]], [[s]])[0][0].prec == 3
+    assert mat_mul([[TSeries.zero(1)]], [[s]])[0][0].prec == 1
     # a pair of scalars only adds to the constant term
     assert_dot_matches([2, s, F(1, 3)], [F(3, 4), 5, 6])
-    assert mat_vec([[2, F(1, 3)]], [F(3, 4), 6])[0] == F(7, 2)
+    assert mat_mul([[2, F(1, 3)]], [[F(3, 4)], [6]])[0][0] == F(7, 2)
     with pytest.raises(DimensionMismatch):
-        mat_vec([[s, s]], [s])[0]
+        mat_mul([[s, s]], [[s]])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -885,7 +884,7 @@ def test_mat_vec_and_mat_mul_match_fold(seed):
     B = [[TSeries([random_rational(rng) for _ in range(p + 1)], p)
           for p in (rng.randint(0, 10) for _ in range(cols))] for _ in range(inner)]
     v = [row[0] for row in B]
-    for got, row in zip(mat_vec(A, v), A):
+    for (got,), row in zip(mat_mul(A, [[x] for x in v]), A):
         want = reference_dot(row, v)
         assert (got.prec, got.coeffs) == (want.prec, want.coeffs)
     product = mat_mul(A, B)

@@ -20,7 +20,7 @@ from djets.acceptance import _random_module
 from djets.delta_modules import dual, horizontal_sections, tensor
 from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
-from djets.series import TSeries, exp_series, fundamental_matrix, kron, mat_mul, mat_vec
+from djets.series import TSeries, exp_series, fundamental_matrix, kron, mat_mul
 
 PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
 DENOMINATORS = PRIMES + (1, 2, 3, 12)
@@ -181,8 +181,9 @@ def test_series_linear_algebra_keeps_the_reduced_form(seed):
     A, RA = random_matrix(rng, rows, inner)
     B, RB = random_matrix(rng, inner, cols)
     v, rv = [row[0] for row in B], [row[0] for row in RB]
-    assert_matches(mat_vec([A[0]], v)[0], ref_dot(RA[0], rv))
-    for got, row in zip(mat_vec(A, v), RA):
+    column = [[x] for x in v]
+    assert_matches(mat_mul([A[0]], column)[0][0], ref_dot(RA[0], rv))
+    for (got,), row in zip(mat_mul(A, column), RA):
         assert_matches(got, ref_dot(row, rv))
     product = mat_mul(A, B)
     for r in range(rows):

@@ -440,3 +440,17 @@ def test_m1_equivalence_on_plane_system_and_lines():
         point = sharp_integrate(variety, start, 16)
         rep = m1_equivalence(variety, point)
         assert rep.ok
+
+
+def test_m1_equivalence_at_zero_dimensional_points():
+    # the jet rows leave no constant combination of the ODE columns
+    xs, xy = ("x",), ("x", "y")
+    x = MPoly.variable(xs, "x")
+    point_on_line = DVariety(xs, (x,), (MPoly.zero(xs),))
+    plane_point = DVariety(
+        xy, (MPoly.variable(xy, "x"), MPoly.variable(xy, "y")),
+        (MPoly.zero(xy), MPoly.zero(xy)),
+    )
+    for variety, start in [(point_on_line, (0,)), (plane_point, (0, 0))]:
+        rep = m1_equivalence(variety, sharp_integrate(variety, start, 16))
+        assert (rep.dim_jet_route, rep.dim_ode_route, rep.ok) == (0, 0, True)
