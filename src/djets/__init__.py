@@ -72,6 +72,7 @@ from .tangent import (
     diagonal_restriction,
     fiber_linearity_check,
     in_log_constant_group,
+    log_constant,
     log_derivative,
     m1_equivalence,
     restrict,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
-from .linalg import SERIES, constant_combination, solve
+from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
 from .series import TSeries, fundamental_matrix, kron, pack, transpose
 
@@ -168,13 +168,22 @@ def is_horizontal(module: DeltaModule, *vectors):
 def mutually_contained(basis_a, basis_b):
     """True when two families of series vectors span the same constant space.
 
-    Each direction is one linalg.constant_combination elimination.
+    One linalg.constant_combination elimination writes basis_a = C basis_b
+    through the order guaranteed by both families, or shows some vector of
+    basis_a outside the span.  When both families have k vectors and the
+    rational k x k matrix C has k pivots, basis_b = C^-1 basis_a holds
+    through the same order, so the reverse containment needs no second
+    elimination.  Otherwise -- unequal sizes, or a singular C, as when
+    either family is dependent (the coefficients of the non-pivot vectors of
+    basis_b are zero) -- the reverse elimination decides it.
     """
-    return all(
-        c is not None
-        for targets, basis in ((basis_a, basis_b), (basis_b, basis_a))
-        for c in constant_combination(targets, basis)
-    )
+    forward = constant_combination(basis_a, basis_b)
+    if any(c is None for c in forward):
+        return False
+    k = len(forward)
+    if k == len(basis_b) and len(rref(forward, k, RATIONAL)[1]) == k:
+        return True
+    return all(c is not None for c in constant_combination(basis_b, basis_a))
 
 
 @dataclass
@@ -214,7 +223,9 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     Both sides are computed independently: the pairings as coordinate
     tensors of the factor solutions, the target space from the fundamental
     matrix of the dual tensor module.  Mutual containment is decided by one
-    exact rational elimination per direction on stacked series coefficients.
+    exact rational elimination of the pairings against the target sections
+    on stacked series coefficients; a square coefficient matrix of full rank
+    settles the reverse direction (mutually_contained).
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))

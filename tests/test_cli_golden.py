@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from djets.cli import main
+from djets.series import MAX_PRECISION
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -50,12 +51,14 @@ COMMANDS = [
 
 LARGE_COMMANDS = [
     "counterexample -N 256",
+    f"counterexample -N {MAX_PRECISION}",
     "horizontal djv/counterexample.djv --from generic -m 3 -N 96",
     "integrate djv/counterexample.djv --from generic -N 256",
 ]
 
 LARGE_BUDGETS = {
     "counterexample -N 256": 1.0,
+    f"counterexample -N {MAX_PRECISION}": 1.0,
     "horizontal djv/counterexample.djv --from generic -m 3 -N 96": 1.0,
     "integrate djv/counterexample.djv --from generic -N 256": 1.0,
 }

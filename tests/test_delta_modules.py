@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 
 import djets.cli
+import djets.delta_modules
 import djets.linalg
+from djets.acceptance import _random_module
 from djets.delta_modules import (
     DeltaModule,
     dual,
     horizontal_sections,
     is_horizontal,
+    mutually_contained,
     product_jet_decompose,
     tensor,
     verify_tensor_pairing,
@@ -24,7 +27,7 @@ from djets.dvariety import (
     sharp_integrate,
 )
 from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
-from djets.linalg import SERIES
+from djets.linalg import SERIES, constant_combination
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series, kron
 
@@ -230,6 +233,83 @@ def test_a_target_section_perturbed_at_its_top_order_is_not_contained(monkeypatc
     rep = verify_tensor_pairing(left, right)
     assert rep.dim_tensor_horizontal == 4 and rep.pairings_horizontal
     assert not rep.mutually_contained
+
+
+# -- mutual containment ------------------------------------------------------------------
+
+def both_directions(a, b):
+    """The oracle of mutually_contained: one constant_combination each way."""
+    return all(c is not None for targets, basis in ((a, b), (b, a))
+               for c in constant_combination(targets, basis))
+
+
+def pairing_families(left, right):
+    """The pairings of horizontal dual vectors and the dual tensor's sections."""
+    pairings = kron(horizontal_sections(dual(left)), horizontal_sections(dual(right)))
+    return pairings, horizontal_sections(dual(tensor(left, right)))
+
+
+def bumped(vectors, i):
+    """The families with 1 added to coordinate 0 of vector i at the top order
+    of the family."""
+    top = min(e.prec for v in vectors for e in v)
+    out = [list(v) for v in vectors]
+    out[i][0] = out[i][0] + TSeries([0] * top + [1], top)
+    return out
+
+
+def test_mutually_contained_on_the_acceptance_tensor_pairs():
+    # the 20 pairs of the tensor-pairing criterion (seed 1), and each target
+    # family again with one section perturbed at its top order
+    rng = random.Random(1)
+    for _ in range(20):
+        dm, dn = rng.randint(1, 3), rng.randint(1, 3)
+        pairings, target = pairing_families(_random_module(rng, dm),
+                                            _random_module(rng, dn))
+        for a, b, held in ((pairings, target, True),
+                           (pairings, bumped(target, len(target) - 1), False)):
+            assert mutually_contained(a, b) is held is both_directions(a, b)
+            assert mutually_contained(b, a) is held
+
+
+def test_mutually_contained_on_singular_unequal_and_empty_families():
+    e, e2, zero = exp_series(1, N), exp_series(2, N), TSeries.zero(N)
+    b, b2 = [e, e2], [e2, zero]
+    twice = [2 * e, 2 * e2]
+    cases = [
+        # equal sizes, singular coefficient matrix
+        ([b, b], [b, b], True),
+        ([b, twice], [b, b], True),
+        ([b, b], [b, b2], False),
+        ([b, b2], [b, b], False),
+        # equal sizes, invertible coefficient matrix
+        ([b, b2], [[x + y for x, y in zip(b, b2)], [x - y for x, y in zip(b, b2)]], True),
+        ([b, b2], bumped([b, b2], 1), False),
+        # unequal sizes
+        ([b], [b, twice], True),
+        ([b, twice], [b], True),
+        ([b], [b, b2], False),
+        ([b, b2], [b], False),
+        # empty families
+        ([], [], True),
+        ([], [b], False),
+        ([b], [], False),
+        ([], [[zero, zero]], True),
+        ([[zero, zero]], [], True),
+    ]
+    for xs, ys, held in cases:
+        assert mutually_contained(xs, ys) is held is both_directions(xs, ys)
+
+
+def test_verify_tensor_pairing_eliminates_once_on_a_square_pair(monkeypatch):
+    calls = []
+    combine = djets.delta_modules.constant_combination
+    monkeypatch.setattr(djets.delta_modules, "constant_combination",
+                        lambda *args: calls.append(args) or combine(*args))
+    rng = random.Random(5)
+    rep = verify_tensor_pairing(random_module(rng, 3), random_module(rng, 3))
+    assert rep.ok and rep.dim_pairings == rep.dim_tensor_horizontal == 9
+    assert len(calls) == 1
 
 
 # -- product jet decomposition -----------------------------------------------------------

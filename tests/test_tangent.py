@@ -5,9 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 import djets.series
+import djets.tangent
 from djets.diffpoly import log_derivative_constant_identity
 from djets.dvariety import DVariety, delta_jet_space, sharp_integrate, validate_section
-from djets.errors import NonTriangular, NonUnitDivisor, PointNotOnVariety, ZeroInput
+from djets.errors import (
+    InsufficientPrecision,
+    NonTriangular,
+    NonUnitDivisor,
+    PointNotOnVariety,
+    ZeroInput,
+)
 from djets.mpoly import MPoly
 from djets.series import TSeries, exp_series
 from djets.tangent import (
@@ -21,6 +28,7 @@ from djets.tangent import (
     diagonal_restriction,
     fiber_linearity_check,
     in_log_constant_group,
+    log_constant,
     log_derivative,
     m1_equivalence,
     restrict,
@@ -240,6 +248,72 @@ def test_group_closure_and_kernel():
             assert a.is_constant()
 
 
+def division_oracle(a):
+    """log_constant through the series division: the constant term of
+    delta(a)/a when its derivative vanishes, else None."""
+    log = log_derivative(a)
+    return log.constant_term if log.derive().is_zero() else None
+
+
+def exponential_units():
+    """Seeded members of the group: scaled exponentials, their products and
+    inverses, at orders 2..40."""
+    rng = random.Random(43)
+    units = []
+    for prec in (2, 3, 7, 16, 40):
+        for _ in range(4):
+            a = F(rng.choice([1, -2, 3, F(1, 2), F(-5, 7)])) * exp_series(
+                F(rng.randint(-4, 4), rng.randint(1, 5)), prec)
+            b = F(rng.choice([1, 2, F(-3, 4)])) * exp_series(rng.randint(-3, 3), prec)
+            units += [a, a * b, 1 / a]
+    return units
+
+
+def random_units():
+    """One seeded unit with small random coefficients at each order 2..40."""
+    rng = random.Random(44)
+    return [TSeries([F(rng.choice([1, -1, 2, F(3, 2)]))]
+                    + [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(prec)],
+                    prec)
+            for prec in range(2, 41)]
+
+
+def bumped(a, k):
+    """a with 1/den, one step of its numerators, added at order k."""
+    return a + TSeries([0] * k + [F(1, a.den)], a.prec)
+
+
+def test_log_constant_matches_the_division_oracle():
+    for unit in exponential_units() + random_units():
+        for a in (unit, bumped(unit, 1), bumped(unit, unit.prec)):
+            c = log_constant(a)
+            assert c == division_oracle(a)
+            assert in_log_constant_group(a) == (c is not None)
+            if c is not None:
+                assert type(c) is F and log_derivative(a) == c
+
+
+def test_log_constant_sees_a_change_at_the_top_order():
+    for a in exponential_units():
+        assert log_constant(a) is not None
+        assert log_constant(bumped(a, a.prec)) is None
+
+
+@pytest.mark.parametrize("a, error, message", [
+    (TSeries([1], 0), InsufficientPrecision, "cannot differentiate a precision-0 series"),
+    (TSeries([0], 0), InsufficientPrecision, "cannot differentiate a precision-0 series"),
+    (TSeries([0, 1], 1), NonUnitDivisor, "divisor has zero constant term"),
+    (TSeries([0, 1, 2], 2), NonUnitDivisor, "divisor has zero constant term"),
+    (TSeries([2, 1], 1), InsufficientPrecision, "cannot differentiate a precision-0 series"),
+])
+def test_log_constant_raises_as_the_division_oracle(a, error, message):
+    # order 0 first, then a non-unit, then order 1
+    for check in (log_constant, in_log_constant_group, division_oracle):
+        with pytest.raises(error) as caught:
+            check(a)
+        assert str(caught.value) == message
+
+
 # -- the counterexample chain ----------------------------------------------------------
 
 def test_counterexample_chain_passes():
@@ -275,18 +349,23 @@ def test_counterexample_witness_zero_rate():
     assert witness.ok  # the constant point (0, 0, 2, 1)
 
 
-def test_counterexample_report_divides_once_per_witness(monkeypatch):
-    divisions, presentations = [], []
+def test_counterexample_report_makes_no_series_division(monkeypatch):
+    divisions, presentations, texts = [], [], []
     truediv = TSeries.__truediv__
     presentation = LinearDVariety.presentation
+    equation_text = djets.tangent._equation_text
     monkeypatch.setattr(TSeries, "__truediv__",
                         lambda a, b: divisions.append(b) or truediv(a, b))
     monkeypatch.setattr(LinearDVariety, "presentation",
                         lambda self: presentations.append(self) or presentation(self))
+    monkeypatch.setattr(djets.tangent, "_equation_text",
+                        lambda *eq: texts.append(eq) or equation_text(*eq))
     report = counterexample_report(precision=96)
     assert report.ok and len(report.witnesses) == len(WITNESS_RATIOS) == 7
-    assert len(divisions) == 7
+    assert divisions == []
     assert len(presentations) == 1
+    # each equation is rendered once, not once more per witness
+    assert len(texts) == len(report.tangent_equations) + len(report.restricted_equations)
 
 
 def test_counterexample_witnesses_follow_the_ratios():
