@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
 from .delta_modules import DeltaModule, horizontal_sections
 from .errors import (
     ArityError,
     DimensionMismatch,
+    DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
     PointNotOnVariety,
@@ -107,7 +108,7 @@ class SharpPoint:
 
 
 def sharp_integrate(variety: DVariety, initial, order):
-    """Integrate x' = s(x) from a rational point of the variety.
+    """Integrate x' = s(x) from a rational point of the variety, s rational.
 
     Online Taylor recursion (Brent & Kung 1978; van der Hoeven 2002) on
     Hurwitz coefficients X_k = k! x_k (Keigher, Comm. Algebra 1997), in
@@ -116,27 +117,44 @@ def sharp_integrate(variety: DVariety, initial, order):
     Each monomial of the section is a node of a tree: the constant monomial
     has the series 1, 0, 0, ... and every other monomial is its parent
     times one variable.  Step k forms only coefficient k of each node, one
-    binomial convolution of length k+1, then X_j[k+1] = sum over the terms
-    of s_j of the convolution of each coefficient with its node; a
-    rational coefficient is the length-1 case.  The binomial row is updated
-    by additions from step to step.
+    binomial convolution of length k+1, then X_j[k+1] = sum of a * node_e[k]
+    over the terms (a, e) of s_j.  The binomial row is updated by additions
+    from step to step.
 
     The work runs on integers.  Time and space are rescaled to y(tau) =
     mu * x(lam * tau), with mu the lcm of the initial denominators and lam
-    the least integer making every rational coefficient of the scaled
-    section integral, so with rational data every Hurwitz coefficient is an
-    integer and the loop makes no gcd.  Series coefficients enter as their
-    stored numerators over the lcm of their denominators.  Then step k's
-    new coordinates share one denominator, reduced by one gcd per step, and
-    coefficient k of every node is put over the lcm of the products of the
-    denominators it convolves.  With N = order the run makes O(N^2) integer
-    multiply-adds per node and per series coefficient, and O(N^2) integer
-    additions for the binomial rows; a rational coefficient costs one
-    product per step.  `series.from_hurwitz` turns the rows into reduced
-    series.  Series coefficients of the section must be guaranteed through
-    order N-1.  The defining equations are re-checked on the resulting
-    series to guaranteed precision.
+    the least integer making every coefficient of the scaled section
+    integral, so the a = c * lam * mu^(1-|e|) are fixed integers, every
+    Hurwitz coefficient is an integer and the loop makes no division and no
+    gcd.  With N = order the run makes O(N^2) integer multiply-adds per node
+    and O(N^2) integer additions for the binomial rows.
+    `series.from_hurwitz` turns the rows into reduced series.  A section
+    coefficient that is not rational raises DomainMismatch, a negative
+    order InsufficientPrecision, both before any work.  The defining
+    equations are re-checked on the resulting series to guaranteed
+    precision.
     """
+    if order < 0:
+        raise InsufficientPrecision("order must be >= 0")
+    one = (0,) * variety.nvars
+    # monomial -> (parent monomial, variable index), parents first; a loop,
+    # not a recursion, so a high degree needs no stack frame per degree.
+    parents = {}
+    for j, s in enumerate(variety.section):
+        for e, c in s.terms.items():
+            if not isinstance(c, Fraction):
+                kind = "a series" if isinstance(c, TSeries) else f"a {type(c).__name__}"
+                raise DomainMismatch(
+                    f"section component {j} ({variety.vars[j]}) has {kind} "
+                    f"coefficient on the monomial {MPoly(variety.vars, {e: 1})}"
+                )
+            chain = []
+            while e != one and e not in parents:
+                i = next(i for i, a in enumerate(e) if a)
+                parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                chain.append((e, (parent, i)))
+                e = parent
+            parents.update(reversed(chain))
     initial = tuple(Fraction(c) for c in initial)
     if len(initial) != variety.nvars:
         raise DimensionMismatch("initial point arity mismatch")
@@ -144,102 +162,33 @@ def sharp_integrate(variety: DVariety, initial, order):
         val = P.eval(initial)
         if val != 0:
             raise PointNotOnVariety(f"{P} evaluates to {val} at {initial}")
-    one = (0,) * variety.nvars
-    parents = {}  # monomial -> (parent monomial, variable index), parents first
 
-    def add_node(e):
-        # A loop, not a recursion, so a high degree needs no stack frame per
-        # degree: walk up to the tree, then add the chain parents first.
-        chain = []
-        while e != one and e not in parents:
-            j = next(i for i, a in enumerate(e) if a)
-            parent = e[:j] + (e[j] - 1,) + e[j + 1 :]
-            chain.append((e, (parent, j)))
-            e = parent
-        parents.update(reversed(chain))
-
-    # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e(lam tau) y^e.
+    # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e y^e.
     mu, x0 = integer_scaled(initial)
-    lam = 1
-    for s in variety.section:
-        for e, c in s.terms.items():
-            add_node(e)
-            if isinstance(c, TSeries):
-                if c.prec < order - 1:
-                    raise InsufficientPrecision(
-                        f"section coefficient guaranteed to order {c.prec}, "
-                        f"need {order - 1}"
-                    )
-                c = 1
-            lam = lcm(lam, (c * Fraction(mu) ** (1 - sum(e))).denominator)
-    # Rational terms (a, e) with integer a; series terms (H, e) with Hurwitz
-    # numerators H over den_c, the lcm of the series denominators.
-    den_c = lcm(*(
-        c.den for s in variety.section for c in s.terms.values()
-        if isinstance(c, TSeries)
-    ))
-    rational, series = [], []
-    for s in variety.section:
-        r_row, s_row = [], []
-        for e, c in s.terms.items():
-            f = lam * Fraction(mu) ** (1 - sum(e))
-            if isinstance(c, TSeries):
-                f = int(f) * (den_c // c.den)
-                h = []
-                for n in c.nums[:order]:
-                    h.append(n * f)
-                    f *= lam * len(h)
-                s_row.append((h, e))
-            else:
-                r_row.append((int(c * f) * den_c, e))
-        rational.append(r_row)
-        series.append(s_row)
-
+    scaled = [{e: c * Fraction(mu) ** (1 - sum(e)) for e, c in s.terms.items()}
+              for s in variety.section]
+    lam = lcm(*(c.denominator for s in scaled for c in s.values()))
+    terms = [[(int(c * lam), e) for e, c in s.items()] for s in scaled]
     convolved = {j for parent, j in parents.values() if parent != one}
-    xs = [[a] for a in x0]  # X_k over dx[k]
-    dx = [1]
-    nodes = {one: [1]}  # coefficient k over dn[k]
+    xs = [[a] for a in x0]
+    nodes = {one: [1]}
     nodes.update((e, []) for e in parents)
-    dn = [1]
     binom = [1]
     for k in range(order):
         if k:
             binom = [1, *map(add, binom, binom[1:]), 1]
             nodes[one].append(0)
-            # the dn form a divisibility chain, and dn[i] == 1 forces dx[i] == 1
-            dn.append(dx[k] if dn[-1] == 1 else
-                      lcm(*(dn[i] * dx[k - i] for i in range(k))))
-        d = dn[k]
-        if d == 1:
-            w = v = binom
-        else:
-            w = [b * (d // (dn[i] * dx[k - i])) for i, b in enumerate(binom)]
-            v = [b * (d // dn[k - i]) for i, b in enumerate(binom)]
-        # weighted[j][i] = w_i * X_j[k-i], shared by the nodes of coordinate j;
-        # a child of the constant monomial is the coordinate itself.
-        weighted = {j: list(map(mul, w, reversed(xs[j]))) for j in convolved}
+        # weighted[j][i] = C(k,i) * X_j[k-i], shared by the nodes of coordinate
+        # j; a child of the constant monomial is the coordinate itself.
+        weighted = {j: list(map(mul, binom, reversed(xs[j]))) for j in convolved}
         for e, (parent, j) in parents.items():
             if parent == one:
-                nodes[e].append(w[0] * xs[j][k])
+                nodes[e].append(xs[j][k])
             else:
                 nodes[e].append(sum(map(mul, nodes[parent], weighted[j])))
-        step = []
-        for r_row, s_row in zip(rational, series):
-            acc = 0
-            for a, e in r_row:
-                acc += a * nodes[e][k]
-            for h, e in s_row:
-                acc += sum(map(mul, map(mul, v, h), reversed(nodes[e])))
-            step.append(acc)
-        d *= den_c
-        if d != 1:
-            g = gcd(d, *step)
-            d //= g
-            step = [a // g for a in step]
-        for x, a in zip(xs, step):
-            x.append(a)
-        dx.append(d)
-    point = tuple(from_hurwitz(xs, dx, mu, lam))
+        for x, row in zip(xs, terms):
+            x.append(sum([a * nodes[e][k] for a, e in row]))
+    point = tuple(from_hurwitz(xs, order, mu, lam))
     for P in variety.generators:
         val = P.eval(point)
         if val != 0:

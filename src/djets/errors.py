@@ -10,7 +10,8 @@ class DimensionMismatch(DjetsError):
 
 
 class DomainMismatch(DjetsError):
-    """A linear system holds an entry outside its coefficient domain."""
+    """An entry lies outside its coefficient domain: in a linear system, a
+    constant point or the section that `sharp_integrate` integrates."""
 
 
 class NonUnitDivisor(DjetsError):

@@ -20,7 +20,9 @@ Introduction", ICMS 2010); division keeps the quotient so far as integers
 over the lcm of its reduced denominators.  `from_hurwitz` turns integer
 rows of Hurwitz coefficients k! x_k, the form in which
 `dvariety.sharp_integrate` integrates, `exp_series` is built and
-`fundamental_matrix` runs its recursion, into series with one gcd each.
+`fundamental_matrix` runs its recursion, into series over the one
+denominator N! * scale * step^N of their scaled time and space, with one
+gcd each.
 `pack` puts integers into b-bit slots of one integer and `unpack` reads
 them back with a 2^(b-1) offset for the signs, as in Kronecker
 substitution across columns: `fundamental_matrix` packs each matrix row,
@@ -362,28 +364,21 @@ def integer_rows(entries, prec):
     return [[nums[k] * f for nums, f in scaled] for k in range(prec + 1)]
 
 
-def from_hurwitz(rows, dens, scale=1, step=1):
-    """Series x_k = X_k / (k! * dens[k] * scale * step**k) from integer rows X.
+def from_hurwitz(rows, order, scale=1, step=1):
+    """Series x_k = X_k / (k! * scale * step**k), k = 0 .. order, from integer rows X.
 
-    Each row holds the Hurwitz numerators X_0 .. X_N of one series, where
-    X_k / dens[k] is k! times coefficient k (Keigher, "On the ring of
-    Hurwitz series", Comm. Algebra 1997), in the time and space scaled by
-    `step` and `scale`.  Every series is put over the one denominator
-    N! * lcm(dens) * scale * step**N, so numerator k is X_k * (N!/k!) *
-    step**(N-k) * lcm(dens)/dens[k], and is reduced by one gcd.
+    Each row holds the Hurwitz numerators X_0 .. X_order of one series, X_k
+    being k! times coefficient k (Keigher, "On the ring of Hurwitz series",
+    Comm. Algebra 1997) in the time and space scaled by `step` and `scale`;
+    entries past `order` are not read.  Every series is put over the one
+    denominator N! * scale * step**N with N = `order`, so numerator k is
+    X_k * (N!/k!) * step**(N-k), and is reduced by one gcd.
     """
-    order = len(dens) - 1
-    den = lcm(*dens)
-    factors = [den // d for d in dens]
-    f = 1
+    factors = [1] * (order + 1)
     for k in range(order, 0, -1):
-        factors[k] *= f
-        f *= k * step
-    factors[0] *= f
-    den *= f * scale
-    return [
-        TSeries._ints(list(map(mul, row, factors)), den, order) for row in rows
-    ]
+        factors[k - 1] = factors[k] * k * step
+    den = factors[0] * scale
+    return [TSeries._ints(list(map(mul, row, factors)), den, order) for row in rows]
 
 
 def exp_series(c, prec=DEFAULT_PRECISION):
@@ -394,8 +389,7 @@ def exp_series(c, prec=DEFAULT_PRECISION):
         raise InsufficientPrecision("series precision must be >= 0")
     c = Fraction(c)
     p = c.numerator
-    return from_hurwitz([[p**k for k in range(prec + 1)]], [1] * (prec + 1), 1,
-                        c.denominator)[0]
+    return from_hurwitz([[p**k for k in range(prec + 1)]], prec, step=c.denominator)[0]
 
 
 # -- matrices of series ------------------------------------------------------
@@ -604,5 +598,5 @@ def fundamental_matrix(A, order, initial=None):
     out = []
     for r in range(d):
         rows = unpack([h[r] for h in hs], b, width)
-        out.append(from_hurwitz(rows, [1] * (order + 1), scale, step))
+        out.append(from_hurwitz(rows, order, scale, step))
     return out

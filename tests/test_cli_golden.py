@@ -54,6 +54,8 @@ LARGE_COMMANDS = [
     f"counterexample -N {MAX_PRECISION}",
     "horizontal djv/counterexample.djv --from generic -m 3 -N 96",
     "integrate djv/counterexample.djv --from generic -N 256",
+    f"integrate djv/parabola.djv --from p -N {MAX_PRECISION}",
+    f"integrate djv/lines.djv --from b -N {MAX_PRECISION}",
 ]
 
 LARGE_BUDGETS = {
@@ -61,6 +63,8 @@ LARGE_BUDGETS = {
     f"counterexample -N {MAX_PRECISION}": 1.0,
     "horizontal djv/counterexample.djv --from generic -m 3 -N 96": 1.0,
     "integrate djv/counterexample.djv --from generic -N 256": 1.0,
+    f"integrate djv/parabola.djv --from p -N {MAX_PRECISION}": 1.0,
+    f"integrate djv/lines.djv --from b -N {MAX_PRECISION}": 1.0,
 }
 
 TEXT_COMMANDS = [

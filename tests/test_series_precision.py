@@ -13,7 +13,10 @@ their inputs the same way: an extended entry of a Kronecker product agrees
 with the original through its claimed order, which does not drop, and the
 horizontality verdict neither changes when either side is extended past
 the order the other side limits the check to, nor misses a change at that
-order.  Hypothesis runs derandomized, so every run draws the same examples.
+order.  `sharp_integrate` on a rational section agrees at order N with its
+answer at order N + k cut to N, and `from_hurwitz` reads its rows only
+through its order and claims exactly that order.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import operator
@@ -25,8 +28,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from djets.delta_modules import DeltaModule, horizontal_sections, is_horizontal
+from djets.dvariety import DVariety, sharp_integrate
 from djets.errors import InsufficientPrecision
-from djets.series import TSeries, fundamental_matrix, kron, mat_mul
+from djets.mpoly import MPoly, multi_indices_with_zero
+from djets.series import TSeries, from_hurwitz, fundamental_matrix, kron, mat_mul
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -216,3 +221,42 @@ def test_is_horizontal_reads_its_inputs_only_through_the_checked_order(case, rng
     changed = [e + bump if r == row else e for r, e in enumerate(sections[0])]
     assert not is_horizontal(DeltaModule(B), *sections, changed)
     assert not is_horizontal(DeltaModule(A), *longer, changed)
+
+
+def rational_section(rng):
+    """A section of degree at most 3 with seeded rational coefficients on one
+    to three variables, and a rational initial point."""
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    nvars = rng.randint(1, 3)
+    names = ("x", "y", "z")[:nvars]
+    monomials = multi_indices_with_zero(nvars, 3)
+    section = tuple(
+        MPoly(names, {e: rational() for e in rng.sample(monomials, rng.randint(1, 4))})
+        for _ in range(nvars)
+    )
+    return DVariety(names, (), section), [rational() for _ in range(nvars)]
+
+
+@checked
+@given(st.randoms(use_true_random=False), st.integers(0, 8), st.integers(1, 3))
+def test_sharp_integrate_agrees_with_a_longer_run_through_its_order(rng, order, more):
+    variety, initial = rational_section(rng)
+    got = sharp_integrate(variety, initial, order).coords
+    longer = sharp_integrate(variety, initial, order + more).coords
+    assert all(c.prec == order for c in got)
+    assert exact([[c.at_precision(order) for c in longer]]) == exact([got])
+
+
+@checked
+@given(st.randoms(use_true_random=False), st.integers(0, 10))
+def test_from_hurwitz_reads_its_rows_only_through_its_order(rng, order):
+    scale, step = rng.randint(1, 30), rng.randint(1, 6)
+    rows = [[rng.randint(-50, 50) for _ in range(order + 1)] for _ in range(3)]
+    # every row extended past the order by one to three nonzero entries
+    longer = [row + [rng.choice([-1, 1]) * rng.randint(1, 50)
+                     for _ in range(rng.randint(1, 3))] for row in rows]
+    got = from_hurwitz(rows, order, scale, step)
+    assert all(s.prec == order for s in got)
+    assert exact([from_hurwitz(longer, order, scale, step)]) == exact([got])
