@@ -7,9 +7,15 @@ An exact engine must print the same bytes after any change that is meant
 to be a pure speed-up or refactor.  LARGE_COMMANDS run at sizes the
 benchmark never reaches and are pinned in `cli_golden.json` as well; the
 ones in LARGE_BUDGETS must also finish within their budget in seconds.
-To re-pin after an intended output change:
+To pin a new command, add it to its list and run
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+The recorder writes pins only for commands that have none.  When the
+output of an already pinned command differs from its pin, it prints the
+command and exits 1 without writing anything.  To re-pin an intended
+output change, delete the command's entry from the golden file, then
+record.
 """
 
 import hashlib
@@ -26,6 +32,33 @@ from djets.series import MAX_PRECISION
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 GOLDEN_TEXT = Path(__file__).resolve().parent / "cli_golden_text.json"
+
+CORPUS = "djv/corpus.djv"
+
+# Pinned in JSON and in text.  The cusp at (1, 1) and the parabola at
+# (2/3, 4/9) have jet bases whose free entries are not 1.
+CORPUS_COMMANDS = (
+    [f"check {CORPUS}"]
+    + [
+        f"jet {CORPUS} --at {point} -m {m}"
+        for point in ("c11", "c00", "t111", "t000", "thalf", "p00", "p23")
+        for m in (1, 2, 3)
+    ]
+    + [
+        f"horizontal {CORPUS} --from {point} -m {m} -N 12"
+        for point in ("c11", "c00", "t111", "thalf", "p23")
+        for m in (1, 2, 3)
+    ]
+    + [
+        f"verify-product {pair} {CORPUS} --from {points} -m {m}"
+        for pair, points in (
+            ("parabola L", "p23 l1"), ("cubic L", "thalf l1"), ("L Pt", "l1 pt0")
+        )
+        for m in (1, 2, 3)
+    ]
+)
+
+W16_JET = f"jet {CORPUS} --at w1 -m 3"
 
 COMMANDS = [
     "check djv/counterexample.djv",
@@ -47,7 +80,7 @@ COMMANDS = [
     "verify-product L1 L2 djv/lines.djv --from a b -m 1",
     "verify-product L1 L2 djv/lines.djv --from a b -m 2",
     "verify-product L1 L2 djv/lines.djv --from a b -m 3",
-]
+] + CORPUS_COMMANDS
 
 LARGE_COMMANDS = [
     "counterexample -N 256",
@@ -56,6 +89,7 @@ LARGE_COMMANDS = [
     "integrate djv/counterexample.djv --from generic -N 256",
     f"integrate djv/parabola.djv --from p -N {MAX_PRECISION}",
     f"integrate djv/lines.djv --from b -N {MAX_PRECISION}",
+    W16_JET,
 ]
 
 LARGE_BUDGETS = {
@@ -76,7 +110,7 @@ TEXT_COMMANDS = [
     "integrate djv/counterexample.djv --from flow -N 32",
     "horizontal djv/counterexample.djv --from generic -m 3 -N 24",
     "horizontal djv/parabola.djv --from sharp -m 2 -N 16",
-]
+] + CORPUS_COMMANDS + [W16_JET]
 
 
 def _argv(command, fmt="json"):
@@ -134,26 +168,37 @@ def test_every_text_command_is_pinned():
 
 
 def _record():
+    """Pin the commands that have no pin; return 1 if any pin is out of date."""
     import contextlib
     import io
     import os
 
     os.environ.pop("DJETS_PRECISION", None)
+    updated = []
+    stale = False
     for path, commands, fmt in (
         (GOLDEN, COMMANDS + LARGE_COMMANDS, "json"),
         (GOLDEN_TEXT, TEXT_COMMANDS, "text"),
     ):
-        pins = {}
+        pins = json.loads(path.read_text(encoding="utf-8"))
         for command in commands:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(_argv(command, fmt))
-            pins[command] = {"exit": code, "sha256": _digest(out.getvalue())}
+            got = {"exit": code, "sha256": _digest(out.getvalue())}
+            if pins.setdefault(command, got) != got:
+                print(f"{fmt} output differs from its pin: {command}")
+                stale = True
+        updated.append((path, pins))
+    if stale:
+        return 1
+    for path, pins in updated:
         text = json.dumps(pins, indent=2, sort_keys=True) + "\n"
         path.write_text(text, encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    _record()
+    sys.exit(_record())
