@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from .delta_modules import product_jet_decompose
@@ -257,7 +256,7 @@ def _dispatch(args, precision):
             f"jet space of {variety.name or decl.variety} at {at}, "
             f"order {args.order}: dim {space.dim}",
         ]
-        lines += ["  basis " + str([str(Fraction(e)) for e in v]) for v in space.basis]
+        lines += ["  basis " + str([str(e) for e in v]) for v in space.basis]
         return EXIT_OK, payload, lines
 
     if args.command == "tangent":

@@ -265,13 +265,13 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     """
     a = tuple(c.constant_term for c in point.coords)
     js = jet_space(variety.generators, a, order_m)
-    v0 = [[e / b[f] for e in b] for b, f in zip(js.basis, js.free_columns)]
     low = max(point.prec - 1, 0)
     short = SharpPoint(variety, tuple(c.at_precision(low) for c in point.coords))
     B = _derivation_matrix(variety, short, order_m)
     module = DeltaModule.from_rows([[-e for e in row] for row in B])
-    # One column per basis vector; with no basis, dim empty rows.
-    initial = [[v[r] for v in v0] for r in range(module.dim)]
+    # Column i is v0_i = b_i / b_i[f_i]; with no basis, dim empty rows.
+    initial = [[Fraction(b[r], b[f]) for b, f in zip(js.basis, js.free_columns)]
+               for r in range(module.dim)]
     horizontal = horizontal_sections(module, initial)
     if low == point.prec:
         horizontal = [[e.at_precision(low) for e in v] for v in horizontal]

@@ -108,7 +108,8 @@ def jet_equations(generators, point, order):
 class JetSpace:
     """An algebraic jet space with its cut-out system and a kernel basis.
 
-    `indices` is the graded-lex index set Lambda of the jet coordinates.
+    `indices` is the graded-lex index set Lambda of the jet coordinates;
+    each `basis` vector is a primitive `int` vector, leading entry positive.
     """
 
     point: tuple
@@ -126,7 +127,7 @@ class JetSpace:
 def jet_space(generators, point, order):
     """Solve the jet equations at a rational point over Q.
 
-    The basis spans the exact kernel, normalized to primitive integer
+    The basis spans the exact kernel, normalized to primitive `int`
     vectors; a series coordinate raises DomainMismatch.
     """
     point = _rational_point(point)

@@ -12,8 +12,8 @@ integer cross-multiplication and kept primitive by a gcd, and only the
 pivot rows are divided back into Fractions at the end.  The pivots and
 pivot rows equal those of Fraction elimination; each row below them is a
 nonzero multiple of its Fraction counterpart.
-Nullspace bases are normalized to primitive integer vectors with a
-positive leading entry.
+Kernel bases are primitive `int` vectors with a positive leading entry,
+each read off the pivot rows over one common denominator.
 Constant combinations of series vectors are solved on the leading rows of
 their t-power-major integer equations only, until the basis has full rank
 there, and every other row is then checked exactly by one integer dot
@@ -112,18 +112,14 @@ def _rref_series(rows, pivot_limit):
 def _rref_rational(rows, pivot_limit):
     """Fraction-free Gauss-Jordan over Q on primitive integer rows.
 
-    Each row is scaled to integers once; a row of ints is only copied, so
-    the caller's lists are never changed.  Eliminating row i against pivot
-    row r replaces it by p*row_i - f*row_r (p the pivot, f the entry of
-    row i), divided by the gcd of its entries, so every row stays a nonzero
-    multiple of the row plain Fraction elimination would hold, with the
-    same pivot choices.  Only the pivot rows are divided by their pivots,
-    at the end.
+    Each row is scaled to integers once (a row of ints is used as it is,
+    and never changed).  Eliminating row i against pivot row r replaces it
+    by p*row_i - f*row_r (p the pivot, f the entry of row i), divided by
+    the gcd of its entries, so every row stays a nonzero multiple of the
+    row plain Fraction elimination would hold, with the same pivot
+    choices.  Only the pivot rows are divided by their pivots, at the end.
     """
-    m = [
-        _primitive(list(r) if all(type(x) is int for x in r) else integer_scaled(r)[1])
-        for r in rows
-    ]
+    m = [_primitive(_integers(r)) for r in rows]
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -150,11 +146,14 @@ def _rref_rational(rows, pivot_limit):
     return out, pivots
 
 
+def _integers(v):
+    """v itself when it holds only ints, else its `integer_scaled` numerators."""
+    return v if all(type(x) is int for x in v) else integer_scaled(v)[1]
+
+
 def _primitive(ints):
     g = gcd(*ints)
-    if g > 1:
-        return [x // g for x in ints]
-    return ints
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def nullspace(system: LinSystem):
@@ -163,24 +162,26 @@ def nullspace(system: LinSystem):
 
 
 def nullspace_with_free(system: LinSystem):
-    """A primitive kernel basis and the free column of each basis vector."""
+    """A kernel basis of primitive `int` vectors with a positive leading
+    entry, read off the pivot rows over one denominator, and their free columns."""
     red, pivots = rref(system.rows, system.ncols, RATIONAL)
     free = [c for c in range(system.ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [_ZERO] * system.ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
+        d, nums = integer_scaled([row[fc] for _, row in zip(pivots, red)])
+        v = [0] * system.ncols
+        v[fc] = d
+        for pc, n in zip(pivots, nums):
+            v[pc] = -n
         basis.append(primitive_vector(v))
     return basis, free
 
 
 def primitive_vector(v):
-    """Scale a rational vector to coprime integers, leading entry positive."""
-    ints = _primitive(integer_scaled(v)[1])
-    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
-    return [Fraction(sign * x) for x in ints]
+    """Scale a rational vector to a new list of coprime `int`s, leading
+    entry positive."""
+    ints = _primitive(_integers(v))
+    return [-x for x in ints] if next((x for x in ints if x), 0) < 0 else list(ints)
 
 
 def solve(rows, ncols, rhs_columns, domain):

@@ -1,11 +1,11 @@
 """Shared JSON-friendly rendering of exact values.
 
-Rationals serialize as strings ("p" or "p/q") so no numeric channel can
-round them; series serialize as their coefficient strings, formatted from
-the stored integers, plus the guaranteed order.
+Rationals serialize as their strings ("p" or "p/q"), an `int` such as a
+jet basis entry (a primitive `int` vector, leading entry positive) as its
+digits, so no numeric channel can round them; series serialize as their
+coefficient strings from the stored integers, plus the guaranteed order.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .series import TSeries
@@ -21,7 +21,7 @@ def render_scalar(value):
     if isinstance(value, TSeries):
         den = value.den
         return {"coeffs": [_ratio(x, den) for x in value.nums], "prec": value.prec}
-    return str(Fraction(value))
+    return str(value)
 
 
 def render_vector(vec):

@@ -73,8 +73,7 @@ class TSeries:
         cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
         pad = prec + 1 - len(cs)
         # Over the lcm of reduced denominators the numerators are coprime to it.
-        den = lcm(*[c.denominator for c in cs])
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+        den, nums = integer_scaled(cs)
         self.nums = tuple(nums + [0] * pad)
         self.den = den
         self.prec = prec

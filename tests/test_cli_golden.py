@@ -99,6 +99,7 @@ LARGE_BUDGETS = {
     "integrate djv/counterexample.djv --from generic -N 256": 1.0,
     f"integrate djv/parabola.djv --from p -N {MAX_PRECISION}": 1.0,
     f"integrate djv/lines.djv --from b -N {MAX_PRECISION}": 1.0,
+    W16_JET: 3.0,
 }
 
 TEXT_COMMANDS = [

@@ -563,7 +563,9 @@ def test_rank_and_nullspace_match_sympy(seed):
         primitive_vector([F(int(x.p), int(x.q)) for x in vec])
         for vec in matrix.nullspace()
     ]
-    assert nullspace(system) == want
+    got = nullspace(system)
+    assert got == want
+    assert all(type(e) is int for v in got for e in v)
 
 
 # -- fundamental_matrix ----------------------------------------------------------------

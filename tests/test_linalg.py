@@ -45,6 +45,7 @@ def test_kernel_vectors_annihilate_matrix():
         basis = nullspace(system)
         assert len(basis) == ncols - len(rref(rows, ncols, RATIONAL)[1])
         for v in basis:
+            assert all(type(e) is int for e in v)
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -53,6 +54,12 @@ def test_primitive_normalization():
     assert primitive_vector([F(1, 2), F(1)]) == [F(1), F(2)]
     assert primitive_vector([F(-2), F(4)]) == [F(1), F(-2)]
     assert primitive_vector([F(0), F(0)]) == [F(0), F(0)]
+    # ints in, or Fractions in: a new list of ints out
+    ints = [-6, 4]
+    assert primitive_vector(ints) == [3, -2] and ints == [-6, 4]
+    for v in ([F(1, 2), F(1)], [F(-2), F(4)], [F(0), F(0)], ints, [3, 5]):
+        out = primitive_vector(v)
+        assert out is not v and all(type(e) is int for e in out)
 
 
 def test_series_singular_pivot():
