@@ -27,8 +27,7 @@ from .dvariety import (
 )
 from .errors import DecompositionFailure, DjetsError, InvarianceViolation, ParseError
 from .jets import jet_space, render_jet_space
-from .render import render_vector
-from .series import DEFAULT_PRECISION, MAX_PRECISION
+from .series import DEFAULT_PRECISION, MAX_PRECISION, format_point, render_vector
 from .tangent import counterexample_report, delta_tangent, restrict
 
 EXIT_OK = 0
@@ -189,8 +188,8 @@ def _single_variety(doc, name):
 def _dispatch(args, precision):
     """Run one command; returns (exit code, JSON payload, text lines).
 
-    Lines that print series are generated lazily, so `--format json` never
-    renders them.
+    Lines that print series or jet bases are generated lazily, so
+    `--format json` never renders them.
     """
     if args.command == "counterexample":
         report = counterexample_report(precision=precision)
@@ -251,12 +250,9 @@ def _dispatch(args, precision):
         space = jet_space(variety.generators, point, args.order)
         # Text output prints only the basis: render the equations for JSON only.
         payload = render_jet_space(space) if args.format == "json" else None
-        at = "(" + ", ".join(str(c) for c in point) + ")"
-        lines = [
-            f"jet space of {variety.name or decl.variety} at {at}, "
-            f"order {args.order}: dim {space.dim}",
-        ]
-        lines += ["  basis " + str([str(e) for e in v]) for v in space.basis]
+        header = (f"jet space of {variety.name or decl.variety} at {format_point(point)}"
+                  f", order {args.order}: dim {space.dim}")
+        lines = chain([header], (f"  basis {[str(e) for e in v]}" for v in space.basis))
         return EXIT_OK, payload, lines
 
     if args.command == "tangent":

@@ -19,7 +19,7 @@ are then required to be constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -205,15 +205,7 @@ class TensorPairingReport:
         )
 
     def to_json(self):
-        return {
-            "dim_left": self.dim_left,
-            "dim_right": self.dim_right,
-            "dim_pairings": self.dim_pairings,
-            "dim_tensor_horizontal": self.dim_tensor_horizontal,
-            "pairings_horizontal": self.pairings_horizontal,
-            "mutually_contained": self.mutually_contained,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):

@@ -138,12 +138,7 @@ class RestrictionDecl:
                 raise UnknownName(
                     f"restriction {self.name!r} mentions unknown variable {lhs!r}"
                 )
-            rhs = bind_expression(ast, variables)
-            out.append(
-                RestrictionRule(
-                    "identify" if kind == "identify" else "derivative", lhs, rhs
-                )
-            )
+            out.append(RestrictionRule(kind, lhs, bind_expression(ast, variables)))
         return out
 
 
@@ -328,8 +323,16 @@ def parse_document(text):
     return doc
 
 
+def _block_name(parser, taken, kind):
+    """The name of a new block of `kind`, refused if one of that kind has it."""
+    tok = parser.expect("name")
+    if tok.text in taken:
+        raise ParseError(f"{kind} {tok.text!r} is declared twice", tok.line, tok.col)
+    return tok.text
+
+
 def _parse_dvariety(parser, doc):
-    name = parser.expect("name").text
+    name = _block_name(parser, doc.varieties, "dvariety")
     parser.expect("{")
     variables = None
     ideal_asts = None
@@ -374,7 +377,7 @@ def _parse_expr_list(parser):
 
 
 def _parse_restrict(parser, doc):
-    name = parser.expect("name").text
+    name = _block_name(parser, doc.restrictions, "restriction")
     parser.expect("{")
     rules = []
     while parser.peek() and parser.peek().kind != "}":
@@ -392,7 +395,7 @@ def _parse_restrict(parser, doc):
 
 
 def _parse_point(parser, doc):
-    name = parser.expect("name").text
+    name = _block_name(parser, doc.points, "point")
     parser.expect_name("on")
     variety = parser.expect("name").text
     parser.expect("{")

@@ -39,6 +39,7 @@ from .mpoly import MPoly, multi_indices, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
+    format_point,
     from_hurwitz,
     integer_scaled,
     mat_mul,
@@ -59,6 +60,9 @@ class DVariety:
     eliminated: tuple = ()
 
     def __post_init__(self):
+        for i, v in enumerate(self.vars):
+            if v in self.vars[:i]:
+                raise UnknownName(f"variable {v!r} is declared twice among {self.vars}")
         if len(self.section) != len(self.vars):
             raise ArityError(
                 f"section has {len(self.section)} components for "
@@ -161,7 +165,7 @@ def sharp_integrate(variety: DVariety, initial, order):
     for P in variety.generators:
         val = P.eval(initial)
         if val != 0:
-            raise PointNotOnVariety(f"{P} evaluates to {val} at {initial}")
+            raise PointNotOnVariety(f"{P} evaluates to {val} at {format_point(initial)}")
 
     # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e y^e.
     mu, x0 = integer_scaled(initial)
@@ -303,18 +307,21 @@ def constants_variety_jets(variety_generators, point, order_m, order=DEFAULT_PRE
     return DeltaJetSpace(js, horizontal)
 
 
+def fresh_names(taken, names):
+    """`names` in order, each with "_" appended until no name of `taken` and no
+    earlier one of the result has it."""
+    used = list(taken)
+    for name in names:
+        while name in used:
+            name += "_"
+        used.append(name)
+    return tuple(used[len(taken) :])
+
+
 def product_dvariety(left: DVariety, right: DVariety):
     """The product D-variety with componentwise section, variables renamed as needed."""
-    used = list(left.vars)
-    rename = {}
-    for v in right.vars:
-        name = v
-        while name in used:
-            name = name + "_"
-        rename[v] = name
-        used.append(name)
-    allvars = tuple(used)
-    right_vars = tuple(rename[v] for v in right.vars)
+    right_vars = fresh_names(left.vars, right.vars)
+    allvars = tuple(left.vars) + right_vars
 
     def move(p, source_vars):
         moved = MPoly(source_vars, p.terms)

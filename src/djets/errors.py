@@ -79,4 +79,4 @@ class ArityError(DjetsError):
 
 
 class UnknownName(DjetsError):
-    """A reference to an undeclared block, point, or variable."""
+    """A reference to an undeclared block, point or variable, or a repeated variable."""

@@ -19,9 +19,11 @@ equations, the matrix of a morphism on jets and the derivation matrix of
 
 Jet spaces and the matrices of morphisms on jets are computed at rational
 points only, with kernels over Q; a series or other non-rational
-coordinate raises DomainMismatch.  The differential jet space at a sharp point carries the
-rational jet space at x(0) along the flow (`dvariety.delta_jet_space`), and
-reads the jet equations at the sharp point only to check its answer.
+coordinate raises DomainMismatch.  The differential jet space at a sharp
+point carries the rational jet space at x(0) along the flow
+(`dvariety.delta_jet_space`), and reads the jet equations at the sharp
+point only to check its answer.  `render_jet_space` gives the JSON form
+through `series.render_vector`; errors print points by `series.format_point`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from .errors import BasePointMismatch, DimensionMismatch, DomainMismatch, PointNotOnVariety
 from .linalg import LinSystem, nullspace_with_free
 from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
-from .series import TSeries
+from .series import TSeries, format_point, render_vector
 
 _ZERO = Fraction(0)
 
@@ -97,7 +99,9 @@ def jet_equations(generators, point, order):
         coeffs = taylor_coeffs(P, point, order)
         value = coeffs.get((0,) * n, 0)
         if value != 0:
-            raise PointNotOnVariety(f"generator {P} evaluates to {value} at {point}")
+            raise PointNotOnVariety(
+                f"generator {P} evaluates to {value} at {format_point(point)}"
+            )
         for gamma in multi_indices_with_zero(n, order - 1):
             shifted = truncated_mul({gamma: 1}, coeffs, order)
             rows.append([shifted.get(alpha, _ZERO) for alpha in lam])
@@ -155,7 +159,8 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
         raise DimensionMismatch("morphism arity does not match the target space")
     if not all(a == b for a, b in zip(image, target.point)):
         raise BasePointMismatch(
-            f"morphism sends the base point to {image}, not {tuple(target.point)}"
+            f"morphism sends the base point to {format_point(image)}, "
+            f"not {format_point(target.point)}"
         )
     expansions = taylor_tails(f, point, order)
     rows = []
@@ -170,13 +175,11 @@ def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
 
 def render_jet_space(space: JetSpace):
     """JSON-ready description with exact rationals as strings."""
-    from .render import render_scalar
-
     return {
-        "point": [render_scalar(c) for c in space.point],
+        "point": render_vector(space.point),
         "order": space.order,
         "lambda": [list(a) for a in space.indices],
-        "equations": [[render_scalar(e) for e in row] for row in space.system.rows],
-        "basis": [[render_scalar(e) for e in v] for v in space.basis],
+        "equations": [render_vector(row) for row in space.system.rows],
+        "basis": [render_vector(v) for v in space.basis],
         "dim": space.dim,
     }

@@ -29,9 +29,12 @@ substitution across columns: `fundamental_matrix` packs each matrix row,
 `kron` each factor column, and `delta_modules.is_horizontal` a family of
 vectors, always with slots wide enough for a majorant of what they hold.
 `kron` is the Kronecker product of two matrices of series, one integer
-convolution over t per output column.  The tuple of Fractions
-`coeffs` is built only when read.  Only this module builds a series from
-integers, through `TSeries._ints`, so every series is in this reduced form.
+convolution over t per output column.  The integers are the only stored
+form: the tuple of Fractions `coeffs` is built from them on each read.
+Only this module builds a series from integers, through `TSeries._ints`,
+so every series is in this reduced form.
+The printers of exact values live here too: `format_terms` (terms),
+`format_point` (points in messages) and `render_scalar` (JSON strings).
 
 `mat_mul` is the one product of matrices of series and rationals, and a
 vector is a one-column matrix: each entry lists its nonzero numerators
@@ -61,23 +64,19 @@ class TSeries:
 
     Stored as N+1 integer numerators `nums` over one positive denominator
     `den`, with gcd(den, *nums) == 1; the zero series has den == 1.
-    `coeffs`, the tuple of Fractions nums[k]/den, is built on first read.
+    `coeffs`, the tuple of Fractions nums[k]/den, is built on each read.
     """
 
-    __slots__ = ("nums", "den", "prec", "_coeffs")
+    __slots__ = ("nums", "den", "prec")
 
     def __init__(self, coeffs, prec):
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
-        cs = list(coeffs)[: prec + 1]
-        cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
-        pad = prec + 1 - len(cs)
+        cs = [Fraction(c) for c in list(coeffs)[: prec + 1]]
         # Over the lcm of reduced denominators the numerators are coprime to it.
-        den, nums = integer_scaled(cs)
-        self.nums = tuple(nums + [0] * pad)
-        self.den = den
+        self.den, nums = integer_scaled(cs)
+        self.nums = tuple(nums + [0] * (prec + 1 - len(cs)))
         self.prec = prec
-        self._coeffs = tuple(cs + [_ZERO] * pad)
 
     @classmethod
     def _ints(cls, nums, den, prec, reduced=False):
@@ -95,7 +94,6 @@ class TSeries:
         out.nums = tuple(nums)
         out.den = den
         out.prec = prec
-        out._coeffs = None
         return out
 
     @classmethod
@@ -118,26 +116,16 @@ class TSeries:
     # -- coercion -----------------------------------------------------------
 
     def _lift(self, other):
-        if isinstance(other, TSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TSeries.constant(other, self.prec)
-        return None
+        liftable = isinstance(other, (TSeries, int, Fraction))
+        return TSeries.lift(other, self.prec) if liftable else None
 
     # -- queries ------------------------------------------------------------
 
     @property
     def coeffs(self):
-        """The coefficients c0 .. cN as Fractions."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.den
-            if den == 1:
-                cs = tuple(Fraction(x) if x else _ZERO for x in self.nums)
-            else:
-                cs = tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
-            self._coeffs = cs
-        return cs
+        """The coefficients c0 .. cN as Fractions, built from `nums` on each read."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
 
     @property
     def constant_term(self):
@@ -343,6 +331,31 @@ def format_terms(terms):
             body = f"{a}*{mono}" if mono and a != 1 else mono or str(a)
         text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
     return text or "0"
+
+
+def format_point(coords):
+    """Text of a point, "(2, 1)": each coordinate as its `str`."""
+    return "(" + ", ".join(map(str, coords)) + ")"
+
+
+def _ratio(n, d):
+    """str(Fraction(n, d)) for an integer n and d > 0, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def render_scalar(value):
+    """JSON form of an exact value: a rational or an int as its string ("p" or
+    "p/q", so no numeric channel can round it), a series as the strings of its
+    coefficients, read off the stored integers, and its guaranteed order."""
+    if isinstance(value, TSeries):
+        den = value.den
+        return {"coeffs": [_ratio(x, den) for x in value.nums], "prec": value.prec}
+    return str(value)
+
+
+def render_vector(vec):
+    return [render_scalar(x) for x in vec]
 
 
 def integer_scaled(values):

@@ -18,7 +18,7 @@ restricted tangent bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import diffpoly as dp
@@ -28,7 +28,7 @@ from .delta_modules import (
     is_horizontal,
     mutually_contained,
 )
-from .dvariety import DVariety, delta_jet_space, SharpPoint
+from .dvariety import DVariety, SharpPoint, delta_jet_space, fresh_names
 from .errors import (
     DimensionMismatch,
     InsufficientPrecision,
@@ -44,6 +44,7 @@ from .series import (
     DEFAULT_PRECISION,
     TSeries,
     exp_series,
+    format_point,
     integer_rows,
     mat_mul,
     transpose,
@@ -211,11 +212,13 @@ def _identification_basis(identifications, variables):
 def delta_tangent(variety: DVariety, fiber_names=None):
     """Jacobian linearization of a D-variety: delta(u) = J_s(x) u.
 
+    The default fiber variable of x is u_x, made fresh by `fresh_names`.
+
     For a proper subvariety the order-1 jet rows of the ideal are attached
     as fiber constraints with polynomial coefficients in the base point.
     """
     if fiber_names is None:
-        fiber_names = tuple("u_" + v for v in variety.vars)
+        fiber_names = fresh_names(variety.vars, ["u_" + v for v in variety.vars])
     fiber_names = tuple(fiber_names)
     if len(fiber_names) != variety.nvars:
         raise DimensionMismatch("one fiber variable per base variable")
@@ -416,10 +419,11 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
 def _check_restricted_base_point(bundle: LinearDVariety, pt):
     base_vars = bundle.base.vars
     values = dict(zip(base_vars, pt))
+    sample = f"sample {format_point(pt)}"
     for rule in bundle.identifications:
         if values[rule.lhs] != rule.rhs.eval(pt):
             raise PointNotOnVariety(
-                f"sample {pt} violates identification {rule.lhs} = {rule.rhs}"
+                f"{sample} violates identification {rule.lhs} = {rule.rhs}"
             )
     for v in base_vars:
         if v in bundle.substitutions:
@@ -427,11 +431,11 @@ def _check_restricted_base_point(bundle: LinearDVariety, pt):
         # constant points must be equilibria of the restricted base rules
         if bundle.base_rules[v].eval(pt) != 0:
             raise PointNotOnVariety(
-                f"sample {pt} is not constant for delta {v} = {bundle.base_rules[v]}"
+                f"{sample} is not constant for delta {v} = {bundle.base_rules[v]}"
             )
     for P in bundle.base.generators:
         if P.eval(pt) != 0:
-            raise PointNotOnVariety(f"sample {pt} violates {P}")
+            raise PointNotOnVariety(f"{sample} violates {P}")
 
 
 # -- the m = 1 equivalence -------------------------------------------------------
@@ -448,12 +452,7 @@ class TangentEquivalenceReport:
         return self.dim_jet_route == self.dim_ode_route and self.mutually_contained
 
     def to_json(self):
-        return {
-            "dim_jet_route": self.dim_jet_route,
-            "dim_ode_route": self.dim_ode_route,
-            "mutually_contained": self.mutually_contained,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def m1_equivalence(variety: DVariety, point: SharpPoint):

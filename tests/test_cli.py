@@ -139,6 +139,52 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+REPEATED_VARIABLE = "dvariety A { vars: x, x; ideal: [x - 1]; section: [0, x]; }\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (REPEATED_VARIABLE, ["check"], "variable 'x' is declared twice"),
+    (REPEATED_VARIABLE + "point p on A { coords: [1, 1]; }\n",
+     ["verify-product", "A", "A", "--from", "p", "p"], "variable 'x' is declared twice"),
+    (LINES + "dvariety L1 { vars: y; ideal: []; section: [y]; }\n", ["check"],
+     "dvariety 'L1' is declared twice at line 6"),
+    (LINES + "restrict r { x = 1; }\nrestrict r { delta x = 0; }\n",
+     ["tangent", "--name", "L1", "--restrict", "r"],
+     "restriction 'r' is declared twice at line 7"),
+    (LINES + "point a on L2 { coords: [2]; }\n", ["integrate", "--from", "a"],
+     "point 'a' is declared twice at line 6"),
+], ids=["variable-check", "variable-verify-product", "dvariety", "restriction", "point"])
+def test_a_repeated_name_exits_2(tmp_path, capsys, text, argv, message):
+    # `lie` and `embed` would conflate a repeated variable, and a repeated
+    # block name would replace the first block.
+    path = tmp_path / "repeated.djv"
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_default_fiber_names_avoid_the_base_variables(tmp_path, capsys):
+    path = tmp_path / "fiber.djv"
+    path.write_text("dvariety A { vars: x, u_x; ideal: []; section: [x, u_x]; }\n",
+                    encoding="utf-8")
+    assert main(["tangent", str(path)]) == 0
+    lhs = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert lhs == ["delta x", "delta u_x", "delta u_x_", "delta u_u_x"]
+
+
+@pytest.mark.parametrize("command", [["jet", "--at", "p"], ["integrate", "--from", "p"]])
+def test_a_rejected_point_prints_as_a_tuple_of_rationals(tmp_path, capsys, command):
+    path = tmp_path / "unit.djv"
+    path.write_text(
+        "dvariety U { vars: x, y; ideal: [1]; section: [0, 0]; }\n"
+        "point p on U { coords: [2, 1/2]; }\n",
+        encoding="utf-8",
+    )
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "evaluates to 1 at (2, 1/2)\n" in err and "Fraction(" not in err
+
+
 def test_unknown_point_exits_two(parabola_file, capsys):
     assert main(["jet", "--at", "nowhere", parabola_file]) == 2
 
@@ -406,6 +452,24 @@ def test_jet_text_output_renders_no_json_payload(parabola_file, capsys, monkeypa
     monkeypatch.setattr("djets.cli.render_jet_space", refuse)
     assert main(["jet", "--at", "p", "-m", "2", parabola_file]) == 0
     assert "dim" in capsys.readouterr().out
+
+
+def test_jet_json_output_builds_no_text_lines(parabola_file, capsys, monkeypatch):
+    class Unprintable(int):
+        def __str__(self):
+            raise AssertionError("jet basis entry printed for JSON output")
+
+    jet_space = djets.cli.jet_space
+
+    def unprintable_basis(*args):
+        space = jet_space(*args)
+        space.basis = [[Unprintable(e) for e in v] for v in space.basis]
+        return space
+
+    monkeypatch.setattr("djets.cli.jet_space", unprintable_basis)
+    monkeypatch.setattr("djets.cli.render_jet_space", lambda space: {"dim": space.dim})
+    assert main(["jet", "--at", "p", "-m", "2", "--format", "json", parabola_file]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dim": 2}
 
 
 def test_a_jet_past_the_coordinate_bound_exits_2(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from djets.dvariety import (
     validate_section,
 )
 from djets.dvariety import _derivation_matrix
-from djets.errors import DomainMismatch, InvarianceViolation, PointNotOnVariety
+from djets.errors import DomainMismatch, InvarianceViolation, PointNotOnVariety, UnknownName
 from djets.jets import jet_equations
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
@@ -115,6 +115,14 @@ def test_sharp_integrate_equilibrium():
     shifted = DVariety(xs, (), (x - 2,))
     point = sharp_integrate(shifted, (2,), 6)
     assert point.coords[0].is_constant()
+
+
+def test_a_repeated_variable_is_refused():
+    # `MPoly.lie` and `embed` would conflate the two x
+    xx = ("x", "x")
+    x = MPoly.variable(xx, "x")
+    with pytest.raises(UnknownName, match="variable 'x' is declared twice"):
+        DVariety(xx, (), (x, x))
 
 
 def test_sharp_integrate_requires_point_on_variety():

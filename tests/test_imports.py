@@ -10,8 +10,10 @@ this one to exist.  Every name a function binds (assignment, loop or
 unpacking target, `with ... as`, `except ... as`) must be read somewhere in
 that function, nested functions included; a target that is deliberately
 unused takes a name starting with `_`.  Outside `series.py` no module in
-`src/djets` or `tests` touches `TSeries._ints` or `_coeffs`, so every
-series is built by that module in its reduced integer form.  Every public
+`src/djets` or `tests` touches `TSeries._ints`, so every series is built by
+that module in its reduced integer form, and in `src/djets` only the
+functions of `RAW_READERS` read that form (`.nums` or `.den`) outside
+`series.py`; every other reader goes through `series`.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
@@ -33,7 +35,17 @@ SRC = TESTS.parent / "src" / "djets"
 
 ALLOWED = {("cli", "sharp_integrate")}
 
-SERIES_PRIVATE = {"_ints", "_coeffs"}
+SERIES_PRIVATE = {"_ints"}
+
+INTEGER_FORM = {"nums", "den"}
+
+# (module, top-level function or Class.method) pairs that read the integer
+# form of a series outside `series.py`.
+RAW_READERS = {
+    ("delta_modules", "is_horizontal"),
+    ("delta_modules", "_constants"),
+    ("tangent", "log_constant"),
+}
 
 SERIES_DOMAIN = {"linalg", "delta_modules"}
 
@@ -146,10 +158,57 @@ def test_the_scan_sees_the_integer_form(tmp_path):
     module.write_text(
         "from djets.series import TSeries\n"
         "s = TSeries._ints([2, 4], 1, 1)\n"
-        "print(s._coeffs, s.nums, s.den, s.coeffs)\n",
+        "print(s._ints, s.nums, s.den, s.coeffs)\n",
         encoding="utf-8",
     )
-    assert series_private_uses(module) == ["_coeffs", "_ints"]
+    assert series_private_uses(module) == ["_ints"]
+
+
+def integer_form_readers(path):
+    """(module, owner) pairs where `.nums` or `.den` is read: the owner is the
+    top-level function or `Class.method` around the read, or "<module>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owned = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owned += [(f"{node.name}.{item.name}" if isinstance(item, funcs)
+                       else node.name, item) for item in node.body]
+        else:
+            owned.append((node.name if isinstance(node, funcs) else "<module>", node))
+    return sorted({
+        (path.stem, owner) for owner, node in owned for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr in INTEGER_FORM
+    })
+
+
+def test_only_the_listed_functions_read_the_integer_form():
+    found = {
+        entry for path in sorted(SRC.glob("*.py")) if path.name != "series.py"
+        for entry in integer_form_readers(path)
+    }
+    assert found == RAW_READERS
+
+
+def test_the_scan_sees_a_stray_integer_form_reader(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from djets.series import TSeries\n"
+        "TOP = TSeries.zero(2).den\n"
+        "def reads(s):\n"
+        "    def inner():\n"
+        "        return s.nums\n"
+        "    return inner\n"
+        "def clean(s, f):\n"
+        "    return s.coeffs, f.denominator, s.prec\n"
+        "class C:\n"
+        "    def method(self, s):\n"
+        "        return s.den\n",
+        encoding="utf-8",
+    )
+    assert integer_form_readers(module) == [
+        ("m", "<module>"), ("m", "C.method"), ("m", "reads"),
+    ]
 
 
 def names_series_domain(path):
@@ -251,7 +310,7 @@ def test_the_scan_sees_dead_api(tmp_path):
 LAYERS = (
     ("errors",),
     ("series",),
-    ("mpoly", "render"),
+    ("mpoly",),
     ("linalg",),
     ("jets", "delta_modules"),
     ("dvariety",),

@@ -171,6 +171,15 @@ def test_jet_morphism_base_point_checked():
         jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
 
 
+def test_a_morphism_off_the_base_point_prints_both_points():
+    xs = ("x",)
+    x = MPoly.variable(xs, "x")
+    src = jet_space((), (F(1),), 1)
+    tgt = jet_space((), (F(5, 2),), 1)
+    with pytest.raises(BasePointMismatch, match=r"to \(1\), not \(5/2\)$"):
+        jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
+
+
 def test_jet_space_and_morphism_reject_a_series_point():
     # Jets at a series point are carried from x(0) along the flow
     # (`dvariety.delta_jet_space`); the algebraic jet layer works over Q.

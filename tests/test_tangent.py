@@ -21,6 +21,7 @@ from djets.tangent import (
     WITNESS_RATIOS,
     LinearDVariety,
     RestrictionRule,
+    TangentEquivalenceReport,
     counterexample_report,
     counterexample_variety,
     degree_identity_check,
@@ -457,6 +458,24 @@ def test_fiber_linearity_rejects_off_base_samples():
     W = restricted_bundle()
     with pytest.raises(PointNotOnVariety):
         fiber_linearity_check(W, [(1, 2)], order=8)
+
+
+@pytest.mark.parametrize("restricted, sample, message", [
+    (True, (1, F(1, 2)), "sample (1, 1/2) violates identification x = y"),
+    (False, (1, 2), "sample (1, 2) is not constant for delta x = x^2 - y^2"),
+])
+def test_an_off_base_sample_prints_as_a_point(restricted, sample, message):
+    bundle = restricted_bundle() if restricted else delta_tangent(counterexample_variety())
+    with pytest.raises(PointNotOnVariety) as excinfo:
+        fiber_linearity_check(bundle, [sample], order=8)
+    assert str(excinfo.value) == message
+
+
+def test_report_json_lists_the_fields_then_ok():
+    assert list(TangentEquivalenceReport(2, 2, True).to_json().items()) == [
+        ("dim_jet_route", 2), ("dim_ode_route", 2), ("mutually_contained", True),
+        ("ok", True),
+    ]
 
 
 def exact(matrix):
