@@ -145,8 +145,9 @@ def is_horizontal(module: DeltaModule, *vectors):
         if 0 in precs:
             raise InsufficientPrecision("cannot differentiate a precision-0 series")
         den = lcm(*(e.den for v in vs for e in v))
-        cols = [[[x * (den // e.den) for x in e.nums] for e in v] for v in vs]
-        top = max(max(map(abs, e.nums)) * (den // e.den) for v in vs for e in v)
+        scaled = [[(e.nums, den // e.den) for e in v] for v in vs]
+        cols = [[[x * f for x in nums] for nums, f in v] for v in scaled]
+        top = max(max(map(abs, nums)) * f for v in scaled for nums, f in v)
         most = max(a * max(precs) + sum(abs(x) for _, _, x in terms)
                    for a, terms, _ in rows)
         b = (top * most).bit_length() + 2

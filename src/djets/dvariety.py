@@ -132,11 +132,11 @@ def sharp_integrate(variety: DVariety, initial, order):
     Hurwitz coefficient is an integer and the loop makes no division and no
     gcd.  With N = order the run makes O(N^2) integer multiply-adds per node
     and O(N^2) integer additions for the binomial rows.
-    `series.from_hurwitz` turns the rows into reduced series.  A section
-    coefficient that is not rational raises DomainMismatch, a negative
-    order InsufficientPrecision, both before any work.  The defining
-    equations are re-checked on the resulting series to guaranteed
-    precision.
+    `series.from_hurwitz` turns the rows into series, which are reduced only
+    when a reader needs the reduced form.  A section coefficient that is
+    not rational raises DomainMismatch, a negative order
+    InsufficientPrecision, both before any work.  The defining equations
+    are re-checked on the resulting series to guaranteed precision.
     """
     if order < 0:
         raise InsufficientPrecision("order must be >= 0")

@@ -11,18 +11,24 @@ Equality between two series means agreement through the smaller of the two
 guaranteed orders; comparing against an int or Fraction lifts the scalar to
 a constant series first.
 
-A series is stored as prec+1 integer numerators `nums` over one positive
-denominator `den`, reduced so that gcd(den, *nums) == 1; the zero series
-has den == 1.  The kernels add, multiply, differentiate, truncate, compare
-and convolve these integers directly and reduce each result by one gcd, in
-the manner of FLINT's fmpq_poly (Hart, "Fast Library for Number Theory: An
-Introduction", ICMS 2010); division keeps the quotient so far as integers
-over the lcm of its reduced denominators.  `from_hurwitz` turns integer
-rows of Hurwitz coefficients k! x_k, the form in which
+A series is stored as prec+1 raw integer numerators over one positive raw
+denominator, with a flag that says whether they are reduced.  `nums` and
+`den` read the reduced form, gcd(den, *nums) == 1 with den == 1 for the
+zero series: the first read divides the raw integers by their one gcd, in
+place, as FLINT's fmpq_poly keeps every result canonical (Hart, "Fast
+Library for Number Theory: An Introduction", ICMS 2010), but only once a
+reader needs it.  Products, division and the matrix kernels read their
+operands reduced, so denominators do not grow along a chain of products,
+and store their results raw.  Sums, negation, `derive`, `at_precision`,
+`==`, the zero, unit, constant and order tests, `coeffs` and
+`render_scalar` are correct on raw integers and read them as they are, so
+a residual that is only tested for zero, or only printed, never takes a
+gcd.  Division keeps the quotient so far as integers over the lcm of its
+reduced denominators, which leaves it reduced.  `from_hurwitz` turns
+integer rows of Hurwitz coefficients k! x_k, the form in which
 `dvariety.sharp_integrate` integrates, `exp_series` is built and
 `fundamental_matrix` runs its recursion, into series over the one
-denominator N! * scale * step^N of their scaled time and space, with one
-gcd each.
+denominator N! * scale * step^N of their scaled time and space.
 `pack` puts integers into b-bit slots of one integer and `unpack` reads
 them back with a 2^(b-1) offset for the signs, as in Kronecker
 substitution across columns: `fundamental_matrix` packs each matrix row,
@@ -32,15 +38,16 @@ vectors, always with slots wide enough for a majorant of what they hold.
 convolution over t per output column.  The integers are the only stored
 form: the tuple of Fractions `coeffs` is built from them on each read.
 Only this module builds a series from integers, through `TSeries._ints`,
-so every series is in this reduced form.
+and only it reads the raw integers, so every reader outside it sees the
+reduced form.
 The printers of exact values live here too: `format_terms` (terms),
 `format_point` (points in messages) and `render_scalar` (JSON strings).
 
 `mat_mul` is the one product of matrices of series and rationals, and a
 vector is a one-column matrix: each entry lists its nonzero numerators
 once, and each sum of products is one integer convolution over the lcm of
-the pair denominators, reduced by one gcd.  The dot product of two vectors
-is `mat_mul([xs], transpose([ys]))[0][0]`.
+the pair denominators.  The dot product of two vectors is
+`mat_mul([xs], transpose([ys]))[0][0]`.
 """
 
 from __future__ import annotations
@@ -62,39 +69,60 @@ MAX_PRECISION = 1024
 class TSeries:
     """A truncated power series c0 + c1*t + ... + cN*t^N + O(t^(N+1)).
 
-    Stored as N+1 integer numerators `nums` over one positive denominator
-    `den`, with gcd(den, *nums) == 1; the zero series has den == 1.
-    `coeffs`, the tuple of Fractions nums[k]/den, is built on each read.
+    Stored as N+1 raw integer numerators over one positive raw denominator,
+    with a flag that says whether gcd(den, *nums) == 1.  `nums` and `den`
+    read the reduced form, reducing in place on the first read; the zero
+    series then has den == 1.  `coeffs`, the tuple of Fractions nums[k]/den,
+    is built on each read.
     """
 
-    __slots__ = ("nums", "den", "prec")
+    __slots__ = ("_raw_nums", "_raw_den", "_is_reduced", "prec")
 
     def __init__(self, coeffs, prec):
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
         cs = [Fraction(c) for c in list(coeffs)[: prec + 1]]
         # Over the lcm of reduced denominators the numerators are coprime to it.
-        self.den, nums = integer_scaled(cs)
-        self.nums = tuple(nums + [0] * (prec + 1 - len(cs)))
+        self._raw_den, nums = integer_scaled(cs)
+        self._raw_nums = tuple(nums + [0] * (prec + 1 - len(cs)))
+        self._is_reduced = True
         self.prec = prec
 
     @classmethod
     def _ints(cls, nums, den, prec, reduced=False):
-        """Wrap prec+1 integer numerators over den > 0, reduced by one gcd.
+        """Wrap prec+1 integer numerators over den > 0, reduced on first read.
 
-        `reduced` skips the gcd for callers whose integers are already
-        reduced: a negation, or a constant from one Fraction.
+        `reduced` marks integers that are already reduced: a negation of
+        reduced integers, a constant from one Fraction, or a quotient.
         """
-        if not reduced:
-            g = gcd(den, *nums)
-            if g != 1:
-                den //= g
-                nums = [x // g for x in nums]
         out = object.__new__(cls)
-        out.nums = tuple(nums)
-        out.den = den
+        out._raw_nums = tuple(nums)
+        out._raw_den = den
+        out._is_reduced = reduced
         out.prec = prec
         return out
+
+    def _reduce_raw(self):
+        """Divide the raw integers by their one gcd, once."""
+        g = gcd(self._raw_den, *self._raw_nums)
+        if g != 1:
+            self._raw_den //= g
+            self._raw_nums = tuple([x // g for x in self._raw_nums])
+        self._is_reduced = True
+
+    @property
+    def nums(self):
+        """The numerators over `den`, with gcd(den, *nums) == 1."""
+        if not self._is_reduced:
+            self._reduce_raw()
+        return self._raw_nums
+
+    @property
+    def den(self):
+        """The least positive denominator of every coefficient."""
+        if not self._is_reduced:
+            self._reduce_raw()
+        return self._raw_den
 
     @classmethod
     def constant(cls, value, prec=DEFAULT_PRECISION):
@@ -123,26 +151,31 @@ class TSeries:
 
     @property
     def coeffs(self):
-        """The coefficients c0 .. cN as Fractions, built from `nums` on each read."""
-        den = self.den
-        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
+        """The coefficients c0 .. cN as Fractions, built from the raw integers
+        on each read (`Fraction` reduces)."""
+        den = self._raw_den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self._raw_nums)
 
     @property
     def constant_term(self):
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self._raw_nums[0], self._raw_den)
+
+    # The queries below and `+`, `-`, `derive`, `at_precision` and `==` read
+    # the raw integers: they are correct on unreduced data and a gcd would
+    # only add to their cost.
 
     def is_unit(self):
-        return self.nums[0] != 0
+        return self._raw_nums[0] != 0
 
     def is_constant(self):
-        return not any(self.nums[1:])
+        return not any(self._raw_nums[1:])
 
     def is_zero(self):
-        return not any(self.nums)
+        return not any(self._raw_nums)
 
     def order(self):
         """Index of the first nonzero coefficient, or None if zero to precision."""
-        for k, x in enumerate(self.nums):
+        for k, x in enumerate(self._raw_nums):
             if x:
                 return k
         return None
@@ -155,7 +188,7 @@ class TSeries:
             )
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
-        return TSeries._ints(self.nums[: prec + 1], self.den, prec)
+        return TSeries._ints(self._raw_nums[: prec + 1], self._raw_den, prec)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -164,18 +197,19 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        da, db = self.den, o.den
+        xs, ys = self._raw_nums, o._raw_nums
+        da, db = self._raw_den, o._raw_den
         if da == db:
-            return TSeries._ints([a + b for a, b in zip(self.nums, o.nums)], da, n)
+            return TSeries._ints([a + b for a, b in zip(xs, ys)], da, n)
         g = gcd(da, db)
         fa, fb = db // g, da // g
-        nums = [a * fa + b * fb for a, b in zip(self.nums, o.nums)]
-        return TSeries._ints(nums, da * fa, n)
+        return TSeries._ints([a * fa + b * fb for a, b in zip(xs, ys)], da * fa, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries._ints([-x for x in self.nums], self.den, self.prec, reduced=True)
+        return TSeries._ints([-x for x in self._raw_nums], self._raw_den, self.prec,
+                             self._is_reduced)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -194,7 +228,9 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        # One integer convolution over the product of the denominators.
+        # One integer convolution over the product of the reduced denominators:
+        # reading the operands reduced keeps denominators from growing along a
+        # chain of products, and the product itself is stored raw.
         nonzero_ys = [(j, b) for j, b in enumerate(o.nums[: n + 1]) if b]
         out = [0] * (n + 1)
         for i, a in enumerate(self.nums[: n + 1]):
@@ -237,7 +273,8 @@ class TSeries:
                 out = [x * (d // h) for x in out]
             out.append(num * (den // h))
             den *= d // h
-        return TSeries._ints(out, den, n)
+        # den is the lcm of the reduced denominators of the q_k: no gcd is left.
+        return TSeries._ints(out, den, n, reduced=True)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -252,8 +289,9 @@ class TSeries:
         """Termwise d/dt; the result is guaranteed one order less."""
         if self.prec == 0:
             raise InsufficientPrecision("cannot differentiate a precision-0 series")
-        out = [(k + 1) * self.nums[k + 1] for k in range(self.prec)]
-        return TSeries._ints(out, self.den, self.prec - 1)
+        xs = self._raw_nums
+        out = [(k + 1) * xs[k + 1] for k in range(self.prec)]
+        return TSeries._ints(out, self._raw_den, self.prec - 1)
 
     # -- comparison ----------------------------------------------------------
 
@@ -262,8 +300,9 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
-        xs, ys = self.nums[: n + 1], o.nums[: n + 1]
-        da, db = self.den, o.den
+        xs, ys = self._raw_nums[: n + 1], o._raw_nums[: n + 1]
+        da, db = self._raw_den, o._raw_den
+        # Equal denominators, reduced or not, make equal values equal numerators.
         if da == db:
             return xs == ys
         return all(a * db == b * da for a, b in zip(xs, ys))
@@ -349,8 +388,8 @@ def render_scalar(value):
     "p/q", so no numeric channel can round it), a series as the strings of its
     coefficients, read off the stored integers, and its guaranteed order."""
     if isinstance(value, TSeries):
-        den = value.den
-        return {"coeffs": [_ratio(x, den) for x in value.nums], "prec": value.prec}
+        den = value._raw_den
+        return {"coeffs": [_ratio(x, den) for x in value._raw_nums], "prec": value.prec}
     return str(value)
 
 
@@ -384,7 +423,7 @@ def from_hurwitz(rows, order, scale=1, step=1):
     Comm. Algebra 1997) in the time and space scaled by `step` and `scale`;
     entries past `order` are not read.  Every series is put over the one
     denominator N! * scale * step**N with N = `order`, so numerator k is
-    X_k * (N!/k!) * step**(N-k), and is reduced by one gcd.
+    X_k * (N!/k!) * step**(N-k), and is reduced on its first read.
     """
     factors = [1] * (order + 1)
     for k in range(order, 0, -1):
@@ -396,7 +435,7 @@ def from_hurwitz(rows, order, scale=1, step=1):
 def exp_series(c, prec=DEFAULT_PRECISION):
     """The solution of y' = c*y with y(0) = 1: coefficient k is c^k / k!,
     built by `from_hurwitz` from the Hurwitz coefficients p^k over the step
-    q of c = p/q, with one gcd."""
+    q of c = p/q."""
     if prec < 0:
         raise InsufficientPrecision("series precision must be >= 0")
     c = Fraction(c)
@@ -455,7 +494,7 @@ def mat_mul(A, B):
     is a series the entry is the rational sum.  The nonzero numerators of
     every entry of A and B are listed once and reused for every pair of a
     row of A and a column of B; each sum is one integer convolution over
-    the lcm of the pair denominators, reduced by one gcd.
+    the lcm of the pair denominators.
     """
     if any(len(row) != len(B) for row in A):
         raise DimensionMismatch("matrix size mismatch")
@@ -495,9 +534,8 @@ def kron(A, B):
     packed across its rows in slots r*b bits wide and column l of B in
     b-bit slots, so the packed product holds every A[i][j] * B[k][l] in
     slot r*i + k, and each output column is one integer convolution over t,
-    unpacked once and reduced by one gcd per entry.  The product of the
-    largest absolute numerator sums of A and B bounds every slot, and b is
-    two more than its bit length.
+    unpacked once.  The product of the largest absolute numerator sums of A
+    and B bounds every slot, and b is two more than its bit length.
     """
     p, r = len(A), len(B)
     q, s = (len(A[0]) if A else 0), (len(B[0]) if B else 0)
@@ -550,11 +588,10 @@ def fundamental_matrix(A, order, initial=None):
     m_(k-i), with rho_i the largest row sum of |C_i|, bounds every
     |H_k[s][c]|, and b is two more than the bit length of the largest m_k,
     so the slots never carry into each other.  The rows are `unpack`ed once
-    at the end, and `from_hurwitz` makes each row of Y with one gcd per
-    entry.  The entries of A must be guaranteed through order
-    `order`-1; the result is guaranteed through `order`, and with the
-    default `initial` its columns form a basis of the solution space over
-    the constants.
+    at the end, and `from_hurwitz` makes each row of Y.  The entries of A
+    must be guaranteed through order `order`-1; the result is guaranteed
+    through `order`, and with the default `initial` its columns form a
+    basis of the solution space over the constants.
     """
     d = len(A)
     if any(len(row) != d for row in A):
@@ -572,13 +609,14 @@ def fundamental_matrix(A, order, initial=None):
         raise InsufficientPrecision(
             f"matrix entries guaranteed to order {aprec}, need {order - 1}"
         )
-    entries = [e for row in A for e in row]
+    # `step` and the C_i depend only on the values, so the raw integers serve.
+    entries = [(e._raw_nums, e._raw_den) for row in A for e in row]
     facts = list(accumulate(range(1, order), mul, initial=1))
     step = lcm(*(
-        e.den // gcd(e.den, *map(mul, facts, e.nums)) for e in entries if e.den != 1
+        den // gcd(den, *map(mul, facts, nums)) for nums, den in entries if den != 1
     ))
     # Sparse integer rows [(s, c), ...] of C_i, trimmed to the support.
-    layers = list(zip(*(e.nums[:order] for e in entries)))
+    layers = list(zip(*(nums[:order] for nums, _ in entries)))
     while layers and not any(layers[-1]):
         layers.pop()
     cs = []
@@ -588,7 +626,7 @@ def fundamental_matrix(A, order, initial=None):
         for k, x in enumerate(layer):
             if x:
                 r, s = divmod(k, d)
-                ci[r].append((s, x * f // entries[k].den))
+                ci[r].append((s, x * f // entries[k][1]))
         cs.append(ci)
     width = len(initial[0])
     scale, h0 = integer_scaled([e for row in initial for e in row])

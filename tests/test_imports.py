@@ -10,8 +10,9 @@ this one to exist.  Every name a function binds (assignment, loop or
 unpacking target, `with ... as`, `except ... as`) must be read somewhere in
 that function, nested functions included; a target that is deliberately
 unused takes a name starting with `_`.  Outside `series.py` no module in
-`src/djets` or `tests` touches `TSeries._ints`, so every series is built by
-that module in its reduced integer form, and in `src/djets` only the
+`src/djets` or `tests` touches `TSeries._ints` or the raw stored integers
+(`SERIES_PRIVATE`), so every series is built by that module and every
+outside reader sees its reduced integer form, and in `src/djets` only the
 functions of `RAW_READERS` read that form (`.nums` or `.den`) outside
 `series.py`; every other reader goes through `series`.  Every public
 top-level function or class of a module in `src/djets` other than
@@ -35,7 +36,8 @@ SRC = TESTS.parent / "src" / "djets"
 
 ALLOWED = {("cli", "sharp_integrate")}
 
-SERIES_PRIVATE = {"_ints"}
+# The constructor from integers and the raw, possibly unreduced, stored form.
+SERIES_PRIVATE = {"_ints", "_raw_nums", "_raw_den", "_is_reduced", "_reduce_raw"}
 
 INTEGER_FORM = {"nums", "den"}
 
@@ -158,10 +160,13 @@ def test_the_scan_sees_the_integer_form(tmp_path):
     module.write_text(
         "from djets.series import TSeries\n"
         "s = TSeries._ints([2, 4], 1, 1)\n"
-        "print(s._ints, s.nums, s.den, s.coeffs)\n",
+        "print(s._ints, s.nums, s.den, s.coeffs)\n"
+        "print(s._raw_nums, s._raw_den, s._is_reduced, s._reduce_raw())\n",
         encoding="utf-8",
     )
-    assert series_private_uses(module) == ["_ints"]
+    assert series_private_uses(module) == [
+        "_ints", "_is_reduced", "_raw_den", "_raw_nums", "_reduce_raw",
+    ]
 
 
 def integer_form_readers(path):

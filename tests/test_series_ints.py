@@ -1,26 +1,40 @@
 """The stored form of a series, and the integer rows read from it.
 
-A TSeries keeps prec+1 integer numerators over one positive denominator,
-reduced so that gcd(den, *nums) == 1, with den == 1 for the zero series.
+A TSeries reads as prec+1 integer numerators `nums` over one positive
+denominator `den`, reduced so that gcd(den, *nums) == 1, with den == 1 for
+the zero series.
 Every operation below starts from seeded operands with 40-bit prime
 denominators, negative entries and mismatched precisions, checks that its
 result is in that form, and compares `coeffs` with a plain Fraction loop
 kept in this file.  The readers of the stored numerators -- rational `rref`
 on integer rows and `constant_combination` -- are compared with the same
 computation on Fraction rows.
+
+A result is stored unreduced and reduced in place on the first read of
+`nums` or `den`.  Chains of products -- a power, a polynomial evaluated at
+a series point, a loop s = s*h + g -- match a Fraction oracle built from
+sums of exponentials, and a product stores a denominator no larger than the
+product of its operands' reduced denominators, so denominators do not grow
+along a chain.  An unreduced series prints, compares and answers the zero,
+unit and order tests as its reduced copy does, without being reduced.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
 
+from djets import series
 from djets.acceptance import _random_module
 from djets.delta_modules import dual, horizontal_sections, tensor
 from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
-from djets.series import TSeries, exp_series, fundamental_matrix, kron, mat_mul
+from djets.mpoly import MPoly
+from djets.series import (
+    TSeries, exp_series, fundamental_matrix, kron, mat_mul, render_scalar,
+)
 
 PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
 DENOMINATORS = PRIMES + (1, 2, 3, 12)
@@ -488,3 +502,120 @@ def test_targets_below_the_basis_precision_cut_every_row(seed):
     assert got == coeffs + [coeffs[0], None]
     # and the other way round: the basis through the low targets
     assert_combination_matches(basis, targets[:k])
+
+
+# -- reduction on read ----------------------------------------------------------
+
+CHAIN_PREC = 96
+G_RATE, H_RATE = F(1, 3), F(-2, 5)  # g = exp(t/3), h = exp(-2t/5)
+
+
+def ref_exps(weighted_rates):
+    """sum of w * exp(r t) over (w, r) pairs, through order CHAIN_PREC."""
+    total = [F(0)] * (CHAIN_PREC + 1)
+    for w, r in weighted_rates:
+        term = F(w)
+        for k in range(CHAIN_PREC + 1):
+            total[k] += term
+            term = term * r / (k + 1)
+    return total, CHAIN_PREC
+
+
+def ref_den(ref):
+    return lcm(*(c.denominator for c in ref[0]))
+
+
+def stored_den(s, monkeypatch):
+    """The denominator `s` stores before its first read, seen through the one
+    gcd with which reading `den` reduces it in place; later reads take none."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return gcd(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "gcd", spy)
+        den, nums = s.den, s.nums
+        assert (s.den, s.nums) == (den, nums)
+    assert len(seen) == 1
+    stored, *raw = seen[0]
+    assert stored % den == 0
+    assert raw == [x * (stored // den) for x in nums]
+    return stored
+
+
+def poly():
+    x, y = (MPoly.variable(("x", "y"), v) for v in "xy")
+    return (x + 2 * y + 1) ** 5 - x * y
+
+
+def power_chain(g, h):
+    return g**16
+
+
+def eval_chain(g, h):
+    return poly().eval((g, h))
+
+
+def step_chain(g, h):
+    s = g
+    for _ in range(12):
+        s = s * h + g
+    return s
+
+
+CHAINS = {
+    "power": (power_chain, [(1, 16 * G_RATE)]),
+    "eval": (eval_chain,
+             [(c, i * G_RATE + j * H_RATE) for (i, j), c in poly().terms.items()]),
+    # s_12 = g + g h + ... + g h^12
+    "steps": (step_chain, [(1, G_RATE + i * H_RATE) for i in range(13)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_chains_of_products_match_the_fraction_oracle(name):
+    chain, rates = CHAINS[name]
+    g, h = exp_series(G_RATE, CHAIN_PREC), exp_series(H_RATE, CHAIN_PREC)
+    assert_matches(chain(g, h), ref_exps(rates))
+
+
+def test_a_product_stores_at_most_the_product_of_reduced_denominators(monkeypatch):
+    g, h = exp_series(G_RATE, CHAIN_PREC), exp_series(H_RATE, CHAIN_PREC)
+    # fresh products, not yet read, as operands of another product
+    a, b = g * h, g * g
+    p = a * b
+    bound = (ref_den(ref_exps([(1, G_RATE + H_RATE)]))
+             * ref_den(ref_exps([(1, 2 * G_RATE)])))
+    assert stored_den(p, monkeypatch) <= bound
+    assert_matches(p, ref_exps([(1, 3 * G_RATE + H_RATE)]))
+    # the last step of g**16 is the square of g**8
+    assert stored_den(g**16, monkeypatch) <= ref_den(ref_exps([(1, 8 * G_RATE)])) ** 2
+
+
+def test_an_unreduced_series_reads_like_its_reduced_copy(monkeypatch):
+    g, h = exp_series(G_RATE, CHAIN_PREC), exp_series(H_RATE, CHAIN_PREC)
+    t2 = TSeries([0, 0, F(1, 6)], CHAIN_PREC)
+
+    def fresh():
+        return (g * h) * t2
+
+    raw, other, reduced = fresh(), fresh(), fresh()
+    unit = g * h
+    reduced.nums
+    assert json.dumps(render_scalar(raw)) == json.dumps(render_scalar(reduced))
+    assert raw.coeffs == reduced.coeffs and str(raw) == str(reduced)
+    assert raw.constant_term == reduced.constant_term == 0
+    # unequal stored denominators cross-multiply, equal ones compare numerators
+    assert raw == reduced and reduced == raw and raw == other
+    assert raw != reduced + TSeries([0] * CHAIN_PREC + [1], CHAIN_PREC)
+    assert (raw - reduced).is_zero() and (raw - other).is_zero()
+    assert not raw.is_zero() and not (-raw).is_zero()
+    assert raw.order() == (-raw).order() == reduced.order() == 2
+    assert not raw.is_unit() and not raw.is_constant()
+    assert unit.is_unit() and not unit.is_constant()
+    # none of these reads reduced `raw` or `unit`: each first read of `den`
+    # still takes the one gcd
+    assert stored_den(raw, monkeypatch) > raw.den
+    assert stored_den(unit, monkeypatch) > unit.den

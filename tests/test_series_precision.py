@@ -8,9 +8,11 @@ agreement through the shared order.  `fundamental_matrix` and
 extending every entry past it with random coefficients changes neither the
 output nor its claimed order, with or without a rational initial value,
 and from an initial value Y0 the solution is the fundamental matrix times
-Y0 in every entry and every precision.  `kron` and `is_horizontal` read
-their inputs the same way: an extended entry of a Kronecker product agrees
-with the original through its claimed order, which does not drop, and the
+Y0 in every entry and every precision.  `kron`, `mat_mul` and
+`is_horizontal` read their inputs the same way: an extended entry of a
+Kronecker product or of a matrix product agrees with the original through
+its claimed order, which does not drop (for `mat_mul` it is the least
+precision of the series in the row and column it pairs), and the
 horizontality verdict neither changes when either side is extended past
 the order the other side limits the check to, nor misses a change at that
 order.  `sharp_integrate` on a rational section agrees at order N with its
@@ -172,13 +174,14 @@ def test_solutions_from_an_initial_value_read_only_through_order_minus_one(case)
     assert [[e.at_precision(order) for e in v] for v in longer] == sections
 
 
-def extended_rectangle(rng, max_dim=3, max_prec=6):
+def extended_rectangle(rng, max_dim=3, max_prec=6, shape=None):
     """A matrix of series of mixed precisions, and the same matrix with every
-    entry extended past its precision by one to three random coefficients."""
+    entry extended past its precision by one to three random coefficients;
+    its (rows, cols) are `shape`, or drawn up to `max_dim`."""
     def rational():
         return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
 
-    rows, cols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    rows, cols = shape or (rng.randint(1, max_dim), rng.randint(1, max_dim))
     A, B = [], []
     for _ in range(rows):
         row, ext = [], []
@@ -201,6 +204,29 @@ def test_kron_reads_its_factors_only_through_the_claimed_order(rng):
     for row, row2 in zip(got, longer):
         for e, e2 in zip(row, row2):
             assert e2.prec >= e.prec
+            assert exact([[e2.at_precision(e.prec)]]) == exact([[e]])
+
+
+@checked
+@given(st.randoms(use_true_random=False))
+def test_mat_mul_reads_its_factors_only_through_the_claimed_order(rng):
+    n, k, m = (rng.randint(1, 3) for _ in range(3))
+    (A, A2), (B, B2) = (extended_rectangle(rng, shape=shape) for shape in ((n, k), (k, m)))
+    # about a quarter of the entries are rationals, the same in both copies
+    for M, M2 in ((A, A2), (B, B2)):
+        for row, row2 in zip(M, M2):
+            for j in range(len(row)):
+                if rng.random() < 0.25:
+                    row[j] = row2[j] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+    got, longer = mat_mul(A, B), mat_mul(A2, B2)
+    for i, (row, row2) in enumerate(zip(got, longer)):
+        for l, (e, e2) in enumerate(zip(row, row2)):
+            precs = [x.prec for j in range(k) for x in (A[i][j], B[j][l])
+                     if isinstance(x, TSeries)]
+            if not precs:
+                assert isinstance(e, Fraction) and e2 == e
+                continue
+            assert e.prec == min(precs) and e2.prec >= e.prec
             assert exact([[e2.at_precision(e.prec)]]) == exact([[e]])
 
 
