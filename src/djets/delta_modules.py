@@ -9,24 +9,26 @@ from a rational initial value, one per column, without the fundamental
 matrix.  The pairings of two families of horizontal dual vectors are the
 rows of their Kronecker product `series.kron(hm, hn)`, and `is_horizontal`
 checks a whole family at once, one packed integer residual per row and
-order.  A horizontal jet on a product, extended by zero to a matrix V over
-the two factor index sets with the unit index put first, decomposes as
-V = W0 C W0'^T, where W0 and W0' are the factor jet bases beside the unit
-functional.  C is solved exactly over the series field through the two
-factors, one solve per factor for a whole batch of jets, and its entries
-are then required to be constants.
+order.  Both read the stored integers of their series over one common
+denominator and reduce none: the columns of one fundamental matrix, and
+so their pairings, already share one stored denominator.  A horizontal
+jet on a product, extended by zero to a matrix V over the two factor
+index sets with the unit index put first, decomposes as V = W0 C W0'^T,
+where W0 and W0' are the factor jet bases beside the unit functional.  C
+is solved exactly over the series field through the two factors, one
+solve per factor for a whole batch of jets, and its entries are then
+required to be constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, kron, pack, transpose
+from .series import TSeries, fundamental_matrix, kron, over_one_denominator, pack, transpose
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,11 @@ def is_horizontal(module: DeltaModule, *vectors):
     Row r of v is checked through min(v[r].prec - 1, the precisions of row r
     of A and of v), the order the residual v' + A v is guaranteed to.
     Vectors with the same precisions are `pack`ed across columns over one
-    denominator D.  With a the lcm of the denominators of row r of A, row r
-    at t^m is then one packed integer whose slot c is a*D*(v_c' + A v_c)[r]
-    at t^m.  A majorant of the slots sets the slot width, so the integer is
-    0 exactly when every slot is.
+    denominator D, and row r of A is put over one denominator a, both by
+    `series.over_one_denominator`, which reads the stored integers and
+    reduces nothing.  Row r at t^m is then one packed integer whose slot c
+    is a*D*(v_c' + A v_c)[r] at t^m.  A majorant of the slots sets the slot
+    width, so the integer is 0 exactly when every slot is.
     """
     d = module.dim
     if any(len(v) != d for v in vectors):
@@ -134,9 +137,9 @@ def is_horizontal(module: DeltaModule, *vectors):
         return True
     rows = []
     for row in module.matrix:
-        a = lcm(*(e.den for e in row))
-        terms = sorted((t, s, x * (a // e.den)) for s, e in enumerate(row)
-                       for t, x in enumerate(e.nums) if x)
+        a, nums = over_one_denominator(row)
+        terms = sorted((t, s, x) for s, xs in enumerate(nums)
+                       for t, x in enumerate(xs) if x)
         rows.append((a, terms, min(e.prec for e in row)))
     packs = {}
     for v in vectors:
@@ -144,15 +147,14 @@ def is_horizontal(module: DeltaModule, *vectors):
     for precs, vs in packs.items():
         if 0 in precs:
             raise InsufficientPrecision("cannot differentiate a precision-0 series")
-        den = lcm(*(e.den for v in vs for e in v))
-        scaled = [[(e.nums, den // e.den) for e in v] for v in vs]
-        cols = [[[x * f for x in nums] for nums, f in v] for v in scaled]
-        top = max(max(map(abs, nums)) * f for v in scaled for nums, f in v)
+        # nums[i * d + s]: entry s of vector i over the family's one denominator
+        nums = over_one_denominator([e for v in vs for e in v])[1]
+        top = max(max(map(abs, xs)) for xs in nums)
         most = max(a * max(precs) + sum(abs(x) for _, _, x in terms)
                    for a, terms, _ in rows)
         b = (top * most).bit_length() + 2
         # packed[s][t]: coefficient t of entry s of every vector, one slot each
-        packed = [[pack(xs, b) for xs in zip(*entries)] for entries in zip(*cols)]
+        packed = [[pack(xs, b) for xs in zip(*nums[s::d])] for s in range(d)]
         low = min(precs)
         for r, (a, terms, arow) in enumerate(rows):
             for m in range(min(precs[r] - 1, arow, low) + 1):

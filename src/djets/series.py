@@ -17,18 +17,25 @@ denominator, with a flag that says whether they are reduced.  `nums` and
 zero series: the first read divides the raw integers by their one gcd, in
 place, as FLINT's fmpq_poly keeps every result canonical (Hart, "Fast
 Library for Number Theory: An Introduction", ICMS 2010), but only once a
-reader needs it.  Products, division and the matrix kernels read their
-operands reduced, so denominators do not grow along a chain of products,
-and store their results raw.  Sums, negation, `derive`, `at_precision`,
-`==`, the zero, unit, constant and order tests, `coeffs` and
-`render_scalar` are correct on raw integers and read them as they are, so
-a residual that is only tested for zero, or only printed, never takes a
-gcd.  Division keeps the quotient so far as integers over the lcm of its
-reduced denominators, which leaves it reduced.  `from_hurwitz` turns
-integer rows of Hurwitz coefficients k! x_k, the form in which
-`dvariety.sharp_integrate` integrates, `exp_series` is built and
-`fundamental_matrix` runs its recursion, into series over the one
-denominator N! * scale * step^N of their scaled time and space.
+reader needs it.  Products, division and `mat_mul` read their operands
+reduced, so denominators do not grow along a chain of products, and store
+their results raw; a product with an operand whose stored numerators are
+all zero is the zero series, made without a convolution.  The linear
+readers `kron`, `integer_rows` and `delta_modules.is_horizontal` take the
+stored integers over one common denominator (`over_one_denominator`) and
+reduce nothing: their results are eliminated or tested for zero, never
+multiplied along a chain, and a family from one `from_hurwitz` call or
+one `kron` already shares its stored denominator, so it costs no gcd.
+Sums, negation, `derive`, `at_precision`, `==`, the zero, unit, constant
+and order tests, `coeffs` and `render_scalar` are correct on raw integers
+and read them as they are, so a residual that is only tested for zero, or
+only printed, never takes a gcd.  Division keeps the quotient so far as
+integers over the lcm of its reduced denominators, which leaves it
+reduced.  `from_hurwitz` turns integer rows of Hurwitz coefficients
+k! x_k, the form in which `dvariety.sharp_integrate` integrates,
+`exp_series` is built and `fundamental_matrix` runs its recursion, into
+series over the one denominator N! * scale * step^N of their scaled time
+and space.
 `pack` puts integers into b-bit slots of one integer and `unpack` reads
 them back with a 2^(b-1) offset for the signs, as in Kronecker
 substitution across columns: `fundamental_matrix` packs each matrix row,
@@ -38,8 +45,9 @@ vectors, always with slots wide enough for a majorant of what they hold.
 convolution over t per output column.  The integers are the only stored
 form: the tuple of Fractions `coeffs` is built from them on each read.
 Only this module builds a series from integers, through `TSeries._ints`,
-and only it reads the raw integers, so every reader outside it sees the
-reduced form.
+and only it reads the raw integers: a reader outside it sees either the
+reduced form or, through `over_one_denominator`, the stored integers over
+one common denominator.
 The printers of exact values live here too: `format_terms` (terms),
 `format_point` (points in messages) and `render_scalar` (JSON strings).
 
@@ -93,7 +101,8 @@ class TSeries:
         """Wrap prec+1 integer numerators over den > 0, reduced on first read.
 
         `reduced` marks integers that are already reduced: a negation of
-        reduced integers, a constant from one Fraction, or a quotient.
+        reduced integers, a constant from one Fraction, a quotient, or the
+        zero product.
         """
         out = object.__new__(cls)
         out._raw_nums = tuple(nums)
@@ -228,6 +237,8 @@ class TSeries:
         if o is None:
             return NotImplemented
         n = min(self.prec, o.prec)
+        if not any(self._raw_nums) or not any(o._raw_nums):
+            return TSeries._ints((0,) * (n + 1), 1, n, reduced=True)
         # One integer convolution over the product of the reduced denominators:
         # reading the operands reduced keeps denominators from growing along a
         # chain of products, and the product itself is stored raw.
@@ -403,16 +414,31 @@ def integer_scaled(values):
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def over_one_denominator(entries):
+    """(D, numerators): the series `entries` over one denominator D.
+
+    D is the lcm of the stored denominators, and each entry's stored
+    numerators are scaled to it; nothing is reduced, so a family that
+    already shares one stored denominator, such as the series of one
+    `from_hurwitz` call or of one `kron`, costs no gcd.  The numerators of
+    an entry are D times its coefficients.
+    """
+    den = lcm(*(e._raw_den for e in entries))
+    return den, [
+        e._raw_nums if e._raw_den == den else [x * (den // e._raw_den) for x in e._raw_nums]
+        for e in entries
+    ]
+
+
 def integer_rows(entries, prec):
     """Rows k = 0..prec of the t^k coefficients of the series `entries`.
 
-    Row k holds the stored numerators over the lcm of the entries'
-    denominators: a positive multiple of the rational row, which spans the
-    same equations.
+    Row k holds the entries' numerators over one denominator
+    (`over_one_denominator`): a positive multiple of the rational row,
+    which spans the same equations.
     """
-    den = lcm(*(e.den for e in entries))
-    scaled = [(e.nums, den // e.den) for e in entries]
-    return [[nums[k] * f for nums, f in scaled] for k in range(prec + 1)]
+    nums = over_one_denominator(entries)[1]
+    return [[xs[k] for xs in nums] for k in range(prec + 1)]
 
 
 def from_hurwitz(rows, order, scale=1, step=1):
@@ -530,7 +556,12 @@ def kron(A, B):
     """The Kronecker product of two matrices of series.
 
     Entry (i*r + k, j*s + l), for B of shape r x s, is A[i][j] * B[k][l]
-    with the `nums`, `den` and `prec` of that product.  Column j of A is
+    and reads with the `nums`, `den` and `prec` of that product.  Unlike
+    `*`, it reads the stored integers of its operands and stores each entry
+    raw over the product of their stored denominators, so the columns of one
+    `fundamental_matrix`, which share one stored denominator, give pairings
+    that share one too; their linear readers (`integer_rows`,
+    `delta_modules.is_horizontal`) then take no gcd.  Column j of A is
     packed across its rows in slots r*b bits wide and column l of B in
     b-bit slots, so the packed product holds every A[i][j] * B[k][l] in
     slot r*i + k, and each output column is one integer convolution over t,
@@ -541,7 +572,7 @@ def kron(A, B):
     q, s = (len(A[0]) if A else 0), (len(B[0]) if B else 0)
 
     def norm(M):
-        return max((sum(map(abs, e.nums)) for row in M for e in row), default=0)
+        return max((sum(map(abs, e._raw_nums)) for row in M for e in row), default=0)
 
     b = (norm(A) * norm(B)).bit_length() + 2
 
@@ -550,7 +581,7 @@ def kron(A, B):
         out = []
         for col in zip(*M):
             top = max(e.prec for e in col)
-            rows = [e.nums + (0,) * (top - e.prec) for e in col]
+            rows = [e._raw_nums + (0,) * (top - e.prec) for e in col]
             out.append((col, top, [pack(xs, width) for xs in zip(*rows)]))
         return out
 
@@ -565,9 +596,8 @@ def kron(A, B):
             slots = iter(unpack(conv, b, p * r))
             for i, x in enumerate(acol):
                 for k, y in enumerate(bcol):
-                    e = min(x.prec, y.prec)
-                    nums = next(slots)[: e + 1]
-                    out[r * i + k][s * j + l] = TSeries._ints(nums, x.den * y.den, e)
+                    e, den = min(x.prec, y.prec), x._raw_den * y._raw_den
+                    out[r * i + k][s * j + l] = TSeries._ints(next(slots)[: e + 1], den, e)
     return out
 
 

@@ -12,9 +12,11 @@ that function, nested functions included; a target that is deliberately
 unused takes a name starting with `_`.  Outside `series.py` no module in
 `src/djets` or `tests` touches `TSeries._ints` or the raw stored integers
 (`SERIES_PRIVATE`), so every series is built by that module and every
-outside reader sees its reduced integer form, and in `src/djets` only the
-functions of `RAW_READERS` read that form (`.nums` or `.den`) outside
-`series.py`; every other reader goes through `series`.  Every public
+outside reader sees its reduced integer form or, through
+`series.over_one_denominator`, its stored integers over one common
+denominator.  In `src/djets` only the functions of `RAW_READERS` read the
+reduced form (`.nums` or `.den`) outside `series.py`; every other reader
+goes through `series`.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
@@ -44,7 +46,6 @@ INTEGER_FORM = {"nums", "den"}
 # (module, top-level function or Class.method) pairs that read the integer
 # form of a series outside `series.py`.
 RAW_READERS = {
-    ("delta_modules", "is_horizontal"),
     ("delta_modules", "_constants"),
     ("tangent", "log_constant"),
 }

@@ -16,7 +16,13 @@ a series point, a loop s = s*h + g -- match a Fraction oracle built from
 sums of exponentials, and a product stores a denominator no larger than the
 product of its operands' reduced denominators, so denominators do not grow
 along a chain.  An unreduced series prints, compares and answers the zero,
-unit and order tests as its reduced copy does, without being reduced.
+unit and order tests as its reduced copy does, without being reduced.  A
+product with an all-zero operand equals the convolved one.
+
+`kron`, `integer_rows` and `is_horizontal` read the stored integers over
+one common denominator and reduce nothing: on unreduced inputs they match
+the reduced products, the Fraction rows and the true sections, and the
+tensor pairing check takes no gcd.
 """
 
 import json
@@ -28,7 +34,9 @@ import pytest
 
 from djets import series
 from djets.acceptance import _random_module
-from djets.delta_modules import dual, horizontal_sections, tensor
+from djets.delta_modules import (
+    DeltaModule, dual, horizontal_sections, is_horizontal, tensor, verify_tensor_pairing,
+)
 from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
 from djets.mpoly import MPoly
@@ -619,3 +627,131 @@ def test_an_unreduced_series_reads_like_its_reduced_copy(monkeypatch):
     # still takes the one gcd
     assert stored_den(raw, monkeypatch) > raw.den
     assert stored_den(unit, monkeypatch) > unit.den
+
+
+# -- linear readers over one stored denominator ----------------------------------
+#
+# `kron`, `integer_rows` and `is_horizontal` read the stored integers over the
+# lcm of the stored denominators and reduce nothing.  Each is compared with
+# the reduced form on unreduced inputs, and the tensor pairing check, whose
+# families share one stored denominator, takes no gcd at all.
+
+def count_gcds(monkeypatch):
+    """The list of every `series.gcd` call made from now on."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(series, "gcd", spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2)])
+def test_the_tensor_pairing_check_takes_no_gcd(shape, monkeypatch):
+    rng = random.Random(29)
+    left, right = (_random_module(rng, dim, prec=24) for dim in shape)
+    seen = count_gcds(monkeypatch)
+    report = verify_tensor_pairing(left, right)
+    assert report.ok
+    assert seen == []
+
+
+def rational_module(rng, dim, prec):
+    """A module whose entries have coefficients such as 1/3 and -2/5."""
+    return DeltaModule.from_rows(
+        [[TSeries([F(rng.randint(-3, 3), rng.choice((1, 3, 5))) for _ in range(3)], prec)
+          for _ in range(dim)] for _ in range(dim)]
+    )
+
+
+def raw_sums(rng, rows, cols, prec):
+    """Sums a + b over the stored denominator 15 whose values are in Z/3."""
+    def entry():
+        xs = [F(-2, 5), F(1, 3)] + [F(rng.randint(-9, 9), 15) for _ in range(prec)]
+        ys = [F(rng.randint(-9, 9), 3) for _ in range(prec + 1)]
+        a = TSeries(xs, prec + 1)
+        return a + TSeries([y - x for x, y in zip(xs, ys)], prec)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def kron_factors(seed):
+    """One from_hurwitz family, the columns of a fundamental matrix, and a
+    matrix of raw sums; neither has been read reduced."""
+    module = rational_module(random.Random(2900 + seed), 2, 6)
+    return fundamental_matrix(module.matrix, 7), raw_sums(random.Random(seed), 3, 2, 5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kron_of_unreduced_inputs_reads_as_the_products(seed, monkeypatch):
+    A, B = kron_factors(seed)
+    got = kron(A, B)
+    # kron read its inputs as stored: each first read of `den` still reduces
+    assert stored_den(A[0][0], monkeypatch) > A[0][0].den
+    assert stored_den(B[0][0], monkeypatch) > B[0][0].den
+    A, B = kron_factors(seed)
+    r, s = len(B), len(B[0])
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            for k, brow in enumerate(B):
+                for l, y in enumerate(brow):
+                    e, want = got[r * i + k][s * j + l], x * y
+                    assert (e.nums, e.den, e.prec) == (want.nums, want.den, want.prec)
+
+
+def test_integer_rows_of_mixed_stored_denominators_are_multiples_of_fraction_rows(
+        monkeypatch):
+    family = [
+        exp_series(G_RATE, 12) * exp_series(H_RATE, 10),  # a product, stored raw
+        exp_series(G_RATE, 11),                           # a from_hurwitz series
+        TSeries([F(-2, 5), 0, F(7, 9)], 11),              # reduced when built
+        raw_sums(random.Random(1), 1, 1, 10)[0][0],       # a raw sum
+        TSeries.zero(10),
+    ]
+    prec = min(e.prec for e in family)
+    rows = series.integer_rows(family, prec)
+    assert len(rows) == prec + 1
+    for k, row in enumerate(rows):
+        want = [e.coeffs[k] for e in family]
+        assert all(type(x) is int for x in row)
+        assert [bool(x) for x in row] == [bool(w) for w in want]
+        ratios = {x / w for x, w in zip(row, want) if w}
+        assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+    for e in (family[0], family[1], family[3]):
+        stored_den(e, monkeypatch)  # one gcd: still as stored
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_horizontal_on_unreduced_sections_rejects_a_change_at_the_top(seed, monkeypatch):
+    rng = random.Random(2950 + seed)
+    dim = rng.randint(1, 3)
+    module = rational_module(rng, dim, rng.randint(2, 8))
+    sections = horizontal_sections(module)
+    assert is_horizontal(module, *sections)
+    dens = [[e.den for e in v] for v in horizontal_sections(module)]
+    for c, v in enumerate(sections):
+        for r, e in enumerate(v):
+            changed = list(v)
+            changed[r] = e + TSeries([0] * e.prec + [F(1, dens[c][r])], e.prec)
+            assert not is_horizontal(module, *sections[:c], changed, *sections[c + 1 :])
+    stored_den(sections[0][0], monkeypatch)  # one gcd: still as stored
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_product_with_a_zero_operand_equals_the_convolved_one(seed):
+    rng = random.Random(2990 + seed)
+    x, xref = random_operand(rng, prec=rng.randint(0, 9))
+    zero_precision = rng.randint(0, 9)
+    zeros = [
+        TSeries.zero(zero_precision),
+        x - x,                         # stored raw over x's denominator
+        TSeries([F(0, 7)] * 3, zero_precision),
+    ]
+    for z in zeros:
+        zref = ([F(0)] * (z.prec + 1), z.prec)
+        for got, want in ((z * x, ref_mul(zref, xref)), (x * z, ref_mul(xref, zref))):
+            assert_matches(got, want)
+            assert got.den == 1 and not any(got.nums)
+    assert_matches(x * 0, ref_mul(xref, ([F(0)] * (xref[1] + 1), xref[1])))
+    assert_matches(F(0) * x, ref_mul(xref, ([F(0)] * (xref[1] + 1), xref[1])))
