@@ -50,6 +50,17 @@ CORPUS_COMMANDS = (
         for m in (1, 2, 3)
     ]
     + [
+        f"integrate {CORPUS} --from {point} -N 64"
+        for point in (
+            "c11", "c00", "t111", "t000", "thalf", "p00", "p23", "l1", "pt0", "w1"
+        )
+    ]
+    + [
+        f"horizontal {CORPUS} --from {point} -m {m} -N 24"
+        for point in ("c11", "c00", "t111", "t000", "thalf", "p00", "p23")
+        for m in (1, 2, 3)
+    ]
+    + [
         f"verify-product {pair} {CORPUS} --from {points} -m {m}"
         for pair, points in (
             ("parabola L", "p23 l1"), ("cubic L", "thalf l1"), ("L Pt", "l1 pt0")
