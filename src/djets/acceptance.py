@@ -250,7 +250,7 @@ def check_constant_points_jets():
     return ok, f"basis {[[str(e) for e in v] for v in space.jet.basis]}"
 
 
-def corpus(order=PRECISION):
+def corpus():
     """The D-varieties exercised by the cross-check suite, with sharp points."""
     xy = ("x", "y")
     x = MPoly.variable(xy, "x")
@@ -267,12 +267,12 @@ def corpus(order=PRECISION):
         (parabola, (1, 1)),
         (X, (2, 1)),
     ]
-    entries = [(v, sharp_integrate(v, pt, order)) for v, pt in singles]
+    entries = [(v, sharp_integrate(v, pt, PRECISION)) for v, pt in singles]
     for left, left_pt, right, right_pt in ((_line(1), (1,), _line(2), (1,)),
                                            (X, (2, 1), _line(1), (1,))):
         prod = product_dvariety(left, right)
-        point = product_sharp_point(prod, sharp_integrate(left, left_pt, order),
-                                    sharp_integrate(right, right_pt, order))
+        point = product_sharp_point(prod, sharp_integrate(left, left_pt, PRECISION),
+                                    sharp_integrate(right, right_pt, PRECISION))
         entries.append((prod, point))
     return entries
 
@@ -295,15 +295,16 @@ def check_m1_crosscheck():
     return True, " ".join(details)
 
 
-def _random_series_poly_xy(rng, ydeg, prec, unit_lead=True):
+def _random_series_poly_xy(rng, ydeg, prec):
     xy = ("x", "y")
     terms = {}
     for ey in range(ydeg + 1):
         for ex in range(2):
-            if rng.random() < 0.5 and not (unit_lead and ey == ydeg and ex == 0):
+            lead = ey == ydeg and ex == 0
+            if rng.random() < 0.5 and not lead:
                 continue
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            if ey == ydeg and ex == 0 and unit_lead:
+            if lead:
                 coeffs[0] = Fraction(rng.choice([1, 2, -1, 3]))
             series = TSeries(coeffs, prec)
             if not series.is_zero():

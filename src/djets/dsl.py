@@ -11,17 +11,19 @@
 
 Polynomial expressions use explicit `*` and `^` with integer or p/q
 rational literals.  Sums and products may be of any length; parentheses
-and leading minus signs nest at most MAX_NESTING deep.  Restriction rules
-are parsed to expression trees and bound to a concrete variety's variables
-at the point of use, so one restriction block can serve any variety that
-declares the names it uses.
+and leading minus signs nest at most MAX_NESTING deep.  Each expression
+parses straight into an MPoly over the names its statement mentions.  A
+dvariety's polynomials embed into its declared variables when its block
+closes; restriction rules embed into a variety's variables where they are
+used, so one restriction block can serve any variety that declares the
+names it uses.  A block names each field at most once, and a point has
+coords or integrate from, not both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import add, mul, sub
 
 from .dvariety import DVariety, sharp_integrate
 from .errors import ArityError, ParseError, UnknownName
@@ -89,56 +91,32 @@ def tokenize(text):
     return tokens
 
 
-# -- expression trees --------------------------------------------------------------
-
-
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def bind_expression(ast, variables):
-    """Build an MPoly over the given variable tuple from an expression tree.
-
-    The parser nests chains of sums and products to the left, so the left
-    spine of binary nodes is folded by a loop: its length costs no recursion.
-    """
-    spine = []
-    while ast[0] in _BINARY:
-        spine.append(ast)
-        ast = ast[1]
-    kind = ast[0]
-    if kind == "num":
-        out = MPoly.constant(variables, ast[1])
-    elif kind == "var":
-        if ast[1] not in variables:
-            raise UnknownName(f"unknown variable {ast[1]!r}")
-        out = MPoly.variable(variables, ast[1])
-    elif kind == "neg":
-        out = -bind_expression(ast[1], variables)
-    elif kind == "pow":
-        out = bind_expression(ast[1], variables) ** ast[2]
-    else:
-        raise ParseError(f"malformed expression node {kind!r}")
-    for kind, _, right in reversed(spine):
-        out = _BINARY[kind](out, bind_expression(right, variables))
-    return out
-
-
 # -- document objects ----------------------------------------------------------------
+
+
+def _embed(poly, variables):
+    """`poly` over `variables`, refused if it mentions a name they lack."""
+    if poly.vars == variables:
+        return poly
+    for name in poly.vars:
+        if name not in variables:
+            raise UnknownName(f"unknown variable {name!r}")
+    return poly.embed(variables)
 
 
 @dataclass
 class RestrictionDecl:
     name: str
-    rules: list  # ("identify" | "derivative", lhs name, expr ast)
+    rules: list  # RestrictionRule, rhs over the names its rule mentions
 
     def bind(self, variables):
         out = []
-        for kind, lhs, ast in self.rules:
-            if lhs not in variables:
+        for rule in self.rules:
+            if rule.lhs not in variables:
                 raise UnknownName(
-                    f"restriction {self.name!r} mentions unknown variable {lhs!r}"
+                    f"restriction {self.name!r} mentions unknown variable {rule.lhs!r}"
                 )
-            out.append(RestrictionRule(kind, lhs, bind_expression(ast, variables)))
+            out.append(replace(rule, rhs=_embed(rule.rhs, variables)))
         return out
 
 
@@ -195,6 +173,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # open parentheses and minus signs around the position
+        self.names = ()  # the variables of the expressions being read
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,22 +210,34 @@ class _Parser:
             items.append(parse())
         return items
 
+    def read_names(self, known=()):
+        """Read expressions over `known`, then the other names from here up to
+        the statement's ';', each once in order of first mention."""
+        names = dict.fromkeys(known)
+        i = self.pos
+        while i < len(self.tokens) and self.tokens[i].kind != ";":
+            if self.tokens[i].kind == "name":
+                names.setdefault(self.tokens[i].text)
+            i += 1
+        self.names = tuple(names)
+
     # expressions: expr := term (('+'|'-') term)* ; term := factor ('*' factor)*
     # factor := '-' factor | atom ('^' int)? ; atom := rational | name | '(' expr ')'
+    # Each builds its MPoly over self.names.
     def parse_expr(self):
-        node = self.parse_term()
+        poly = self.parse_term()
         while self.peek() and self.peek().kind in "+-":
             op = self.next().kind
             right = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, right)
-        return node
+            poly = poly + right if op == "+" else poly - right
+        return poly
 
     def parse_term(self):
-        node = self.parse_factor()
+        poly = self.parse_factor()
         while self.peek() and self.peek().kind == "*":
             self.next()
-            node = ("mul", node, self.parse_factor())
-        return node
+            poly = poly * self.parse_factor()
+        return poly
 
     def nested(self, tok, parse):
         """parse() one level deeper than the parentheses or minus sign `tok`."""
@@ -255,32 +246,31 @@ class _Parser:
                 f"expression nested more than {MAX_NESTING} deep", tok.line, tok.col
             )
         self.depth += 1
-        node = parse()
+        poly = parse()
         self.depth -= 1
-        return node
+        return poly
 
     def parse_factor(self):
         tok = self.peek()
         if tok and tok.kind == "-":
             self.next()
-            return ("neg", self.nested(tok, self.parse_factor))
-        node = self.parse_atom()
+            return -self.nested(tok, self.parse_factor)
+        poly = self.parse_atom()
         if self.peek() and self.peek().kind == "^":
             self.next()
-            power = self.expect("int")
-            node = ("pow", node, int(power.text))
-        return node
+            poly = poly ** int(self.expect("int").text)
+        return poly
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return ("num", self.parse_fraction(tok))
+            return MPoly.constant(self.names, self.parse_fraction(tok))
         if tok.kind == "name":
-            return ("var", tok.text)
+            return MPoly.variable(self.names, tok.text)
         if tok.kind == "(":
-            node = self.nested(tok, self.parse_expr)
+            poly = self.nested(tok, self.parse_expr)
             self.expect(")")
-            return node
+            return poly
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
     def parse_rational(self):
@@ -334,41 +324,42 @@ def _block_name(parser, taken, kind):
 def _parse_dvariety(parser, doc):
     name = _block_name(parser, doc.varieties, "dvariety")
     parser.expect("{")
-    variables = None
-    ideal_asts = None
-    section_asts = None
+    fields = {}
     while parser.peek() and parser.peek().kind != "}":
         key = parser.expect("name")
+        if key.text not in ("vars", "ideal", "section"):
+            raise ParseError(f"unknown dvariety field {key.text!r}", key.line, key.col)
+        if key.text in fields:
+            raise ParseError(
+                f"dvariety {name!r} already has {key.text}", key.line, key.col
+            )
         parser.expect(":")
         if key.text == "vars":
-            variables = parser.comma_list(lambda: parser.expect("name").text)
-        elif key.text == "ideal":
-            ideal_asts = _parse_expr_list(parser)
-        elif key.text == "section":
-            section_asts = _parse_expr_list(parser)
+            fields["vars"] = tuple(parser.comma_list(lambda: parser.expect_name().text))
         else:
-            raise ParseError(
-                f"unknown dvariety field {key.text!r}", key.line, key.col
-            )
+            fields[key.text] = _parse_expr_list(parser, fields.get("vars", ()))
         parser.expect(";")
     parser.expect("}")
-    if variables is None:
+    if "vars" not in fields:
         raise ParseError(f"dvariety {name!r} lacks a vars declaration")
-    if section_asts is None:
+    if "section" not in fields:
         raise ParseError(f"dvariety {name!r} lacks a section declaration")
-    variables = tuple(variables)
-    if len(section_asts) != len(variables):
+    variables, section = fields["vars"], fields["section"]
+    if len(section) != len(variables):
         raise ArityError(
-            f"dvariety {name!r}: section has {len(section_asts)} components "
+            f"dvariety {name!r}: section has {len(section)} components "
             f"for {len(variables)} variables"
         )
-    generators = tuple(bind_expression(a, variables) for a in (ideal_asts or []))
-    section = tuple(bind_expression(a, variables) for a in section_asts)
+    generators = tuple(_embed(p, variables) for p in fields.get("ideal", ()))
+    section = tuple(_embed(p, variables) for p in section)
     doc.varieties[name] = DVariety(variables, generators, section, name=name)
 
 
-def _parse_expr_list(parser):
+def _parse_expr_list(parser, variables):
+    """A bracketed list of expressions over `variables` and the names it
+    mentions besides."""
     parser.expect("[")
+    parser.read_names(variables)
     items = []
     if parser.peek() and parser.peek().kind != "]":
         items = parser.comma_list(parser.parse_expr)
@@ -382,13 +373,12 @@ def _parse_restrict(parser, doc):
     rules = []
     while parser.peek() and parser.peek().kind != "}":
         first = parser.expect("name")
+        kind, lhs = "identify", first.text
         if first.text == "delta":
-            lhs = parser.expect("name").text
-            parser.expect("=")
-            rules.append(("derivative", lhs, parser.parse_expr()))
-        else:
-            parser.expect("=")
-            rules.append(("identify", first.text, parser.parse_expr()))
+            kind, lhs = "derivative", parser.expect("name").text
+        parser.expect("=")
+        parser.read_names()
+        rules.append(RestrictionRule(kind, lhs, parser.parse_expr()))
         parser.expect(";")
     parser.expect("}")
     doc.restrictions[name] = RestrictionDecl(name, rules)
@@ -403,16 +393,19 @@ def _parse_point(parser, doc):
     integrate_from = None
     while parser.peek() and parser.peek().kind != "}":
         key = parser.expect("name")
+        if key.text not in ("coords", "integrate"):
+            raise ParseError(f"unknown point field {key.text!r}", key.line, key.col)
+        if coords is not None or integrate_from is not None:
+            had = "coords" if coords is not None else "integrate from"
+            raise ParseError(f"point {name!r} already has {had}", key.line, key.col)
         if key.text == "coords":
             parser.expect(":")
             parser.expect("[")
             coords = parser.comma_list(parser.parse_rational)
             parser.expect("]")
-        elif key.text == "integrate":
+        else:
             parser.expect_name("from")
             integrate_from = parser.expect("name").text
-        else:
-            raise ParseError(f"unknown point field {key.text!r}", key.line, key.col)
         parser.expect(";")
     parser.expect("}")
     if coords is None and integrate_from is None:

@@ -346,7 +346,7 @@ class DegreeGapReport:
         }
 
 
-def degree_identity_check(P: MPoly, Q: MPoly, yname="y"):
+def degree_identity_check(P: MPoly, Q: MPoly):
     """Compare y-degrees of P^delta Q - Q^delta P against P Q y.
 
     The coefficients are series (a differential field); ^delta applies the
@@ -360,18 +360,18 @@ def degree_identity_check(P: MPoly, Q: MPoly, yname="y"):
     Pd = P.map_coeffs(lambda c: c.derive())
     Qd = Q.map_coeffs(lambda c: c.derive())
     rhs = Pd * Q - Qd * P
-    y = MPoly.variable(P.vars, yname)
+    y = MPoly.variable(P.vars, "y")
     lhs = P * Q * y
-    lead = P.leading_coeff_in(yname) * Q.leading_coeff_in(yname)
+    lead = P.leading_coeff_in("y") * Q.leading_coeff_in("y")
     leading_unit = any(
         (c.is_unit() if isinstance(c, TSeries) else c != 0)
         for c in lead.terms.values()
     )
     return DegreeGapReport(
-        deg_y_p=P.degree_in(yname),
-        deg_y_q=Q.degree_in(yname),
-        deg_y_rhs=rhs.degree_in(yname),
-        deg_y_lhs=lhs.degree_in(yname),
+        deg_y_p=P.degree_in("y"),
+        deg_y_q=Q.degree_in("y"),
+        deg_y_rhs=rhs.degree_in("y"),
+        deg_y_lhs=lhs.degree_in("y"),
         leading_unit=leading_unit,
     )
 

@@ -163,6 +163,20 @@ def test_a_repeated_name_exits_2(tmp_path, capsys, text, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("dvariety X { vars: x, y; ideal: [];\n section: [x, y]; section: [y, x]; }\n",
+     ["check"], "dvariety 'X' already has section at line 2, column 19"),
+    (PARABOLA + "point q on parabola { coords: [3, 4]; integrate from p; }\n",
+     ["integrate", "--from", "q"], "point 'q' already has coords at line 8, column 39"),
+], ids=["section", "coords-and-integrate"])
+def test_a_repeated_field_exits_2(tmp_path, capsys, text, argv, message):
+    # the second field would otherwise replace the first without a word
+    path = tmp_path / "repeated.djv"
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_default_fiber_names_avoid_the_base_variables(tmp_path, capsys):
     path = tmp_path / "fiber.djv"
     path.write_text("dvariety A { vars: x, u_x; ideal: []; section: [x, u_x]; }\n",

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.dsl import bind_expression, parse_document
+from djets.dsl import parse_document
 from djets.dvariety import validate_section
 from djets.errors import ArityError, ParseError, UnknownName
 from djets.mpoly import MPoly
@@ -23,20 +23,6 @@ point flow on X { integrate from p; }
 """
 
 
-def expression_names(ast):
-    """The variable names an expression tree mentions."""
-    kind = ast[0]
-    if kind == "num":
-        return set()
-    if kind == "var":
-        return {ast[1]}
-    if kind == "neg":
-        return expression_names(ast[1])
-    if kind == "pow":
-        return expression_names(ast[1])
-    return expression_names(ast[1]) | expression_names(ast[2])
-
-
 def render_document(doc):
     """Print a document back to parsable text (round-trip check support)."""
     lines = []
@@ -52,13 +38,11 @@ def render_document(doc):
         lines.append("}")
     for name, decl in doc.restrictions.items():
         lines.append(f"restrict {name} {{")
-        for kind, lhs, ast in decl.rules:
-            names = sorted(expression_names(ast))
-            rhs = bind_expression(ast, tuple(names) if names else ("_",))
-            if kind == "identify":
-                lines.append(f"  {lhs} = {rhs};")
+        for rule in decl.rules:
+            if rule.kind == "identify":
+                lines.append(f"  {rule.lhs} = {rule.rhs};")
             else:
-                lines.append(f"  delta {lhs} = {rhs};")
+                lines.append(f"  delta {rule.lhs} = {rule.rhs};")
         lines.append("}")
     for name, decl in doc.points.items():
         if decl.coords is not None:
@@ -132,6 +116,29 @@ def test_nesting_is_bounded_with_a_position():
     for expr in ("(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "-(" * 51 + "x" + ")" * 51):
         with pytest.raises(ParseError, match="nested more than 100 deep at line 1, column "):
             line_section(expr)
+
+
+@pytest.mark.parametrize("block, message", [
+    ("dvariety B {\n vars: x;\n vars: y;\n section: [x]; }",
+     "dvariety 'B' already has vars at line 3, column 2"),
+    ("dvariety B {\n vars: x;\n ideal: [];\n section: [x];\n ideal: [x]; }",
+     "dvariety 'B' already has ideal at line 5, column 2"),
+    ("dvariety B {\n vars: x;\n section: [x];\n  section: [2*x]; }",
+     "dvariety 'B' already has section at line 4, column 3"),
+    (PLANE_DOC + "point q on X {\n coords: [1, 1];\n coords: [2, 1]; }",
+     "point 'q' already has coords at line 15, column 2"),
+    (PLANE_DOC + "point q on X {\n integrate from p;\n integrate from flow; }",
+     "point 'q' already has integrate from at line 15, column 2"),
+    (PLANE_DOC + "point q on X {\n coords: [3, 4];\n integrate from p; }",
+     "point 'q' already has coords at line 15, column 2"),
+    (PLANE_DOC + "point q on X {\n integrate from p;\n coords: [3, 4]; }",
+     "point 'q' already has integrate from at line 15, column 2"),
+], ids=["vars", "ideal", "section", "coords", "integrate", "coords-then-integrate",
+        "integrate-then-coords"])
+def test_a_repeated_field_is_a_parse_error_at_its_position(block, message):
+    with pytest.raises(ParseError) as info:
+        parse_document(block)
+    assert str(info.value) == message
 
 
 def test_unknown_variety_reference():

@@ -14,7 +14,9 @@ goes through `check`, `jet`, `tangent`, `integrate` and `horizontal`, and
 the counterexample document also through `tangent --restrict toZ`; each
 exit code must be 0, 1 or 2 (ok, verification failed, bad input), never 3
 (internal error).  Mutated ideals drive the Groebner normal form behind
-`check`, and mutated restriction blocks the one behind `restrict`.
+`check`, and mutated restriction blocks the one behind `restrict`.  A
+second test mutates `djv/corpus.djv` with its own seeds, running the same
+commands from the point t111 of the twisted cubic.
 """
 
 import contextlib
@@ -187,3 +189,39 @@ def test_mutated_documents_exit_with_a_defined_code(tmp_path):
     assert {0, 2} <= codes
     # most structural mutants get past the parser (about one token mutant in five does)
     assert 2 * parsed["structure"] >= MUTATIONS, parsed
+
+
+CORPUS = (DJV / "corpus.djv").read_text(encoding="utf-8")
+
+CORPUS_MUTATIONS = 50
+
+
+def test_mutated_corpus_documents_exit_with_a_defined_code(tmp_path):
+    # the corpus adds a singular curve, two generators in three variables and
+    # sixteen variables to the documents above; `check` runs on all of them,
+    # so each mutant costs more and there are fewer mutations
+    rng = random.Random(4242)
+    structure_rng = random.Random(4243)
+    path = tmp_path / "mutated.djv"
+    file = str(path)
+    argvs = [
+        ["check", file],
+        ["jet", file, "--at", "t111"],
+        ["tangent", file, "--name", "cubic"],
+        ["integrate", file, "--from", "t111", "-N", "8"],
+        ["horizontal", file, "--from", "t111", "-m", "1", "-N", "8"],
+    ]
+    codes = set()
+    parsed = 0
+    for _ in range(CORPUS_MUTATIONS):
+        structural = mutate_structure(CORPUS, structure_rng)
+        parsed += parses(structural)
+        for mutated in (mutate(CORPUS, rng), structural):
+            path.write_text(mutated, encoding="utf-8")
+            for argv in argvs:
+                code, err = run(argv)
+                assert code in (0, 1, 2), (argv, mutated, err)
+                assert "Traceback" not in err
+                codes.add(code)
+    assert {0, 2} <= codes
+    assert 2 * parsed >= CORPUS_MUTATIONS, parsed

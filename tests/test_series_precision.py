@@ -17,21 +17,39 @@ horizontality verdict neither changes when either side is extended past
 the order the other side limits the check to, nor misses a change at that
 order.  `sharp_integrate` on a rational section agrees at order N with its
 answer at order N + k cut to N, and `from_hurwitz` reads its rows only
-through its order and claims exactly that order.  Hypothesis runs
-derandomized, so every run draws the same examples.
+through its order and claims exactly that order.  `product_jet_decompose`
+on the pinned products decomposes the same at precision N and N + 3,
+reads its factor bases only through their precision, and raises the same
+failure for a jet entry changed at its top guaranteed order whether or
+not the bases are extended.  Hypothesis runs derandomized, so every run
+draws the same examples.
 """
 
 import operator
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from djets.delta_modules import DeltaModule, horizontal_sections, is_horizontal
-from djets.dvariety import DVariety, sharp_integrate
-from djets.errors import InsufficientPrecision
+from djets.delta_modules import (
+    DeltaModule,
+    horizontal_sections,
+    is_horizontal,
+    product_jet_decompose,
+)
+from djets.dsl import parse_document
+from djets.dvariety import (
+    DVariety,
+    delta_jet_space,
+    product_dvariety,
+    product_sharp_point,
+    sharp_integrate,
+)
+from djets.errors import DecompositionFailure, InsufficientPrecision
 from djets.mpoly import MPoly, multi_indices_with_zero
 from djets.series import TSeries, from_hurwitz, fundamental_matrix, kron, mat_mul
 
@@ -286,3 +304,69 @@ def test_from_hurwitz_reads_its_rows_only_through_its_order(rng, order):
     got = from_hurwitz(rows, order, scale, step)
     assert all(s.prec == order for s in got)
     assert exact([from_hurwitz(longer, order, scale, step)]) == exact([got])
+
+
+DJV = Path(__file__).resolve().parent.parent / "djv"
+
+# (document, left dvariety and point, right dvariety and point)
+PRODUCTS = [
+    ("lines.djv", "L1", "a", "L2", "b"),
+    ("corpus.djv", "parabola", "p23", "L", "l1"),
+    ("corpus.djv", "cubic", "thalf", "L", "l1"),
+    ("corpus.djv", "L", "l1", "Pt", "pt0"),
+]
+
+
+def product_jets(doc, lpoint, rpoint, m, n):
+    """The product's horizontal jets and the two factor bases at order m,
+    all from sharp points integrated to precision n."""
+    lp, rp = doc.sharp_point(lpoint, n), doc.sharp_point(rpoint, n)
+    pp = product_sharp_point(product_dvariety(lp.variety, rp.variety), lp, rp)
+    return (delta_jet_space(pp.variety, pp, m).horizontal,
+            delta_jet_space(lp.variety, lp, m).horizontal,
+            delta_jet_space(rp.variety, rp, m).horizontal)
+
+
+def decompose(jets, W, Wp, nvars, m):
+    return [d.to_json() for d in product_jet_decompose(jets, W, Wp, *nvars, m)]
+
+
+def decomposition_failure(jets, W, Wp, nvars, m):
+    with pytest.raises(DecompositionFailure) as info:
+        product_jet_decompose(jets, W, Wp, *nvars, m)
+    return str(info.value)
+
+
+def extended(vectors, rng):
+    """Every entry extended past its precision by one to three random
+    coefficients."""
+    def entry(e):
+        more = [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                for _ in range(rng.randint(1, 3))]
+        return TSeries(list(e.coeffs) + more, e.prec + len(more))
+
+    return [[entry(e) for e in v] for v in vectors]
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("case", PRODUCTS, ids=lambda c: f"{c[1]}x{c[3]}")
+def test_product_jet_decompose_reads_its_inputs_only_through_their_precision(case, m, n):
+    name, left, lpoint, right, rpoint = case
+    doc = parse_document((DJV / name).read_text(encoding="utf-8"))
+    nvars = (doc.variety(left).nvars, doc.variety(right).nvars)
+    jets, W, Wp = product_jets(doc, lpoint, rpoint, m, n)
+    got = decompose(jets, W, Wp, nvars, m)
+    assert len(got) == len(jets) > 0
+    assert decompose(*product_jets(doc, lpoint, rpoint, m, n + 3), nvars, m) == got
+    rng = random.Random(100 * m + n)
+    W2, Wp2 = extended(W, rng), extended(Wp, rng)
+    assert decompose(jets, W2, Wp2, nvars, m) == got
+    # one jet entry changed at its top guaranteed order
+    j = rng.randrange(len(jets))
+    i = rng.randrange(len(jets[j]))
+    e = jets[j][i]
+    changed = [list(v) for v in jets]
+    changed[j][i] = e + TSeries([0] * e.prec + [1], e.prec)
+    failure = decomposition_failure(changed, W, Wp, nvars, m)
+    assert decomposition_failure(changed, W2, Wp2, nvars, m) == failure
