@@ -33,6 +33,7 @@ from .dvariety import (
 )
 from .errors import DecompositionFailure
 from .jets import jet_of_morphism, jet_space
+from .linalg import RATIONAL, rref
 from .mpoly import MPoly, multi_indices_with_zero
 from .series import TSeries, exp_series, mat_mul
 from .tangent import (
@@ -175,8 +176,13 @@ def check_dimension_law(seed=0):
         dim = rng.randint(1, 4)
         module = _random_module(rng, dim)
         sections = horizontal_sections(module)
-        if len(sections) != dim:
-            return False, f"trial {trial}: {len(sections)} sections for dim {dim}"
+        # solutions are fixed by their t^0 values, so these count the
+        # independent sections
+        values = [[e.constant_term for e in v] for v in sections]
+        rank = len(rref(values, dim, RATIONAL)[1])
+        if rank != dim or len(sections) != dim:
+            return False, (f"trial {trial}: {len(sections)} sections of rank {rank} "
+                           f"for dim {dim}")
         if not is_horizontal(module, *sections):
             return False, f"trial {trial}: nonzero residual"
     return True, "50 random modules, dim of horizontal basis = module dim"

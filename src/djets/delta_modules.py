@@ -11,13 +11,27 @@ rows of their Kronecker product `series.kron(hm, hn)`, and `is_horizontal`
 checks a whole family at once, one packed integer residual per row and
 order.  Both read the stored integers of their series over one common
 denominator and reduce none: the columns of one fundamental matrix, and
-so their pairings, already share one stored denominator.  A horizontal
-jet on a product, extended by zero to a matrix V over the two factor
-index sets with the unit index put first, decomposes as V = W0 C W0'^T,
-where W0 and W0' are the factor jet bases beside the unit functional.  C
-is solved exactly over the series field through the two factors, one
-solve per factor for a whole batch of jets, and its entries are then
-required to be constants.
+so their pairings, already share one stored denominator.
+
+Whether the pairings span the dual tensor's horizontal space is decided
+at t = 0.  A solution of c' = -A c over Q[[t]] is fixed through its
+guaranteed order by its value at t = 0, since c_(k+1) = -(1/(k+1))
+sum_i A_i c_(k-i) (van der Put and Singer 2003, section 1.1).  So once
+`is_horizontal` has shown the pairings to be solutions, they span the d
+solutions of the fundamental matrix exactly when their t^0 values have
+rank d; the dual tensor's own sections are never formed.  That rank is
+taken by `mutually_contained` of the t^0 values against the d unit
+vectors, the fundamental matrix's value at t = 0, so it is still one
+`linalg.constant_combination` elimination, now of d rows.  That is the
+one exact span test over Q: `tangent.m1_equivalence` decides its spans by
+it too, and the benchmark traces its calls.
+
+A horizontal jet on a product, extended by zero to a matrix V over the two
+factor index sets with the unit index put first, decomposes as
+V = W0 C W0'^T, where W0 and W0' are the factor jet bases beside the unit
+functional.  C is solved exactly over the series field through the two
+factors, one solve per factor for a whole batch of jets, and its entries
+are then required to be constants.
 """
 
 from __future__ import annotations
@@ -215,25 +229,31 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     """Check that pairings of horizontal dual vectors span the dual tensor's
     horizontal space, with equal dimensions and exact-zero residuals.
 
-    Both sides are computed independently: the pairings as coordinate
-    tensors of the factor solutions, the target space from the fundamental
-    matrix of the dual tensor module.  Mutual containment is decided by one
-    exact rational elimination of the pairings against the target sections
-    on stacked series coefficients; a square coefficient matrix of full rank
-    settles the reverse direction (mutually_contained).
+    The pairings are the coordinate tensors of the factor solutions, one
+    fundamental matrix per factor dual.  `is_horizontal` checks them against
+    the dual tensor's matrix by the packed residual, which solves nothing.
+    Solutions are fixed by their values at t = 0, so the span is decided
+    there, with no second fundamental matrix: the dual tensor's horizontal
+    space has dimension d, its module dimension, and `mutually_contained`
+    compares the pairings cut to precision 0 with the d unit vectors, one
+    rational elimination of d rows, so the pairings span that space
+    exactly when their t^0 values have rank d.
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
     pairings = kron(hm, hn)
     dual_tensor = dual(tensor(left, right))
-    target = horizontal_sections(dual_tensor)
+    d = dual_tensor.dim
+    zero, one = TSeries.zero(0), TSeries.constant(1, 0)
+    units = [[one if r == c else zero for c in range(d)] for r in range(d)]
     return TensorPairingReport(
         dim_left=left.dim,
         dim_right=right.dim,
         dim_pairings=len(pairings),
-        dim_tensor_horizontal=len(target),
+        dim_tensor_horizontal=d,
         pairings_horizontal=is_horizontal(dual_tensor, *pairings),
-        mutually_contained=mutually_contained(pairings, target),
+        mutually_contained=mutually_contained(
+            [[e.at_precision(0) for e in v] for v in pairings], units),
     )
 
 

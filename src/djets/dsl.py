@@ -376,6 +376,9 @@ def _parse_restrict(parser, doc):
         kind, lhs = "identify", first.text
         if first.text == "delta":
             kind, lhs = "derivative", parser.expect("name").text
+            if any(r.kind == kind and r.lhs == lhs for r in rules):
+                raise ParseError(f"restriction {name!r} already has delta {lhs}",
+                                 first.line, first.col)
         parser.expect("=")
         parser.read_names()
         rules.append(RestrictionRule(kind, lhs, parser.parse_expr()))

@@ -37,6 +37,21 @@ def test_criterion_05_dimension_law():
     _run(acceptance.check_dimension_law(seed=0))
 
 
+def test_dimension_law_fails_on_a_repeated_section(monkeypatch):
+    # the repeated section is horizontal and the count is still the module
+    # dimension, so only the rank of the t^0 values sees it
+    solve = acceptance.horizontal_sections
+
+    def repeated(module):
+        sections = solve(module)
+        return sections[:-1] + sections[:1]
+
+    monkeypatch.setattr(acceptance, "horizontal_sections", repeated)
+    result = acceptance.check_dimension_law(seed=0)
+    assert not result.passed
+    assert result.detail == "trial 0: 4 sections of rank 3 for dim 4"
+
+
 def test_criterion_06_tensor_pairing():
     _run(acceptance.check_tensor_pairing(seed=1))
 

@@ -168,7 +168,10 @@ def test_a_repeated_name_exits_2(tmp_path, capsys, text, argv, message):
      ["check"], "dvariety 'X' already has section at line 2, column 19"),
     (PARABOLA + "point q on parabola { coords: [3, 4]; integrate from p; }\n",
      ["integrate", "--from", "q"], "point 'q' already has coords at line 8, column 39"),
-], ids=["section", "coords-and-integrate"])
+    ("dvariety X { vars: x, y; ideal: []; section: [x, y]; }\n"
+     "restrict r { delta x = 0; delta x = 1; }\n", ["tangent", "--restrict", "r"],
+     "restriction 'r' already has delta x at line 2, column 27"),
+], ids=["section", "coords-and-integrate", "delta"])
 def test_a_repeated_field_exits_2(tmp_path, capsys, text, argv, message):
     # the second field would otherwise replace the first without a word
     path = tmp_path / "repeated.djv"

@@ -211,28 +211,68 @@ def test_verify_tensor_pairing_random():
     assert rep.ok and rep.dim_pairings == 6
 
 
-def test_a_target_section_perturbed_at_its_top_order_is_not_contained(monkeypatch):
-    # The t^0 rows alone give the pairings full rank, so only the check of
-    # the remaining rows in constant_combination can see the change.
+def top_order_bumped(pairings):
+    """The last pairing with 1 added to its coordinate 0 at its top order."""
+    return bumped(pairings, len(pairings) - 1)
+
+
+def copied(pairings):
+    """The last pairing replaced by a copy of the first."""
+    return pairings[:-1] + pairings[:1]
+
+
+def unchanged(pairings):
+    return pairings
+
+
+def mutate_pairings(monkeypatch, mutant):
+    monkeypatch.setattr(djets.delta_modules, "kron", lambda a, b: mutant(kron(a, b)))
+
+
+@pytest.mark.parametrize("mutant, check", [
+    (top_order_bumped, "pairings_horizontal"),
+    (copied, "mutually_contained"),
+], ids=["top-order", "copy"])
+def test_a_mutated_pairing_fails_its_check(monkeypatch, mutant, check):
+    # A change at the top order leaves the t^0 values alone, so only the
+    # residual sees it; a copied pairing is horizontal, so only the rank does.
     rng = random.Random(41)
     left, right = random_module(rng, 2), random_module(rng, 2)
-    assert verify_tensor_pairing(left, right).mutually_contained
-    hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
-    pairings = kron(hm, hn)
-    target = horizontal_sections(dual(tensor(left, right)))
-    top = min(e.prec for v in pairings + target for e in v)
-    bump = TSeries([0] * top + [1], top)
-
-    def perturbed(module):
-        sections = horizontal_sections(module)
-        if module.dim == 4:  # the dual tensor; the factors have dim 2
-            sections[1][2] = sections[1][2] + bump
-        return sections
-
-    monkeypatch.setattr("djets.delta_modules.horizontal_sections", perturbed)
+    good = verify_tensor_pairing(left, right).to_json()
+    assert good["ok"]
+    mutate_pairings(monkeypatch, mutant)
     rep = verify_tensor_pairing(left, right)
-    assert rep.dim_tensor_horizontal == 4 and rep.pairings_horizontal
-    assert not rep.mutually_contained
+    assert rep.to_json() == {**good, check: False, "ok": False}
+
+
+def full_precision_decision(left, right, mutant):
+    """The decision with the dual tensor's sections formed: the pairings
+    horizontal and mutually contained with those sections at full precision."""
+    pairings, target = pairing_families(left, right)
+    pairings = mutant(pairings)
+    return (len(pairings) == len(target) == left.dim * right.dim
+            and is_horizontal(dual(tensor(left, right)), *pairings)
+            and both_directions(pairings, target))
+
+
+def test_verify_tensor_pairing_decides_as_at_full_precision(monkeypatch):
+    solves = []
+    solve = djets.delta_modules.fundamental_matrix
+    monkeypatch.setattr(djets.delta_modules, "fundamental_matrix",
+                        lambda *args: solves.append(args) or solve(*args))
+    for seed in range(5):
+        for dl in (1, 2, 3):
+            for dr in (1, 2, 3):
+                rng = random.Random(seed)
+                left, right = _random_module(rng, dl), _random_module(rng, dr)
+                for mutant in (unchanged, top_order_bumped, copied):
+                    mutate_pairings(monkeypatch, mutant)
+                    solves.clear()
+                    ok = verify_tensor_pairing(left, right).ok
+                    assert len(solves) == 2  # one per factor dual
+                    # a copy of the only pairing is the pairing itself
+                    assert ok is (mutant is unchanged or (mutant is copied and dl * dr == 1))
+                    assert ok is full_precision_decision(left, right, mutant)
 
 
 # -- mutual containment ------------------------------------------------------------------

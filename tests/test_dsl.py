@@ -133,8 +133,10 @@ def test_nesting_is_bounded_with_a_position():
      "point 'q' already has coords at line 15, column 2"),
     (PLANE_DOC + "point q on X {\n integrate from p;\n coords: [3, 4]; }",
      "point 'q' already has integrate from at line 15, column 2"),
+    (PLANE_DOC + "restrict r {\n delta x = 0;\n x = y;\n  delta x = 1; }",
+     "restriction 'r' already has delta x at line 16, column 3"),
 ], ids=["vars", "ideal", "section", "coords", "integrate", "coords-then-integrate",
-        "integrate-then-coords"])
+        "integrate-then-coords", "delta"])
 def test_a_repeated_field_is_a_parse_error_at_its_position(block, message):
     with pytest.raises(ParseError) as info:
         parse_document(block)
