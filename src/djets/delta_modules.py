@@ -7,24 +7,22 @@ tensor products, horizontal sections, and the pairing of horizontal dual
 vectors are all coordinate computations; horizontal sections can be formed
 from a rational initial value, one per column, without the fundamental
 matrix.  The pairings of two families of horizontal dual vectors are the
-rows of their Kronecker product `series.kron(hm, hn)`, and `is_horizontal`
-checks a whole family at once, one packed integer residual per row and
-order.  Both read the stored integers of their series over one common
-denominator and reduce none: the columns of one fundamental matrix, and
-so their pairings, already share one stored denominator.
+rows of their Kronecker product, formed by `series.packed_kron` as one
+integer per tensor coordinate and order, one slot per pairing, and checked
+so by the residual loop `is_horizontal` runs on any packed family: never
+unpacked, and over one stored denominator, with no gcd.
 
 Whether the pairings span the dual tensor's horizontal space is decided
-at t = 0.  A solution of c' = -A c over Q[[t]] is fixed through its
-guaranteed order by its value at t = 0, since c_(k+1) = -(1/(k+1))
-sum_i A_i c_(k-i) (van der Put and Singer 2003, section 1.1).  So once
-`is_horizontal` has shown the pairings to be solutions, they span the d
-solutions of the fundamental matrix exactly when their t^0 values have
-rank d; the dual tensor's own sections are never formed.  That rank is
-taken by `mutually_contained` of the t^0 values against the d unit
-vectors, the fundamental matrix's value at t = 0, so it is still one
-`linalg.constant_combination` elimination, now of d rows.  That is the
-one exact span test over Q: `tangent.m1_equivalence` decides its spans by
-it too, and the benchmark traces its calls.
+at t = 0, with no sections of the dual tensor formed.  A solution of
+c' = -A c over Q[[t]] is fixed through its guaranteed order by its value
+at t = 0, since c_(k+1) = -(1/(k+1)) sum_i A_i c_(k-i) (van der Put and
+Singer 2003, section 1.1).  So once the packed residual has shown the
+pairings to be solutions, they span the d solutions of the fundamental
+matrix exactly when their t^0 values (the `kron` of the factors' t^0
+values) have rank d: one `mutually_contained` elimination of d rows
+against the d unit vectors, the fundamental matrix at t = 0, through
+`linalg.constant_combination`, the one exact span test over Q, which
+`tangent.m1_equivalence` uses too and the benchmark traces.
 
 A horizontal jet on a product, extended by zero to a matrix V over the two
 factor index sets with the unit index put first, decomposes as
@@ -42,7 +40,8 @@ from fractions import Fraction
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, kron, over_one_denominator, pack, transpose
+from .series import TSeries, fundamental_matrix, kron, over_one_denominator, pack
+from .series import packed_kron, transpose
 
 
 @dataclass(frozen=True)
@@ -135,50 +134,60 @@ def horizontal_sections(module: DeltaModule, initial=None):
 def is_horizontal(module: DeltaModule, *vectors):
     """Whether delta(v) + A v vanishes to guaranteed precision for every v.
 
-    Row r of v is checked through min(v[r].prec - 1, the precisions of row r
-    of A and of v), the order the residual v' + A v is guaranteed to.
-    Vectors with the same precisions are `pack`ed across columns over one
-    denominator D, and row r of A is put over one denominator a, both by
-    `series.over_one_denominator`, which reads the stored integers and
-    reduces nothing.  Row r at t^m is then one packed integer whose slot c
-    is a*D*(v_c' + A v_c)[r] at t^m.  A majorant of the slots sets the slot
-    width, so the integer is 0 exactly when every slot is.
+    Vectors with the same precisions are put over one denominator D
+    (`series.over_one_denominator`, no gcd) and `pack`ed as `packed_kron`
+    packs: packed[s][t] holds D times entry s at t^t, one slot per vector,
+    in slots so wide that `_residuals_vanish` sees no carry.
     """
     d = module.dim
     if any(len(v) != d for v in vectors):
         raise DimensionMismatch("matrix/vector size mismatch")
     if not d:
         return True
+    packs = {}
+    for v in vectors:
+        packs.setdefault(tuple(e.prec for e in v), []).append(v)
+    rows, most = _residual_rows(module, max(map(max, packs), default=0))
+    for precs, vs in packs.items():
+        if 0 in precs:
+            raise InsufficientPrecision("cannot differentiate a precision-0 series")
+        # nums[i * d + s]: entry s of vector i over the family's one denominator
+        nums = over_one_denominator([e for v in vs for e in v])[1]
+        b = (most * max(max(map(abs, xs)) for xs in nums)).bit_length() + 2
+        packed = [[pack(xs, b) for xs in zip(*nums[s::d])] for s in range(d)]
+        if not _residuals_vanish(rows, packed, precs):
+            return False
+    return True
+
+
+def _residual_rows(module, prec):
+    """(rows, most): per row r of A, its one denominator a, the numerators
+    (t, s, x) of a*A[r][s] at t^t sorted by t, and its precision; a residual
+    slot through order `prec` is at most `most` times a vector numerator."""
     rows = []
     for row in module.matrix:
         a, nums = over_one_denominator(row)
         terms = sorted((t, s, x) for s, xs in enumerate(nums)
                        for t, x in enumerate(xs) if x)
         rows.append((a, terms, min(e.prec for e in row)))
-    packs = {}
-    for v in vectors:
-        packs.setdefault(tuple(e.prec for e in v), []).append(v)
-    for precs, vs in packs.items():
-        if 0 in precs:
-            raise InsufficientPrecision("cannot differentiate a precision-0 series")
-        # nums[i * d + s]: entry s of vector i over the family's one denominator
-        nums = over_one_denominator([e for v in vs for e in v])[1]
-        top = max(max(map(abs, xs)) for xs in nums)
-        most = max(a * max(precs) + sum(abs(x) for _, _, x in terms)
-                   for a, terms, _ in rows)
-        b = (top * most).bit_length() + 2
-        # packed[s][t]: coefficient t of entry s of every vector, one slot each
-        packed = [[pack(xs, b) for xs in zip(*nums[s::d])] for s in range(d)]
-        low = min(precs)
-        for r, (a, terms, arow) in enumerate(rows):
-            for m in range(min(precs[r] - 1, arow, low) + 1):
-                res = a * (m + 1) * packed[r][m + 1]
-                for t, s, x in terms:
-                    if t > m:
-                        break
-                    res += x * packed[s][m - t]
-                if res:
-                    return False
+    return rows, max((a * prec + sum(abs(x) for *_, x in terms) for a, terms, _ in rows),
+                     default=1)
+
+
+def _residuals_vanish(rows, packed, precs):
+    """Whether v' + A v vanishes for packed vectors, entry s guaranteed to
+    order precs[s]: row r through min(precs[r] - 1, its precision in A,
+    min(precs)), where slot c of row r at t^m is a*D*(v_c' + A v_c)[r]."""
+    low = min(precs, default=0)
+    for r, (a, terms, arow) in enumerate(rows):
+        for m in range(min(precs[r] - 1, arow, low) + 1):
+            res = a * (m + 1) * packed[r][m + 1]
+            for t, s, x in terms:
+                if t > m:
+                    break
+                res += x * packed[s][m - t]
+            if res:
+                return False
     return True
 
 
@@ -230,30 +239,32 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     horizontal space, with equal dimensions and exact-zero residuals.
 
     The pairings are the coordinate tensors of the factor solutions, one
-    fundamental matrix per factor dual.  `is_horizontal` checks them against
-    the dual tensor's matrix by the packed residual, which solves nothing.
-    Solutions are fixed by their values at t = 0, so the span is decided
-    there, with no second fundamental matrix: the dual tensor's horizontal
-    space has dimension d, its module dimension, and `mutually_contained`
-    compares the pairings cut to precision 0 with the d unit vectors, one
-    rational elimination of d rows, so the pairings span that space
-    exactly when their t^0 values have rank d.
+    fundamental matrix per factor dual, so all their entries share one
+    precision.  `series.packed_kron` forms them packed, in slots wide enough
+    for `_residuals_vanish` against the dual tensor: nothing is unpacked or
+    solved.  Solutions are fixed by their values at t = 0, so the span is
+    decided there: the dual tensor's horizontal space has dimension d, and
+    `mutually_contained` compares the pairings' t^0 values (the `kron` of
+    the factors' t^0 values) with the d unit vectors, in d rows.
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
-    pairings = kron(hm, hn)
     dual_tensor = dual(tensor(left, right))
     d = dual_tensor.dim
+    prec = min((e.prec for v in hm + hn for e in v), default=0)
+    rows, most = _residual_rows(dual_tensor, prec)
+    packed = packed_kron(hm, hn, most)[2]
     zero, one = TSeries.zero(0), TSeries.constant(1, 0)
     units = [[one if r == c else zero for c in range(d)] for r in range(d)]
+    initial = kron([[e.at_precision(0) for e in v] for v in hm],
+                   [[e.at_precision(0) for e in v] for v in hn])
     return TensorPairingReport(
         dim_left=left.dim,
         dim_right=right.dim,
-        dim_pairings=len(pairings),
+        dim_pairings=len(initial),
         dim_tensor_horizontal=d,
-        pairings_horizontal=is_horizontal(dual_tensor, *pairings),
-        mutually_contained=mutually_contained(
-            [[e.at_precision(0) for e in v] for v in pairings], units),
+        pairings_horizontal=_residuals_vanish(rows, packed, [prec] * d),
+        mutually_contained=mutually_contained(initial, units),
     )
 
 

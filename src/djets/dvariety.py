@@ -123,7 +123,7 @@ def sharp_integrate(variety: DVariety, initial, order):
     times one variable.  Step k forms only coefficient k of each node, one
     binomial convolution of length k+1, then X_j[k+1] = sum of a * node_e[k]
     over the terms (a, e) of s_j.  The binomial row is updated by additions
-    from step to step.
+    from step to step, and only when some node convolves.
 
     The work runs on integers.  Time and space are rescaled to y(tau) =
     mu * x(lam * tau), with mu the lcm of the initial denominators and lam
@@ -180,7 +180,8 @@ def sharp_integrate(variety: DVariety, initial, order):
     binom = [1]
     for k in range(order):
         if k:
-            binom = [1, *map(add, binom, binom[1:]), 1]
+            if convolved:
+                binom = [1, *map(add, binom, binom[1:]), 1]
             nodes[one].append(0)
         # weighted[j][i] = C(k,i) * X_j[k-i], shared by the nodes of coordinate
         # j; a child of the constant monomial is the coordinate itself.

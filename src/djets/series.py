@@ -21,11 +21,11 @@ reader needs it.  Products, division and `mat_mul` read their operands
 reduced, so denominators do not grow along a chain of products, and store
 their results raw; a product with an operand whose stored numerators are
 all zero is the zero series, made without a convolution.  The linear
-readers `kron`, `integer_rows` and `delta_modules.is_horizontal` take the
+readers (`packed_kron`, `kron`, `integer_rows`, `is_horizontal`) take the
 stored integers over one common denominator (`over_one_denominator`) and
 reduce nothing: their results are eliminated or tested for zero, never
-multiplied along a chain, and a family from one `from_hurwitz` call or
-one `kron` already shares its stored denominator, so it costs no gcd.
+multiplied along a chain, and a family from one `from_hurwitz` call
+already shares its stored denominator, so it costs no gcd.
 Sums, negation, `derive`, `at_precision`, `==`, the zero, unit, constant
 and order tests, `coeffs` and `render_scalar` are correct on raw integers
 and read them as they are, so a residual that is only tested for zero, or
@@ -39,15 +39,15 @@ and space.
 `pack` puts integers into b-bit slots of one integer and `unpack` reads
 them back with a 2^(b-1) offset for the signs, as in Kronecker
 substitution across columns: `fundamental_matrix` packs each matrix row,
-`kron` each factor column, and `delta_modules.is_horizontal` a family of
-vectors, always with slots wide enough for a majorant of what they hold.
-`kron` is the Kronecker product of two matrices of series, one integer
-convolution over t per output column.  The integers are the only stored
-form: the tuple of Fractions `coeffs` is built from them on each read.
-Only this module builds a series from integers, through `TSeries._ints`,
-and only it reads the raw integers: a reader outside it sees either the
-reduced form or, through `over_one_denominator`, the stored integers over
-one common denominator.
+`packed_kron` each factor column, and `delta_modules.is_horizontal` a
+family of vectors, always with slots wide enough for a majorant of what
+they hold.  `packed_kron`, the Kronecker product of two matrices of series,
+is one integer convolution over t per output column; `kron` unpacks it.
+The integers are the only stored form: the tuple of Fractions `coeffs` is
+built from them on each read.  Only this module builds a series from
+integers, through `TSeries._ints`, and only it reads the raw integers: a
+reader outside it sees either the reduced form or, through
+`over_one_denominator`, the stored integers over one common denominator.
 The printers of exact values live here too: `format_terms` (terms),
 `format_point` (points in messages) and `render_scalar` (JSON strings).
 
@@ -61,7 +61,7 @@ the pair denominators.  The dot product of two vectors is
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
 from operator import lshift, mul
 
@@ -552,52 +552,57 @@ def unpack(xs, b, n):
     return [[((x >> shift) & mask) - half for x in xs] for shift in range(0, b * n, b)]
 
 
+def packed_kron(A, B, weight=1):
+    """The Kronecker product of two matrices of series, packed: (den, b, columns).
+
+    For B of shape r x s, columns[j*s + l][m] holds den times A[i][j] *
+    B[k][l] at t^m in b-bit slot r*i + k, through the lower of the two
+    columns' top orders, with den the product of the factors'
+    `over_one_denominator`s.  Column j of A is packed across its rows in
+    (r*b)-bit slots and column l of B in b-bit slots, so each output column
+    is one integer convolution over t.  No slot exceeds the product N of the
+    largest absolute numerator sums of A and B, and b is two more than the
+    bit length of `weight` * N, so a sum of slots whose weights add up to at
+    most `weight` fits too.
+    """
+    r = len(B)
+    da, anums = over_one_denominator([e for row in A for e in row])
+    db, bnums = over_one_denominator([e for row in B for e in row])
+
+    def norm(nums):
+        return max((sum(map(abs, xs)) for xs in nums), default=0)
+
+    def columns(M, nums, width):
+        """Per column: its top order and its t^k coefficients packed across rows."""
+        q = len(M[0]) if M else 0
+        return [(max(row[j].prec for row in M),
+                 [pack(xs, width) for xs in zip_longest(*nums[j::q], fillvalue=0)])
+                for j in range(q)]
+
+    b = (norm(anums) * norm(bnums) * weight).bit_length() + 2
+    bcols = columns(B, bnums, b)
+    acols = columns(A, anums, r * b) if r else []  # r = 0: 0-bit slots, no output
+    return da * db, b, [
+        [sum(map(mul, ap[: m + 1], bp[m::-1])) for m in range(min(atop, btop) + 1)]
+        for atop, ap in acols for btop, bp in bcols]
+
+
 def kron(A, B):
-    """The Kronecker product of two matrices of series.
+    """The Kronecker product of two matrices of series: `packed_kron`, unpacked.
 
     Entry (i*r + k, j*s + l), for B of shape r x s, is A[i][j] * B[k][l]
     and reads with the `nums`, `den` and `prec` of that product.  Unlike
-    `*`, it reads the stored integers of its operands and stores each entry
-    raw over the product of their stored denominators, so the columns of one
-    `fundamental_matrix`, which share one stored denominator, give pairings
-    that share one too; their linear readers (`integer_rows`,
-    `delta_modules.is_horizontal`) then take no gcd.  Column j of A is
-    packed across its rows in slots r*b bits wide and column l of B in
-    b-bit slots, so the packed product holds every A[i][j] * B[k][l] in
-    slot r*i + k, and each output column is one integer convolution over t,
-    unpacked once.  The product of the largest absolute numerator sums of A
-    and B bounds every slot, and b is two more than its bit length.
+    `*`, it reads its operands' stored integers and stores every entry raw
+    over the one denominator of `packed_kron`.
     """
-    p, r = len(A), len(B)
-    q, s = (len(A[0]) if A else 0), (len(B[0]) if B else 0)
-
-    def norm(M):
-        return max((sum(map(abs, e._raw_nums)) for row in M for e in row), default=0)
-
-    b = (norm(A) * norm(B)).bit_length() + 2
-
-    def columns(M, width):
-        """Per column: its top order and its t^k coefficients packed across rows."""
-        out = []
-        for col in zip(*M):
-            top = max(e.prec for e in col)
-            rows = [e._raw_nums + (0,) * (top - e.prec) for e in col]
-            out.append((col, top, [pack(xs, width) for xs in zip(*rows)]))
-        return out
-
-    out = [[None] * (q * s) for _ in range(p * r)]
-    if not r:  # the slots of A would be 0 bits wide
-        return out
-    bcols = columns(B, b)
-    for j, (acol, atop, ap) in enumerate(columns(A, r * b)):
-        for l, (bcol, btop, bp) in enumerate(bcols):
-            n = min(atop, btop)
-            conv = [sum(map(mul, ap[: m + 1], bp[m::-1])) for m in range(n + 1)]
-            slots = iter(unpack(conv, b, p * r))
-            for i, x in enumerate(acol):
-                for k, y in enumerate(bcol):
-                    e, den = min(x.prec, y.prec), x._raw_den * y._raw_den
-                    out[r * i + k][s * j + l] = TSeries._ints(next(slots)[: e + 1], den, e)
+    s = len(B[0]) if B else 0
+    den, b, packed = packed_kron(A, B)
+    out = [[] for _ in range(len(A) * len(B))]
+    for c, conv in enumerate(packed):
+        j, l = divmod(c, s)
+        precs = [min(x[j].prec, y[l].prec) for x in A for y in B]
+        for row, xs, e in zip(out, unpack(conv, b, len(out)), precs):
+            row.append(TSeries._ints(xs[: e + 1], den, e))
     return out
 
 

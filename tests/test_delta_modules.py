@@ -211,22 +211,34 @@ def test_verify_tensor_pairing_random():
     assert rep.ok and rep.dim_pairings == 6
 
 
-def top_order_bumped(pairings):
-    """The last pairing with 1 added to its coordinate 0 at its top order."""
-    return bumped(pairings, len(pairings) - 1)
+def top_order_bumped(sections):
+    """The last section with 1 added to its coordinate 0 at its top order."""
+    return bumped(sections, len(sections) - 1)
 
 
-def copied(pairings):
-    """The last pairing replaced by a copy of the first."""
-    return pairings[:-1] + pairings[:1]
+def copied(sections):
+    """The last section replaced by a copy of the first."""
+    return sections[:-1] + sections[:1]
 
 
-def unchanged(pairings):
-    return pairings
+def unchanged(sections):
+    return sections
 
 
-def mutate_pairings(monkeypatch, mutant):
-    monkeypatch.setattr(djets.delta_modules, "kron", lambda a, b: mutant(kron(a, b)))
+def mutate_right_sections(monkeypatch, mutant):
+    """Pass the right factor's horizontal dual vectors through `mutant`.
+
+    `verify_tensor_pairing` solves the left factor's dual first and the
+    right factor's second, so every second call is mutated.
+    """
+    calls = []
+
+    def mutated(module, *args):
+        calls.append(module)
+        sections = horizontal_sections(module, *args)
+        return mutant(sections) if len(calls) % 2 == 0 else sections
+
+    monkeypatch.setattr(djets.delta_modules, "horizontal_sections", mutated)
 
 
 @pytest.mark.parametrize("mutant, check", [
@@ -234,22 +246,25 @@ def mutate_pairings(monkeypatch, mutant):
     (copied, "mutually_contained"),
 ], ids=["top-order", "copy"])
 def test_a_mutated_pairing_fails_its_check(monkeypatch, mutant, check):
-    # A change at the top order leaves the t^0 values alone, so only the
-    # residual sees it; a copied pairing is horizontal, so only the rank does.
+    # A section changed at its top order changes its pairings there and
+    # leaves the t^0 values alone, so only the residual sees it; a copied
+    # section is horizontal, so only the rank does.
     rng = random.Random(41)
     left, right = random_module(rng, 2), random_module(rng, 2)
     good = verify_tensor_pairing(left, right).to_json()
     assert good["ok"]
-    mutate_pairings(monkeypatch, mutant)
+    mutate_right_sections(monkeypatch, mutant)
     rep = verify_tensor_pairing(left, right)
     assert rep.to_json() == {**good, check: False, "ok": False}
 
 
 def full_precision_decision(left, right, mutant):
-    """The decision with the dual tensor's sections formed: the pairings
-    horizontal and mutually contained with those sections at full precision."""
-    pairings, target = pairing_families(left, right)
-    pairings = mutant(pairings)
+    """The decision with the dual tensor's sections formed: the pairings of
+    the mutated right sections horizontal and mutually contained with those
+    sections at full precision."""
+    pairings = kron(horizontal_sections(dual(left)),
+                    mutant(horizontal_sections(dual(right))))
+    target = horizontal_sections(dual(tensor(left, right)))
     return (len(pairings) == len(target) == left.dim * right.dim
             and is_horizontal(dual(tensor(left, right)), *pairings)
             and both_directions(pairings, target))
@@ -266,13 +281,26 @@ def test_verify_tensor_pairing_decides_as_at_full_precision(monkeypatch):
                 rng = random.Random(seed)
                 left, right = _random_module(rng, dl), _random_module(rng, dr)
                 for mutant in (unchanged, top_order_bumped, copied):
-                    mutate_pairings(monkeypatch, mutant)
+                    mutate_right_sections(monkeypatch, mutant)
                     solves.clear()
                     ok = verify_tensor_pairing(left, right).ok
                     assert len(solves) == 2  # one per factor dual
-                    # a copy of the only pairing is the pairing itself
-                    assert ok is (mutant is unchanged or (mutant is copied and dl * dr == 1))
+                    # a copy of the only section is the section itself
+                    assert ok is (mutant is unchanged or (mutant is copied and dr == 1))
                     assert ok is full_precision_decision(left, right, mutant)
+
+
+@pytest.mark.parametrize("dims", [(0, 0), (0, 1), (1, 0), (0, 2), (2, 0)])
+def test_verify_tensor_pairing_on_a_zero_dimensional_factor(dims):
+    # no pairings and a dual tensor of dimension 0: vacuously horizontal and
+    # spanning, as before the pairings were checked in packed form
+    rng = random.Random(43)
+    left, right = (random_module(rng, d) if d else DeltaModule(()) for d in dims)
+    assert verify_tensor_pairing(left, right).to_json() == {
+        "dim_left": dims[0], "dim_right": dims[1], "dim_pairings": 0,
+        "dim_tensor_horizontal": 0, "pairings_horizontal": True,
+        "mutually_contained": True, "ok": True,
+    }
 
 
 # -- mutual containment ------------------------------------------------------------------

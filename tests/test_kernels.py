@@ -1,17 +1,19 @@
 """Differential tests of the exact kernels against naive references.
 
-`sharp_integrate` is compared with the re-evaluate-every-step Taylor loop,
-`TSeries.__mul__` with a plain Fraction double loop, `kron` with the
-products of its factors' entries, the batched `is_horizontal` with the
-one-vector residual check, rational `rref` with
-plain Fraction Gauss-Jordan elimination, the rank and `nullspace` with sympy,
+`sharp_integrate` is compared with the re-evaluate-every-step Taylor loop
+(and at orders 256 and 512 with the Fraction recursion), `TSeries.__mul__`
+with a plain Fraction double loop, `kron` with the products of its factors'
+entries and the slots of `packed_kron` with the sums they must hold, the
+batched `is_horizontal` and the packed pairings of `verify_tensor_pairing`
+with the one-vector residual check, rational `rref` with plain Fraction
+Gauss-Jordan elimination, the rank and `nullspace` with sympy,
 `fundamental_matrix` with the Fraction coefficient recursion, and from an
 initial value Y0 with the fundamental matrix times Y0, batched
-`constant_combination` with one elimination per target, `mat_mul` (also
-on a one-column matrix and as the dot product of two vectors) with the
-fold of `*` and `+`, series division, Hasse derivatives and `exp_series`
-with sympy, and batched `product_jet_decompose` with one solve per jet and
-block.  All randomness is seeded, so every run checks the same cases.
+`constant_combination` with one elimination per target, `mat_mul` (also on a
+one-column matrix and as the dot product of two vectors) with the fold of
+`*` and `+`, series division, Hasse derivatives and `exp_series` with sympy,
+and batched `product_jet_decompose` with one solve per jet and block.  All
+randomness is seeded, so every run checks the same cases.
 """
 
 import random
@@ -28,6 +30,7 @@ from djets.delta_modules import (
     is_horizontal,
     product_jet_decompose,
     tensor,
+    verify_tensor_pairing,
 )
 from djets.dvariety import (
     DVariety,
@@ -61,6 +64,8 @@ from djets.series import (
     fundamental_matrix,
     kron,
     mat_mul,
+    packed_kron,
+    unpack,
 )
 from djets.tangent import counterexample_variety
 
@@ -229,6 +234,40 @@ def test_sharp_integrate_rechecks_the_integrated_point():
         sharp_integrate(variety, (0, 0), 4)
 
 
+def fraction_recursion(rates, initial, order):
+    """x_j[k+1] = rates[j](x, k) / (k+1) over Fractions, where rates[j] reads
+    the coefficient lists x through index k and gives coefficient k of s_j(x)."""
+    xs = [[F(c)] for c in initial]
+    for k in range(order):
+        step = [rate(xs, k) for rate in rates]
+        for x, c in zip(xs, step):
+            x.append(c / (k + 1))
+    return xs
+
+
+@pytest.mark.parametrize("order", [256, 512])
+def test_sharp_integrate_on_linear_and_mixed_sections_at_high_order(order):
+    # The binomial row is only updated when some node convolves: never on the
+    # linear section, every step on the mixed one, where x convolves (x^2)
+    # and y does not.
+    xy = NAMES[:2]
+    x, y = (MPoly.variable(xy, v) for v in xy)
+    cases = [
+        (DVariety(xy, (), (x - 2 * y, 3 * x + F(1, 2) * y)), (1, F(-2, 3)), [
+            lambda xs, k: xs[0][k] - 2 * xs[1][k],
+            lambda xs, k: 3 * xs[0][k] + xs[1][k] / 2,
+        ]),
+        (DVariety(xy, (), (x**2, x + y)), (1, F(-1, 3)), [
+            lambda xs, k: sum(xs[0][i] * xs[0][k - i] for i in range(k + 1)),
+            lambda xs, k: xs[0][k] + xs[1][k],
+        ]),
+    ]
+    for variety, initial, rates in cases:
+        point = sharp_integrate(variety, initial, order)
+        want = fraction_recursion(rates, initial, order)
+        assert [(c.prec, list(c.coeffs)) for c in point.coords] == [(order, w) for w in want]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_from_hurwitz_matches_fraction_reference(seed):
     rng = random.Random(seed)
@@ -372,6 +411,20 @@ def test_kron_at_the_edge_of_the_slots_and_of_the_shapes():
     assert kron([[], []], [[]]) == [[], []]
 
 
+@pytest.mark.parametrize("weight", [1, 7, 10**6, 3**40])
+def test_packed_kron_slots_hold_weighted_sums_of_slots(weight):
+    # every slot holds +-10^12, the product of the two largest numerator
+    # sums, so the sums below reach weight * 10^12 in some slot
+    million = [[TSeries.constant(10**6, 4), TSeries.constant(-10**6, 4)]] * 2
+    den, b, packed = packed_kron(million, million, weight)
+    assert den == 1
+    first, second = (unpack(packed[c][:1], b, 4) for c in (0, 1))
+    for w in (weight, weight - 1, -weight):
+        total = w * packed[0][0] - (weight - abs(w)) * packed[1][0]
+        want = [w * x[0] - (weight - abs(w)) * y[0] for x, y in zip(first, second)]
+        assert [x[0] for x in unpack([total], b, 4)] == want
+
+
 def reference_is_horizontal(module, vec):
     """The one-vector check: delta(v) + A v is zero to guaranteed precision."""
     Av = [row[0] for row in mat_mul(module.matrix, [[x] for x in vec])]
@@ -438,6 +491,36 @@ def test_batched_horizontality_edge_cases():
             is_horizontal(module, v, bad)
         with pytest.raises(DimensionMismatch):
             reference_is_horizontal(module, bad)
+
+
+def module_near_a_million(rng, dim, prec):
+    """Entries of degree 4 in t with coefficients near +-10^6, over 1, 3 or 7."""
+    def coefficient():
+        return F(rng.choice([1, -1]) * (10**6 - rng.randint(0, 9)), rng.choice([1, 1, 3, 7]))
+    return DeltaModule.from_rows(
+        [[TSeries([coefficient() for _ in range(5)], prec) for _ in range(dim)]
+         for _ in range(dim)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_pairing_residual_slots_hold_coefficients_near_a_million(seed, monkeypatch):
+    # verify_tensor_pairing sizes its packed pairings for the residual against
+    # the dual tensor; it must decide as the one-vector check on the unpacked
+    # pairings, with the right sections as they are and bumped at the top
+    rng = random.Random(4600 + seed)
+    dims = (rng.randint(1, 3), rng.randint(1, 3)) if seed > 1 else (3, 3)
+    left, right = (module_near_a_million(rng, d, 6) for d in dims)
+    hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
+    module = dual(tensor(left, right))
+    top = hn[-1][0].prec
+    for sections, held in ((hn, True), (hn[:-1] + [bumped(hn[-1], 0, top)], False)):
+        pairings = kron(hm, sections)
+        assert all(reference_is_horizontal(module, v) for v in pairings) is held
+        assert is_horizontal(module, *pairings) is held
+        families = iter([hm, sections])
+        monkeypatch.setattr("djets.delta_modules.horizontal_sections",
+                            lambda _module: next(families))
+        assert verify_tensor_pairing(left, right).pairings_horizontal is held
 
 
 # -- rational rref ---------------------------------------------------------------------
