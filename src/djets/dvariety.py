@@ -28,7 +28,6 @@ from .delta_modules import DeltaModule, horizontal_sections
 from .errors import (
     ArityError,
     DimensionMismatch,
-    DomainMismatch,
     InsufficientPrecision,
     InvarianceViolation,
     PointNotOnVariety,
@@ -133,10 +132,10 @@ def sharp_integrate(variety: DVariety, initial, order):
     gcd.  With N = order the run makes O(N^2) integer multiply-adds per node
     and O(N^2) integer additions for the binomial rows.
     `series.from_hurwitz` turns the rows into series, which are reduced only
-    when a reader needs the reduced form.  A section coefficient that is
-    not rational raises DomainMismatch, a negative order
-    InsufficientPrecision, both before any work.  The defining equations
-    are re-checked on the resulting series to guaranteed precision.
+    when a reader needs the reduced form.  The section is rational, as every
+    `MPoly` is; a negative order raises InsufficientPrecision before any
+    work.  The defining equations are re-checked on the resulting series to
+    guaranteed precision.
     """
     if order < 0:
         raise InsufficientPrecision("order must be >= 0")
@@ -144,14 +143,8 @@ def sharp_integrate(variety: DVariety, initial, order):
     # monomial -> (parent monomial, variable index), parents first; a loop,
     # not a recursion, so a high degree needs no stack frame per degree.
     parents = {}
-    for j, s in enumerate(variety.section):
-        for e, c in s.terms.items():
-            if not isinstance(c, Fraction):
-                kind = "a series" if isinstance(c, TSeries) else f"a {type(c).__name__}"
-                raise DomainMismatch(
-                    f"section component {j} ({variety.vars[j]}) has {kind} "
-                    f"coefficient on the monomial {MPoly(variety.vars, {e: 1})}"
-                )
+    for s in variety.section:
+        for e in s.terms:
             chain = []
             while e != one and e not in parents:
                 i = next(i for i, a in enumerate(e) if a)

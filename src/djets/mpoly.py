@@ -1,10 +1,11 @@
-"""Sparse multivariate polynomials over exact coefficient rings.
+"""Sparse multivariate polynomials over Q.
 
 A polynomial is a map from exponent vectors (one natural number per
-variable) to nonzero coefficients.  Coefficients are rationals for the
-classical ring Q[x] and truncated series when working over the series
-field.  Terms are kept free of stored zeros and printed in graded
-lexicographic order, which is also the order fixed for all jet index sets.
+variable) to nonzero rational coefficients; the constructor lifts an `int`
+to a `Fraction` and refuses any other coefficient.  A polynomial can still
+be evaluated at a point of series.  Terms are kept free of stored zeros and
+printed in graded lexicographic order, which is also the order fixed for
+all jet index sets.
 """
 
 from __future__ import annotations
@@ -58,14 +59,24 @@ def multi_indices_with_zero(nvars, order):
     return out
 
 
-def _coerce_coeff(c):
+def _monomial(variables, exps):
+    return "*".join((f"{v}^{k}" if k > 1 else v) for v, k in zip(variables, exps) if k)
+
+
+def _rational(c, variables, exps):
+    """The coefficient c on x^exps as a Fraction; DomainMismatch unless rational."""
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, int):
         return Fraction(c)
-    return c
+    raise DomainMismatch(
+        f"the coefficient on the monomial {_monomial(variables, exps) or '1'} "
+        f"is a {type(c).__name__}, not a rational"
+    )
 
 
 class MPoly:
-    """A sparse polynomial with named variables."""
+    """A sparse polynomial over Q with named variables."""
 
     __slots__ = ("vars", "terms")
 
@@ -81,7 +92,8 @@ class MPoly:
                 )
             if any(e < 0 for e in exps):
                 raise DimensionMismatch(f"negative exponent in {exps}")
-            c = _coerce_coeff(c)
+            if c.__class__ is not Fraction:
+                c = _rational(c, self.vars, exps)
             if c == 0:
                 continue
             if exps in clean:
@@ -153,7 +165,7 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check_same_vars(other)
             return other
-        if isinstance(other, (int, Fraction, TSeries)):
+        if isinstance(other, (int, Fraction)):
             return MPoly.constant(self.vars, other)
         return None
 
@@ -267,9 +279,6 @@ class MPoly:
             return total
         return _zero_like(point)
 
-    def map_coeffs(self, fn):
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     def embed(self, variables):
         """The same polynomial over a larger variable tuple (matched by name)."""
         variables = tuple(variables)
@@ -291,13 +300,7 @@ class MPoly:
 
     def __str__(self):
         keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        return format_terms(
-            (
-                self.terms[e],
-                "*".join((f"{v}^{k}" if k > 1 else v) for v, k in zip(self.vars, e) if k),
-            )
-            for e in keys
-        )
+        return format_terms((self.terms[e], _monomial(self.vars, e)) for e in keys)
 
     def __repr__(self):
         return f"MPoly({self})"
@@ -383,8 +386,6 @@ def _reduce(terms, basis, key=grevlex_key):
 
 def _buchberger(generators, key=grevlex_key):
     """A Groebner basis as (leading monomial, monic terms) pairs; see groebner."""
-    if any(not isinstance(c, Fraction) for g in generators for c in g.terms.values()):
-        raise DomainMismatch("Groebner bases need rational coefficients")
     basis, pairs = [], {}
     for g in generators:
         if g.terms:

@@ -366,19 +366,16 @@ def power(base, n, one):
 
 
 def format_terms(terms):
-    """Sign-joined text of (coefficient, monomial) pairs; "0" when there are none.
+    """Sign-joined text of (rational coefficient, monomial) pairs; "0" when
+    there are none.
 
-    A rational coefficient prints as its absolute value before `*monomial`,
-    omitted when it is 1 and the monomial is not, and its sign joins the
-    term; a series coefficient prints in parentheses and joins with "+".
+    A coefficient prints as its absolute value before `*monomial`, omitted
+    when it is 1 and the monomial is not, and its sign joins the term.
     """
     text = ""
     for c, mono in terms:
-        if isinstance(c, TSeries):
-            sign, body = "+", f"({c})" + (f"*{mono}" if mono else "")
-        else:
-            sign, a = ("-" if c < 0 else "+"), abs(c)
-            body = f"{a}*{mono}" if mono and a != 1 else mono or str(a)
+        sign, a = ("-" if c < 0 else "+"), abs(c)
+        body = f"{a}*{mono}" if mono and a != 1 else mono or str(a)
         text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
     return text or "0"
 

@@ -346,34 +346,42 @@ class DegreeGapReport:
         }
 
 
-def degree_identity_check(P: MPoly, Q: MPoly):
+def degree_identity_check(P: MPoly, Q: MPoly, prec):
     """Compare y-degrees of P^delta Q - Q^delta P against P Q y.
 
-    The coefficients are series (a differential field); ^delta applies the
-    derivation coefficientwise.  The right-hand side stays within
-    deg_y P + deg_y Q while multiplying by y pushes the left-hand side one
-    higher whenever the leading y-coefficients multiply to something
-    nonzero, so the two can never agree.
+    P and Q are polynomials in (x, y, t) over Q, and stand for polynomials
+    in (x, y) over series of precision N = prec: a coefficient of
+    precision N is a polynomial in t modulo t^(N+1), and delta acts as
+    d/dt.  So both are cut past t^N on entry, P^delta Q - Q^delta P is
+    (dP/dt) Q - (dQ/dt) P cut past t^(N-1), and P Q y is the product cut
+    past t^N, times y.  A leading y-coefficient is a unit when the product
+    of the two leading coefficients has a term of t-degree 0.  The
+    right-hand side stays within deg_y P + deg_y Q, while multiplying by y
+    pushes the left-hand side one higher whenever the leading coefficients
+    multiply to a unit, so the two can never agree.
     """
+    if prec < 1:
+        raise InsufficientPrecision("the degree step needs precision >= 1")
+    P, Q = _cut_t(P, prec), _cut_t(Q, prec)
     if P.is_zero() or Q.is_zero():
         raise ZeroInput("degree comparison needs nonzero polynomials")
-    Pd = P.map_coeffs(lambda c: c.derive())
-    Qd = Q.map_coeffs(lambda c: c.derive())
-    rhs = Pd * Q - Qd * P
-    y = MPoly.variable(P.vars, "y")
-    lhs = P * Q * y
+    rhs = _cut_t(P.partial("t") * Q - Q.partial("t") * P, prec - 1)
+    lhs = _cut_t(P * Q, prec) * MPoly.variable(P.vars, "y")
     lead = P.leading_coeff_in("y") * Q.leading_coeff_in("y")
-    leading_unit = any(
-        (c.is_unit() if isinstance(c, TSeries) else c != 0)
-        for c in lead.terms.values()
-    )
+    t = P.vars.index("t")
     return DegreeGapReport(
         deg_y_p=P.degree_in("y"),
         deg_y_q=Q.degree_in("y"),
         deg_y_rhs=rhs.degree_in("y"),
         deg_y_lhs=lhs.degree_in("y"),
-        leading_unit=leading_unit,
+        leading_unit=any(e[t] == 0 for e in lead.terms),
     )
+
+
+def _cut_t(p: MPoly, n):
+    """p with every term past t^n dropped."""
+    t = p.vars.index("t")
+    return MPoly(p.vars, {e: c for e, c in p.terms.items() if e[t] <= n})
 
 
 # -- fiber linearity -------------------------------------------------------------

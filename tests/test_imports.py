@@ -16,7 +16,9 @@ outside reader sees its reduced integer form or, through
 `series.over_one_denominator`, its stored integers over one common
 denominator.  In `src/djets` only the functions of `RAW_READERS` read the
 reduced form (`.nums` or `.den`) outside `series.py`; every other reader
-goes through `series`.  Every public
+goes through `series`.  In `mpoly.py` only `_zero_like` reads `TSeries`,
+to evaluate at a point of series, so a polynomial's coefficients stay
+rational.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
@@ -170,9 +172,9 @@ def test_the_scan_sees_the_integer_form(tmp_path):
     ]
 
 
-def integer_form_readers(path):
-    """(module, owner) pairs where `.nums` or `.den` is read: the owner is the
-    top-level function or `Class.method` around the read, or "<module>"."""
+def owned_nodes(path):
+    """(owner, node) pairs: each statement of a module with its owner, the
+    top-level function or `Class.method` it is, or "<module>"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     owned = []
@@ -182,8 +184,13 @@ def integer_form_readers(path):
                        else node.name, item) for item in node.body]
         else:
             owned.append((node.name if isinstance(node, funcs) else "<module>", node))
+    return owned
+
+
+def integer_form_readers(path):
+    """(module, owner) pairs where `.nums` or `.den` is read."""
     return sorted({
-        (path.stem, owner) for owner, node in owned for sub in ast.walk(node)
+        (path.stem, owner) for owner, node in owned_nodes(path) for sub in ast.walk(node)
         if isinstance(sub, ast.Attribute) and sub.attr in INTEGER_FORM
     })
 
@@ -215,6 +222,38 @@ def test_the_scan_sees_a_stray_integer_form_reader(tmp_path):
     assert integer_form_readers(module) == [
         ("m", "<module>"), ("m", "C.method"), ("m", "reads"),
     ]
+
+
+def series_readers(path):
+    """The owners that read `TSeries`, as a name or an attribute; an import
+    alone reads nothing."""
+    return sorted({
+        owner for owner, node in owned_nodes(path) for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and sub.id == "TSeries"
+        or isinstance(sub, ast.Attribute) and sub.attr == "TSeries"
+    })
+
+
+def test_polynomials_read_series_only_to_evaluate_at_them():
+    assert series_readers(SRC / "mpoly.py") == ["_zero_like"]
+
+
+def test_the_scan_sees_a_stray_series_reader(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from djets import series\n"
+        "from djets.series import TSeries\n"
+        "ZERO = TSeries.zero(2)\n"
+        "def lift(c):\n"
+        "    return isinstance(c, (int, series.TSeries))\n"
+        "def clean(c):\n"
+        "    return c.prec\n"
+        "class P:\n"
+        "    def coeff(self, c: TSeries):\n"
+        "        return c\n",
+        encoding="utf-8",
+    )
+    assert series_readers(module) == ["<module>", "P.coeff", "lift"]
 
 
 def names_series_domain(path):

@@ -263,13 +263,16 @@ def test_embed_and_subs():
     assert q == MPoly.variable(xyz, "x") ** 2
 
 
-def test_series_coefficients_supported():
+def test_coefficients_that_are_not_rational_are_refused_on_construction():
     xy = ("x", "y")
-    s = TSeries([1, 1], 8)
-    p = MPoly(xy, {(0, 1): s})
-    q = p.map_coeffs(lambda c: c.derive())
-    assert q == MPoly(xy, {(0, 1): TSeries.constant(1, 7)})
-    assert p.leading_coeff_in("y") == MPoly(xy, {(0, 0): s})
+    for c, kind in ((TSeries([1, 1], 8), "TSeries"), (0.5, "float")):
+        with pytest.raises(DomainMismatch, match=(
+            f"^the coefficient on the monomial x\\*y is a {kind}, not a rational$"
+        )):
+            MPoly(xy, {(0, 0): 1, (1, 1): c})
+    p = MPoly(xy, {(1, 1): 2, (0, 0): True})
+    assert all(type(c) is F for c in p.terms.values())
+    assert p == MPoly(xy, {(1, 1): F(2), (0, 0): F(1)})
 
 
 # -- Groebner bases and normal forms -----------------------------------------------

@@ -377,58 +377,156 @@ def test_counterexample_witnesses_follow_the_ratios():
 
 # -- the degree step --------------------------------------------------------------------
 
-def series_const(c, prec=12):
-    return TSeries.constant(c, prec)
+XYT = ("x", "y", "t")
+
+
+def xyt(terms):
+    """The polynomial sum of c * x^ex * y^ey * t^et over {(ex, ey, et): c}."""
+    return MPoly(XYT, terms)
 
 
 def test_degree_step_linear_example():
-    xy = ("x", "y")
-    P = MPoly(xy, {(0, 1): series_const(1)})      # y
-    Q = MPoly.constant(xy, series_const(1))        # 1
-    rep = degree_identity_check(P, Q)
+    rep = degree_identity_check(xyt({(0, 1, 0): 1}), xyt({(0, 0, 0): 1}), 12)   # y, 1
     assert rep.deg_y_rhs == 0 and rep.deg_y_lhs == 2 and rep.ok
 
 
 def test_degree_step_constant_example():
-    xy = ("x", "y")
-    P = MPoly.constant(xy, series_const(1))
-    Q = MPoly.constant(xy, series_const(1))
-    rep = degree_identity_check(P, Q)
+    one = xyt({(0, 0, 0): 1})
+    rep = degree_identity_check(one, one, 12)
     assert rep.deg_y_rhs == 0 and rep.deg_y_lhs == 1 and rep.ok
 
 
 def test_degree_step_zero_rejected():
-    xy = ("x", "y")
-    P = MPoly.constant(xy, series_const(1))
     with pytest.raises(ZeroInput):
-        degree_identity_check(MPoly.zero(xy), P)
+        degree_identity_check(MPoly.zero(XYT), xyt({(0, 0, 0): 1}), 12)
+    with pytest.raises(InsufficientPrecision):
+        degree_identity_check(xyt({(0, 0, 0): 1}), xyt({(0, 0, 0): 1}), 0)
+
+
+def random_xyt(rng, ydeg, lead_constants, tdeg=2, skip=0.4):
+    """Random coefficients of x^ex y^ey t^et for ex < 2, ey <= ydeg, et <= tdeg;
+    the x^0 y^ydeg coefficient has its t^0 term drawn from lead_constants."""
+    terms = {}
+    for ey in range(ydeg + 1):
+        for ex in range(2):
+            lead = ey == ydeg and ex == 0
+            if rng.random() < skip and not lead:
+                continue
+            coeffs = [rng.randint(-2, 2) for _ in range(tdeg + 1)]
+            if lead:
+                coeffs[0] = rng.choice(lead_constants)
+            terms.update(((ex, ey, et), c) for et, c in enumerate(coeffs))
+    return terms
 
 
 def test_degree_step_randomized():
     rng = random.Random(43)
-    xy = ("x", "y")
     count = 0
     while count < 100:
-        def rand_poly(ydeg):
-            terms = {}
-            for ey in range(ydeg + 1):
-                for ex in range(2):
-                    if rng.random() < 0.4 and not (ey == ydeg and ex == 0):
-                        continue
-                    coeffs = [F(rng.randint(-2, 2)) for _ in range(3)]
-                    if ey == ydeg and ex == 0:
-                        coeffs[0] = F(rng.choice([1, -1, 2]))
-                    terms[(ex, ey)] = TSeries(coeffs, 12)
-            return MPoly(xy, terms)
-
-        P = rand_poly(rng.randint(0, 3))
-        Q = rand_poly(rng.randint(0, 3))
-        rep = degree_identity_check(P, Q)
+        P = xyt(random_xyt(rng, rng.randint(0, 3), [1, -1, 2]))
+        Q = xyt(random_xyt(rng, rng.randint(0, 3), [1, -1, 2]))
+        rep = degree_identity_check(P, Q, 12)
         if not rep.leading_unit:
             continue
         assert rep.deg_y_rhs <= rep.deg_y_p + rep.deg_y_q
         assert rep.deg_y_lhs == rep.deg_y_p + rep.deg_y_q + 1
         count += 1
+
+
+def test_degree_step_leads_without_a_constant_term_are_not_units():
+    P = xyt({(0, 1, 1): 1, (0, 0, 0): 1})    # t*y + 1: its lead t is no unit
+    Q = xyt({(1, 2, 2): 3, (0, 0, 0): 1})    # 3*x*t^2*y^2 + 1
+    rep = degree_identity_check(P, Q, 4)
+    assert (rep.deg_y_p, rep.deg_y_q, rep.leading_unit, rep.ok) == (1, 2, False, False)
+    assert rep.deg_y_lhs == 4      # 3*x*t^3*y^4 survives the cut past t^4
+
+
+def test_degree_step_cuts_terms_past_the_precision_on_entry():
+    y, one = xyt({(0, 1, 0): 1}), xyt({(0, 0, 0): 1})
+    past = xyt({(0, 3, 5): 1, (1, 2, 9): 7})      # t^5*y^3 + 7*x*t^9*y^2
+    assert series_poly(past.terms, 4) == {(0, 3): TSeries.zero(4), (1, 2): TSeries.zero(4)}
+    assert degree_identity_check(y + past, one, 4) == degree_identity_check(y, one, 4)
+    assert degree_identity_check(y + past, one, 5).deg_y_p == 3
+    with pytest.raises(ZeroInput):
+        degree_identity_check(past, one, 4)
+
+
+# An oracle over series coefficients: {(ex, ey): TSeries of precision N}, with
+# delta applied coefficientwise by `derive`; no MPoly involved.
+
+def series_poly(terms, prec):
+    """{(ex, ey, et): c} as {(ex, ey): sum of c * t^et, to precision prec}."""
+    rows = {}
+    for (ex, ey, et), c in terms.items():
+        rows.setdefault((ex, ey), {})[et] = c
+    return {k: TSeries([row.get(et, 0) for et in range(max(row) + 1)], prec)
+            for k, row in rows.items()}
+
+
+def series_mul(a, b):
+    out = {}
+    for (ax, ay), c in a.items():
+        for (bx, by), d in b.items():
+            k = (ax + bx, ay + by)
+            out[k] = out[k] + c * d if k in out else c * d
+    return out
+
+
+def series_sub(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] - c if k in out else -c
+    return out
+
+
+def series_deg_y(a):
+    return max((ey for (_ex, ey), c in a.items() if not c.is_zero()), default=0)
+
+
+def series_lead_y(a):
+    d = series_deg_y(a)
+    return {(ex, 0): c for (ex, ey), c in a.items() if ey == d}
+
+
+def report_fields(rep):
+    return (rep.deg_y_p, rep.deg_y_q, rep.deg_y_rhs, rep.deg_y_lhs, rep.leading_unit)
+
+
+def series_degree_report(P, Q):
+    """(deg_y P, deg_y Q, deg_y rhs, deg_y lhs, leading_unit) over series."""
+    Pd = {k: c.derive() for k, c in P.items()}
+    Qd = {k: c.derive() for k, c in Q.items()}
+    rhs = series_sub(series_mul(Pd, Q), series_mul(Qd, P))
+    lhs = {(ex, ey + 1): c for (ex, ey), c in series_mul(P, Q).items()}
+    lead = series_mul(series_lead_y(P), series_lead_y(Q))
+    return (series_deg_y(P), series_deg_y(Q), series_deg_y(rhs), series_deg_y(lhs),
+            any(c.is_unit() for c in lead.values()))
+
+
+def test_degree_step_matches_the_series_oracle():
+    rng = random.Random(44)
+    compared = units = 0
+    while compared < 300:
+        prec = rng.randint(1, 4)
+        tp, tq = (random_xyt(rng, rng.randint(0, 3), [0, 1, -2], tdeg=5) for _ in "PQ")
+        P, Q = series_poly(tp, prec), series_poly(tq, prec)
+        if all(c.is_zero() for c in P.values()) or all(c.is_zero() for c in Q.values()):
+            continue
+        rep = degree_identity_check(xyt(tp), xyt(tq), prec)
+        assert report_fields(rep) == series_degree_report(P, Q)
+        compared += 1
+        units += rep.leading_unit
+    assert 0 < units < compared
+
+
+def test_degree_step_cuts_the_derivative_side_one_order_lower():
+    # (dP/dt) Q - (dQ/dt) P = t^2*y: gone at precision 2, kept at 3.
+    P, Q = xyt({(0, 1, 2): 1}), xyt({(0, 0, 1): 1})      # t^2*y, t
+    for prec, deg_y_rhs in ((2, 0), (3, 1)):
+        rep = degree_identity_check(P, Q, prec)
+        assert rep.deg_y_rhs == deg_y_rhs
+        assert report_fields(rep) == series_degree_report(
+            series_poly(P.terms, prec), series_poly(Q.terms, prec))
 
 
 # -- fiber linearity -----------------------------------------------------------------
