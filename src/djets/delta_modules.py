@@ -21,8 +21,9 @@ pairings to be solutions, they span the d solutions of the fundamental
 matrix exactly when their t^0 values (the `kron` of the factors' t^0
 values) have rank d: one `mutually_contained` elimination of d rows
 against the d unit vectors, the fundamental matrix at t = 0, through
-`linalg.constant_combination`, the one exact span test over Q, which
-`tangent.m1_equivalence` uses too and the benchmark traces.
+`linalg.constant_combination`, which the benchmark traces.  `rank_at_zero`
+is the same rank read as a number, which `tangent.m1_equivalence` compares
+across two families of solutions.
 
 A horizontal jet on a product, extended by zero to a matrix V over the two
 factor index sets with the unit index put first, decomposes as
@@ -210,6 +211,14 @@ def mutually_contained(basis_a, basis_b):
     if k == len(basis_b) and len(rref(forward, k, RATIONAL)[1]) == k:
         return True
     return all(c is not None for c in constant_combination(basis_b, basis_a))
+
+
+def rank_at_zero(vectors, dim):
+    """The rank over Q of the t^0 values of series vectors of length `dim`:
+    one rational `rref` of their constant terms.  For solutions of one
+    c' = -A c this is the dimension of their span over the constants."""
+    values = [[e.constant_term for e in v] for v in vectors]
+    return len(rref(values, dim, RATIONAL)[1])
 
 
 @dataclass

@@ -138,7 +138,7 @@ def sharp_integrate(variety: DVariety, initial, order):
     guaranteed precision.
     """
     if order < 0:
-        raise InsufficientPrecision("order must be >= 0")
+        raise InsufficientPrecision(f"sharp_integrate: order must be >= 0, got {order}")
     one = (0,) * variety.nvars
     # monomial -> (parent monomial, variable index), parents first; a loop,
     # not a recursion, so a high degree needs no stack frame per degree.

@@ -14,11 +14,8 @@ pivot rows equal those of Fraction elimination; each row below them is a
 nonzero multiple of its Fraction counterpart.
 Kernel bases are primitive `int` vectors with a positive leading entry,
 each read off the pivot rows over one common denominator.
-Constant combinations of series vectors are solved on the leading rows of
-their t-power-major integer equations only, until the basis has full rank
-there, and every other row is then checked exactly by one integer dot
-product.  Full column rank makes the coefficients unique, so the result
-is the one that eliminating every row gives.
+Constant combinations of series vectors are one rational elimination of
+all their integer equations, one per coordinate and t-power.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .errors import DimensionMismatch, DomainMismatch, SingularPivot
 from .series import integer_rows, integer_scaled
@@ -211,45 +207,20 @@ def constant_combination(targets, basis):
     or None when the target is not a constant combination of the basis.
     The vectors have TSeries entries; each coordinate and each t-power up to
     the order guaranteed by the basis and all targets contributes one
-    integer equation, so a returned combination is exact to that precision.
-    When the basis is dependent, the coefficients of its non-pivot vectors
-    are zero.  An empty basis contains only zero targets.
-
-    The equations are ordered t-power first, so the leading `ncoords` rows
-    are the t^0 coefficients of every coordinate.  Only a leading block of
-    rows is eliminated: `rref` of [basis | targets] on the head, doubling
-    the head until the basis has k = len(basis) pivots in it or the head
-    holds every row.  Then each target contained in the head's span is put
-    over one denominator d and every remaining row is checked by one
-    integer dot product, d * target == sum(basis_i * d c_i).  The result is
-    the one full elimination gives: with k pivots in the head the basis has
-    full column rank, so a contained target's coefficients are unique and
-    the head finds them; without them the head is every row; and a target
-    outside the span fails some row either way.
+    integer equation, and one `rref` of [basis | targets] over all of them
+    decides every target, so a returned combination is exact to that
+    precision.  When the basis is dependent, the coefficients of its
+    non-pivot vectors are zero.  An empty basis contains only zero targets.
     """
     targets = list(targets)
     k = len(basis)
     vectors = list(basis) + targets
     prec = min((e.prec for v in vectors for e in v), default=0)
     ncoords = len(targets[0]) if targets else 0
-    by_coord = [integer_rows([v[coord] for v in vectors], prec) for coord in range(ncoords)]
-    rows = [row for power in zip(*by_coord) for row in power]
-    head = ncoords
-    while True:
-        head = min(head, len(rows))
-        red, pivots = rref(rows[:head], len(vectors), RATIONAL, pivot_limit=k)
-        if len(pivots) == k or head == len(rows):
-            break
-        head *= 2
-    rest = rows[head:]
-    out = []
-    for j, x in enumerate(_read_solutions(red, pivots, k, len(vectors)), k):
-        if x is not None:
-            d, xs = integer_scaled(x)
-            if any(d * row[j] != sum(map(mul, xs, row)) for row in rest):
-                x = None
-        out.append(x)
-    return out
+    rows = [row for coord in range(ncoords)
+            for row in integer_rows([v[coord] for v in vectors], prec)]
+    red, pivots = rref(rows, len(vectors), RATIONAL, pivot_limit=k)
+    return _read_solutions(red, pivots, k, len(vectors))
 
 
 def _read_solutions(red, pivots, first, stop):

@@ -633,7 +633,7 @@ def fundamental_matrix(A, order, initial=None):
     elif len(initial) != d or any(len(row) != len(initial[0]) for row in initial):
         raise DimensionMismatch("initial value must have one row per matrix row")
     if order < 0:
-        raise InsufficientPrecision("order must be >= 0")
+        raise InsufficientPrecision(f"fundamental_matrix: order must be >= 0, got {order}")
     if d == 0:
         return []
     aprec = min(e.prec for row in A for e in row)

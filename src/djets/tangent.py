@@ -26,7 +26,7 @@ from .delta_modules import (
     DeltaModule,
     horizontal_sections,
     is_horizontal,
-    mutually_contained,
+    rank_at_zero,
 )
 from .dvariety import DVariety, SharpPoint, delta_jet_space, fresh_names
 from .errors import (
@@ -469,13 +469,16 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     Route one computes the differential jet space at the sharp point; route
     two takes the horizontal sections of the fiber module of delta_tangent,
     the solutions of v' = J_s(a(t)) v, and keeps the constant combinations
-    satisfying the order-1 jet rows.  The two bases must contain each other
-    over the constants with exact-zero residuals.
+    satisfying the order-1 jet rows.  Route two solves that ODE by
+    construction; route one must be shown to, by exact-zero residuals in the
+    fiber module (at precision 0 there is no derivative to check).  Solutions
+    are fixed by their values at t = 0, so the two bases then contain each
+    other over the constants exactly when their t^0 values and the union of
+    both have one rank (`rank_at_zero`).
     """
     djs = delta_jet_space(variety, point, 1)
-    columns = horizontal_sections(
-        delta_tangent(variety).fiber_module(point.coords, point.prec)
-    )
+    module = delta_tangent(variety).fiber_module(point.coords, point.prec)
+    columns = horizontal_sections(module)
     constraints = jet_equations(variety.generators, point.coords, 1)
     rational_rows = []
     for combo in mat_mul(constraints, transpose(columns)):
@@ -484,8 +487,10 @@ def m1_equivalence(variety: DVariety, point: SharpPoint):
     # generators there are no rows, the kernel is the identity and the
     # basis is the columns themselves
     ode_basis = mat_mul(nullspace(LinSystem(rational_rows, len(columns))), columns)
-    contained = mutually_contained(djs.horizontal, ode_basis)
-    return TangentEquivalenceReport(djs.dim_c, len(ode_basis), contained)
+    solves = point.prec == 0 or is_horizontal(module, *djs.horizontal)
+    ranks = {rank_at_zero(vs, module.dim)
+             for vs in (djs.horizontal, ode_basis, djs.horizontal + ode_basis)}
+    return TangentEquivalenceReport(djs.dim_c, len(ode_basis), solves and len(ranks) == 1)
 
 
 # -- the counterexample chain ----------------------------------------------------

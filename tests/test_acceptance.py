@@ -6,6 +6,7 @@ lines, or `djets suite` for the same checks from the command line.
 
 import pytest
 
+import djets.delta_modules
 from djets import acceptance
 
 
@@ -69,6 +70,24 @@ def test_criterion_08_constant_points_jets():
 
 def test_criterion_09_m1_crosscheck():
     _run(acceptance.check_m1_crosscheck())
+
+
+def test_spans_are_compared_only_at_t0(monkeypatch):
+    # the tensor-pairing and m1-crosscheck checks of run_all() decide spans
+    # by t^0 values, so every constant_combination they make is on series
+    # of precision 0
+    original = djets.delta_modules.constant_combination
+    precisions = set()
+
+    def recorded(targets, basis):
+        targets = list(targets)
+        precisions.update(e.prec for v in targets + list(basis) for e in v)
+        return original(targets, basis)
+
+    monkeypatch.setattr(djets.delta_modules, "constant_combination", recorded)
+    assert acceptance.check_tensor_pairing(seed=1).passed
+    assert acceptance.check_m1_crosscheck().passed
+    assert precisions == {0}
 
 
 def test_criterion_10_degree_step():

@@ -169,7 +169,8 @@ def test_sharp_integrate_rejects_a_negative_order():
     xs = ("x",)
     variety = DVariety(xs, (), (MPoly.variable(xs, "x"),))
     for order in (-1, -3):
-        with pytest.raises(InsufficientPrecision, match="^order must be >= 0$"):
+        with pytest.raises(InsufficientPrecision,
+                           match=f"^sharp_integrate: order must be >= 0, got {order}$"):
             sharp_integrate(variety, (2,), order)
 
 
@@ -708,6 +709,14 @@ def test_fundamental_matrix_zero_and_constant(d):
                  for _ in range(d)] for _ in range(d)]
     assert_fundamental_matches(constant, 11)
     assert_fundamental_matches(constant, 0)
+
+
+def test_fundamental_matrix_rejects_a_negative_order():
+    A = [[TSeries.constant(1, 4)]]
+    for order in (-1, -3):
+        with pytest.raises(InsufficientPrecision,
+                           match=f"^fundamental_matrix: order must be >= 0, got {order}$"):
+            fundamental_matrix(A, order)
 
 
 def constant_matrix(rows, prec):

@@ -4,10 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import djets.dvariety
 import djets.series
 import djets.tangent
+from djets.acceptance import corpus
+from djets.delta_modules import horizontal_sections, is_horizontal, rank_at_zero
 from djets.diffpoly import log_derivative_constant_identity
-from djets.dvariety import DVariety, delta_jet_space, sharp_integrate, validate_section
+from djets.dvariety import (
+    DeltaJetSpace,
+    DVariety,
+    delta_jet_space,
+    sharp_integrate,
+    validate_section,
+)
 from djets.errors import (
     InsufficientPrecision,
     NonTriangular,
@@ -650,3 +659,47 @@ def test_m1_equivalence_at_zero_dimensional_points():
     for variety, start in [(point_on_line, (0,)), (plane_point, (0, 0))]:
         rep = m1_equivalence(variety, sharp_integrate(variety, start, 16))
         assert (rep.dim_jet_route, rep.dim_ode_route, rep.ok) == (0, 0, True)
+
+
+def test_m1_equivalence_sees_a_wrong_derivation_matrix_by_the_residual(monkeypatch):
+    # B off by one entry: the jet route starts from the same jet basis, so
+    # the t^0 ranks agree, and only the residual in the fiber module sees it
+    original = djets.dvariety._derivation_matrix
+
+    def wrong(variety, point, order_m):
+        B = original(variety, point, order_m)
+        B[0][1] = B[0][1] + TSeries.constant(1, B[0][1].prec)
+        return B
+
+    monkeypatch.setattr(djets.dvariety, "_derivation_matrix", wrong)
+    entries = {variety.name: (variety, point) for variety, point in corpus()}
+    for name in ("X", "line1*line2", "X*line1"):
+        variety, point = entries[name]
+        djs = delta_jet_space(variety, point, 1)
+        assert rank_at_zero(djs.horizontal, djs.dim_k) == djs.dim_k
+        rep = m1_equivalence(variety, point)
+        assert rep.to_json() == {"dim_jet_route": djs.dim_k, "dim_ode_route": djs.dim_k,
+                                 "mutually_contained": False, "ok": False}, name
+
+
+def test_m1_equivalence_sees_a_jet_route_leaving_the_jet_space_by_the_rank(monkeypatch):
+    # the solution through (1, 0) solves v' = J_s(x(t)) v, but its t^0
+    # value is off the parabola's tangent line (1, 2)
+    curve = parabola()
+    point = sharp_integrate(curve, (1, 1), 16)
+    module = delta_tangent(curve).fiber_module(point.coords, point.prec)
+    off = horizontal_sections(module, [[1], [0]])
+    assert is_horizontal(module, *off)
+    jets = delta_jet_space(curve, point, 1)
+    monkeypatch.setattr(djets.tangent, "delta_jet_space",
+                        lambda *args: DeltaJetSpace(jets.jet, off))
+    rep = m1_equivalence(curve, point)
+    assert (rep.dim_jet_route, rep.dim_ode_route, rep.mutually_contained) == (1, 1, False)
+
+
+def test_m1_equivalence_at_precision_0_on_the_corpus_singles():
+    # no derivative to check: the t^0 values alone decide
+    for variety, point in corpus()[:6]:
+        start = tuple(c.constant_term for c in point.coords)
+        rep = m1_equivalence(variety, sharp_integrate(variety, start, 0))
+        assert rep.ok and rep.dim_jet_route == rep.dim_ode_route, variety.name
