@@ -60,7 +60,6 @@ from .series import (
     TSeries,
     exp_series,
     fundamental_matrix,
-    kron,
 )
 from .tangent import (
     LinearDVariety,

@@ -179,6 +179,8 @@ def _emit(args, payload, text_lines):
 def _single_variety(doc, name):
     if name is not None:
         return doc.variety(name)
+    if not doc.varieties:
+        raise ParseError("document defines no dvariety")
     if len(doc.varieties) != 1:
         names = ", ".join(doc.varieties)
         raise ParseError(f"--name required: document defines {names}")

@@ -9,8 +9,8 @@ from a rational initial value, one per column, without the fundamental
 matrix.  The pairings of two families of horizontal dual vectors are the
 rows of their Kronecker product, formed by `series.packed_kron` as one
 integer per tensor coordinate and order, one slot per pairing, and checked
-so by the residual loop `is_horizontal` runs on any packed family: never
-unpacked, and over one stored denominator, with no gcd.
+so by the residual loop `is_horizontal` runs on any packed family, over
+one stored denominator, with no gcd.
 
 Whether the pairings span the dual tensor's horizontal space is decided
 at t = 0, with no sections of the dual tensor formed.  A solution of
@@ -18,8 +18,8 @@ c' = -A c over Q[[t]] is fixed through its guaranteed order by its value
 at t = 0, since c_(k+1) = -(1/(k+1)) sum_i A_i c_(k-i) (van der Put and
 Singer 2003, section 1.1).  So once the packed residual has shown the
 pairings to be solutions, they span the d solutions of the fundamental
-matrix exactly when their t^0 values (the `kron` of the factors' t^0
-values) have rank d: one `mutually_contained` elimination of d rows
+matrix exactly when their t^0 values, unpacked from the packed product,
+have rank d: one `mutually_contained` elimination of d rows
 against the d unit vectors, the fundamental matrix at t = 0, through
 `linalg.constant_combination`, which the benchmark traces.  `rank_at_zero`
 is the same rank read as a number, which `tangent.m1_equivalence` compares
@@ -41,8 +41,8 @@ from fractions import Fraction
 from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, kron, over_one_denominator, pack
-from .series import packed_kron, transpose
+from .series import TSeries, fundamental_matrix, over_one_denominator, pack
+from .series import packed_kron, transpose, unpack
 
 
 @dataclass(frozen=True)
@@ -250,11 +250,12 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     The pairings are the coordinate tensors of the factor solutions, one
     fundamental matrix per factor dual, so all their entries share one
     precision.  `series.packed_kron` forms them packed, in slots wide enough
-    for `_residuals_vanish` against the dual tensor: nothing is unpacked or
-    solved.  Solutions are fixed by their values at t = 0, so the span is
-    decided there: the dual tensor's horizontal space has dimension d, and
-    `mutually_contained` compares the pairings' t^0 values (the `kron` of
-    the factors' t^0 values) with the d unit vectors, in d rows.
+    for `_residuals_vanish` against the dual tensor, which unpacks and
+    solves nothing.  Solutions are fixed by their values at t = 0, so the
+    span is decided there: the dual tensor's horizontal space has dimension
+    d, and `mutually_contained` compares the pairings' t^0 values, the t^0
+    slots of the same product (at most the product of the factor norms, so
+    read back exactly), with the d unit vectors, in d rows.
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
@@ -262,11 +263,11 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     d = dual_tensor.dim
     prec = min((e.prec for v in hm + hn for e in v), default=0)
     rows, most = _residual_rows(dual_tensor, prec)
-    packed = packed_kron(hm, hn, most)[2]
+    den, b, packed = packed_kron(hm, hn, most)
     zero, one = TSeries.zero(0), TSeries.constant(1, 0)
     units = [[one if r == c else zero for c in range(d)] for r in range(d)]
-    initial = kron([[e.at_precision(0) for e in v] for v in hm],
-                   [[e.at_precision(0) for e in v] for v in hn])
+    initial = [[TSeries.constant(Fraction(x, den), 0) for x in xs]
+               for xs in unpack([conv[0] for conv in packed], b, len(hm) * len(hn))]
     return TensorPairingReport(
         dim_left=left.dim,
         dim_right=right.dim,

@@ -21,7 +21,7 @@ reader needs it.  Products, division and `mat_mul` read their operands
 reduced, so denominators do not grow along a chain of products, and store
 their results raw; a product with an operand whose stored numerators are
 all zero is the zero series, made without a convolution.  The linear
-readers (`packed_kron`, `kron`, `integer_rows`, `is_horizontal`) take the
+readers (`packed_kron`, `integer_rows`, `is_horizontal`) take the
 stored integers over one common denominator (`over_one_denominator`) and
 reduce nothing: their results are eliminated or tested for zero, never
 multiplied along a chain, and a family from one `from_hurwitz` call
@@ -42,7 +42,7 @@ substitution across columns: `fundamental_matrix` packs each matrix row,
 `packed_kron` each factor column, and `delta_modules.is_horizontal` a
 family of vectors, always with slots wide enough for a majorant of what
 they hold.  `packed_kron`, the Kronecker product of two matrices of series,
-is one integer convolution over t per output column; `kron` unpacks it.
+is one integer convolution over t per output column.
 The integers are the only stored form: the tuple of Fractions `coeffs` is
 built from them on each read.  Only this module builds a series from
 integers, through `TSeries._ints`, and only it reads the raw integers: a
@@ -417,8 +417,8 @@ def over_one_denominator(entries):
     D is the lcm of the stored denominators, and each entry's stored
     numerators are scaled to it; nothing is reduced, so a family that
     already shares one stored denominator, such as the series of one
-    `from_hurwitz` call or of one `kron`, costs no gcd.  The numerators of
-    an entry are D times its coefficients.
+    `from_hurwitz` call, costs no gcd.  The numerators of an entry are D
+    times its coefficients.
     """
     den = lcm(*(e._raw_den for e in entries))
     return den, [
@@ -549,7 +549,7 @@ def unpack(xs, b, n):
     return [[((x >> shift) & mask) - half for x in xs] for shift in range(0, b * n, b)]
 
 
-def packed_kron(A, B, weight=1):
+def packed_kron(A, B, weight):
     """The Kronecker product of two matrices of series, packed: (den, b, columns).
 
     For B of shape r x s, columns[j*s + l][m] holds den times A[i][j] *
@@ -582,25 +582,6 @@ def packed_kron(A, B, weight=1):
     return da * db, b, [
         [sum(map(mul, ap[: m + 1], bp[m::-1])) for m in range(min(atop, btop) + 1)]
         for atop, ap in acols for btop, bp in bcols]
-
-
-def kron(A, B):
-    """The Kronecker product of two matrices of series: `packed_kron`, unpacked.
-
-    Entry (i*r + k, j*s + l), for B of shape r x s, is A[i][j] * B[k][l]
-    and reads with the `nums`, `den` and `prec` of that product.  Unlike
-    `*`, it reads its operands' stored integers and stores every entry raw
-    over the one denominator of `packed_kron`.
-    """
-    s = len(B[0]) if B else 0
-    den, b, packed = packed_kron(A, B)
-    out = [[] for _ in range(len(A) * len(B))]
-    for c, conv in enumerate(packed):
-        j, l = divmod(c, s)
-        precs = [min(x[j].prec, y[l].prec) for x in A for y in B]
-        for row, xs, e in zip(out, unpack(conv, b, len(out)), precs):
-            row.append(TSeries._ints(xs[: e + 1], den, e))
-    return out
 
 
 def fundamental_matrix(A, order, initial=None):

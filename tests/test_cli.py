@@ -180,6 +180,18 @@ def test_a_repeated_field_exits_2(tmp_path, capsys, text, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# no blocks\n", "document defines no dvariety"),
+    (LINES, "--name required: document defines L1, L2"),
+], ids=["none", "two"])
+def test_tangent_without_name_needs_exactly_one_variety(tmp_path, capsys, text, message):
+    # with no dvariety at all, --name cannot help, so the message does not ask for it
+    path = tmp_path / "varieties.djv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["tangent", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_default_fiber_names_avoid_the_base_variables(tmp_path, capsys):
     path = tmp_path / "fiber.djv"
     path.write_text("dvariety A { vars: x, u_x; ideal: []; section: [x, u_x]; }\n",

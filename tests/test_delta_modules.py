@@ -29,9 +29,14 @@ from djets.dvariety import (
 from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
 from djets.linalg import SERIES, constant_combination
 from djets.mpoly import MPoly, multi_indices
-from djets.series import TSeries, exp_series, kron
+from djets.series import TSeries, exp_series
 
 N = 16
+
+
+def entrywise_kron(A, B):
+    """The Kronecker product of two matrices of series, entry by entry."""
+    return [[x * y for x in v for y in w] for v in A for w in B]
 
 # The point u = 0 of the line has the jet space 0 at every order.
 POINT_AND_LINE = """
@@ -155,7 +160,7 @@ def test_horizontal_count_matches_dimension():
 def test_pairing_of_trivial_horizontals():
     v = horizontal_sections(dual(module([0])))[0]
     w = horizontal_sections(dual(module([0])))[0]
-    phi = kron([v], [w])[0]
+    phi = entrywise_kron([v], [w])[0]
     assert phi[0] == 1
     assert is_horizontal(dual(tensor(module([0]), module([0]))), phi)
 
@@ -165,7 +170,7 @@ def test_pairing_of_opposite_exponentials_is_constant():
     Nm = module([1])
     v = horizontal_sections(dual(Mm))[0]   # exp(-t)
     w = horizontal_sections(dual(Nm))[0]   # exp(t)
-    phi = kron([v], [w])[0]
+    phi = entrywise_kron([v], [w])[0]
     assert phi[0].is_constant()
     assert is_horizontal(dual(tensor(Mm, Nm)), phi)
 
@@ -177,8 +182,8 @@ def test_pairing_is_bilinear_in_constants():
     v = horizontal_sections(dual(M))[0]
     w = horizontal_sections(dual(Nm))[1]
     c = TSeries.constant(F(7, 2), N)
-    lhs = kron([[c * x for x in v]], [w])[0]
-    rhs = [c * x for x in kron([v], [w])[0]]
+    lhs = entrywise_kron([[c * x for x in v]], [w])[0]
+    rhs = [c * x for x in entrywise_kron([v], [w])[0]]
     assert all(a == b for a, b in zip(lhs, rhs))
 
 
@@ -190,7 +195,7 @@ def test_pairing_of_horizontals_is_horizontal_randomized():
         T = dual(tensor(M, Nm))
         for v in horizontal_sections(dual(M)):
             for w in horizontal_sections(dual(Nm)):
-                assert is_horizontal(T, kron([v], [w])[0])
+                assert is_horizontal(T, entrywise_kron([v], [w])[0])
 
 
 # -- the span verification -------------------------------------------------------------
@@ -262,8 +267,8 @@ def full_precision_decision(left, right, mutant):
     """The decision with the dual tensor's sections formed: the pairings of
     the mutated right sections horizontal and mutually contained with those
     sections at full precision."""
-    pairings = kron(horizontal_sections(dual(left)),
-                    mutant(horizontal_sections(dual(right))))
+    pairings = entrywise_kron(horizontal_sections(dual(left)),
+                              mutant(horizontal_sections(dual(right))))
     target = horizontal_sections(dual(tensor(left, right)))
     return (len(pairings) == len(target) == left.dim * right.dim
             and is_horizontal(dual(tensor(left, right)), *pairings)
@@ -303,6 +308,40 @@ def test_verify_tensor_pairing_on_a_zero_dimensional_factor(dims):
     }
 
 
+def zero_module(dim):
+    return module(*([0] * dim for _ in range(dim)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_span_is_decided_on_the_t0_slots_of_the_one_packed_product(seed, monkeypatch):
+    # The targets of the span check are the t^0 values of the pairings, read
+    # off the one packed product the residual is checked on.  A read of the
+    # t^1 slots instead gives other targets, and for a pair of zero modules,
+    # whose sections are constant, no targets of full rank.
+    targets, products = [], []
+    combine = djets.delta_modules.constant_combination
+    product = djets.delta_modules.packed_kron
+    monkeypatch.setattr(djets.delta_modules, "constant_combination",
+                        lambda t, basis: targets.append(t) or combine(t, basis))
+    monkeypatch.setattr(djets.delta_modules, "packed_kron",
+                        lambda *args: products.append(args) or product(*args))
+    rng = random.Random(4700 + seed)
+    for dl in (1, 2, 3):
+        for dr in (1, 2, 3):
+            pairs = [(_random_module(rng, dl), _random_module(rng, dr)),
+                     (zero_module(dl), zero_module(dr))]
+            for left, right in pairs:
+                targets.clear()
+                products.clear()
+                assert verify_tensor_pairing(left, right).ok
+                assert len(products) == 1
+                hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
+                want = [[x.constant_term * y.constant_term for x in v for y in w]
+                        for v in hm for w in hn]
+                assert [[e.constant_term for e in v] for v in targets[0]] == want
+                assert all(e.prec == 0 for v in targets[0] for e in v)
+
+
 # -- mutual containment ------------------------------------------------------------------
 
 def both_directions(a, b):
@@ -313,7 +352,8 @@ def both_directions(a, b):
 
 def pairing_families(left, right):
     """The pairings of horizontal dual vectors and the dual tensor's sections."""
-    pairings = kron(horizontal_sections(dual(left)), horizontal_sections(dual(right)))
+    pairings = entrywise_kron(horizontal_sections(dual(left)),
+                              horizontal_sections(dual(right)))
     return pairings, horizontal_sections(dual(tensor(left, right)))
 
 

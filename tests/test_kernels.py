@@ -2,8 +2,8 @@
 
 `sharp_integrate` is compared with the re-evaluate-every-step Taylor loop
 (and at orders 256 and 512 with the Fraction recursion), `TSeries.__mul__`
-with a plain Fraction double loop, `kron` with the products of its factors'
-entries and the slots of `packed_kron` with the sums they must hold, the
+with a plain Fraction double loop, the slots of `packed_kron` with the
+products of its factors' entries and with the sums they must hold, the
 batched `is_horizontal` and the packed pairings of `verify_tensor_pairing`
 with the one-vector residual check, rational `rref` with plain Fraction
 Gauss-Jordan elimination, the rank and `nullspace` with sympy,
@@ -62,7 +62,6 @@ from djets.series import (
     exp_series,
     from_hurwitz,
     fundamental_matrix,
-    kron,
     mat_mul,
     packed_kron,
     unpack,
@@ -368,7 +367,7 @@ def test_mul_by_scalars():
     assert (a * 0).is_zero()
 
 
-# -- kron and the batched horizontality test -------------------------------------------
+# -- packed_kron and the batched horizontality test ------------------------------------
 
 def random_kron_entry(rng):
     """A series of precision 0..8: zero, constant +-10^6 (a slot at the edge
@@ -383,14 +382,33 @@ def random_kron_entry(rng):
                     for _ in range(prec + 1)], prec)
 
 
+def unpacked_kron(A, B):
+    """`packed_kron(A, B, 1)` read back as series: entry (i*r + k, j*s + l),
+    for B of shape r x s, is slot r*i + k of column j*s + l over the one
+    denominator, through the lower precision of A[i][j] and B[k][l]."""
+    s = len(B[0]) if B else 0
+    den, b, packed = packed_kron(A, B, 1)
+    out = [[] for _ in range(len(A) * len(B))]
+    for c, conv in enumerate(packed):
+        j, l = divmod(c, s)
+        precs = [min(x[j].prec, y[l].prec) for x in A for y in B]
+        for row, xs, e in zip(out, unpack(conv, b, len(out)), precs):
+            row.append(TSeries([F(x, den) for x in xs[: e + 1]], e))
+    return out
+
+
+def entrywise_kron(A, B):
+    """The Kronecker product of two matrices of series, entry by entry."""
+    return [[x * y for x in v for y in w] for v in A for w in B]
+
+
 def assert_kron_matches(A, B):
-    """kron(A, B) equals the products A[i][j] * B[k][l] in nums, den and prec."""
-    want = [[a * b for a in arow for b in brow] for arow in A for brow in B]
-    assert exact_matrix(kron(A, B)) == exact_matrix(want)
+    """packed_kron(A, B) holds the products A[i][j] * B[k][l] in nums, den and prec."""
+    assert exact_matrix(unpacked_kron(A, B)) == exact_matrix(entrywise_kron(A, B))
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_kron_matches_the_products_of_entries(seed):
+def test_packed_kron_matches_the_products_of_entries(seed):
     rng = random.Random(4300 + seed)
     p, q, r, s = (rng.randint(1, 3) for _ in range(4))
     A = [[random_kron_entry(rng) for _ in range(q)] for _ in range(p)]
@@ -399,14 +417,15 @@ def test_kron_matches_the_products_of_entries(seed):
     assert_kron_matches(B, A)
 
 
-def test_kron_at_the_edge_of_the_slots_and_of_the_shapes():
+def test_packed_kron_at_the_edge_of_the_slots_and_of_the_shapes():
     # every slot holds +-10^12, the product of the two largest numerator sums
     million = [[TSeries.constant(10**6, 4), TSeries.constant(-10**6, 4)]] * 2
     assert_kron_matches(million, million)
     assert_kron_matches(million, [[TSeries.constant(-10**6, 2)]])
     assert_kron_matches([[TSeries.zero(3)]], million)
-    assert kron([], []) == [] == kron([], million) == kron(million, [])
-    assert kron([[], []], [[]]) == [[], []]
+    assert unpacked_kron([], []) == [] == unpacked_kron([], million)
+    assert unpacked_kron(million, []) == []
+    assert unpacked_kron([[], []], [[]]) == [[], []]
 
 
 @pytest.mark.parametrize("weight", [1, 7, 10**6, 3**40])
@@ -512,7 +531,7 @@ def test_tensor_pairing_residual_slots_hold_coefficients_near_a_million(seed, mo
     module = dual(tensor(left, right))
     top = hn[-1][0].prec
     for sections, held in ((hn, True), (hn[:-1] + [bumped(hn[-1], 0, top)], False)):
-        pairings = kron(hm, sections)
+        pairings = entrywise_kron(hm, sections)
         assert all(reference_is_horizontal(module, v) for v in pairings) is held
         assert is_horizontal(module, *pairings) is held
         families = iter([hm, sections])
@@ -834,7 +853,7 @@ def test_batched_combination_matches_per_target_on_module_pairs(dims):
     left, right = (_random_module(rng, d, prec) for d in dims)
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
-    pairings = kron(hm, hn)
+    pairings = entrywise_kron(hm, hn)
     target = horizontal_sections(dual(tensor(left, right)))
     assert all(c is not None for c in assert_combinations_match(pairings, target))
     assert all(c is not None for c in assert_combinations_match(target, pairings))

@@ -19,10 +19,10 @@ along a chain.  An unreduced series prints, compares and answers the zero,
 unit and order tests as its reduced copy does, without being reduced.  A
 product with an all-zero operand equals the convolved one.
 
-`kron`, `integer_rows` and `is_horizontal` read the stored integers over
-one common denominator and reduce nothing: on unreduced inputs they match
-the reduced products, the Fraction rows and the true sections, and the
-tensor pairing check takes no gcd.
+`packed_kron`, `integer_rows` and `is_horizontal` read the stored integers
+over one common denominator and reduce nothing: on unreduced inputs they
+match the reduced products, the Fraction rows and the true sections, and
+the tensor pairing check takes no gcd.
 """
 
 import json
@@ -41,7 +41,7 @@ from djets.errors import InsufficientPrecision, NonUnitDivisor
 from djets.linalg import RATIONAL, constant_combination, rref
 from djets.mpoly import MPoly
 from djets.series import (
-    TSeries, exp_series, fundamental_matrix, kron, mat_mul, render_scalar,
+    TSeries, exp_series, fundamental_matrix, mat_mul, packed_kron, render_scalar, unpack,
 )
 
 PRIMES = (1099511627689, 1099511627609, 549755813911)  # 40-bit primes
@@ -372,7 +372,7 @@ def test_constant_combination_equals_fraction_rows_on_acceptance_pairs():
         left, right = _random_module(rng, dm), _random_module(rng, dn)
         hm = horizontal_sections(dual(left))
         hn = horizontal_sections(dual(right))
-        pairings = kron(hm, hn)
+        pairings = [[x * y for x in v for y in w] for v in hm for w in hn]
         target = horizontal_sections(dual(tensor(left, right)))
         for targets, basis in ((pairings, target), (target, pairings)):
             got = constant_combination(targets, basis)
@@ -410,7 +410,7 @@ def assert_combination_matches(targets, basis):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_a_basis_equal_at_t0_doubles_the_head(seed):
+def test_a_basis_equal_at_t0_is_told_apart_past_it(seed):
     rng = random.Random(5100 + seed)
     k, ncoords, prec = rng.randint(2, 3), rng.randint(1, 3), rng.randint(7, 9)
     shared = random_vectors(rng, 1, ncoords, prec)[0]
@@ -440,7 +440,7 @@ def test_a_dependent_basis_is_eliminated_on_every_row(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_only_the_row_check_sees_a_difference_past_t0(seed):
+def test_a_target_off_by_one_term_is_not_a_combination(seed):
     rng = random.Random(5300 + seed)
     k = rng.randint(1, 3)
     ncoords, prec = k + rng.randint(0, 2), rng.randint(1, 8)
@@ -608,10 +608,10 @@ def test_an_unreduced_series_reads_like_its_reduced_copy(monkeypatch):
 
 # -- linear readers over one stored denominator ----------------------------------
 #
-# `kron`, `integer_rows` and `is_horizontal` read the stored integers over the
-# lcm of the stored denominators and reduce nothing.  Each is compared with
-# the reduced form on unreduced inputs, and the tensor pairing check, whose
-# families share one stored denominator, takes no gcd at all.
+# `packed_kron`, `integer_rows` and `is_horizontal` read the stored integers
+# over the lcm of the stored denominators and reduce nothing.  Each is
+# compared with the reduced form on unreduced inputs, and the tensor pairing
+# check, whose families share one stored denominator, takes no gcd at all.
 
 def count_gcds(monkeypatch):
     """The list of every `series.gcd` call made from now on."""
@@ -661,20 +661,22 @@ def kron_factors(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_kron_of_unreduced_inputs_reads_as_the_products(seed, monkeypatch):
+def test_packed_kron_of_unreduced_inputs_reads_as_the_products(seed, monkeypatch):
     A, B = kron_factors(seed)
-    got = kron(A, B)
-    # kron read its inputs as stored: each first read of `den` still reduces
+    den, b, packed = packed_kron(A, B, 1)
+    # packed_kron read its inputs as stored: each first read of `den` still
+    # reduces
     assert stored_den(A[0][0], monkeypatch) > A[0][0].den
     assert stored_den(B[0][0], monkeypatch) > B[0][0].den
     A, B = kron_factors(seed)
     r, s = len(B), len(B[0])
+    slots = [unpack(conv, b, len(A) * r) for conv in packed]
     for i, row in enumerate(A):
         for j, x in enumerate(row):
             for k, brow in enumerate(B):
                 for l, y in enumerate(brow):
-                    e, want = got[r * i + k][s * j + l], x * y
-                    assert (e.nums, e.den, e.prec) == (want.nums, want.den, want.prec)
+                    xs, want = slots[s * j + l][r * i + k], x * y
+                    assert [F(v, den) for v in xs[: want.prec + 1]] == list(want.coeffs)
 
 
 def test_integer_rows_of_mixed_stored_denominators_are_multiples_of_fraction_rows(

@@ -8,7 +8,7 @@ agreement through the shared order.  `fundamental_matrix` and
 extending every entry past it with random coefficients changes neither the
 output nor its claimed order, with or without a rational initial value,
 and from an initial value Y0 the solution is the fundamental matrix times
-Y0 in every entry and every precision.  `kron`, `mat_mul` and
+Y0 in every entry and every precision.  `packed_kron`, `mat_mul` and
 `is_horizontal` read their inputs the same way: an extended entry of a
 Kronecker product or of a matrix product agrees with the original through
 its claimed order, which does not drop (for `mat_mul` it is the least
@@ -51,7 +51,7 @@ from djets.dvariety import (
 )
 from djets.errors import DecompositionFailure, InsufficientPrecision
 from djets.mpoly import MPoly, multi_indices_with_zero
-from djets.series import TSeries, from_hurwitz, fundamental_matrix, kron, mat_mul
+from djets.series import TSeries, from_hurwitz, fundamental_matrix, mat_mul, packed_kron, unpack
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -214,15 +214,28 @@ def extended_rectangle(rng, max_dim=3, max_prec=6, shape=None):
     return A, B
 
 
+def packed_kron_slots(A, B):
+    """`packed_kron(A, B, 1)` read back: entry (i*r + k, j*s + l), for B of
+    shape r x s, is the list of rationals slot r*i + k of column j*s + l
+    holds, one per order of the column."""
+    den, b, packed = packed_kron(A, B, 1)
+    out = [[] for _ in range(len(A) * len(B))]
+    for conv in packed:
+        for row, xs in zip(out, unpack(conv, b, len(out))):
+            row.append([Fraction(x, den) for x in xs])
+    return out
+
+
 @checked
 @given(st.randoms(use_true_random=False))
-def test_kron_reads_its_factors_only_through_the_claimed_order(rng):
+def test_packed_kron_reads_its_factors_only_through_the_claimed_order(rng):
     (A, A2), (B, B2) = extended_rectangle(rng), extended_rectangle(rng)
-    got, longer = kron(A, B), kron(A2, B2)
-    for row, row2 in zip(got, longer):
-        for e, e2 in zip(row, row2):
-            assert e2.prec >= e.prec
-            assert exact([[e2.at_precision(e.prec)]]) == exact([[e]])
+    got, longer = packed_kron_slots(A, B), packed_kron_slots(A2, B2)
+    precs = [[min(x.prec, y.prec) for x in v for y in w] for v in A for w in B]
+    for row, row2, prow in zip(got, longer, precs):
+        for xs, xs2, e in zip(row, row2, prow):
+            assert len(xs2) >= len(xs) > e
+            assert xs2[: e + 1] == xs[: e + 1]
 
 
 @checked
