@@ -135,6 +135,15 @@ def main(argv=None):
         parser.error(f"precision must be at most {MAX_PRECISION}")
     if not 1 <= args.order <= 3:
         parser.error("jet order must be between 1 and 3")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact output may pass CPython's int-to-str limit
+    try:
+        return _run(args, precision)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args, precision):
     try:
         code, payload, lines = _dispatch(args, precision)
     except (DecompositionFailure, InvarianceViolation) as exc:
@@ -228,6 +237,8 @@ def _dispatch(args, precision):
 
     if args.command == "check":
         names = [args.name] if args.name else list(doc.varieties)
+        if not names:
+            raise ParseError("document defines no dvariety")
         ok = True
         lines = []
         payload = {}
@@ -296,10 +307,9 @@ def _dispatch(args, precision):
     if args.command == "verify-product":
         left = doc.variety(args.left)
         right = doc.variety(args.right)
-        lp = doc.sharp_point(args.from_points[0], precision)
-        rp = doc.sharp_point(args.from_points[1], precision)
-        if lp.variety.name != left.name or rp.variety.name != right.name:
+        if [doc.point(p).variety for p in args.from_points] != [left.name, right.name]:
             raise ParseError("points belong to different varieties than named")
+        lp, rp = (doc.sharp_point(p, precision) for p in args.from_points)
         prod = product_dvariety(left, right)
         pp = product_sharp_point(prod, lp, rp)
         W = delta_jet_space(left, lp, args.order).horizontal

@@ -19,11 +19,11 @@ at t = 0, since c_(k+1) = -(1/(k+1)) sum_i A_i c_(k-i) (van der Put and
 Singer 2003, section 1.1).  So once the packed residual has shown the
 pairings to be solutions, they span the d solutions of the fundamental
 matrix exactly when their t^0 values, unpacked from the packed product,
-have rank d: one `mutually_contained` elimination of d rows
-against the d unit vectors, the fundamental matrix at t = 0, through
-`linalg.constant_combination`, which the benchmark traces.  `rank_at_zero`
-is the same rank read as a number, which `tangent.m1_equivalence` compares
-across two families of solutions.
+have rank d, that is when each of the d unit vectors, the fundamental
+matrix at t = 0, is a constant combination of them: one
+`linalg.constant_combination` elimination, which the benchmark traces.
+`rank_at_zero` is the same rank read as a number, which
+`tangent.m1_equivalence` compares across two families of solutions.
 
 A horizontal jet on a product, extended by zero to a matrix V over the two
 factor index sets with the unit index put first, decomposes as
@@ -151,7 +151,8 @@ def is_horizontal(module: DeltaModule, *vectors):
     rows, most = _residual_rows(module, max(map(max, packs), default=0))
     for precs, vs in packs.items():
         if 0 in precs:
-            raise InsufficientPrecision("cannot differentiate a precision-0 series")
+            raise InsufficientPrecision(
+                "is_horizontal: cannot differentiate a precision-0 series")
         # nums[i * d + s]: entry s of vector i over the family's one denominator
         nums = over_one_denominator([e for v in vs for e in v])[1]
         b = (most * max(max(map(abs, xs)) for xs in nums)).bit_length() + 2
@@ -190,27 +191,6 @@ def _residuals_vanish(rows, packed, precs):
             if res:
                 return False
     return True
-
-
-def mutually_contained(basis_a, basis_b):
-    """True when two families of series vectors span the same constant space.
-
-    One linalg.constant_combination elimination writes basis_a = C basis_b
-    through the order guaranteed by both families, or shows some vector of
-    basis_a outside the span.  When both families have k vectors and the
-    rational k x k matrix C has k pivots, basis_b = C^-1 basis_a holds
-    through the same order, so the reverse containment needs no second
-    elimination.  Otherwise -- unequal sizes, or a singular C, as when
-    either family is dependent (the coefficients of the non-pivot vectors of
-    basis_b are zero) -- the reverse elimination decides it.
-    """
-    forward = constant_combination(basis_a, basis_b)
-    if any(c is None for c in forward):
-        return False
-    k = len(forward)
-    if k == len(basis_b) and len(rref(forward, k, RATIONAL)[1]) == k:
-        return True
-    return all(c is not None for c in constant_combination(basis_b, basis_a))
 
 
 def rank_at_zero(vectors, dim):
@@ -253,9 +233,9 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     for `_residuals_vanish` against the dual tensor, which unpacks and
     solves nothing.  Solutions are fixed by their values at t = 0, so the
     span is decided there: the dual tensor's horizontal space has dimension
-    d, and `mutually_contained` compares the pairings' t^0 values, the t^0
-    slots of the same product (at most the product of the factor norms, so
-    read back exactly), with the d unit vectors, in d rows.
+    d, and the pairings span it when each of the d unit vectors is a
+    constant combination of their t^0 values, the t^0 slots of the same
+    product (at most the product of the factor norms, so read back exactly).
     """
     hm = horizontal_sections(dual(left))
     hn = horizontal_sections(dual(right))
@@ -274,7 +254,7 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
         dim_pairings=len(initial),
         dim_tensor_horizontal=d,
         pairings_horizontal=_residuals_vanish(rows, packed, [prec] * d),
-        mutually_contained=mutually_contained(initial, units),
+        mutually_contained=None not in constant_combination(units, initial),
     )
 
 

@@ -10,14 +10,14 @@
     point sp on X { integrate from p; }
 
 Polynomial expressions use explicit `*` and `^` with integer or p/q
-rational literals.  Sums and products may be of any length; parentheses
-and leading minus signs nest at most MAX_NESTING deep.  Each expression
-parses straight into an MPoly over the names its statement mentions.  A
-dvariety's polynomials embed into its declared variables when its block
-closes; restriction rules embed into a variety's variables where they are
-used, so one restriction block can serve any variety that declares the
-names it uses.  A block names each field at most once, and a point has
-coords or integrate from, not both.
+rational literals of at most MAX_LITERAL_DIGITS digits.  Sums and products
+may be of any length; parentheses and leading minus signs nest at most
+MAX_NESTING deep.  Each expression parses straight into an MPoly over the
+names its statement mentions.  A dvariety's polynomials embed into its
+declared variables when its block closes; restriction rules embed into a
+variety's variables where they are used, so one restriction block can serve
+any variety that declares the names it uses.  A block names each field at
+most once, and a point has coords or integrate from, not both.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ _PUNCT = set("{}[]():;,=^*+-/")
 
 #: Deepest nesting of parentheses and leading minus signs in an expression.
 MAX_NESTING = 100
+
+#: Most digits in an integer literal: CPython's default bound on int(str).
+MAX_LITERAL_DIGITS = 4300
 
 
 @dataclass
@@ -78,6 +81,9 @@ def tokenize(text):
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                                 line, col)
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
             i = j

@@ -89,7 +89,7 @@ def _rref_series(rows, pivot_limit):
                 break
         if piv is None:
             if saw_nonzero:
-                raise SingularPivot(f"no unit pivot available in column {c}")
+                raise SingularPivot(f"rref: no unit pivot available in column {c}")
             continue
         m[r], m[piv] = m[piv], m[r]
         # e * (1/u) equals e / u in coefficients and precision.

@@ -619,9 +619,8 @@ def fundamental_matrix(A, order, initial=None):
         return []
     aprec = min(e.prec for row in A for e in row)
     if aprec < order - 1:
-        raise InsufficientPrecision(
-            f"matrix entries guaranteed to order {aprec}, need {order - 1}"
-        )
+        raise InsufficientPrecision(f"fundamental_matrix: matrix entries guaranteed "
+                                    f"to order {aprec}, need {order - 1}")
     # `step` and the C_i depend only on the values, so the raw integers serve.
     entries = [(e._raw_nums, e._raw_den) for row in A for e in row]
     facts = list(accumulate(range(1, order), mul, initial=1))

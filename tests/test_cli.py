@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import djets
 import djets.acceptance
 import djets.cli
+import djets.dsl
 import djets.dvariety
 import djets.mpoly
 from djets.acceptance import AcceptanceResult
@@ -190,6 +192,16 @@ def test_tangent_without_name_needs_exactly_one_variety(tmp_path, capsys, text, 
     path.write_text(text, encoding="utf-8")
     assert main(["tangent", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["# no blocks\n", "restrict r { x = 1; }\n"],
+                         ids=["comment", "restriction"])
+def test_check_on_a_document_with_no_dvariety_exits_2(tmp_path, capsys, text):
+    # exit 0 would read as a pass, though nothing was checked
+    path = tmp_path / "empty.djv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: document defines no dvariety\n"
 
 
 def test_default_fiber_names_avoid_the_base_variables(tmp_path, capsys):
@@ -444,6 +456,53 @@ def test_a_superscript_digit_exits_2(tmp_path, capsys):
     path.write_text("dvariety L { vars: x; ideal: []; section: [x^²]; }\n", encoding="utf-8")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == "error: unexpected character '²' at line 1, column 46\n"
+
+
+@pytest.mark.parametrize("digits, code, err", [
+    (4300, 0, ""),
+    (4301, 2, "error: integer literal longer than 4300 digits at line 2, column 25\n"),
+], ids=["4300", "4301"])
+def test_a_coordinate_literal_past_the_digit_bound_exits_2(tmp_path, capsys, digits, code, err):
+    path = tmp_path / "long.djv"
+    path.write_text("dvariety L { vars: x; ideal: []; section: [x]; }\n"
+                    f"point p on L {{ coords: [{'9' * digits}]; }}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_integrate_prints_integers_past_the_int_to_str_limit(tmp_path, capsys):
+    # x' = a x^2 from x(0) = a: the coefficient of t^130 has 4,461 digits,
+    # past the 4,300 that str(int) allows by default
+    a = 123456789123456789
+    path = tmp_path / "big.djv"
+    path.write_text(f"dvariety B {{ vars: x; ideal: []; section: [{a}*x^2]; }}\n"
+                    f"point p on B {{ coords: [{a}]; }}\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    argv = ["integrate", str(path), "--from", "p", "-N", "130", "--format", "json"]
+    assert main(argv) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored on the way out
+    (x,) = json.loads(capsys.readouterr().out)["coords"]
+    want = [F(a)]
+    for k in range(130):  # (k + 1) x_(k+1) = a sum_i x_i x_(k-i)
+        want.append(a * sum(want[i] * want[k - i] for i in range(k + 1)) / (k + 1))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [F(c) for c in x["coeffs"]] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert x["prec"] == 130
+
+
+@pytest.mark.parametrize("left", ["cusp", "cubic"], ids=["first", "second"])
+def test_verify_product_rejects_mismatched_points_before_integrating(capsys, monkeypatch,
+                                                                     left):
+    # t111 lies on the cubic and c11 on the cusp, neither on the line L
+    monkeypatch.setattr(djets.dsl, "sharp_integrate",
+                        lambda *args: pytest.fail("integrated a point of the wrong variety"))
+    corpus = str(Path(__file__).resolve().parent.parent / "djv" / "corpus.djv")
+    argv = ["verify-product", left, "L", corpus, "--from", "t111", "c11", "-N", "1024"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: points belong to different varieties than named\n"
 
 
 def test_a_section_monomial_of_high_degree_integrates(tmp_path, capsys):

@@ -14,7 +14,6 @@ from djets.delta_modules import (
     dual,
     horizontal_sections,
     is_horizontal,
-    mutually_contained,
     product_jet_decompose,
     tensor,
     verify_tensor_pairing,
@@ -216,6 +215,15 @@ def test_verify_tensor_pairing_random():
     assert rep.ok and rep.dim_pairings == 6
 
 
+def bumped(vectors, i):
+    """The families with 1 added to coordinate 0 of vector i at the top order
+    of the family."""
+    top = min(e.prec for v in vectors for e in v)
+    out = [list(v) for v in vectors]
+    out[i][0] = out[i][0] + TSeries([0] * top + [1], top)
+    return out
+
+
 def top_order_bumped(sections):
     """The last section with 1 added to its coordinate 0 at its top order."""
     return bumped(sections, len(sections) - 1)
@@ -261,6 +269,13 @@ def test_a_mutated_pairing_fails_its_check(monkeypatch, mutant, check):
     mutate_right_sections(monkeypatch, mutant)
     rep = verify_tensor_pairing(left, right)
     assert rep.to_json() == {**good, check: False, "ok": False}
+
+
+def both_directions(a, b):
+    """Whether two families span the same constant space: one
+    constant_combination each way."""
+    return all(c is not None for targets, basis in ((a, b), (b, a))
+               for c in constant_combination(targets, basis))
 
 
 def full_precision_decision(left, right, mutant):
@@ -314,15 +329,16 @@ def zero_module(dim):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_the_span_is_decided_on_the_t0_slots_of_the_one_packed_product(seed, monkeypatch):
-    # The targets of the span check are the t^0 values of the pairings, read
-    # off the one packed product the residual is checked on.  A read of the
-    # t^1 slots instead gives other targets, and for a pair of zero modules,
-    # whose sections are constant, no targets of full rank.
-    targets, products = [], []
+    # The basis of the span check is the t^0 values of the pairings, read
+    # off the one packed product the residual is checked on: the unit
+    # vectors must be constant combinations of them.  A read of the t^1
+    # slots instead gives another basis, and for a pair of zero modules,
+    # whose sections are constant, no basis of full rank.
+    bases, products = [], []
     combine = djets.delta_modules.constant_combination
     product = djets.delta_modules.packed_kron
     monkeypatch.setattr(djets.delta_modules, "constant_combination",
-                        lambda t, basis: targets.append(t) or combine(t, basis))
+                        lambda t, basis: bases.append(basis) or combine(t, basis))
     monkeypatch.setattr(djets.delta_modules, "packed_kron",
                         lambda *args: products.append(args) or product(*args))
     rng = random.Random(4700 + seed)
@@ -331,82 +347,15 @@ def test_the_span_is_decided_on_the_t0_slots_of_the_one_packed_product(seed, mon
             pairs = [(_random_module(rng, dl), _random_module(rng, dr)),
                      (zero_module(dl), zero_module(dr))]
             for left, right in pairs:
-                targets.clear()
+                bases.clear()
                 products.clear()
                 assert verify_tensor_pairing(left, right).ok
                 assert len(products) == 1
                 hm, hn = horizontal_sections(dual(left)), horizontal_sections(dual(right))
                 want = [[x.constant_term * y.constant_term for x in v for y in w]
                         for v in hm for w in hn]
-                assert [[e.constant_term for e in v] for v in targets[0]] == want
-                assert all(e.prec == 0 for v in targets[0] for e in v)
-
-
-# -- mutual containment ------------------------------------------------------------------
-
-def both_directions(a, b):
-    """The oracle of mutually_contained: one constant_combination each way."""
-    return all(c is not None for targets, basis in ((a, b), (b, a))
-               for c in constant_combination(targets, basis))
-
-
-def pairing_families(left, right):
-    """The pairings of horizontal dual vectors and the dual tensor's sections."""
-    pairings = entrywise_kron(horizontal_sections(dual(left)),
-                              horizontal_sections(dual(right)))
-    return pairings, horizontal_sections(dual(tensor(left, right)))
-
-
-def bumped(vectors, i):
-    """The families with 1 added to coordinate 0 of vector i at the top order
-    of the family."""
-    top = min(e.prec for v in vectors for e in v)
-    out = [list(v) for v in vectors]
-    out[i][0] = out[i][0] + TSeries([0] * top + [1], top)
-    return out
-
-
-def test_mutually_contained_on_the_acceptance_tensor_pairs():
-    # the 20 pairs of the tensor-pairing criterion (seed 1), and each target
-    # family again with one section perturbed at its top order
-    rng = random.Random(1)
-    for _ in range(20):
-        dm, dn = rng.randint(1, 3), rng.randint(1, 3)
-        pairings, target = pairing_families(_random_module(rng, dm),
-                                            _random_module(rng, dn))
-        for a, b, held in ((pairings, target, True),
-                           (pairings, bumped(target, len(target) - 1), False)):
-            assert mutually_contained(a, b) is held is both_directions(a, b)
-            assert mutually_contained(b, a) is held
-
-
-def test_mutually_contained_on_singular_unequal_and_empty_families():
-    e, e2, zero = exp_series(1, N), exp_series(2, N), TSeries.zero(N)
-    b, b2 = [e, e2], [e2, zero]
-    twice = [2 * e, 2 * e2]
-    cases = [
-        # equal sizes, singular coefficient matrix
-        ([b, b], [b, b], True),
-        ([b, twice], [b, b], True),
-        ([b, b], [b, b2], False),
-        ([b, b2], [b, b], False),
-        # equal sizes, invertible coefficient matrix
-        ([b, b2], [[x + y for x, y in zip(b, b2)], [x - y for x, y in zip(b, b2)]], True),
-        ([b, b2], bumped([b, b2], 1), False),
-        # unequal sizes
-        ([b], [b, twice], True),
-        ([b, twice], [b], True),
-        ([b], [b, b2], False),
-        ([b, b2], [b], False),
-        # empty families
-        ([], [], True),
-        ([], [b], False),
-        ([b], [], False),
-        ([], [[zero, zero]], True),
-        ([[zero, zero]], [], True),
-    ]
-    for xs, ys, held in cases:
-        assert mutually_contained(xs, ys) is held is both_directions(xs, ys)
+                assert [[e.constant_term for e in v] for v in bases[0]] == want
+                assert all(e.prec == 0 for v in bases[0] for e in v)
 
 
 def test_verify_tensor_pairing_eliminates_once_on_a_square_pair(monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.dsl import parse_document
+from djets.dsl import MAX_LITERAL_DIGITS, parse_document
 from djets.dvariety import validate_section
 from djets.errors import ArityError, ParseError, UnknownName
 from djets.mpoly import MPoly
@@ -116,6 +116,21 @@ def test_nesting_is_bounded_with_a_position():
     for expr in ("(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "-(" * 51 + "x" + ")" * 51):
         with pytest.raises(ParseError, match="nested more than 100 deep at line 1, column "):
             line_section(expr)
+
+
+def test_integer_literals_are_bounded_with_a_position():
+    # int() reads at most 4,300 digits by default, so a longer literal is
+    # refused at its own position, as a coefficient, a denominator or an
+    # exponent
+    x = MPoly.variable(("x",), "x")
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert line_section(f"{longest}*x") == int(longest) * x
+    assert line_section(f"1/{longest}*x") == F(1, int(longest)) * x
+    for expr, col in ((f"9{longest}*x", 44), (f"1/9{longest}*x", 46), (f"x^9{longest}", 46)):
+        with pytest.raises(ParseError) as info:
+            line_section(expr)
+        assert str(info.value) == (
+            f"integer literal longer than 4300 digits at line 1, column {col}")
 
 
 @pytest.mark.parametrize("block, message", [

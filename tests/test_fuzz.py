@@ -4,11 +4,12 @@ A token mutation deletes, duplicates or swaps a token, or replaces it with
 another token of the same file; most of these documents no longer parse.
 A structural mutation follows the grammar instead: it replaces a rational
 literal (also by the superscript digit "²", which is no integer literal),
-an exponent, or a variable by another variable of the same dvariety
-block, drops or duplicates an item of a bracketed list, swaps two section
-components, or puts a list item in one of the shapes that once overflowed
-the recursion: a sum with 1,200 zeros, or 1,200 parentheses or minus
-signs around it; at least half of these documents
+an exponent (either also by a literal of 4,301 digits, one past
+`dsl.MAX_LITERAL_DIGITS`), or a variable by another variable of the same
+dvariety block, drops or duplicates an item of a bracketed list,
+swaps two section components, or puts a list item in one of the shapes
+that once overflowed the recursion: a sum with 1,200 zeros, or 1,200
+parentheses or minus signs around it; at least half of these documents
 must parse, so the commands get past the parser.  Every mutated document
 goes through `check`, `jet`, `tangent`, `integrate` and `horizontal`, and
 the counterexample document also through `tangent --restrict toZ`; each
@@ -74,6 +75,7 @@ VARS = re.compile(r"vars\s*:([^;]*);")
 LIST = re.compile(r"\[([^\[\]]*)\]")
 COMMENT = re.compile(r"#[^\n]*")
 LITERALS = ["0", "1", "2", "7", "12", "1/2", "3/5", "²"]
+LONG_LITERAL = "9" * 4301  # one digit past dsl.MAX_LITERAL_DIGITS
 
 
 def deep_shapes(item):
@@ -95,11 +97,11 @@ def structural_edits(text):
             continue
         neighbours = {spans[i - 1][2], spans[min(i + 1, len(spans) - 1)][2]}
         if spans[i - 1][2] == "^":
-            edits["exponent"].append((start, end, [str(e) for e in range(5)]))
+            edits["exponent"].append((start, end, [*map(str, range(5)), LONG_LITERAL]))
         elif "/" in neighbours:  # one side of a p/q literal: a positive integer
-            edits["literal"].append((start, end, LITERALS[1:5]))
+            edits["literal"].append((start, end, [*LITERALS[1:5], LONG_LITERAL]))
         else:
-            edits["literal"].append((start, end, LITERALS))
+            edits["literal"].append((start, end, [*LITERALS, LONG_LITERAL]))
     for block in BLOCK.finditer(text):
         declared = VARS.search(block.group(1))
         if declared is None:

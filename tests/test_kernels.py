@@ -45,6 +45,7 @@ from djets.errors import (
     DomainMismatch,
     InsufficientPrecision,
     PointNotOnVariety,
+    SingularPivot,
 )
 from djets.linalg import (
     RATIONAL,
@@ -736,6 +737,20 @@ def test_fundamental_matrix_rejects_a_negative_order():
         with pytest.raises(InsufficientPrecision,
                            match=f"^fundamental_matrix: order must be >= 0, got {order}$"):
             fundamental_matrix(A, order)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rref([[TSeries([0, 1], 6)]], 1, SERIES), SingularPivot,
+     "rref: no unit pivot available in column 0"),
+    (lambda: is_horizontal(DeltaModule.from_rows([[0]], 4), [TSeries.constant(1, 0)]),
+     InsufficientPrecision, "is_horizontal: cannot differentiate a precision-0 series"),
+    (lambda: fundamental_matrix([[TSeries.constant(1, 4)]], 7), InsufficientPrecision,
+     "fundamental_matrix: matrix entries guaranteed to order 4, need 6"),
+], ids=["rref", "is_horizontal", "fundamental_matrix"])
+def test_errors_name_the_function_that_raises_them(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def constant_matrix(rows, prec):

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.delta_modules import mutually_contained
 from djets.errors import DimensionMismatch, DomainMismatch, SingularPivot
 from djets.linalg import (
     RATIONAL,
@@ -134,5 +133,7 @@ def test_constant_combination():
                                                      [TSeries.zero(10), e2]])[0]
     assert combo == [F(3), F(2)]
     assert constant_combination([[TSeries([0, 1], 10)]], [[e]])[0] is None
-    assert mutually_contained([[e]], [[2 * e]])
-    assert not mutually_contained([[e]], [[e2]])
+    assert constant_combination([[e]], [[2 * e]]) == [[F(1, 2)]]
+    assert constant_combination([[2 * e]], [[e]]) == [[F(2)]]
+    assert constant_combination([[e]], [[e2]]) == [None]
+    assert constant_combination([[e2]], [[e]]) == [None]
