@@ -10,9 +10,10 @@
     point sp on X { integrate from p; }
 
 Polynomial expressions use explicit `*` and `^` with integer or p/q
-rational literals of at most MAX_LITERAL_DIGITS digits.  Sums and products
-may be of any length; parentheses and leading minus signs nest at most
-MAX_NESTING deep.  Each expression parses straight into an MPoly over the
+rational literals of at most MAX_LITERAL_DIGITS digits.  A power may expand
+to at most MAX_POWER_TERMS terms, counted before it is expanded.  Sums and
+products may be of any length; parentheses and leading minus signs nest at
+most MAX_NESTING deep.  Each expression parses straight into an MPoly over the
 names its statement mentions.  A dvariety's polynomials embed into its
 declared variables when its block closes; restriction rules embed into a
 variety's variables where they are used, so one restriction block can serve
@@ -40,6 +41,13 @@ MAX_NESTING = 100
 
 #: Most digits in an integer literal: CPython's default bound on int(str).
 MAX_LITERAL_DIGITS = 4300
+
+#: Most terms a power may expand to: a t-term base has at most
+#: C(e + t - 1, t - 1) terms in its e-th power.
+MAX_POWER_TERMS = 2048
+
+# Past 10^30 terms `_power_terms` stops counting.
+_COUNT_CAP = 10**30
 
 
 @dataclass
@@ -263,8 +271,16 @@ class _Parser:
             return -self.nested(tok, self.parse_factor)
         poly = self.parse_atom()
         if self.peek() and self.peek().kind == "^":
-            self.next()
-            poly = poly ** int(self.expect("int").text)
+            caret = self.next()
+            exponent = int(self.expect("int").text)
+            count = _power_terms(len(poly.terms), exponent)
+            if count is None or count > MAX_POWER_TERMS:
+                size = "more than 10^30" if count is None else f"up to {count}"
+                raise ParseError(
+                    f"power with {size} terms, more than MAX_POWER_TERMS = "
+                    f"{MAX_POWER_TERMS}", caret.line, caret.col
+                )
+            poly = poly ** exponent
         return poly
 
     def parse_atom(self):
@@ -295,6 +311,23 @@ class _Parser:
         if int(den.text) == 0:
             raise ParseError("zero denominator", den.line, den.col)
         return Fraction(int(num.text), int(den.text))
+
+
+def _power_terms(nterms, exponent):
+    """C(exponent + nterms - 1, nterms - 1), the most terms the power of an
+    nterms-term polynomial can have, or None past _COUNT_CAP.
+
+    Step i holds C(b + i, i) with b >= i, at least 2^i, so no more than about
+    a hundred steps run, however long the exponent literal.
+    """
+    k = min(nterms - 1, exponent)
+    b = max(nterms - 1, exponent)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (b + i) // i
+        if count > _COUNT_CAP:
+            return None
+    return count
 
 
 def parse_document(text):

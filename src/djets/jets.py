@@ -11,8 +11,9 @@ to those killing the whole ideal image, not just the generators themselves;
 at m = 1 they reduce to the familiar Jacobian rows.
 
 Every jet-layer matrix is built from the same Taylor data: sparse maps from
-exponent vectors to coefficients (`mpoly.taylor_coeffs`), with the constant
-term dropped for the expansions of p(z) - p(a) (`taylor_tails`), multiplied
+exponent vectors to coefficients (`mpoly.taylor_coeffs`), or, for the
+expansions of p(z) - p(a), the same coefficients on Lambda alone
+(`taylor_tails`, which never computes the constant term p(a)), multiplied
 by one product truncated past order m (`truncated_mul`).  The jet
 equations, the matrix of a morphism on jets and the derivation matrix of
 `dvariety` all read their rows off such products.
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .errors import BasePointMismatch, DimensionMismatch, DomainMismatch, PointNotOnVariety
 from .linalg import LinSystem, nullspace_with_free
-from .mpoly import multi_indices, multi_indices_with_zero, taylor_coeffs
+from .mpoly import hasse_values, multi_indices, multi_indices_with_zero, taylor_coeffs
 from .series import TSeries, format_point, render_vector
 
 _ZERO = Fraction(0)
@@ -54,13 +55,12 @@ def taylor_tails(polys, point, order):
     """Taylor data of each polynomial around the point, constant term dropped.
 
     One sparse map per polynomial p, from exponent vectors 0 < |alpha| <=
-    order to the coefficients of (z - point)^alpha in p(z) - p(point).
+    order to the coefficients of (z - point)^alpha in p(z) - p(point).  The
+    constant term p(point) is never computed: at a series point it is the
+    one coefficient that needs p's top-degree monomials.
     """
-    one = (0,) * len(point)
-    return [
-        {a: c for a, c in taylor_coeffs(p, point, order).items() if a != one}
-        for p in polys
-    ]
+    lam = multi_indices_with_zero(len(point), order)[1:]
+    return [hasse_values(p, point, lam) for p in polys]
 
 
 def truncated_mul(d1, d2, order):

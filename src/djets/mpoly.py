@@ -323,13 +323,25 @@ def taylor_coeffs(p, point, order):
     to values; absent entries are zero.  The alpha coefficient is the Hasse
     derivative of p at alpha evaluated at the point.
     """
+    return hasse_values(p, point, multi_indices_with_zero(len(p.vars), order))
+
+
+def hasse_values(p, point, indices):
+    """The Taylor coefficients of p around the point on the given exponent
+    vectors only, as the sparse map of `taylor_coeffs`; a point whose length
+    is not p's number of variables raises DimensionMismatch, even when there
+    are no indices.  An index of degree above p's is zero and is skipped
+    unformed."""
     point = list(point)
     if len(point) != len(p.vars):
         raise DimensionMismatch(
             f"point of length {len(point)} for {len(p.vars)} variables"
         )
+    top = max(map(sum, p.terms), default=-1)
     out = {}
-    for alpha in multi_indices_with_zero(len(p.vars), order):
+    for alpha in indices:
+        if sum(alpha) > top:
+            continue
         value = p.hasse(alpha).eval(point)
         if value != 0:
             out[alpha] = value

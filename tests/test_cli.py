@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -706,6 +707,29 @@ def test_unreadable_file_exits_two(tmp_path, capsys):
     assert f"error: cannot read {binary}" in capsys.readouterr().err
     assert main(["check", str(tmp_path)]) == 2
     assert f"error: cannot read {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", [4000, 20000])
+def test_a_power_past_the_term_bound_exits_2_at_once(tmp_path, capsys, exponent):
+    path = tmp_path / "power.djv"
+    path.write_text(f"dvariety L {{ vars: x; ideal: []; section: [(x+1)^{exponent}]; }}\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (
+        f"error: power with up to {exponent + 1} terms, more than MAX_POWER_TERMS = 2048 "
+        "at line 1, column 49\n")
+
+
+def test_python_m_djets_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(djets.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "djets", "counterexample", "-N", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("all checks passed")
 
 
 @pytest.mark.parametrize(

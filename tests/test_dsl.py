@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from djets.dsl import MAX_LITERAL_DIGITS, parse_document
+from djets.dsl import MAX_LITERAL_DIGITS, MAX_POWER_TERMS, _power_terms, parse_document
 from djets.dvariety import validate_section
 from djets.errors import ArityError, ParseError, UnknownName
 from djets.mpoly import MPoly
@@ -131,6 +132,46 @@ def test_integer_literals_are_bounded_with_a_position():
             line_section(expr)
         assert str(info.value) == (
             f"integer literal longer than 4300 digits at line 1, column {col}")
+
+
+def test_power_terms_is_the_binomial_count_up_to_its_cap():
+    assert _power_terms(0, 7) == 1 and _power_terms(1, 200000) == 1
+    for nterms in range(1, 7):
+        for exponent in range(40):
+            assert _power_terms(nterms, exponent) == comb(exponent + nterms - 1, nterms - 1)
+    assert _power_terms(2, 10**30 - 1) == 10**30
+    assert _power_terms(2, 10**30) is None
+    assert _power_terms(3000, int("9" * MAX_LITERAL_DIGITS)) is None
+
+
+def test_powers_are_bounded_by_their_term_count_with_a_position(monkeypatch):
+    x = MPoly.variable(("x",), "x")
+    assert line_section("x^200000") == MPoly(("x",), {(200000,): 1})
+    assert line_section("(x+1)^3") == x**3 + 3 * x**2 + 3 * x + 1
+    assert MAX_POWER_TERMS == 2048
+    cases = [
+        ("(x+1)^2048", "up to 2049", 49),
+        ("(x+1)^4000", "up to 4001", 49),
+        ("(x+1)^20000", "up to 20001", 49),
+        ("(x*x+x+1)^63", "up to 2080", 53),
+        ("2*(x+1)^" + "9" * MAX_LITERAL_DIGITS, "more than 10^30", 51),
+    ]
+
+    def refuse(base, exponent):
+        raise AssertionError("a refused power must not be expanded")
+
+    monkeypatch.setattr(MPoly, "__pow__", refuse)
+    for expr, size, col in cases:
+        with pytest.raises(ParseError) as info:
+            line_section(expr)
+        assert str(info.value) == (
+            f"power with {size} terms, more than MAX_POWER_TERMS = 2048 "
+            f"at line 1, column {col}")
+    # the bound lets the largest powers through, to the expansion
+    expanded = []
+    monkeypatch.setattr(MPoly, "__pow__", lambda base, e: expanded.append(e) or base)
+    line_section("(x+1)^2000 + (x+1)^2047 + (x*x+x+1)^62")
+    assert expanded == [2000, 2047, 62]
 
 
 @pytest.mark.parametrize("block, message", [

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from djets.dvariety import (
     sharp_integrate,
     validate_section,
 )
+from djets.dsl import parse_document
 from djets.dvariety import _derivation_matrix
 from djets.errors import DomainMismatch, InvarianceViolation, PointNotOnVariety, UnknownName
 from djets.jets import jet_equations
@@ -199,6 +201,27 @@ def test_induced_derivation_satisfies_leibniz_on_monomials():
                 left = lhs.get(key, TSeries.zero(point.prec))
                 right = rhs.get(key, TSeries.zero(point.prec))
                 assert left == right
+
+
+def test_the_derivation_matrix_never_evaluates_a_section_component(monkeypatch):
+    # B reads only the Taylor tails of the section: the value s_j(x(t)), a
+    # Hasse derivative of order 0, is dropped, so it is never computed
+    cases = [(plane_system(), (2, 1)), (parabola(), (1, 1)), (line(3), (2,))]
+    points = [(v, sharp_integrate(v, start, 8)) for v, start in cases]
+    evaluated = []
+    original = MPoly.eval
+
+    def spy(self, point):
+        evaluated.append(self)
+        return original(self, point)
+
+    monkeypatch.setattr(MPoly, "eval", spy)
+    for variety, point in points:
+        for order_m in (1, 2, 3):
+            evaluated.clear()
+            _derivation_matrix(variety, point, order_m)
+            assert evaluated
+            assert not [p for p in evaluated if any(p == s for s in variety.section)]
 
 
 # -- differential jet spaces -----------------------------------------------------------
@@ -412,6 +435,97 @@ def test_flow_derivative_satisfies_linearized_system():
                     term = a * b
                     acc = term if acc is None else acc + term
                 assert acc.is_zero()
+
+
+# -- horizontal jets against the flow on jets of order m ---------------------------------
+#
+# A horizontal jet is the push-forward of its value v0 at a = x(0) by the flow
+# Phi_t of x' = s(x), so its entry on (x - x(t))^beta is
+#     sum_alpha v0[alpha] * [eps^alpha] (Phi_t(a + eps) - Phi_t(a))^beta.
+# The flow from a + eps is solved here in Q[t, eps] truncated past t^N and past
+# eps-degree m, with Fraction dicts, as the Dual class does at order 1;
+# neither B nor a fundamental matrix is formed.  v0 is read off the t^0 values
+# of each horizontal vector, so what is checked is the motion from v0.
+
+DJV = Path(__file__).resolve().parent.parent / "djv"
+
+
+def truncated_product(f, g, n, m):
+    """Product of maps (k, alpha) -> coefficient of t^k eps^alpha, dropping
+    t-degrees past n and eps-degrees past m."""
+    out = {}
+    for (k1, a1), c1 in f.items():
+        for (k2, a2), c2 in g.items():
+            a = tuple(x + y for x, y in zip(a1, a2))
+            if k1 + k2 <= n and sum(a) <= m:
+                key = (k1 + k2, a)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def flow_from_perturbed_start(section, start, n, m):
+    """Phi_t(start + eps) through t^n and eps-degree m, one map per coordinate,
+    one order of t per step: x_(k+1) = [t^k] s(x) / (k + 1)."""
+    nvars = len(start)
+    zero = (0,) * nvars
+    flow = []
+    for j, a in enumerate(start):
+        unit = tuple(int(i == j) for i in range(nvars))
+        flow.append({(0, zero): F(a), (0, unit): F(1)})
+    for k in range(n):
+        steps = []
+        for s in section:
+            value = {}
+            for e, c in s.terms.items():
+                term = {(0, zero): c}
+                for i, power in enumerate(e):
+                    for _ in range(power):
+                        term = truncated_product(term, flow[i], k, m)
+                for key, v in term.items():
+                    value[key] = value.get(key, 0) + v
+            steps.append({(k + 1, a): v / (k + 1) for (kk, a), v in value.items() if kk == k})
+        for x, step in zip(flow, steps):
+            x.update(step)
+    return flow
+
+
+def assert_horizontal_jets_follow_the_flow(variety, start, order_m, n):
+    space = delta_jet_space(variety, sharp_integrate(variety, start, n), order_m)
+    assert space.dim_c == space.dim_k > 0
+    lam = multi_indices(variety.nvars, order_m)
+    flow = flow_from_perturbed_start(variety.section, start, n, order_m)
+    moved = [{key: c for key, c in x.items() if any(key[1])} for x in flow]
+    # (Phi_t(a + eps) - Phi_t(a))^beta, each from a power of one degree less
+    powers = {(0,) * variety.nvars: {(0, (0,) * variety.nvars): F(1)}}
+    for beta in lam:
+        j = next(i for i, b in enumerate(beta) if b)
+        lower = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+        powers[beta] = truncated_product(powers[lower], moved[j], n, order_m)
+    for v in space.horizontal:
+        v0 = {alpha: e.coeffs[0] for alpha, e in zip(lam, v)}
+        for beta, entry in zip(lam, v):
+            want = [sum(v0[alpha] * powers[beta].get((k, alpha), 0) for alpha in lam)
+                    for k in range(n + 1)]
+            assert entry.prec == n
+            assert list(entry.coeffs) == want, (order_m, beta)
+
+
+@pytest.mark.parametrize("order_m", [1, 2, 3, 4])
+@pytest.mark.parametrize("variety, start", [
+    (plane_system(), (2, 1)),
+    (parabola(), (1, 1)),
+], ids=["plane", "parabola"])
+def test_horizontal_jets_are_the_flow_of_their_initial_jet(variety, start, order_m):
+    assert_horizontal_jets_follow_the_flow(variety, start, order_m, 6)
+
+
+@pytest.mark.parametrize("name", ["c11", "c00", "t111", "thalf", "p23"])
+def test_horizontal_jets_at_corpus_points_are_the_flow_of_their_initial_jet(name):
+    # jet bases whose vectors are not unit vectors, and a singular point
+    doc = parse_document((DJV / "corpus.djv").read_text(encoding="utf-8"))
+    variety = doc.variety(doc.point(name).variety)
+    for order_m in (2, 3):
+        assert_horizontal_jets_follow_the_flow(variety, doc.rational_point(name), order_m, 6)
 
 
 # -- products ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ LAYERS = (
     ("dsl",),
     ("acceptance",),
     ("cli",),
-    ("__init__",),
+    ("__init__", "__main__"),
 )
 
 

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from djets.errors import BasePointMismatch, DomainMismatch, PointNotOnVariety, SingularPivot
+from djets.dsl import parse_document
+from djets.errors import (
+    BasePointMismatch,
+    DimensionMismatch,
+    DomainMismatch,
+    PointNotOnVariety,
+    SingularPivot,
+)
 from djets.jets import (
     jet_equations,
     jet_of_morphism,
@@ -12,7 +20,7 @@ from djets.jets import (
     truncated_mul,
 )
 from djets.linalg import RATIONAL, SERIES, rref
-from djets.mpoly import MPoly, multi_indices
+from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero, taylor_coeffs
 from djets.series import TSeries, exp_series, mat_mul
 
 
@@ -245,3 +253,77 @@ def test_apply_jet_matrix_maps_source_basis_into_target():
     matrix = jet_of_morphism(proj, (F(1), F(1)), 1, src, tgt)
     image = mat_mul(matrix, [[e] for e in src.basis[0]])
     assert image == [[F(1)]]
+
+
+# -- Taylor tails ------------------------------------------------------------------------
+
+DJV = Path(__file__).resolve().parent.parent / "djv"
+
+
+def exact_items(taylor):
+    """The entries of a Taylor map in order, a series as its integer form."""
+    return [(alpha, (c.nums, c.den, c.prec) if isinstance(c, TSeries) else c)
+            for alpha, c in taylor.items()]
+
+
+def assert_tails_drop_only_the_constant_term(polys, point, order):
+    zero = (0,) * len(point)
+    tails = taylor_tails(polys, point, order)
+    assert len(tails) == len(polys)
+    for p, tail in zip(polys, tails):
+        full = taylor_coeffs(p, point, order)
+        # every Hasse derivative formed and evaluated, zeros dropped
+        every = {alpha: p.hasse(alpha).eval(point)
+                 for alpha in multi_indices_with_zero(len(point), order)}
+        assert exact_items(full) == exact_items({a: c for a, c in every.items() if c != 0})
+        assert exact_items(tail) == [e for e in exact_items(full) if e[0] != zero]
+
+
+def test_taylor_tails_are_taylor_coeffs_without_the_constant_term_on_djv_points():
+    cases = 0
+    for path in sorted(DJV.glob("*.djv")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        for name, decl in doc.points.items():
+            variety = doc.variety(decl.variety)
+            polys = tuple(variety.section) + tuple(variety.generators)
+            points = (doc.rational_point(name), doc.sharp_point(name, 8).coords)
+            for point in points:
+                for order in (1, 2, 3):
+                    assert_tails_drop_only_the_constant_term(polys, point, order)
+                    cases += 1
+    assert cases == 6 * 17  # 17 points, each rational and sharp, at m = 1..3
+
+
+def test_taylor_tails_are_taylor_coeffs_without_the_constant_term_on_random_polynomials():
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        names = tuple(f"x{i}" for i in range(n))
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                e = tuple(rng.randint(0, 3) for _ in range(n))
+                terms[e] = F(rng.randint(-9, 9), rng.randint(1, 4))
+            polys.append(MPoly(names, terms))
+        prec = rng.randint(0, 6)
+        rational = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+        series = tuple(
+            TSeries([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(prec + 1)], prec)
+            for _ in range(n)
+        )
+        for point in (rational, series):
+            for order in (0, 1, 2, 3):
+                assert_tails_drop_only_the_constant_term(polys, point, order)
+
+
+def test_taylor_tails_keep_the_arity_error_and_the_empty_order_zero():
+    xy, x, y = plane()
+    section = (x**2 - y**2, x**2 - x * y)
+    for order in (0, 1, 3):
+        with pytest.raises(DimensionMismatch) as raised:
+            taylor_tails(section, (F(2), F(1), F(0)), order)
+        assert str(raised.value) == "point of length 3 for 2 variables"
+    assert taylor_tails(section, (F(2), F(1)), 0) == [{}, {}]
+    assert taylor_tails(section, (exp_series(1, 6), exp_series(2, 6)), 0) == [{}, {}]
+    assert taylor_tails((), (F(2), F(1)), 2) == []
