@@ -236,10 +236,13 @@ def verify_tensor_pairing(left: DeltaModule, right: DeltaModule):
     d, and the pairings span it when each of the d unit vectors is a
     constant combination of their t^0 values, the t^0 slots of the same
     product (at most the product of the factor norms, so read back exactly).
+    The dual tensor is the tensor of the factor duals: the dual of the tensor
+    entry for entry, precisions included, without negating its whole matrix.
     """
-    hm = horizontal_sections(dual(left))
-    hn = horizontal_sections(dual(right))
-    dual_tensor = dual(tensor(left, right))
+    dual_left, dual_right = dual(left), dual(right)
+    hm = horizontal_sections(dual_left)
+    hn = horizontal_sections(dual_right)
+    dual_tensor = tensor(dual_left, dual_right)
     d = dual_tensor.dim
     prec = min((e.prec for v in hm + hn for e in v), default=0)
     rows, most = _residual_rows(dual_tensor, prec)

@@ -237,14 +237,15 @@ class _Parser:
 
     # expressions: expr := term (('+'|'-') term)* ; term := factor ('*' factor)*
     # factor := '-' factor | atom ('^' int)? ; atom := rational | name | '(' expr ')'
-    # Each builds its MPoly over self.names.
+    # Each builds its MPoly over self.names; a sum adds its terms into one
+    # term map and builds one MPoly, so a long sum parses in linear time.
     def parse_expr(self):
-        poly = self.parse_term()
+        terms = dict(self.parse_term().terms)
         while self.peek() and self.peek().kind in "+-":
-            op = self.next().kind
-            right = self.parse_term()
-            poly = poly + right if op == "+" else poly - right
-        return poly
+            sign = 1 if self.next().kind == "+" else -1
+            for e, c in self.parse_term().terms.items():
+                terms[e] = terms.get(e, 0) + sign * c
+        return MPoly(self.names, terms)
 
     def parse_term(self):
         poly = self.parse_factor()

@@ -38,6 +38,7 @@ from .mpoly import MPoly, multi_indices, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
+    as_rational,
     format_point,
     from_hurwitz,
     integer_scaled,
@@ -152,12 +153,13 @@ def sharp_integrate(variety: DVariety, initial, order):
                 chain.append((e, (parent, i)))
                 e = parent
             parents.update(reversed(chain))
-    initial = tuple(Fraction(c) for c in initial)
+    initial = tuple(as_rational(c, f"coordinate {i} of the initial point")
+                    for i, c in enumerate(initial))
     if len(initial) != variety.nvars:
         raise DimensionMismatch("initial point arity mismatch")
     for P in variety.generators:
         val = P.eval(initial)
-        if val != 0:
+        if val:
             raise PointNotOnVariety(f"{P} evaluates to {val} at {format_point(initial)}")
 
     # y(tau) = mu * x(lam * tau) solves y' = sum_e lam * mu^(1-|e|) c_e y^e.
@@ -189,7 +191,7 @@ def sharp_integrate(variety: DVariety, initial, order):
     point = tuple(from_hurwitz(xs, order, mu, lam))
     for P in variety.generators:
         val = P.eval(point)
-        if val != 0:
+        if val:
             raise PointNotOnVariety(
                 f"integrated point leaves the variety: {P} -> {val}"
             )

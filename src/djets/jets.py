@@ -73,7 +73,7 @@ def truncated_mul(d1, d2, order):
                 continue
             term = c1 * c2
             out[e] = out[e] + term if e in out else term
-    return {e: c for e, c in out.items() if c != 0}
+    return {e: c for e, c in out.items() if c}
 
 
 def jet_equations(generators, point, order):
@@ -98,7 +98,7 @@ def jet_equations(generators, point, order):
             )
         coeffs = taylor_coeffs(P, point, order)
         value = coeffs.get((0,) * n, 0)
-        if value != 0:
+        if value:
             raise PointNotOnVariety(
                 f"generator {P} evaluates to {value} at {format_point(point)}"
             )

@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over Q.
 
-A polynomial is a map from exponent vectors (one natural number per
-variable) to nonzero rational coefficients; the constructor lifts an `int`
-to a `Fraction` and refuses any other coefficient.  A polynomial can still
-be evaluated at a point of series.  Terms are kept free of stored zeros and
-printed in graded lexicographic order, which is also the order fixed for
-all jet index sets.
+A polynomial is one canonical map from exponent vectors, tuples of natural
+`int`s checked once by the constructor and `MPoly.hasse` and never coerced,
+to nonzero rational coefficients, so no two of its terms are ever merged.
+The constructor lifts an `int` coefficient to a `Fraction` and refuses any
+other (`series.as_rational`).  A polynomial can still be evaluated at a point
+of series.  Terms are kept free of stored zeros and printed in graded
+lexicographic order, which is also the order fixed for all jet index sets.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from operator import add, itemgetter, le, sub
 
-from .errors import BasisLimit, DimensionMismatch, DomainMismatch, JetLimit, UnknownName
-from .series import TSeries, format_terms, power
+from .errors import BasisLimit, DimensionMismatch, JetLimit, UnknownName
+from .series import TSeries, as_rational, format_terms, power
 
 # Largest Groebner basis, counting elements not yet inter-reduced, that
 # `groebner` and `normal_form` build before they give up.
@@ -63,16 +64,12 @@ def _monomial(variables, exps):
     return "*".join((f"{v}^{k}" if k > 1 else v) for v, k in zip(variables, exps) if k)
 
 
-def _rational(c, variables, exps):
-    """The coefficient c on x^exps as a Fraction; DomainMismatch unless rational."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise DomainMismatch(
-        f"the coefficient on the monomial {_monomial(variables, exps) or '1'} "
-        f"is a {type(c).__name__}, not a rational"
-    )
+def _check_exponents(exps, n):
+    """DimensionMismatch naming exps unless it is a tuple of n natural ints;
+    a bool is not one."""
+    if type(exps) is not tuple or len(exps) != n or not all(
+            type(e) is int and e >= 0 for e in exps):
+        raise DimensionMismatch(f"exponent vector {exps!r} is not a tuple of {n} natural ints")
 
 
 class MPoly:
@@ -85,24 +82,11 @@ class MPoly:
         n = len(self.vars)
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n:
-                raise DimensionMismatch(
-                    f"exponent vector {exps} does not match {n} variables"
-                )
-            if any(e < 0 for e in exps):
-                raise DimensionMismatch(f"negative exponent in {exps}")
+            _check_exponents(exps, n)
             if c.__class__ is not Fraction:
-                c = _rational(c, self.vars, exps)
-            if c == 0:
-                continue
-            if exps in clean:
-                s = clean[exps] + c
-                if s == 0:
-                    del clean[exps]
-                else:
-                    clean[exps] = s
-            else:
+                monomial = _monomial(self.vars, exps) or "1"
+                c = as_rational(c, f"the coefficient on the monomial {monomial}")
+            if c:
                 clean[exps] = c
         self.terms = clean
 
@@ -215,9 +199,7 @@ class MPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if set(self.terms) != set(o.terms):
-            return False
-        return all(self.terms[e] == o.terms[e] for e in self.terms)
+        return self.terms == o.terms
 
     __hash__ = None
 
@@ -228,11 +210,7 @@ class MPoly:
 
     def hasse(self, alpha):
         """Divided-power derivative: x^beta contributes binom(beta, alpha) x^(beta-alpha)."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != len(self.vars):
-            raise DimensionMismatch(
-                f"derivative index {alpha} does not match {len(self.vars)} variables"
-            )
+        _check_exponents(alpha, len(self.vars))
         out = {}
         for e, c in self.terms.items():
             if any(b < a for b, a in zip(e, alpha)):
@@ -343,7 +321,7 @@ def hasse_values(p, point, indices):
         if sum(alpha) > top:
             continue
         value = p.hasse(alpha).eval(point)
-        if value != 0:
+        if value:
             out[alpha] = value
     return out
 

@@ -49,7 +49,8 @@ integers, through `TSeries._ints`, and only it reads the raw integers: a
 reader outside it sees either the reduced form or, through
 `over_one_denominator`, the stored integers over one common denominator.
 The printers of exact values live here too: `format_terms` (terms),
-`format_point` (points in messages) and `render_scalar` (JSON strings).
+`format_point` (points in messages) and `render_scalar` (JSON strings), and
+so does `as_rational`, the one guard on what enters a series or a polynomial.
 
 `mat_mul` is the one product of matrices of series and rationals, and a
 vector is a one-column matrix: each entry lists its nonzero numerators
@@ -65,7 +66,7 @@ from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
 from operator import lshift, mul
 
-from .errors import DimensionMismatch, InsufficientPrecision, NonUnitDivisor
+from .errors import DimensionMismatch, DomainMismatch, InsufficientPrecision, NonUnitDivisor
 
 #: Default guaranteed order used when none is requested explicitly.
 DEFAULT_PRECISION = 24
@@ -89,7 +90,7 @@ class TSeries:
     def __init__(self, coeffs, prec):
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
-        cs = [Fraction(c) for c in list(coeffs)[: prec + 1]]
+        cs = [as_rational(c, "a series coefficient") for c in list(coeffs)[: prec + 1]]
         # Over the lcm of reduced denominators the numerators are coprime to it.
         self._raw_den, nums = integer_scaled(cs)
         self._raw_nums = tuple(nums + [0] * (prec + 1 - len(cs)))
@@ -137,7 +138,7 @@ class TSeries:
     def constant(cls, value, prec=DEFAULT_PRECISION):
         if prec < 0:
             raise InsufficientPrecision("series precision must be >= 0")
-        value = Fraction(value)
+        value = as_rational(value, "the value of a constant series")
         return cls._ints((value.numerator,) + (0,) * prec, value.denominator, prec,
                          reduced=True)
 
@@ -340,6 +341,16 @@ class TSeries:
 _ZERO = Fraction(0)
 
 
+def as_rational(value, what):
+    """`value` as a Fraction: an int or bool lifts, a Fraction passes as it
+    is, and anything else raises DomainMismatch saying `what` was refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise DomainMismatch(f"{what} is a {type(value).__name__}, not a rational")
+
+
 def power(base, n, one):
     """base**n by square-and-multiply; NotImplemented unless n is natural.
 
@@ -461,7 +472,7 @@ def exp_series(c, prec=DEFAULT_PRECISION):
     q of c = p/q."""
     if prec < 0:
         raise InsufficientPrecision("series precision must be >= 0")
-    c = Fraction(c)
+    c = as_rational(c, "the rate of exp_series")
     p = c.numerator
     return from_hurwitz([[p**k for k in range(prec + 1)]], prec, step=c.denominator)[0]
 
@@ -476,7 +487,7 @@ def _scaled(e):
     """
     if isinstance(e, TSeries):
         return e.den, [(i, a) for i, a in enumerate(e.nums) if a], e.prec
-    e = Fraction(e)
+    e = as_rational(e, "a matrix entry")
     return e.denominator, [(0, e.numerator)] if e.numerator else [], None
 
 

@@ -43,6 +43,7 @@ from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
     DEFAULT_PRECISION,
     TSeries,
+    as_rational,
     exp_series,
     format_point,
     integer_rows,
@@ -408,7 +409,7 @@ def fiber_linearity_check(bundle: LinearDVariety, samples, order=DEFAULT_PRECISI
     """
     reports = []
     for pt in samples:
-        pt = tuple(Fraction(c) for c in pt)
+        pt = tuple(as_rational(c, f"coordinate {i} of a sample") for i, c in enumerate(pt))
         _check_restricted_base_point(bundle, pt)
         module = bundle.fiber_module(pt, order)
         sols = horizontal_sections(module)

@@ -14,6 +14,7 @@ import djets.cli
 import djets.dsl
 import djets.dvariety
 import djets.mpoly
+import djets.series
 from djets.acceptance import AcceptanceResult
 from djets.cli import main
 from djets.series import MAX_PRECISION
@@ -762,3 +763,28 @@ def test_closed_stdout_keeps_exit_code(tmp_path, argv, code):
         os.close(write_end)
     assert proc.stderr.decode() == ""
     assert proc.returncode == code
+
+
+def test_zero_tests_on_series_never_build_a_zero_to_compare(capsys, monkeypatch):
+    """Each test for a zero series asks the series (`if value:`) instead of
+    comparing it with 0, which would lift 0 to a constant series first."""
+    root = Path(__file__).resolve().parent.parent / "djv"
+    calls = []
+    eq = djets.series.TSeries.__eq__
+
+    def spy(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(djets.series.TSeries, "__eq__", spy)
+    for argv in (
+        ["horizontal", "-m", "3", "-N", "24", "--from", "generic",
+         str(root / "counterexample.djv")],
+        ["horizontal", "-m", "3", "-N", "24", "--from", "p", str(root / "parabola.djv")],
+        ["verify-product", "L1", "L2", "--from", "a", "b", "-m", "3",
+         str(root / "lines.djv")],
+        ["integrate", "--from", "generic", "-N", "64", str(root / "counterexample.djv")],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []

@@ -131,6 +131,25 @@ def test_tensor_dimension():
     assert tensor(A, B).dim == 6
 
 
+def test_the_tensor_of_the_duals_is_the_dual_of_the_tensor():
+    """`verify_tensor_pairing` relies on this, precisions included."""
+    rng = random.Random(38)
+
+    def mixed_module(dim):
+        return DeltaModule.from_rows([
+            [TSeries([rng.randint(-2, 2) for _ in range(5)], rng.randint(0, 6))
+             for _ in range(dim)]
+            for _ in range(dim)
+        ])
+
+    def entries(M):
+        return [[(e.coeffs, e.prec) for e in row] for row in M.matrix]
+
+    for _ in range(20):
+        left, right = mixed_module(rng.randint(1, 3)), mixed_module(rng.randint(1, 3))
+        assert entries(tensor(dual(left), dual(right))) == entries(dual(tensor(left, right)))
+
+
 # -- horizontal sections ------------------------------------------------------------
 
 def test_horizontal_sections_of_trivial_module():

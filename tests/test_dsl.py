@@ -3,7 +3,14 @@ from math import comb
 
 import pytest
 
-from djets.dsl import MAX_LITERAL_DIGITS, MAX_POWER_TERMS, _power_terms, parse_document
+from djets.dsl import (
+    MAX_LITERAL_DIGITS,
+    MAX_POWER_TERMS,
+    _Parser,
+    _power_terms,
+    parse_document,
+    tokenize,
+)
 from djets.dvariety import validate_section
 from djets.errors import ArityError, ParseError, UnknownName
 from djets.mpoly import MPoly
@@ -108,6 +115,28 @@ def test_long_sums_and_products_bind_without_recursion():
     assert line_section(" + ".join(["x"] * 5000)) == 5000 * x
     assert line_section(" - ".join(["x"] * 5001)) == -4999 * x
     assert line_section("*".join(["1"] * 5000) + "*x") == x
+
+
+def test_a_long_sum_builds_each_term_a_bounded_number_of_times(monkeypatch):
+    """A sum of n distinct monomials gathers its terms in one map: the
+    polynomials built while it parses hold O(n) terms in all, not the
+    n^2 / 2 of adding each summand into a fresh polynomial."""
+    n = 300
+    names = [f"x{i}" for i in range(n)]
+    parser = _Parser(tokenize(" + ".join(names[:-1]) + " - " + names[-1]))
+    parser.read_names()
+    built = []
+    init = MPoly.__init__
+
+    def spy(self, variables, terms):
+        built.append(len(terms))
+        init(self, variables, terms)
+
+    monkeypatch.setattr(MPoly, "__init__", spy)
+    poly = parser.parse_expr()
+    assert sum(built) <= 3 * n
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert poly.terms == {**{e: 1 for e in unit[:-1]}, unit[-1]: -1}
 
 
 def test_nesting_is_bounded_with_a_position():

@@ -127,6 +127,14 @@ def test_a_repeated_variable_is_refused():
         DVariety(xx, (), (x, x))
 
 
+def test_sharp_integrate_refuses_an_initial_point_that_is_not_rational():
+    for initial, i, kind in (((1.0, 1), 0, "float"), ((1, "1"), 1, "str")):
+        with pytest.raises(DomainMismatch, match=(
+            f"^coordinate {i} of the initial point is a {kind}, not a rational$"
+        )):
+            sharp_integrate(parabola(), initial, 6)
+
+
 def test_sharp_integrate_requires_point_on_variety():
     with pytest.raises(PointNotOnVariety):
         sharp_integrate(parabola(), (1, 2), 6)

@@ -18,7 +18,8 @@ denominator.  In `src/djets` only the functions of `RAW_READERS` read the
 reduced form (`.nums` or `.den`) outside `series.py`; every other reader
 goes through `series`.  In `mpoly.py` only `_zero_like` reads `TSeries`,
 to evaluate at a point of series, so a polynomial's coefficients stay
-rational.  Every public
+rational, and no code in `mpoly.py` calls `int(...)`, so an exponent
+vector is never coerced.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
@@ -254,6 +255,35 @@ def test_the_scan_sees_a_stray_series_reader(tmp_path):
         encoding="utf-8",
     )
     assert series_readers(module) == ["<module>", "P.coeff", "lift"]
+
+
+def int_callers(path):
+    """The owners that call `int(...)`."""
+    return sorted({
+        owner for owner, node in owned_nodes(path) for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        and sub.func.id == "int"
+    })
+
+
+def test_polynomials_never_coerce_an_exponent():
+    assert int_callers(SRC / "mpoly.py") == []
+
+
+def test_the_scan_sees_an_int_call(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "ONE = int('1')\n"
+        "def exps(e):\n"
+        "    return tuple(int(a) for a in e)\n"
+        "def clean(e):\n"
+        "    return isinstance(e, int) and e.bit_length()\n"
+        "class P:\n"
+        "    def hasse(self, alpha):\n"
+        "        return [int(a) for a in alpha]\n",
+        encoding="utf-8",
+    )
+    assert int_callers(module) == ["<module>", "P.hasse", "exps"]
 
 
 def names_series_domain(path):

@@ -279,6 +279,59 @@ def test_coefficients_that_are_not_rational_are_refused_on_construction():
     assert p == MPoly(xy, {(1, 1): F(2), (0, 0): F(1)})
 
 
+class _Items:
+    """A term map whose one key is a list, which no dict can hold."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def items(self):
+        return [(self.key, 1)]
+
+
+# Each vector is refused as it is, never rounded, parsed or merged: coerced
+# by int(), (1.5,) would be the monomial x and (0.5,) would leave x^3 as it is.
+BAD_EXPONENTS = (
+    ((1.5,), r"\(1\.5,\)"),
+    ((0.5,), r"\(0\.5,\)"),
+    ((1.9,), r"\(1\.9,\)"),
+    (("2",), r"\('2',\)"),
+    ((True,), r"\(True,\)"),
+    ((-1,), r"\(-1,\)"),
+    ([1], r"\[1\]"),
+    ((1, 0), r"\(1, 0\)"),
+    ((), r"\(\)"),
+)
+
+
+@pytest.mark.parametrize("exps, shown", BAD_EXPONENTS)
+def test_an_exponent_vector_that_is_not_a_tuple_of_naturals_is_refused(exps, shown):
+    message = f"^exponent vector {shown} is not a tuple of 1 natural ints$"
+    terms = _Items(exps) if isinstance(exps, list) else {exps: 1}
+    with pytest.raises(DimensionMismatch, match=message):
+        MPoly(("x",), terms)
+    with pytest.raises(DimensionMismatch, match=message):
+        (MPoly.variable(("x",), "x") ** 3).hasse(exps)
+
+
+def test_a_key_that_int_would_merge_with_another_is_refused():
+    with pytest.raises(DimensionMismatch, match=r"^exponent vector \(1\.5,\) "):
+        MPoly(("x",), {(1.5,): 1, (1,): 2})
+
+
+def test_polynomials_are_equal_exactly_when_their_term_maps_are():
+    xy = ("x", "y")
+    p = MPoly(xy, {(1, 0): F(1, 2), (0, 2): -3})
+    assert p == MPoly(xy, {(0, 2): F(-3), (1, 0): F(2, 4)})
+    assert p != MPoly(xy, {(1, 0): F(1, 2)})
+    assert p != MPoly(xy, {(1, 0): F(1, 2), (0, 2): 3})
+    assert p != MPoly(xy, {(1, 0): F(1, 2), (0, 2): -3, (1, 1): 1})
+    assert MPoly(xy, {(0, 0): 5}) == 5 and MPoly.zero(xy) == 0
+    assert MPoly.zero(xy) != MPoly(xy, {(0, 0): 1})
+    with pytest.raises(DimensionMismatch, match="mixed variable tuples"):
+        p == MPoly(("y", "x"), p.terms)
+
+
 # -- Groebner bases and normal forms -----------------------------------------------
 
 XYZ = ("x", "y", "z")

@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from djets.errors import InsufficientPrecision, NonUnitDivisor
+from djets.errors import DomainMismatch, InsufficientPrecision, NonUnitDivisor
 from djets.mpoly import MPoly
 from djets.series import (
     TSeries,
     exp_series,
+    as_rational,
     fundamental_matrix,
+    mat_mul,
     power,
 )
 
@@ -253,3 +255,28 @@ def test_fundamental_matrix_satisfies_ode_and_initial_value():
 def test_fundamental_matrix_precision_guard():
     with pytest.raises(InsufficientPrecision):
         fundamental_matrix([[TSeries.constant(1, 3)]], 10)
+
+
+# -- the rationality guard -------------------------------------------------------
+
+def test_the_guard_lifts_ints_and_passes_fractions():
+    half = F(1, 2)
+    assert as_rational(half, "x") is half
+    for value in (3, True, -7):
+        lifted = as_rational(value, "x")
+        assert type(lifted) is F and lifted == value
+
+
+@pytest.mark.parametrize("build, what, kind", [
+    # Fraction(0.1) would store 3602879701896397/36028797018963968.
+    (lambda: TSeries([0.1], 2), "a series coefficient", "float"),
+    # Fraction("1/3") would parse the string.
+    (lambda: TSeries.constant("1/3"), "the value of a constant series", "str"),
+    (lambda: TSeries([1, "2"], 2), "a series coefficient", "str"),
+    (lambda: exp_series(0.5, 4), "the rate of exp_series", "float"),
+    (lambda: mat_mul([[0.5]], [[TSeries([1, 1], 2)]]), "a matrix entry", "float"),
+    (lambda: as_rational(TSeries([1], 1), "a value"), "a value", "TSeries"),
+])
+def test_an_exact_type_refuses_what_is_not_rational(build, what, kind):
+    with pytest.raises(DomainMismatch, match=f"^{what} is a {kind}, not a rational$"):
+        build()

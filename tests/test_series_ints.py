@@ -176,12 +176,12 @@ def test_cancellation_reduces_to_the_lowest_denominator():
     assert TSeries([0, 0, F(1, 2)], 2).derive().den == 1
 
 
-def test_constructor_accepts_ints_fractions_and_strings():
-    s = TSeries(["1/2", 3, F(-2, 6)], 4)
+def test_constructor_accepts_ints_and_fractions():
+    s = TSeries([F(1, 2), 3, F(-2, 6)], 4)
     assert (s.nums, s.den, s.prec) == ((3, 18, -2, 0, 0), 6, 4)
     assert s.coeffs == (F(1, 2), F(3), F(-1, 3), F(0), F(0))
-    assert_canonical(TSeries([F(1, 4), 7, "5/3"], 1))
-    assert TSeries([F(1, 4), 7, "5/3"], 1).den == 4
+    assert_canonical(TSeries([F(1, 4), 7, F(5, 3)], 1))
+    assert TSeries([F(1, 4), 7, F(5, 3)], 1).den == 4
     assert (TSeries.zero(3).nums, TSeries.zero(3).den) == ((0, 0, 0, 0), 1)
     assert_canonical(TSeries.constant(F(-4, 6), 2))
     with pytest.raises(AttributeError):

@@ -18,6 +18,7 @@ from djets.dvariety import (
     validate_section,
 )
 from djets.errors import (
+    DomainMismatch,
     InsufficientPrecision,
     NonTriangular,
     NonUnitDivisor,
@@ -559,6 +560,13 @@ def test_fiber_witness_family_is_additive():
     s = [2 * g + 2 * h, g + h]
     assert s[0].derive() == 2 * 1 * (s[0] - s[1])
     assert s[1].derive() == 1 * (s[0] - s[1])
+
+
+def test_fiber_linearity_refuses_a_sample_that_is_not_rational():
+    W = restricted_bundle()
+    with pytest.raises(DomainMismatch,
+                       match="^coordinate 1 of a sample is a float, not a rational$"):
+        fiber_linearity_check(W, [(1, 1.0)], order=8)
 
 
 def test_fiber_linearity_rejects_off_base_samples():
