@@ -19,8 +19,9 @@ place, as FLINT's fmpq_poly keeps every result canonical (Hart, "Fast
 Library for Number Theory: An Introduction", ICMS 2010), but only once a
 reader needs it.  Products, division and `mat_mul` read their operands
 reduced, so denominators do not grow along a chain of products, and store
-their results raw; a product with an operand whose stored numerators are
-all zero is the zero series, made without a convolution.  The linear
+their results raw.  A product with an all-zero operand is the zero series,
+and one with a rational or a series constant through the product's precision
+scales the other operand's numerators: neither convolves.  The linear
 readers (`packed_kron`, `integer_rows`, `is_horizontal`) take the
 stored integers over one common denominator (`over_one_denominator`) and
 reduce nothing: their results are eliminated or tested for zero, never
@@ -234,24 +235,33 @@ class TSeries:
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+        # A rational, or an operand constant through the product's precision,
+        # scales the other operand's reduced numerators in one pass; any other
+        # product is one integer convolution.  Operands are read reduced, so
+        # denominators do not grow along a chain; the product is stored raw.
+        o = other if isinstance(other, TSeries) else None
+        if o is None and not isinstance(other, (int, Fraction)):
             return NotImplemented
-        n = min(self.prec, o.prec)
-        if not any(self._raw_nums) or not any(o._raw_nums):
+        n = self.prec if o is None else min(self.prec, o.prec)
+        if not any(self._raw_nums) or not (other if o is None else any(o._raw_nums)):
             return TSeries._ints((0,) * (n + 1), 1, n, reduced=True)
-        # One integer convolution over the product of the reduced denominators:
-        # reading the operands reduced keeps denominators from growing along a
-        # chain of products, and the product itself is stored raw.
-        nonzero_ys = [(j, b) for j, b in enumerate(o.nums[: n + 1]) if b]
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.nums[: n + 1]):
-            if a:
-                for j, b in nonzero_ys:
-                    if i + j > n:
-                        break
-                    out[i + j] += a * b
-        return TSeries._ints(out, self.den * o.den, n)
+        if o is None:
+            s, c, d = self, other.numerator, other.denominator
+        elif not any(o._raw_nums[1 : n + 1]):
+            s, c, d = self, o.nums[0], o.den
+        elif not any(self._raw_nums[1 : n + 1]):
+            s, c, d = o, self.nums[0], self.den
+        else:
+            nonzero_ys = [(j, b) for j, b in enumerate(o.nums[: n + 1]) if b]
+            out = [0] * (n + 1)
+            for i, a in enumerate(self.nums[: n + 1]):
+                if a:
+                    for j, b in nonzero_ys:
+                        if i + j > n:
+                            break
+                        out[i + j] += a * b
+            return TSeries._ints(out, self.den * o.den, n)
+        return TSeries._ints([x * c for x in s.nums[: n + 1]], s.den * d, n)
 
     __rmul__ = __mul__
 

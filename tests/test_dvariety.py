@@ -518,7 +518,7 @@ def assert_horizontal_jets_follow_the_flow(variety, start, order_m, n):
             assert list(entry.coeffs) == want, (order_m, beta)
 
 
-@pytest.mark.parametrize("order_m", [1, 2, 3, 4])
+@pytest.mark.parametrize("order_m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("variety, start", [
     (plane_system(), (2, 1)),
     (parabola(), (1, 1)),
@@ -534,6 +534,21 @@ def test_horizontal_jets_at_corpus_points_are_the_flow_of_their_initial_jet(name
     variety = doc.variety(doc.point(name).variety)
     for order_m in (2, 3):
         assert_horizontal_jets_follow_the_flow(variety, doc.rational_point(name), order_m, 6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, curve", [
+    ("parabola", lambda s: (s, s**2)),
+    ("cusp", lambda s: (s**2, s**3)),
+    ("cubic", lambda s: (s, s**2, s**3)),
+], ids=["parabola", "cusp", "cubic"])
+def test_horizontal_jets_at_random_curve_points_are_the_flow_of_their_initial_jet(
+        name, curve, seed):
+    rng = random.Random(f"{name}-{seed}")
+    s = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    doc = parse_document((DJV / "corpus.djv").read_text(encoding="utf-8"))
+    for order_m in (2, 3):
+        assert_horizontal_jets_follow_the_flow(doc.variety(name), curve(s), order_m, 6)
 
 
 # -- products ---------------------------------------------------------------------------

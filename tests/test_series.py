@@ -280,3 +280,32 @@ def test_the_guard_lifts_ints_and_passes_fractions():
 def test_an_exact_type_refuses_what_is_not_rational(build, what, kind):
     with pytest.raises(DomainMismatch, match=f"^{what} is a {kind}, not a rational$"):
         build()
+
+
+# -- products by a rational -------------------------------------------------------
+
+def test_a_rational_factor_is_never_lifted_to_a_series(monkeypatch):
+    x = TSeries([F(1, 3), 0, F(-2, 5), 7], 3)
+    cases = [
+        (lambda: x * F(2, 3), [F(2, 9), 0, F(-4, 15), F(14, 3)]),
+        (lambda: 3 * x, [F(1), 0, F(-6, 5), F(21)]),
+        (lambda: x * True, [F(1, 3), 0, F(-2, 5), F(7)]),
+        (lambda: x * 0, [F(0)] * 4),
+        (lambda: F(0) * x, [F(0)] * 4),
+    ]
+    lifted = []
+    for name in ("constant", "lift"):
+        real = getattr(TSeries, name)
+        monkeypatch.setattr(TSeries, name, classmethod(
+            lambda cls, *args, real=real, name=name: lifted.append(name) or real(*args)))
+    for product, want in cases:
+        got = product()
+        assert got.prec == 3 and list(got.coeffs) == want
+    assert lifted == []
+
+
+def test_reflected_products_and_sums_are_aliases():
+    # bench/tracer.py wraps `__mul__` and `__add__` at every binding: a
+    # reflected operator written as its own method would escape the trace
+    assert vars(TSeries)["__rmul__"] is vars(TSeries)["__mul__"]
+    assert vars(TSeries)["__radd__"] is vars(TSeries)["__add__"]

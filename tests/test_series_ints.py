@@ -17,7 +17,8 @@ sums of exponentials, and a product stores a denominator no larger than the
 product of its operands' reduced denominators, so denominators do not grow
 along a chain.  An unreduced series prints, compares and answers the zero,
 unit and order tests as its reduced copy does, without being reduced.  A
-product with an all-zero operand equals the convolved one.
+product with an all-zero operand, a rational or a series constant through
+the product's precision stores what the convolution stores.
 
 `packed_kron`, `integer_rows` and `is_horizontal` read the stored integers
 over one common denominator and reduce nothing: on unreduced inputs they
@@ -734,3 +735,71 @@ def test_a_product_with_a_zero_operand_equals_the_convolved_one(seed):
             assert got.den == 1 and not any(got.nums)
     assert_matches(x * 0, ref_mul(xref, ([F(0)] * (xref[1] + 1), xref[1])))
     assert_matches(F(0) * x, ref_mul(xref, ([F(0)] * (xref[1] + 1), xref[1])))
+
+
+# -- products by a rational or by a constant series ------------------------------
+#
+# A rational factor, or a series constant through the product's precision,
+# scales the other operand's numerators without a convolution.  The product
+# stores what the convolution of the reduced operands stores: the numerators
+# sum a_i b_j over the product of the reduced denominators, unreduced, or the
+# reduced zero series when an operand is all zero.
+
+SCALARS = [0, 1, -1, True, False, F(0), 3, -7, F(2, 3), F(-5, 12), F(1, PRIMES[0])]
+
+
+def assert_stored_as_convolved(got, x, y, monkeypatch):
+    """`got` is the product of `x` and `y` (a series or a rational), stored
+    as the convolution of their reduced forms stores it; read before `got`."""
+    if isinstance(y, TSeries):
+        ys, n, y_den = list(y.coeffs), min(x.prec, y.prec), y.den
+    else:
+        ys, n, y_den = [F(y)], x.prec, F(y).denominator
+    want = ref_mul((list(x.coeffs), x.prec), (ys + [F(0)] * n, n))
+    if x.is_zero() or not any(ys):
+        with monkeypatch.context() as m:
+            m.setattr(series, "gcd", None)  # stored reduced: read without a gcd
+            assert got.den == 1 and not any(got.nums)
+    else:
+        assert stored_den(got, monkeypatch) == x.den * y_den
+    assert_matches(got, want)
+
+
+def constant_operands(rng, prec):
+    """Series constant through `prec` whose own precision is above and below
+    it, one stored unreduced, and ones nonzero only past `prec`."""
+    value = F(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+    above, below = prec + rng.randint(1, 4), rng.randint(0, prec)
+    past = [F(0)] * (prec + 1) + [F(rng.randint(1, 9), rng.choice(DENOMINATORS))]
+    return [
+        TSeries.constant(value, above),
+        TSeries.constant(value, below),
+        TSeries.constant(value / 6, above) * 6,       # stored raw
+        TSeries([value] + past[1:], prec + 1),        # constant only through prec
+        TSeries(past, prec + 1),                      # zero through prec, not past it
+        TSeries.zero(below),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_product_with_a_rational_is_the_convolved_one(seed, monkeypatch):
+    rng = random.Random(3100 + seed)
+    x, _ = random_operand(rng, prec=[0, 1, 5, 9][seed % 4])
+    for operand in (x, x - x, x * x):
+        for s in SCALARS + [F(rng.randint(-10**6, 10**6), rng.choice(PRIMES))]:
+            lifted = operand * TSeries.constant(s, operand.prec)
+            for got in (operand * s, s * operand):
+                assert_stored_as_convolved(got, operand, s, monkeypatch)
+                assert got.prec == lifted.prec and got.coeffs == lifted.coeffs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_product_with_a_constant_series_is_the_convolved_one(seed, monkeypatch):
+    rng = random.Random(3200 + seed)
+    x, _ = random_operand(rng, prec=[0, 1, 5, 9][seed % 4])
+    for c in constant_operands(rng, x.prec):
+        assert_stored_as_convolved(x * c, x, c, monkeypatch)
+        assert_stored_as_convolved(c * x, c, x, monkeypatch)
+        if c.is_constant():
+            lifted = x * TSeries.constant(c.constant_term, x.prec)
+            assert (x * c).coeffs == lifted.coeffs[: c.prec + 1]
