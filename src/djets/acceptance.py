@@ -28,7 +28,6 @@ from .dvariety import (
     DVariety,
     constants_variety_jets,
     delta_jet_space,
-    product_dvariety,
     product_sharp_point,
     sharp_integrate,
 )
@@ -222,12 +221,12 @@ def check_product_decomposition():
     for left, left_pt, right, right_pt in suites:
         lp = sharp_integrate(left, left_pt, PRECISION)
         rp = sharp_integrate(right, right_pt, PRECISION)
-        prod = product_dvariety(left, right)
-        pp = product_sharp_point(prod, lp, rp)
+        pp = product_sharp_point(lp, rp)
+        prod = pp.variety
         for m in (1, 2):
-            W = delta_jet_space(left, lp, m).horizontal
-            Wp = delta_jet_space(right, rp, m).horizontal
-            space = delta_jet_space(prod, pp, m)
+            W = delta_jet_space(lp, m).horizontal
+            Wp = delta_jet_space(rp, m).horizontal
+            space = delta_jet_space(pp, m)
             try:
                 decomposed = product_jet_decompose(
                     space.horizontal, W, Wp, left.nvars, right.nvars, m
@@ -275,10 +274,9 @@ def corpus():
     entries = [(v, sharp_integrate(v, pt, PRECISION)) for v, pt in singles]
     for left, left_pt, right, right_pt in ((_line(1), (1,), _line(2), (1,)),
                                            (X, (2, 1), _line(1), (1,))):
-        prod = product_dvariety(left, right)
-        point = product_sharp_point(prod, sharp_integrate(left, left_pt, PRECISION),
+        point = product_sharp_point(sharp_integrate(left, left_pt, PRECISION),
                                     sharp_integrate(right, right_pt, PRECISION))
-        entries.append((prod, point))
+        entries.append((point.variety, point))
     return entries
 
 
@@ -293,7 +291,7 @@ def _square_line():
 def check_m1_crosscheck():
     details = []
     for variety, point in corpus():
-        rep = m1_equivalence(variety, point)
+        rep = m1_equivalence(point)
         if not rep.ok:
             return False, f"{variety.name}: {rep.to_json()}"
         details.append(f"{variety.name}:dim{rep.dim_jet_route}")
@@ -443,13 +441,13 @@ def _suite_functoriality(rng, cases):
         src = jet_space((), a, order)
         mid = jet_space((), fa, order)
         tgt = jet_space((), gfa, order)
-        Tf = jet_of_morphism(f, a, order, src, mid)
-        Tg = jet_of_morphism(g, fa, order, mid, tgt)
+        Tf = jet_of_morphism(f, src, mid)
+        Tg = jet_of_morphism(g, mid, tgt)
         composed = tuple(p.eval(tuple(q.embed(vars1) for q in f)) for p in g)
         composed = tuple(
             p if isinstance(p, MPoly) else MPoly.constant(vars1, p) for p in composed
         )
-        Tgf = jet_of_morphism(composed, a, order, src, tgt)
+        Tgf = jet_of_morphism(composed, src, tgt)
         if mat_mul(Tg, Tf) != Tgf:
             return False, f"functoriality failed at order {order}"
     return True, None

@@ -20,7 +20,6 @@ from .delta_modules import product_jet_decompose
 from .dsl import parse_document
 from .dvariety import (
     delta_jet_space,
-    product_dvariety,
     product_sharp_point,
     sharp_integrate,
     validate_section,
@@ -288,7 +287,7 @@ def _dispatch(args, precision):
 
     if args.command == "horizontal":
         point = doc.sharp_point(args.from_point, precision)
-        space = delta_jet_space(point.variety, point, args.order)
+        space = delta_jet_space(point, args.order)
         payload = {
             "dim_K": space.dim_k,
             "dim_C": space.dim_c,
@@ -310,11 +309,10 @@ def _dispatch(args, precision):
         if [doc.point(p).variety for p in args.from_points] != [left.name, right.name]:
             raise ParseError("points belong to different varieties than named")
         lp, rp = (doc.sharp_point(p, precision) for p in args.from_points)
-        prod = product_dvariety(left, right)
-        pp = product_sharp_point(prod, lp, rp)
-        W = delta_jet_space(left, lp, args.order).horizontal
-        Wp = delta_jet_space(right, rp, args.order).horizontal
-        space = delta_jet_space(prod, pp, args.order)
+        pp = product_sharp_point(lp, rp)
+        W = delta_jet_space(lp, args.order).horizontal
+        Wp = delta_jet_space(rp, args.order).horizontal
+        space = delta_jet_space(pp, args.order)
         decomposed = [
             dec.to_json()
             for dec in product_jet_decompose(
@@ -322,13 +320,13 @@ def _dispatch(args, precision):
             )
         ]
         payload = {
-            "product": prod.name,
+            "product": pp.variety.name,
             "order": args.order,
             "jets": decomposed,
             "dim_C": space.dim_c,
         }
         lines = [
-            f"product {prod.name}, order {args.order}: "
+            f"product {pp.variety.name}, order {args.order}: "
             f"{len(decomposed)} horizontal jets decompose with constant coefficients"
         ]
         return EXIT_OK, payload, lines

@@ -38,7 +38,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
+from .errors import DecompositionFailure, DimensionMismatch, DomainMismatch
+from .errors import InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
 from .series import TSeries, fundamental_matrix, over_one_denominator, pack
@@ -47,15 +48,20 @@ from .series import packed_kron, transpose, unpack
 
 @dataclass(frozen=True)
 class DeltaModule:
-    """dim-by-dim derivation matrix over truncated series."""
+    """dim-by-dim derivation matrix over truncated series; an entry that is
+    not a `TSeries` raises DomainMismatch (`from_rows` lifts rationals)."""
 
     matrix: tuple
 
     def __post_init__(self):
         d = len(self.matrix)
-        for row in self.matrix:
+        for r, row in enumerate(self.matrix):
             if len(row) != d:
                 raise DimensionMismatch("derivation matrix must be square")
+            for c, e in enumerate(row):
+                if not isinstance(e, TSeries):
+                    raise DomainMismatch(f"entry ({r}, {c}) of the derivation matrix "
+                                         f"is a {type(e).__name__}, not a series")
 
     @property
     def dim(self):

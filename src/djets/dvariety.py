@@ -198,17 +198,17 @@ def sharp_integrate(variety: DVariety, initial, order):
     return SharpPoint(variety, point)
 
 
-def _derivation_matrix(variety: DVariety, point: SharpPoint, order_m):
+def _derivation_matrix(point: SharpPoint, order_m):
     """Matrix B of the induced derivation on the ambient monomial basis.
 
     Row alpha holds the coordinates of d((x-a)^alpha) on the basis
     (x-a)^beta, beta in Lambda: by d(x_j - a_j) = s_j(x) - s_j(a), the sum
     over j of alpha_j (x-a)^(alpha - e_j) times the Taylor tail of s_j
-    around a, truncated past order m.
+    around a, truncated past order m, with s the section of `point.variety`.
     """
-    lam = multi_indices(variety.nvars, order_m)
+    lam = multi_indices(point.variety.nvars, order_m)
     zero = TSeries.zero(point.prec)
-    tails = taylor_tails(variety.section, point.coords, order_m)
+    tails = taylor_tails(point.variety.section, point.coords, order_m)
     B = []
     for alpha in lam:
         row = {}
@@ -246,8 +246,8 @@ class DeltaJetSpace:
         return min((e.prec for v in self.horizontal for e in v), default=None)
 
 
-def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
-    """Horizontal jets at a sharp point: {v in Jet^m(V)_x(t) : Dv = 0}.
+def delta_jet_space(point: SharpPoint, order_m):
+    """Horizontal jets at a sharp point: {v in Jet^m(V)_x(t) : Dv = 0}, V = point.variety.
 
     The flow of the section on jets, M' = B M with M(0) = I, carries the
     jets at a = x(0) to those at x(t), so horizontal_i = M(t) v0_i solves
@@ -263,11 +263,12 @@ def delta_jet_space(variety: DVariety, point: SharpPoint, order_m):
     a point not solving x' = s(x)) raises InvarianceViolation.  With no
     generators the check is vacuous, and v' = B v is not re-checked.
     """
+    variety = point.variety
     a = tuple(c.constant_term for c in point.coords)
     js = jet_space(variety.generators, a, order_m)
     low = max(point.prec - 1, 0)
     short = SharpPoint(variety, tuple(c.at_precision(low) for c in point.coords))
-    B = _derivation_matrix(variety, short, order_m)
+    B = _derivation_matrix(short, order_m)
     module = DeltaModule.from_rows([[-e for e in row] for row in B])
     # Column i is v0_i = b_i / b_i[f_i]; with no basis, dim empty rows.
     initial = [[Fraction(b[r], b[f]) for b, f in zip(js.basis, js.free_columns)]
@@ -333,5 +334,7 @@ def product_dvariety(left: DVariety, right: DVariety):
     return DVariety(allvars, gens, section, name=name)
 
 
-def product_sharp_point(product: DVariety, left: SharpPoint, right: SharpPoint):
+def product_sharp_point(left: SharpPoint, right: SharpPoint):
+    """The two sharp points as one point of `product_dvariety` of their varieties."""
+    product = product_dvariety(left.variety, right.variety)
     return SharpPoint(product, tuple(left.coords) + tuple(right.coords))

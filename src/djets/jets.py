@@ -18,13 +18,14 @@ by one product truncated past order m (`truncated_mul`).  The jet
 equations, the matrix of a morphism on jets and the derivation matrix of
 `dvariety` all read their rows off such products.
 
-Jet spaces and the matrices of morphisms on jets are computed at rational
-points only, with kernels over Q; a series or other non-rational
-coordinate raises DomainMismatch.  The differential jet space at a sharp
-point carries the rational jet space at x(0) along the flow
-(`dvariety.delta_jet_space`), and reads the jet equations at the sharp
-point only to check its answer.  `render_jet_space` gives the JSON form
-through `series.render_vector`; errors print points by `series.format_point`.
+Jet spaces are computed at rational points only, with kernels over Q: a
+series or other non-rational coordinate raises DomainMismatch
+(`series.as_rational`).  The matrix of a morphism on jets reads its base
+point and its one order m off the source jet space.  The differential jet
+space at a sharp point carries the rational jet space at x(0) along the flow
+(`dvariety.delta_jet_space`), and reads the jet equations at the sharp point
+only to check its answer.  `render_jet_space` gives the JSON form through
+`series.render_vector`; errors print points by `series.format_point`.
 """
 
 from __future__ import annotations
@@ -32,23 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasePointMismatch, DimensionMismatch, DomainMismatch, PointNotOnVariety
+from .errors import BasePointMismatch, DimensionMismatch, PointNotOnVariety
 from .linalg import LinSystem, nullspace_with_free
 from .mpoly import hasse_values, multi_indices, multi_indices_with_zero, taylor_coeffs
-from .series import TSeries, format_point, render_vector
+from .series import as_rational, format_point, render_vector
 
 _ZERO = Fraction(0)
-
-
-def _rational_point(point):
-    """The point as a tuple; a coordinate that is not rational, such as a
-    series, raises DomainMismatch."""
-    point = tuple(point)
-    for i, c in enumerate(point):
-        if not isinstance(c, (int, Fraction)):
-            kind = "a series" if isinstance(c, TSeries) else f"a {type(c).__name__}"
-            raise DomainMismatch(f"coordinate {i} of a constant point is {kind}")
-    return point
 
 
 def taylor_tails(polys, point, order):
@@ -132,28 +122,32 @@ def jet_space(generators, point, order):
     """Solve the jet equations at a rational point over Q.
 
     The basis spans the exact kernel, normalized to primitive `int`
-    vectors; a series coordinate raises DomainMismatch.
+    vectors.  Each coordinate passes `series.as_rational`: an int lifts to
+    a Fraction, and a series or other non-rational one raises DomainMismatch.
     """
-    point = _rational_point(point)
+    point = tuple(as_rational(c, f"coordinate {i} of a constant point")
+                  for i, c in enumerate(point))
     lam = multi_indices(len(point), order)
     system = LinSystem(jet_equations(generators, point, order), len(lam))
     basis, free = nullspace_with_free(system)
     return JetSpace(point, order, tuple(lam), system, basis, free)
 
 
-def jet_of_morphism(f, point, order, source: JetSpace, target: JetSpace):
+def jet_of_morphism(f, source: JetSpace, target: JetSpace):
     """Matrix of the induced linear map on jets of a polynomial morphism.
 
-    Row beta (target index), column alpha (source index) holds the
-    coefficient of (z-a)^alpha in the Taylor expansion of (f(z)-f(a))^beta
-    around a, truncated at the jet order; a source jet v maps to the vector
-    (sum_alpha M[beta][alpha] * v_alpha)_beta.  The point must be rational.
+    The base point a and the order m are those of `source`; `target` must
+    sit at f(a) and have order m too, since jets of order m map only to
+    jets of order m (DimensionMismatch otherwise).  Row beta (target index),
+    column alpha (source index) holds the coefficient of (z-a)^alpha in the
+    Taylor expansion of (f(z)-f(a))^beta around a, truncated at order m; a
+    source jet v maps to the vector (sum_alpha M[beta][alpha] * v_alpha)_beta.
     """
-    point = _rational_point(point)
-    if len(point) != len(source.point):
-        raise DimensionMismatch("point does not match the source ambient space")
-    if tuple(source.point) != point:
-        raise BasePointMismatch("point differs from the source base point")
+    point, order = source.point, source.order
+    if target.order != order:
+        raise DimensionMismatch(
+            f"source jets of order {order}, target jets of order {target.order}"
+        )
     image = tuple(fi.eval(point) for fi in f)
     if len(image) != len(target.point):
         raise DimensionMismatch("morphism arity does not match the target space")

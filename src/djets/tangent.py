@@ -464,23 +464,23 @@ class TangentEquivalenceReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def m1_equivalence(variety: DVariety, point: SharpPoint):
+def m1_equivalence(point: SharpPoint):
     """Compare the order-1 jet route with the direct Jacobian linearization.
 
     Route one computes the differential jet space at the sharp point; route
-    two takes the horizontal sections of the fiber module of delta_tangent,
-    the solutions of v' = J_s(a(t)) v, and keeps the constant combinations
-    satisfying the order-1 jet rows.  Route two solves that ODE by
-    construction; route one must be shown to, by exact-zero residuals in the
-    fiber module (at precision 0 there is no derivative to check).  Solutions
-    are fixed by their values at t = 0, so the two bases then contain each
-    other over the constants exactly when their t^0 values and the union of
-    both have one rank (`rank_at_zero`).
+    two takes the horizontal sections of the fiber module of
+    delta_tangent(point.variety), the solutions of v' = J_s(a(t)) v, and keeps
+    the constant combinations satisfying the order-1 jet rows.  Route two
+    solves that ODE by construction; route one must be shown to, by exact-zero
+    residuals in the fiber module (at precision 0 there is no derivative to
+    check).  Solutions are fixed by their values at t = 0, so the two bases
+    then contain each other over the constants exactly when their t^0 values
+    and the union of both have one rank (`rank_at_zero`).
     """
-    djs = delta_jet_space(variety, point, 1)
-    module = delta_tangent(variety).fiber_module(point.coords, point.prec)
+    djs = delta_jet_space(point, 1)
+    module = delta_tangent(point.variety).fiber_module(point.coords, point.prec)
     columns = horizontal_sections(module)
-    constraints = jet_equations(variety.generators, point.coords, 1)
+    constraints = jet_equations(point.variety.generators, point.coords, 1)
     rational_rows = []
     for combo in mat_mul(constraints, transpose(columns)):
         rational_rows += integer_rows(combo, min(x.prec for x in combo))

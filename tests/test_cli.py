@@ -666,9 +666,9 @@ def perturb_derivation_matrix(monkeypatch, i, j, only=lambda variety: True):
     """Add 1 to entry (i, j) of B for the varieties `only` accepts."""
     original = djets.dvariety._derivation_matrix
 
-    def perturbed(variety, point, order_m):
-        B = original(variety, point, order_m)
-        if only(variety):
+    def perturbed(point, order_m):
+        B = original(point, order_m)
+        if only(point.variety):
             B[i][j] = B[i][j] + 1
         return B
 

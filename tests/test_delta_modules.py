@@ -21,11 +21,15 @@ from djets.delta_modules import (
 from djets.dvariety import (
     DVariety,
     delta_jet_space,
-    product_dvariety,
     product_sharp_point,
     sharp_integrate,
 )
-from djets.errors import DecompositionFailure, DimensionMismatch, InsufficientPrecision
+from djets.errors import (
+    DecompositionFailure,
+    DimensionMismatch,
+    DomainMismatch,
+    InsufficientPrecision,
+)
 from djets.linalg import SERIES, constant_combination
 from djets.mpoly import MPoly, multi_indices
 from djets.series import TSeries, exp_series
@@ -400,12 +404,11 @@ def exp_line(coeff, name):
 def build_product(left, right, start_left, start_right, order_m, prec=N):
     lp = sharp_integrate(left, start_left, prec)
     rp = sharp_integrate(right, start_right, prec)
-    prod = product_dvariety(left, right)
-    pp = product_sharp_point(prod, lp, rp)
-    W = delta_jet_space(left, lp, order_m).horizontal
-    Wp = delta_jet_space(right, rp, order_m).horizontal
-    space = delta_jet_space(prod, pp, order_m)
-    return prod, space, W, Wp
+    pp = product_sharp_point(lp, rp)
+    W = delta_jet_space(lp, order_m).horizontal
+    Wp = delta_jet_space(rp, order_m).horizontal
+    space = delta_jet_space(pp, order_m)
+    return pp.variety, space, W, Wp
 
 
 def test_embedded_factor_jet_decomposes_to_unit_vector():
@@ -592,6 +595,16 @@ def test_from_rows_lifts_rationals_to_the_lowest_series_precision():
     assert m.matrix[1][1] == TSeries.constant(F(1, 2), 5)
     assert DeltaModule.from_rows([[1]], 3).matrix == ((TSeries.constant(1, 3),),)
     assert DeltaModule.from_rows([]).dim == 0
+
+
+def test_a_module_refuses_an_entry_that_is_not_a_series():
+    # the constructor names the entry by position and type, before any
+    # solve reads it
+    with pytest.raises(DomainMismatch, match=r"^entry \(0, 0\) .* a Fraction, not a series$"):
+        DeltaModule(((F(1),),))
+    one = TSeries.constant(1, 4)
+    with pytest.raises(DomainMismatch, match=r"^entry \(1, 0\) .* a Fraction, not a series$"):
+        DeltaModule(((one, one), (F(0), one)))
 
 
 def test_from_rows_of_rationals_needs_a_precision():

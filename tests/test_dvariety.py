@@ -152,7 +152,7 @@ def test_sharp_point_stays_on_variety():
 
 def test_induced_derivation_identity_flow():
     point = sharp_integrate(line(), (1,), 8)
-    matrix = _derivation_matrix(line(), point, 1)
+    matrix = _derivation_matrix(point, 1)
     assert matrix[0][0] == 1
 
 
@@ -160,7 +160,7 @@ def test_induced_derivation_constant_section():
     xs = ("x",)
     const = DVariety(xs, (), (MPoly.constant(xs, 5),))
     point = sharp_integrate(const, (0,), 8)
-    matrix = _derivation_matrix(const, point, 1)
+    matrix = _derivation_matrix(point, 1)
     assert matrix[0][0].is_zero()
 
 
@@ -168,7 +168,7 @@ def test_induced_derivation_plane_system_is_jacobian():
     X = plane_system()
     point = sharp_integrate(X, (2, 1), 10)
     a1, a2 = point.coords
-    matrix = _derivation_matrix(X, point, 1)
+    matrix = _derivation_matrix(point, 1)
     assert matrix[0][0] == 2 * a1 and matrix[0][1] == -2 * a2
     assert matrix[1][0] == 2 * a1 - a2 and matrix[1][1] == -a1
 
@@ -179,7 +179,7 @@ def test_induced_derivation_satisfies_leibniz_on_monomials():
     X = plane_system()
     point = sharp_integrate(X, (2, 1), 10)
     for order_m in (2, 3):
-        B = _derivation_matrix(X, point, order_m)
+        B = _derivation_matrix(point, order_m)
         lam = multi_indices(X.nvars, order_m)
         pos = {a: i for i, a in enumerate(lam)}
 
@@ -227,7 +227,7 @@ def test_the_derivation_matrix_never_evaluates_a_section_component(monkeypatch):
     for variety, point in points:
         for order_m in (1, 2, 3):
             evaluated.clear()
-            _derivation_matrix(variety, point, order_m)
+            _derivation_matrix(point, order_m)
             assert evaluated
             assert not [p for p in evaluated if any(p == s for s in variety.section)]
 
@@ -238,14 +238,14 @@ def test_delta_jets_of_zero_section_are_constants():
     xs = ("x",)
     flat = DVariety(xs, (), (MPoly.zero(xs),))
     point = sharp_integrate(flat, (4,), 8)
-    space = delta_jet_space(flat, point, 1)
+    space = delta_jet_space(point, 1)
     assert space.dim_k == space.dim_c == 1
     assert all(e.is_constant() for v in space.horizontal for e in v)
 
 
 def test_delta_jets_of_exponential_flow():
     point = sharp_integrate(line(), (1,), 10)
-    space = delta_jet_space(line(), point, 1)
+    space = delta_jet_space(point, 1)
     assert space.dim_c == 1
     (v,) = space.horizontal
     assert v[0].derive() == v[0]
@@ -255,7 +255,7 @@ def test_delta_jets_of_plane_system_satisfy_displayed_equations():
     X = plane_system()
     point = sharp_integrate(X, (2, 1), 12)
     x, y = point.coords
-    space = delta_jet_space(X, point, 1)
+    space = delta_jet_space(point, 1)
     assert space.dim_k == space.dim_c == 2
     for u, v in space.horizontal:
         assert u.derive() == 2 * (x * u - y * v)
@@ -273,12 +273,12 @@ def test_delta_jets_dimension_law_across_examples():
     ]
     for variety, start, order_m in cases:
         point = sharp_integrate(variety, start, 14)
-        space = delta_jet_space(variety, point, order_m)
+        space = delta_jet_space(point, order_m)
         assert space.dim_c == space.dim_k
         # horizontal vectors satisfy the jet equations at the sharp point and
         # the dual condition
         rows = jet_equations(variety.generators, point.coords, order_m)
-        B = _derivation_matrix(variety, point, order_m)
+        B = _derivation_matrix(point, order_m)
         lam = multi_indices(variety.nvars, order_m)
         for v in space.horizontal:
             for row in rows:
@@ -307,7 +307,7 @@ def test_parabola_horizontal_jets_at_point_precision_zero_and_one():
              ((1, 2), 1, 1)]],
     }
     for prec, vectors in want.items():
-        space = delta_jet_space(parabola(), sharp_integrate(parabola(), (1, 1), prec), 2)
+        space = delta_jet_space(sharp_integrate(parabola(), (1, 1), prec), 2)
         assert (space.dim_k, space.dim_c, space.precision) == (2, 2, prec)
         assert [[(e.nums, e.den, e.prec) for e in v] for v in space.horizontal] == vectors
 
@@ -319,14 +319,14 @@ def test_invariance_violation_for_fake_sharp_point():
     y = MPoly.variable(xy, "y")
     variety = DVariety(xy, (y - x**2,), (x, 2 * x**2))
     good = sharp_integrate(variety, (1, 1), 10)
-    assert delta_jet_space(variety, good, 1).dim_c == 1
+    assert delta_jet_space(good, 1).dim_c == 1
     drift = TSeries([1, 1], 10)  # 1 + t, not a solution of x' = x
     fake = SharpPoint(variety, (drift, drift * drift))
     # The unshifted row (-2x, 1) is an exact rational in its second entry;
     # the residual keeps the precision of the point and of the horizontal
     # vector.
     with pytest.raises(InvarianceViolation) as raised:
-        delta_jet_space(variety, fake, 1)
+        delta_jet_space(fake, 1)
     assert str(raised.value) == (
         "horizontal vector 0 fails jet equation 0: residual nonzero at order 2, "
         "guaranteed to order 10"
@@ -498,7 +498,7 @@ def flow_from_perturbed_start(section, start, n, m):
 
 
 def assert_horizontal_jets_follow_the_flow(variety, start, order_m, n):
-    space = delta_jet_space(variety, sharp_integrate(variety, start, n), order_m)
+    space = delta_jet_space(sharp_integrate(variety, start, n), order_m)
     assert space.dim_c == space.dim_k > 0
     lam = multi_indices(variety.nvars, order_m)
     flow = flow_from_perturbed_start(variety.section, start, n, order_m)
@@ -558,6 +558,19 @@ def test_product_variety_renames_and_integrates():
     assert prod.vars == ("x", "x_")
     left = sharp_integrate(line(), (1,), 8)
     right = sharp_integrate(line(2), (1,), 8)
-    point = product_sharp_point(prod, left, right)
-    space = delta_jet_space(prod, point, 1)
+    point = product_sharp_point(left, right)
+    space = delta_jet_space(point, 1)
     assert space.dim_k == space.dim_c == 2
+
+
+def test_a_product_sharp_point_lies_on_the_product_of_its_factors_varieties():
+    lp = sharp_integrate(parabola(), (1, 1), 8)
+    rp = sharp_integrate(plane_system(), (2, 1), 6)
+    point = product_sharp_point(lp, rp)
+    prod = product_dvariety(lp.variety, rp.variety)
+    assert point.variety.vars == prod.vars == ("x", "y", "x_", "y_")
+    assert point.variety.generators == prod.generators
+    assert point.variety.section == prod.section
+    assert point.variety.name == prod.name
+    assert point.coords == lp.coords + rp.coords
+    assert point.prec == 6

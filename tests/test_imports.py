@@ -19,7 +19,10 @@ reduced form (`.nums` or `.den`) outside `series.py`; every other reader
 goes through `series`.  In `mpoly.py` only `_zero_like` reads `TSeries`,
 to evaluate at a point of series, so a polynomial's coefficients stay
 rational, and no code in `mpoly.py` calls `int(...)`, so an exponent
-vector is never coerced.  Every public
+vector is never coerced.  In `src/djets` only `dvariety.py` calls
+`SharpPoint(...)`, and no function has both a `DVariety`-annotated and a
+`SharpPoint`-annotated parameter: a sharp point carries its variety, so a
+second one beside it could only disagree.  Every public
 top-level function or class of a module in `src/djets` other than
 `__init__.py` is read somewhere in those modules, as a name or an
 attribute: an API that only the tests or the re-exports use is dead code.
@@ -284,6 +287,85 @@ def test_the_scan_sees_an_int_call(tmp_path):
         encoding="utf-8",
     )
     assert int_callers(module) == ["<module>", "P.hasse", "exps"]
+
+
+def named(node, name):
+    """Whether an expression is `name`, `module.name` or the string "name"."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Constant) and node.value == name)
+
+
+def sharp_point_builders(path):
+    """The owners that call `SharpPoint(...)`."""
+    return sorted({
+        owner for owner, node in owned_nodes(path) for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and named(sub.func, "SharpPoint")
+    })
+
+
+def test_only_dvariety_builds_sharp_points():
+    found = sorted(path.stem for path in SRC.glob("*.py") if sharp_point_builders(path))
+    assert found == ["dvariety"]
+
+
+def test_the_scan_sees_a_sharp_point_built(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from djets import dvariety\n"
+        "from djets.dvariety import SharpPoint\n"
+        "POINT = SharpPoint(None, ())\n"
+        "def integrate(v, c):\n"
+        "    return dvariety.SharpPoint(v, c)\n"
+        "def reads(p: SharpPoint):\n"
+        "    return isinstance(p, SharpPoint), p.coords\n"
+        "class Q:\n"
+        "    def lift(self, v):\n"
+        "        return SharpPoint(v, ())\n",
+        encoding="utf-8",
+    )
+    assert sharp_point_builders(module) == ["<module>", "Q.lift", "integrate"]
+
+
+def variety_beside_point(path):
+    """The functions, nested ones and methods included, with one parameter
+    annotated `DVariety` and another annotated `SharpPoint`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        notes = [p.annotation for p in params if p.annotation is not None]
+        if all(any(named(n, kind) for n in notes) for kind in ("DVariety", "SharpPoint")):
+            found.add(func.name)
+    return sorted(found)
+
+
+def test_no_function_takes_a_variety_beside_a_sharp_point():
+    found = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in variety_beside_point(path)]
+    assert found == []
+
+
+def test_the_scan_sees_a_variety_beside_a_sharp_point(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def both(variety: DVariety, point: SharpPoint):\n"
+        "    def inner(v: 'DVariety', *, p: dvariety.SharpPoint):\n"
+        "        return v, p\n"
+        "    return inner\n"
+        "def point_only(point: SharpPoint, order):\n"
+        "    return point.variety\n"
+        "def varieties(left: DVariety, right: DVariety) -> SharpPoint:\n"
+        "    return left, right\n"
+        "class C:\n"
+        "    async def method(self, v: DVariety, *points: SharpPoint):\n"
+        "        return v, points\n",
+        encoding="utf-8",
+    )
+    assert variety_beside_point(module) == ["both", "inner", "method"]
 
 
 def names_series_domain(path):

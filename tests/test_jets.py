@@ -126,7 +126,7 @@ def test_dimension_law_random():
 def test_jet_of_identity_is_identity():
     xy, x, y = plane()
     space = jet_space((), (F(1), F(2)), 2)
-    matrix = jet_of_morphism((x, y), (F(1), F(2)), 2, space, space)
+    matrix = jet_of_morphism((x, y), space, space)
     size = len(space.indices)
     assert matrix == [
         [F(int(i == j)) for j in range(size)] for i in range(size)
@@ -139,7 +139,7 @@ def test_jet_of_squaring_scales_by_derivative():
     # oracle: x^2 - 1 = 2(x-1) + (x-1)^2, so the order-1 coefficient is 2
     src = jet_space((), (F(1),), 1)
     tgt = jet_space((), (F(1),), 1)
-    matrix = jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
+    matrix = jet_of_morphism((x**2,), src, tgt)
     assert matrix == [[F(2)]]
 
 
@@ -154,10 +154,10 @@ def test_jet_functoriality_specific():
     src = jet_space((), a, 2)
     mid = jet_space((), fa, 2)
     tgt = jet_space((), gfa, 2)
-    Tf = jet_of_morphism(f, a, 2, src, mid)
-    Tg = jet_of_morphism(g, fa, 2, mid, tgt)
+    Tf = jet_of_morphism(f, src, mid)
+    Tg = jet_of_morphism(g, mid, tgt)
     composed = (x**2 + 1,)
-    Tgf = jet_of_morphism(composed, a, 2, src, tgt)
+    Tgf = jet_of_morphism(composed, src, tgt)
     # oracle: by direct Taylor composition,
     #   f - 1 = 2u + u^2 and (f - 1)^2 = 4u^2 + O(u^3)   (u = x - 1)
     #   g - 2 = v and (g - 2)^2 = v^2                    (v = y - 1)
@@ -170,13 +170,27 @@ def test_jet_functoriality_specific():
     assert product == Tgf
 
 
+def test_a_morphism_maps_jets_of_one_order_only():
+    # the order and base point come from the source space; J^m -> J^m' with
+    # m != m' is not defined, in either direction
+    xs = ("x",)
+    x = MPoly.variable(xs, "x")
+    one, two = jet_space((), (F(1),), 1), jet_space((), (F(1),), 2)
+    for src, tgt in ((one, two), (two, one)):
+        message = f"source jets of order {src.order}, target jets of order {tgt.order}"
+        with pytest.raises(DimensionMismatch, match=message):
+            jet_of_morphism((x**2,), src, tgt)
+    # oracle: x^2 - 1 = 2u + u^2 and (x^2 - 1)^2 = 4u^2 + O(u^3), u = x - 1
+    assert jet_of_morphism((x**2,), two, two) == [[F(2), F(1)], [F(0), F(4)]]
+
+
 def test_jet_morphism_base_point_checked():
     xs = ("x",)
     x = MPoly.variable(xs, "x")
     src = jet_space((), (F(1),), 1)
     tgt = jet_space((), (F(5),), 1)
     with pytest.raises(BasePointMismatch):
-        jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
+        jet_of_morphism((x**2,), src, tgt)
 
 
 def test_a_morphism_off_the_base_point_prints_both_points():
@@ -185,21 +199,19 @@ def test_a_morphism_off_the_base_point_prints_both_points():
     src = jet_space((), (F(1),), 1)
     tgt = jet_space((), (F(5, 2),), 1)
     with pytest.raises(BasePointMismatch, match=r"to \(1\), not \(5/2\)$"):
-        jet_of_morphism((x**2,), (F(1),), 1, src, tgt)
+        jet_of_morphism((x**2,), src, tgt)
 
 
-def test_jet_space_and_morphism_reject_a_series_point():
+def test_jet_space_rejects_a_series_point():
     # Jets at a series point are carried from x(0) along the flow
     # (`dvariety.delta_jet_space`); the algebraic jet layer works over Q.
+    # jet_of_morphism reads its point off a jet space, so it has none to refuse.
     xy, x, y = plane()
     a = exp_series(1, 12)
-    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point is a series"):
+    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point is a TSeries"):
         jet_space((), (F(1), a), 2)
-    with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a series"):
+    with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a TSeries"):
         jet_space((y - x**2,), (a, a * a), 1)
-    space = jet_space((), (F(1), F(1)), 1)
-    with pytest.raises(DomainMismatch, match="coordinate 1 of a constant point is a series"):
-        jet_of_morphism((x, y), (F(1), TSeries.constant(1, 8)), 1, space, space)
     # an inexact coordinate is refused too, not read as a binary fraction
     with pytest.raises(DomainMismatch, match="coordinate 0 of a constant point is a float"):
         jet_space((), (0.1, F(1)), 1)
@@ -250,7 +262,7 @@ def test_apply_jet_matrix_maps_source_basis_into_target():
     proj = (MPoly.variable(xy, "x"),)
     src = jet_space((y - x**2,), (F(1), F(1)), 1)
     tgt = jet_space((), (F(1),), 1)
-    matrix = jet_of_morphism(proj, (F(1), F(1)), 1, src, tgt)
+    matrix = jet_of_morphism(proj, src, tgt)
     image = mat_mul(matrix, [[e] for e in src.basis[0]])
     assert image == [[F(1)]]
 

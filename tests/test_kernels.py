@@ -35,7 +35,6 @@ from djets.delta_modules import (
 from djets.dvariety import (
     DVariety,
     delta_jet_space,
-    product_dvariety,
     product_sharp_point,
     sharp_integrate,
 )
@@ -1095,10 +1094,10 @@ def product_suite(order_m):
     ]:
         lp = sharp_integrate(left, left_pt, PRECISION)
         rp = sharp_integrate(right, right_pt, PRECISION)
-        pp = product_sharp_point(product_dvariety(left, right), lp, rp)
-        W = delta_jet_space(left, lp, order_m).horizontal
-        Wp = delta_jet_space(right, rp, order_m).horizontal
-        space = delta_jet_space(product_dvariety(left, right), pp, order_m)
+        pp = product_sharp_point(lp, rp)
+        W = delta_jet_space(lp, order_m).horizontal
+        Wp = delta_jet_space(rp, order_m).horizontal
+        space = delta_jet_space(pp, order_m)
         yield space.horizontal, (W, Wp, left.nvars, right.nvars, order_m)
 
 

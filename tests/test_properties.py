@@ -20,8 +20,8 @@ def test_horizontal_bases_stable_under_higher_precision():
     x = MPoly.variable(xy, "x")
     y = MPoly.variable(xy, "y")
     X = DVariety(xy, (), (x**2 - y**2, x**2 - x * y))
-    lo = delta_jet_space(X, sharp_integrate(X, (2, 1), 10), 1)
-    hi = delta_jet_space(X, sharp_integrate(X, (2, 1), 20), 1)
+    lo = delta_jet_space(sharp_integrate(X, (2, 1), 10), 1)
+    hi = delta_jet_space(sharp_integrate(X, (2, 1), 20), 1)
     assert lo.dim_c == hi.dim_c
     for a, b in zip(lo.horizontal, hi.horizontal):
         for ea, eb in zip(a, b):
@@ -39,7 +39,7 @@ def test_constant_point_jets_agree_with_zero_section_route():
         direct = constants_variety_jets(generators, (1, 1), order_m, order=12)
         zero_section = DVariety(xy, generators, (MPoly.zero(xy), MPoly.zero(xy)))
         point = sharp_integrate(zero_section, (1, 1), 12)
-        via_flow = delta_jet_space(zero_section, point, order_m)
+        via_flow = delta_jet_space(point, order_m)
         assert direct.dim_c == via_flow.dim_c
         for a, b in ((direct, via_flow), (via_flow, direct)):
             assert None not in constant_combination(a.horizontal, b.horizontal)
@@ -55,7 +55,7 @@ def test_horizontal_space_is_constant_linear():
     y = MPoly.variable(xy, "y")
     X = DVariety(xy, (), (x**2 - y**2, x**2 - x * y))
     point = sharp_integrate(X, (2, 1), 14)
-    space = delta_jet_space(X, point, 1)
+    space = delta_jet_space(point, 1)
     a, b = point.coords
     for _ in range(25):
         c1, c2 = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))

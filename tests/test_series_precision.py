@@ -45,7 +45,6 @@ from djets.dsl import parse_document
 from djets.dvariety import (
     DVariety,
     delta_jet_space,
-    product_dvariety,
     product_sharp_point,
     sharp_integrate,
 )
@@ -334,10 +333,10 @@ def product_jets(doc, lpoint, rpoint, m, n):
     """The product's horizontal jets and the two factor bases at order m,
     all from sharp points integrated to precision n."""
     lp, rp = doc.sharp_point(lpoint, n), doc.sharp_point(rpoint, n)
-    pp = product_sharp_point(product_dvariety(lp.variety, rp.variety), lp, rp)
-    return (delta_jet_space(pp.variety, pp, m).horizontal,
-            delta_jet_space(lp.variety, lp, m).horizontal,
-            delta_jet_space(rp.variety, rp, m).horizontal)
+    pp = product_sharp_point(lp, rp)
+    return (delta_jet_space(pp, m).horizontal,
+            delta_jet_space(lp, m).horizontal,
+            delta_jet_space(rp, m).horizontal)
 
 
 def decompose(jets, W, Wp, nvars, m):

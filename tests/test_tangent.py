@@ -637,10 +637,10 @@ def test_every_linear_ode_is_solved_by_horizontal_sections(monkeypatch):
     plane, curve = counterexample_variety(), parabola()
     plane_point = sharp_integrate(plane, (2, 1), 10)
     curve_point = sharp_integrate(curve, (1, 1), 10)
-    delta_jet_space(plane, plane_point, 2)  # no generators
-    delta_jet_space(curve, curve_point, 2)  # with generators, checked on the jet equations
-    m1_equivalence(plane, plane_point)
-    m1_equivalence(curve, curve_point)
+    delta_jet_space(plane_point, 2)  # no generators
+    delta_jet_space(curve_point, 2)  # with generators, checked on the jet equations
+    m1_equivalence(plane_point)
+    m1_equivalence(curve_point)
     fiber_linearity_check(restricted_bundle(), [(1, 1)], order=8)
     assert inside == [True] * 7
 
@@ -651,7 +651,7 @@ def test_m1_equivalence_on_plane_system_and_lines():
     X = counterexample_variety()
     for variety, start in [(X, (2, 1)), (line(1), (1,)), (line(0), (5,))]:
         point = sharp_integrate(variety, start, 16)
-        rep = m1_equivalence(variety, point)
+        rep = m1_equivalence(point)
         assert rep.ok
 
 
@@ -665,7 +665,7 @@ def test_m1_equivalence_at_zero_dimensional_points():
         (MPoly.zero(xy), MPoly.zero(xy)),
     )
     for variety, start in [(point_on_line, (0,)), (plane_point, (0, 0))]:
-        rep = m1_equivalence(variety, sharp_integrate(variety, start, 16))
+        rep = m1_equivalence(sharp_integrate(variety, start, 16))
         assert (rep.dim_jet_route, rep.dim_ode_route, rep.ok) == (0, 0, True)
 
 
@@ -674,8 +674,8 @@ def test_m1_equivalence_sees_a_wrong_derivation_matrix_by_the_residual(monkeypat
     # the t^0 ranks agree, and only the residual in the fiber module sees it
     original = djets.dvariety._derivation_matrix
 
-    def wrong(variety, point, order_m):
-        B = original(variety, point, order_m)
+    def wrong(point, order_m):
+        B = original(point, order_m)
         B[0][1] = B[0][1] + TSeries.constant(1, B[0][1].prec)
         return B
 
@@ -683,9 +683,9 @@ def test_m1_equivalence_sees_a_wrong_derivation_matrix_by_the_residual(monkeypat
     entries = {variety.name: (variety, point) for variety, point in corpus()}
     for name in ("X", "line1*line2", "X*line1"):
         variety, point = entries[name]
-        djs = delta_jet_space(variety, point, 1)
+        djs = delta_jet_space(point, 1)
         assert rank_at_zero(djs.horizontal, djs.dim_k) == djs.dim_k
-        rep = m1_equivalence(variety, point)
+        rep = m1_equivalence(point)
         assert rep.to_json() == {"dim_jet_route": djs.dim_k, "dim_ode_route": djs.dim_k,
                                  "mutually_contained": False, "ok": False}, name
 
@@ -698,10 +698,10 @@ def test_m1_equivalence_sees_a_jet_route_leaving_the_jet_space_by_the_rank(monke
     module = delta_tangent(curve).fiber_module(point.coords, point.prec)
     off = horizontal_sections(module, [[1], [0]])
     assert is_horizontal(module, *off)
-    jets = delta_jet_space(curve, point, 1)
+    jets = delta_jet_space(point, 1)
     monkeypatch.setattr(djets.tangent, "delta_jet_space",
                         lambda *args: DeltaJetSpace(jets.jet, off))
-    rep = m1_equivalence(curve, point)
+    rep = m1_equivalence(point)
     assert (rep.dim_jet_route, rep.dim_ode_route, rep.mutually_contained) == (1, 1, False)
 
 
@@ -709,5 +709,5 @@ def test_m1_equivalence_at_precision_0_on_the_corpus_singles():
     # no derivative to check: the t^0 values alone decide
     for variety, point in corpus()[:6]:
         start = tuple(c.constant_term for c in point.coords)
-        rep = m1_equivalence(variety, sharp_integrate(variety, start, 0))
+        rep = m1_equivalence(sharp_integrate(variety, start, 0))
         assert rep.ok and rep.dim_jet_route == rep.dim_ode_route, variety.name
