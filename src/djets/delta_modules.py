@@ -9,8 +9,10 @@ from a rational initial value, one per column, without the fundamental
 matrix.  The pairings of two families of horizontal dual vectors are the
 rows of their Kronecker product, formed by `series.packed_kron` as one
 integer per tensor coordinate and order, one slot per pairing, and checked
-so by the residual loop `is_horizontal` runs on any packed family, over
-one stored denominator, with no gcd.
+so by the residual loop `is_horizontal` runs on any family packed by
+`series.pack_family`, over one stored denominator, with no gcd.  The
+differential jet space does not come through here: `dvariety` solves
+v' = B v with `series.fundamental_matrix` on B itself.
 
 Whether the pairings span the dual tensor's horizontal space is decided
 at t = 0, with no sections of the dual tensor formed.  A solution of
@@ -42,7 +44,7 @@ from .errors import DecompositionFailure, DimensionMismatch, DomainMismatch
 from .errors import InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
 from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, over_one_denominator, pack
+from .series import TSeries, fundamental_matrix, over_one_denominator, pack_family
 from .series import packed_kron, transpose, unpack
 
 
@@ -141,10 +143,10 @@ def horizontal_sections(module: DeltaModule, initial=None):
 def is_horizontal(module: DeltaModule, *vectors):
     """Whether delta(v) + A v vanishes to guaranteed precision for every v.
 
-    Vectors with the same precisions are put over one denominator D
-    (`series.over_one_denominator`, no gcd) and `pack`ed as `packed_kron`
-    packs: packed[s][t] holds D times entry s at t^t, one slot per vector,
-    in slots so wide that `_residuals_vanish` sees no carry.
+    Vectors with the same precisions form one family, packed by
+    `series.pack_family` over one denominator D, with no gcd: packed[s][t]
+    holds D times entry s at t^t, one slot per vector, in slots so wide
+    that `_residuals_vanish` sees no carry.
     """
     d = module.dim
     if any(len(v) != d for v in vectors):
@@ -159,11 +161,7 @@ def is_horizontal(module: DeltaModule, *vectors):
         if 0 in precs:
             raise InsufficientPrecision(
                 "is_horizontal: cannot differentiate a precision-0 series")
-        # nums[i * d + s]: entry s of vector i over the family's one denominator
-        nums = over_one_denominator([e for v in vs for e in v])[1]
-        b = (most * max(max(map(abs, xs)) for xs in nums)).bit_length() + 2
-        packed = [[pack(xs, b) for xs in zip(*nums[s::d])] for s in range(d)]
-        if not _residuals_vanish(rows, packed, precs):
+        if not _residuals_vanish(rows, pack_family(vs, d, most)[2], precs):
             return False
     return True
 

@@ -12,9 +12,9 @@ algebra by
 and the differential jet space is the kernel of the dual operator D inside
 the algebraic jet space.  The flow of the section carries jets at x(0) to
 jets at x(t), and its matrix on jets solves M' = B M, so the horizontal
-basis is the rational jet basis at x(0) moved by the one linear-ODE solve
-(delta_modules.horizontal_sections): as many vectors over the constants as
-the jet dimension.
+basis is the rational jet basis at x(0) moved by one linear-ODE solve
+(series.fundamental_matrix on B itself): as many vectors over the
+constants as the jet dimension.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from .delta_modules import DeltaModule, horizontal_sections
 from .errors import (
     ArityError,
     DimensionMismatch,
@@ -39,10 +38,12 @@ from .series import (
     DEFAULT_PRECISION,
     TSeries,
     as_rational,
+    first_nonzero_product,
     format_point,
     from_hurwitz,
+    fundamental_matrix,
     integer_scaled,
-    mat_mul,
+    transpose,
 )
 
 
@@ -258,10 +259,14 @@ def delta_jet_space(point: SharpPoint, order_m):
     precision N, which is all a solution through order N reads (at N = 0
     the point itself, with the solution cut back to order 0).
 
-    One matrix product checks the jet equations at x(t) on every horizontal
-    vector through the guaranteed order; a residual (an invalid section, or
-    a point not solving x' = s(x)) raises InvarianceViolation.  With no
-    generators the check is vacuous, and v' = B v is not re-checked.
+    The solutions are the columns of `series.fundamental_matrix(B, low + 1,
+    initial)`, so no delta-module is built and no entry is negated.  The jet
+    equations at x(t) are checked on every horizontal vector through the
+    guaranteed order by `series.first_nonzero_product`, on the family packed
+    one integer per coordinate and order, with no gcd; a residual (an
+    invalid section, or a point not solving x' = s(x)) raises
+    InvarianceViolation naming the first failing equation, then vector.
+    With no generators the check is vacuous, and v' = B v is not re-checked.
     """
     variety = point.variety
     a = tuple(c.constant_term for c in point.coords)
@@ -269,23 +274,20 @@ def delta_jet_space(point: SharpPoint, order_m):
     low = max(point.prec - 1, 0)
     short = SharpPoint(variety, tuple(c.at_precision(low) for c in point.coords))
     B = _derivation_matrix(short, order_m)
-    module = DeltaModule.from_rows([[-e for e in row] for row in B])
     # Column i is v0_i = b_i / b_i[f_i]; with no basis, dim empty rows.
     initial = [[Fraction(b[r], b[f]) for b, f in zip(js.basis, js.free_columns)]
-               for r in range(module.dim)]
-    horizontal = horizontal_sections(module, initial)
+               for r in range(len(B))]
+    horizontal = transpose(fundamental_matrix(B, low + 1, initial))
     if low == point.prec:
         horizontal = [[e.at_precision(low) for e in v] for v in horizontal]
     rows = jet_equations(variety.generators, point.coords, order_m)
-    # One row per jet coordinate, also when there is no horizontal vector.
-    columns = [[v[r] for v in horizontal] for r in range(module.dim)]
-    for r, residuals in enumerate(mat_mul(rows, columns)):
-        for i, res in enumerate(residuals):
-            if not res.is_zero():
-                raise InvarianceViolation(
-                    f"horizontal vector {i} fails jet equation {r}: residual "
-                    f"nonzero at order {res.order()}, guaranteed to order {res.prec}"
-                )
+    failure = first_nonzero_product(rows, horizontal)
+    if failure:
+        r, i, order, prec = failure
+        raise InvarianceViolation(
+            f"horizontal vector {i} fails jet equation {r}: residual "
+            f"nonzero at order {order}, guaranteed to order {prec}"
+        )
     return DeltaJetSpace(js, horizontal)
 
 

@@ -24,7 +24,8 @@ series or other non-rational coordinate raises DomainMismatch
 point and its one order m off the source jet space.  The differential jet
 space at a sharp point carries the rational jet space at x(0) along the flow
 (`dvariety.delta_jet_space`), and reads the jet equations at the sharp point
-only to check its answer.  `render_jet_space` gives the JSON form through
+only to check its answer, against the packed horizontal family
+(`series.first_nonzero_product`).  `render_jet_space` gives the JSON form through
 `series.render_vector`; errors print points by `series.format_point`.
 """
 
@@ -74,8 +75,9 @@ def jet_equations(generators, point, order):
     PointNotOnVariety when a generator fails to vanish at the point
     (exactly over Q, to guaranteed precision over series).  At a series
     point an entry is a series, or an exact rational where the Taylor
-    coefficient is constant; `series.mat_mul` gives such an entry the
-    precision of its partner.
+    coefficient is constant; `series.mat_mul` and
+    `series.first_nonzero_product` give such an entry the precision of its
+    partner.
     """
     point = tuple(point)
     n = len(point)

@@ -22,7 +22,7 @@ reduced, so denominators do not grow along a chain of products, and store
 their results raw.  A product with an all-zero operand is the zero series,
 and one with a rational or a series constant through the product's precision
 scales the other operand's numerators: neither convolves.  The linear
-readers (`packed_kron`, `integer_rows`, `is_horizontal`) take the
+readers (`packed_kron`, `integer_rows`, `pack_family`) take the
 stored integers over one common denominator (`over_one_denominator`) and
 reduce nothing: their results are eliminated or tested for zero, never
 multiplied along a chain, and a family from one `from_hurwitz` call
@@ -40,9 +40,12 @@ and space.
 `pack` puts integers into b-bit slots of one integer and `unpack` reads
 them back with a 2^(b-1) offset for the signs, as in Kronecker
 substitution across columns: `fundamental_matrix` packs each matrix row,
-`packed_kron` each factor column, and `delta_modules.is_horizontal` a
-family of vectors, always with slots wide enough for a majorant of what
-they hold.  `packed_kron`, the Kronecker product of two matrices of series,
+`packed_kron` each factor column, and `pack_family` a family of vectors,
+one integer per coordinate and order, always with slots wide enough for a
+majorant of what they hold.  `pack_family` serves
+`delta_modules.is_horizontal` and `first_nonzero_product`, which finds the
+first nonzero entry of a matrix of rows times such a family, as `mat_mul`
+and a zero test would, in one sum of products per row and order.  `packed_kron`, the Kronecker product of two matrices of series,
 is one integer convolution over t per output column.
 The integers are the only stored form: the tuple of Fractions `coeffs` is
 built from them on each read.  Only this module builds a series from
@@ -568,6 +571,67 @@ def unpack(xs, b, n):
     mask = (1 << b) - 1
     xs = [x + offset for x in xs]
     return [[((x >> shift) & mask) - half for x in xs] for shift in range(0, b * n, b)]
+
+
+def pack_family(vectors, dim, weight):
+    """(D, b, packed): a family of series vectors of length `dim`, packed.
+
+    The vectors share their precisions entry by entry.  They go over one
+    denominator D (`over_one_denominator`, no gcd), and packed[s][k] holds
+    D times entry s at t^k, one b-bit slot per vector.  b is two more than
+    the bit length of `weight` times the largest absolute numerator, so a
+    sum of slots whose weights add up to at most `weight` fits too.
+    """
+    den, nums = over_one_denominator([e for v in vectors for e in v])
+    b = (weight * max((max(map(abs, xs)) for xs in nums), default=0)).bit_length() + 2
+    return den, b, [[pack(xs, b) for xs in zip(*nums[s::dim])] for s in range(dim)]
+
+
+def first_nonzero_product(rows, vectors):
+    """The first nonzero entry of mat_mul(rows, transpose(vectors)), as
+    (row, vector, order, prec), or None when every entry vanishes.
+
+    Rows are taken in turn and, within a row, vectors by index; `order` is
+    the entry's first nonzero coefficient and `prec` its guaranteed order
+    under `mat_mul`'s rule.  The vectors, of series sharing their
+    precisions entry by entry, are `pack_family`ed, and each row is put over
+    one denominator a (`over_one_denominator`), so slot i of the row's packed product at t^m is a*D
+    times entry i at t^m: one sum of products per row and order, zero
+    exactly when every slot is.  A nonzero row is `unpack`ed to find the
+    vector.  Nothing takes a gcd.
+    """
+    if not rows or not vectors:
+        return None
+    dim = len(vectors[0])
+    if any(len(row) != dim for row in rows) or any(len(v) != dim for v in vectors):
+        raise DimensionMismatch("matrix size mismatch")
+    if not dim:
+        return None
+    # A rational lifted to the vectors' lowest order takes its partner's.
+    low = min(e.prec for e in vectors[0])
+    scaled, most = [], 0
+    for row in rows:
+        row = [TSeries.lift(e, low) for e in row]
+        top = min(low, *(e.prec for e in row))
+        terms = sorted((t, s, x) for s, xs in enumerate(over_one_denominator(row)[1])
+                       for t, x in enumerate(xs[: top + 1]) if x)
+        most = max(most, sum(abs(x) for *_, x in terms))
+        scaled.append((top, terms))
+    _, b, packed = pack_family(vectors, dim, most)
+    for r, (top, terms) in enumerate(scaled):
+        products = []
+        for m in range(top + 1):
+            acc = 0
+            for t, s, x in terms:
+                if t > m:
+                    break
+                acc += x * packed[s][m - t]
+            products.append(acc)
+        if any(products):
+            for i, slots in enumerate(unpack(products, b, len(vectors))):
+                if any(slots):
+                    return r, i, next(m for m, x in enumerate(slots) if x), top
+    return None
 
 
 def packed_kron(A, B, weight):

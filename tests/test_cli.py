@@ -17,7 +17,7 @@ import djets.mpoly
 import djets.series
 from djets.acceptance import AcceptanceResult
 from djets.cli import main
-from djets.series import MAX_PRECISION
+from djets.series import MAX_PRECISION, TSeries
 
 PARABOLA = """
 dvariety parabola {
@@ -683,6 +683,24 @@ def test_a_perturbed_derivation_matrix_fails_horizontal(parabola_file, capsys,
     err = capsys.readouterr().err
     assert err == ("verification failure: horizontal vector 0 fails jet equation 0: "
                    "residual nonzero at order 1, guaranteed to order 8\n")
+
+
+def test_a_horizontal_vector_raised_at_its_top_order_fails_horizontal(capsys, monkeypatch):
+    # Coordinate 0 of vector 0 raised by t^24: only the top order of the
+    # packed jet-equation check can see it.
+    original = djets.dvariety.fundamental_matrix
+
+    def raised(A, order, initial=None):
+        phi = original(A, order, initial)
+        phi[0][0] = phi[0][0] + TSeries([0] * 24 + [1], phi[0][0].prec)
+        return phi
+
+    monkeypatch.setattr(djets.dvariety, "fundamental_matrix", raised)
+    parabola = str(Path(__file__).resolve().parent.parent / "djv" / "parabola.djv")
+    assert main(["horizontal", "--from", "p", "-m", "2", "-N", "24", parabola]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: horizontal vector 0 fails jet equation 0: "
+        "residual nonzero at order 24, guaranteed to order 24\n")
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (1, 2)])

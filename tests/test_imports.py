@@ -28,7 +28,8 @@ top-level function or class of a module in `src/djets` other than
 attribute: an API that only the tests or the re-exports use is dead code.
 Every module of `src/djets` sits in one layer of `LAYERS` and imports,
 at any depth of its body, only modules of lower layers, so the package
-imports form no cycle.  Only the modules in `SERIES_DOMAIN` name the
+imports form no cycle.  `dvariety` imports nothing from `delta_modules`:
+the differential jet space solves its linear ODE through `series` alone.  Only the modules in `SERIES_DOMAIN` name the
 series domain of `linalg` (`SERIES`, or its value "series"): elimination
 over the series field stays in the product decomposition, and the jet
 layer stays over Q.  Every top-level `check_*` of `acceptance.py` is
@@ -529,6 +530,52 @@ def test_the_scan_sees_an_import_against_the_layers(tmp_path):
     layers = (("low",), ("mid", "mid2"), ("high",))
     assert layering_violations(sorted(tmp_path.glob("*.py")), layers) == [
         ("low", "high"), ("mid", "high"), ("mid", "mid2"), ("stray", None),
+    ]
+
+
+def imports_from(path, target):
+    """The names a module imports from the sibling module `target`, at any
+    depth of its body, by a relative or a `djets.` import; importing the
+    module itself yields its own name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if not source.startswith("djets"):
+                    continue
+                source = source[len("djets"):].lstrip(".")
+            if source == target:
+                found |= {a.name for a in node.names}
+            elif not source:
+                found |= {a.name for a in node.names if a.name == target}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name == f"djets.{target}"}
+    return sorted(found)
+
+
+def test_differential_jets_do_not_go_through_delta_modules():
+    # delta_jet_space solves v' = B v with series.fundamental_matrix itself.
+    assert imports_from(SRC / "dvariety.py", "delta_modules") == []
+
+
+def test_the_scan_sees_an_import_from_a_module(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .delta_modules import DeltaModule\n"
+        "from . import delta_modules, series\n"
+        "from .series import transpose\n"
+        "import djets.delta_modules\n"
+        "import djets.series\n"
+        "def f():\n"
+        "    from djets.delta_modules import dual\n"
+        "    from djets import delta_modules_extra\n"
+        "    return dual\n",
+        encoding="utf-8",
+    )
+    assert imports_from(module, "delta_modules") == [
+        "DeltaModule", "delta_modules", "djets.delta_modules", "dual",
     ]
 
 

@@ -11,7 +11,8 @@ Gauss-Jordan elimination, the rank and `nullspace` with sympy,
 initial value Y0 with the fundamental matrix times Y0, batched
 `constant_combination` with one elimination per target, `mat_mul` (also on a
 one-column matrix and as the dot product of two vectors) with the fold of
-`*` and `+`, series division, Hasse derivatives and `exp_series` with sympy,
+`*` and `+`, the packed `first_nonzero_product` with `mat_mul` and a zero
+test per entry, series division, Hasse derivatives and `exp_series` with sympy,
 and batched `product_jet_decompose` with one solve per jet and block.  All
 randomness is seeded, so every run checks the same cases.
 """
@@ -60,9 +61,11 @@ from djets.mpoly import MPoly, multi_indices, multi_indices_with_zero
 from djets.series import (
     TSeries,
     exp_series,
+    first_nonzero_product,
     from_hurwitz,
     fundamental_matrix,
     mat_mul,
+    pack_family,
     packed_kron,
     unpack,
 )
@@ -991,6 +994,135 @@ def test_mat_vec_and_mat_mul_match_fold(seed):
             assert (got.prec, got.coeffs) == (want.prec, want.coeffs)
     with pytest.raises(DimensionMismatch):
         mat_mul(A, B[1:] if inner > 1 else B + B)
+
+
+# -- the first nonzero entry of a packed product ------------------------------------
+
+def reference_first_nonzero(rows, vectors, dim):
+    """`mat_mul` against the vectors as columns, then the first entry that is
+    not zero, rows first: the loop `first_nonzero_product` replaces."""
+    columns = [[v[s] for v in vectors] for s in range(dim)]
+    for r, products in enumerate(mat_mul(rows, columns)):
+        for i, res in enumerate(products):
+            if not res.is_zero():
+                return r, i, res.order(), res.prec
+    return None
+
+
+def assert_first_nonzero_matches(rows, vectors, dim):
+    want = reference_first_nonzero(rows, vectors, dim)
+    assert first_nonzero_product(rows, vectors) == want
+    return want
+
+
+def stored_raw(e):
+    """The series e stored unreduced: twice its numerators over twice its
+    denominator."""
+    half = e * F(1, 2)
+    return half + half
+
+
+def near_bound(rng):
+    return F(rng.choice([1, -1]) * (10**6 - rng.randint(0, 9)), rng.choice([1, 3, 7]))
+
+
+def annihilated_family(rng, dim, count, nrows):
+    """(rows, vectors): vectors c_i * w, with numerators near 10^6 of both
+    signs, some bumped at one entry, often at its top order, and rows that
+    kill w.
+
+    w vanishes past its first two entries, where a row holds anything: a
+    rational, a zero series, or a series of its own precision, some stored
+    raw.  On the first two it holds (g * w[1], -g * w[0]); a row with no such
+    pair is random throughout.
+    """
+    precs = [rng.randint(0, 8) for _ in range(dim)]
+    w = [TSeries([near_bound(rng) for _ in range(p + 1)], p) if s < 2 else TSeries.zero(p)
+         for s, p in enumerate(precs)]
+    vectors = []
+    for _ in range(count):
+        c = rng.choice([1, -1, F(1, 2), F(-3, 5)])
+        v = [c * e for e in w]
+        if rng.random() < 0.5:
+            s = rng.randrange(dim)
+            v = bumped(v, s, rng.choice([precs[s], rng.randint(0, precs[s])]))
+        vectors.append(v)
+    rows = []
+    for _ in range(nrows):
+        row = [random_operand(rng) for _ in range(dim)]
+        if dim == 1 and rng.random() < 0.7:
+            row = [rng.choice([F(0), TSeries.zero(rng.randint(0, 9))])]
+        elif dim > 1 and rng.random() < 0.7:
+            g = random_operand(rng)
+            row[:2] = [g * w[1], -(g * w[0])]
+        rows.append([stored_raw(e) if isinstance(e, TSeries) and rng.random() < 0.3 else e
+                     for e in row])
+    return rows, vectors
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_nonzero_product_matches_mat_mul(seed):
+    rng = random.Random(5200 + seed)
+    dim = rng.randint(1, 4)
+    rows, vectors = annihilated_family(rng, dim, rng.randint(0, 4), rng.randint(0, 4))
+    assert_first_nonzero_matches(rows, vectors, dim)
+
+
+def test_first_nonzero_product_sees_both_verdicts_and_every_position():
+    found = []
+    for seed in range(40):
+        rng = random.Random(5200 + seed)
+        dim = rng.randint(1, 4)
+        found.append(reference_first_nonzero(
+            *annihilated_family(rng, dim, rng.randint(0, 4), rng.randint(0, 4)), dim))
+    failures = [f for f in found if f]
+    assert None in found and len(failures) >= 10
+    assert {r for r, *_ in failures} > {0} and {i for _, i, *_ in failures} > {0}
+    assert any(order == prec > 0 for *_, order, prec in failures)
+
+
+def test_first_nonzero_product_edge_cases():
+    s = TSeries([F(1, 2), 3, 0, F(-1, 4), 5, 0, 7], 6)
+    v = [s, 2 * s]
+    kill = [F(2), F(-1)]  # 2 v[0] - v[1] = 0 through order 6
+    # no rows, no vectors, one vector that solves
+    assert assert_first_nonzero_matches([], [v], 2) is None
+    assert assert_first_nonzero_matches([kill], [], 2) is None
+    assert assert_first_nonzero_matches([kill], [v], 2) is None
+    # a rational takes its partner's precision, so the top order is read
+    top = [s, 2 * s + TSeries([0] * 6 + [1], 6)]
+    assert assert_first_nonzero_matches([kill], [top], 2) == (0, 0, 6, 6)
+    # a lower series entry lowers the row; the raw form changes nothing
+    assert assert_first_nonzero_matches([[F(2), TSeries.constant(-1, 5)]], [top], 2) is None
+    assert assert_first_nonzero_matches([[stored_raw(TSeries.constant(2, 6)), -1]],
+                                        [top], 2) == (0, 0, 6, 6)
+    # the lowest failing row, then the lowest failing vector, at its own order
+    late = [s, 2 * s + TSeries([0, 0, 0, 0, 0, 1], 6)]
+    early = [s, 2 * s + TSeries([0, 1], 6)]
+    rows = [[F(0), F(0)], kill, [F(1), F(0)]]
+    assert assert_first_nonzero_matches(rows, [v, late, early], 2) == (1, 1, 5, 6)
+    assert assert_first_nonzero_matches(rows, [early, late], 2) == (1, 0, 1, 6)
+    # precision 0: only the constant terms are read
+    zero = [[TSeries.constant(1, 0), TSeries.constant(1, 0)]]
+    assert assert_first_nonzero_matches([kill], zero, 2) == (0, 0, 0, 0)
+    assert assert_first_nonzero_matches([[TSeries.zero(0), F(0)]], zero, 2) is None
+    # no jet coordinates: every product is the empty sum
+    assert first_nonzero_product([[]], [[], []]) is None
+    for rows, vectors in (([kill], [[s]]), ([[F(1)]], [v]), ([kill], [v, [s]])):
+        with pytest.raises(DimensionMismatch):
+            first_nonzero_product(rows, vectors)
+
+
+@pytest.mark.parametrize("weight", [1, 7, 10**6, 3**40])
+def test_pack_family_slots_are_two_bits_past_the_weighted_numerators(weight):
+    vectors = [[TSeries([10**6, F(-10**6 + 1, 3)], 1), TSeries.constant(F(-1, 7), 1)],
+               [stored_raw(TSeries([-10**6, 0], 1)), TSeries([1, F(1, 21)], 1)]]
+    den, b, packed = pack_family(vectors, 2, weight)
+    assert den == 21 * 2
+    nums = [[int(x * den) for x in e.coeffs] for e in vectors[0] + vectors[1]]
+    assert b == (weight * max(abs(x) for xs in nums for x in xs)).bit_length() + 2
+    assert [unpack(p, b, 2) for p in packed] == [[nums[0], nums[2]], [nums[1], nums[3]]]
+    assert pack_family([], 3, weight) == (1, 2, [[], [], []])
 
 
 # -- series division against sympy ----------------------------------------------------

@@ -8,7 +8,7 @@ import djets.dvariety
 import djets.series
 import djets.tangent
 from djets.acceptance import corpus
-from djets.delta_modules import horizontal_sections, is_horizontal, rank_at_zero
+from djets.delta_modules import DeltaModule, horizontal_sections, is_horizontal, rank_at_zero
 from djets.diffpoly import log_derivative_constant_identity
 from djets.dvariety import (
     DeltaJetSpace,
@@ -619,21 +619,31 @@ def test_fiber_module_is_minus_the_evaluated_fiber_matrix():
     assert exact(W.fiber_module(pt, 9).matrix) == exact([[-e for e in row] for row in A])
 
 
-def test_every_linear_ode_is_solved_by_horizontal_sections(monkeypatch):
+def test_every_linear_ode_is_solved_by_one_fundamental_matrix(monkeypatch):
+    # Every linear ODE goes through series.fundamental_matrix, called only by
+    # horizontal_sections (on a DeltaModule) and by delta_jet_space (on B
+    # itself, with no DeltaModule built).
     original = djets.series.fundamental_matrix
-    inside = []  # per call: is horizontal_sections on the stack
+    callers, built_in_jets = [], []
 
     def counted(A, order, initial=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(A, order, initial)
+
+    checked = DeltaModule.__post_init__
+
+    def built(module):
         frame, names = sys._getframe(1), set()
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        inside.append("horizontal_sections" in names)
-        return original(A, order, initial)
+        built_in_jets.append("delta_jet_space" in names)
+        checked(module)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "djets" and vars(module).get("fundamental_matrix") is original:
             monkeypatch.setattr(module, "fundamental_matrix", counted)
+    monkeypatch.setattr(DeltaModule, "__post_init__", built)
     plane, curve = counterexample_variety(), parabola()
     plane_point = sharp_integrate(plane, (2, 1), 10)
     curve_point = sharp_integrate(curve, (1, 1), 10)
@@ -642,7 +652,9 @@ def test_every_linear_ode_is_solved_by_horizontal_sections(monkeypatch):
     m1_equivalence(plane_point)
     m1_equivalence(curve_point)
     fiber_linearity_check(restricted_bundle(), [(1, 1)], order=8)
-    assert inside == [True] * 7
+    assert callers == ["delta_jet_space"] * 2 + ["delta_jet_space", "horizontal_sections"] * 2 \
+        + ["horizontal_sections"]
+    assert built_in_jets and not any(built_in_jets)
 
 
 # -- the order-one equivalence ---------------------------------------------------------
@@ -680,9 +692,9 @@ def test_m1_equivalence_sees_a_wrong_derivation_matrix_by_the_residual(monkeypat
         return B
 
     monkeypatch.setattr(djets.dvariety, "_derivation_matrix", wrong)
-    entries = {variety.name: (variety, point) for variety, point in corpus()}
+    points = {point.variety.name: point for point in corpus()}
     for name in ("X", "line1*line2", "X*line1"):
-        variety, point = entries[name]
+        point = points[name]
         djs = delta_jet_space(point, 1)
         assert rank_at_zero(djs.horizontal, djs.dim_k) == djs.dim_k
         rep = m1_equivalence(point)
@@ -707,7 +719,7 @@ def test_m1_equivalence_sees_a_jet_route_leaving_the_jet_space_by_the_rank(monke
 
 def test_m1_equivalence_at_precision_0_on_the_corpus_singles():
     # no derivative to check: the t^0 values alone decide
-    for variety, point in corpus()[:6]:
+    for point in corpus()[:6]:
         start = tuple(c.constant_term for c in point.coords)
-        rep = m1_equivalence(sharp_integrate(variety, start, 0))
-        assert rep.ok and rep.dim_jet_route == rep.dim_ode_route, variety.name
+        rep = m1_equivalence(sharp_integrate(point.variety, start, 0))
+        assert rep.ok and rep.dim_jet_route == rep.dim_ode_route, point.variety.name
