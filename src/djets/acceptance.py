@@ -224,13 +224,11 @@ def check_product_decomposition():
         pp = product_sharp_point(lp, rp)
         prod = pp.variety
         for m in (1, 2):
-            W = delta_jet_space(lp, m).horizontal
-            Wp = delta_jet_space(rp, m).horizontal
+            left_space = delta_jet_space(lp, m)
+            right_space = delta_jet_space(rp, m)
             space = delta_jet_space(pp, m)
             try:
-                decomposed = product_jet_decompose(
-                    space.horizontal, W, Wp, left.nvars, right.nvars, m
-                )
+                decomposed = product_jet_decompose(space, left_space, right_space)
             except DecompositionFailure as exc:
                 return False, f"{prod.name} m={m}: {exc}"
             details.append(f"{prod.name} m={m}: {len(decomposed)} jets constant")

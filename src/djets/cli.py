@@ -310,14 +310,12 @@ def _dispatch(args, precision):
             raise ParseError("points belong to different varieties than named")
         lp, rp = (doc.sharp_point(p, precision) for p in args.from_points)
         pp = product_sharp_point(lp, rp)
-        W = delta_jet_space(lp, args.order).horizontal
-        Wp = delta_jet_space(rp, args.order).horizontal
+        left_space = delta_jet_space(lp, args.order)
+        right_space = delta_jet_space(rp, args.order)
         space = delta_jet_space(pp, args.order)
         decomposed = [
             dec.to_json()
-            for dec in product_jet_decompose(
-                space.horizontal, W, Wp, left.nvars, right.nvars, args.order
-            )
+            for dec in product_jet_decompose(space, left_space, right_space)
         ]
         payload = {
             "product": pp.variety.name,

@@ -4,13 +4,13 @@ A module is presented in a fixed basis by the matrix A of its derivation:
 the action on a coordinate vector c is delta(c) + A c, which satisfies the
 twisted Leibniz rule d(r c) = delta(r) c + r d(c) by construction.  Duals,
 tensor products, horizontal sections, and the pairing of horizontal dual
-vectors are all coordinate computations; horizontal sections can be formed
-from a rational initial value, one per column, without the fundamental
-matrix.  The pairings of two families of horizontal dual vectors are the
-rows of their Kronecker product, formed by `series.packed_kron` as one
-integer per tensor coordinate and order, one slot per pairing, and checked
-so by the residual loop `is_horizontal` runs on any family packed by
-`series.pack_family`, over one stored denominator, with no gcd.  The
+vectors are all coordinate computations; the horizontal sections are the
+columns of one fundamental matrix.  The pairings of two families of
+horizontal dual vectors are the rows of their Kronecker product, formed by
+`series.packed_kron` as one integer per tensor coordinate and order, one
+slot per pairing, and checked so by the residual loop `is_horizontal` runs
+on any family packed by `series.pack_family`, over one stored denominator,
+with no gcd.  The
 differential jet space does not come through here: `dvariety` solves
 v' = B v with `series.fundamental_matrix` on B itself.
 
@@ -43,9 +43,8 @@ from fractions import Fraction
 from .errors import DecompositionFailure, DimensionMismatch, DomainMismatch
 from .errors import InsufficientPrecision
 from .linalg import RATIONAL, SERIES, constant_combination, rref, solve
-from .mpoly import multi_indices
-from .series import TSeries, fundamental_matrix, over_one_denominator, pack_family
-from .series import packed_kron, transpose, unpack
+from .series import TSeries, format_point, fundamental_matrix, over_one_denominator
+from .series import pack_family, packed_kron, transpose, unpack
 
 
 @dataclass(frozen=True)
@@ -124,20 +123,17 @@ def tensor(left: DeltaModule, right: DeltaModule):
     return DeltaModule(tuple(rows))
 
 
-def horizontal_sections(module: DeltaModule, initial=None):
+def horizontal_sections(module: DeltaModule):
     """A basis over the constants of {c : delta(c) + A c = 0}.
 
     The solutions of c' = -A c are the columns of the fundamental matrix of
-    -A, so the count always equals the module dimension.  With `initial`, a
-    dim x k matrix of rationals, only the k solutions through its columns
-    are formed, one per column.  They are guaranteed one order past the
-    module's precision.
+    -A, so the count always equals the module dimension.  They are
+    guaranteed one order past the module's precision.
     """
     if module.dim == 0:
         return []
     neg = [[-e for e in row] for row in module.matrix]
-    phi = fundamental_matrix(neg, module.prec + 1, initial)
-    return transpose(phi)
+    return transpose(fundamental_matrix(neg, module.prec + 1))
 
 
 def is_horizontal(module: DeltaModule, *vectors):
@@ -285,20 +281,22 @@ class ProductDecomposition:
         }
 
 
-def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m):
-    """Decompose horizontal jets on a product against factor horizontal bases.
+def product_jet_decompose(product, left, right):
+    """Decompose the horizontal jets of a product against its factors'.
 
-    Each jet v is indexed by the graded-lex index set of the product ambient
-    space.  It extends by zero to one matrix V over ({0} u L) x ({0} u R),
-    L and R the factor index sets: V[a1][a2] is v at the concatenated index
-    a1 + a2 while its total degree stays within the jet order, and zero
-    beyond it and at (0, 0).  With W0 = [e_0 | W] and W0' = [e_0 | W'], the
-    factor bases put beside the unit functional, a decomposition is one
-    constant matrix C with V = W0 C W0'^T: C[0][0] is the unit, column 0
-    below it the left coefficients, row 0 past it the right coefficients,
-    and the rest the mixed pairs.  The extension by zero is what makes the
-    system uniquely solvable, so the exact solve over the series field must
-    recover the constants.
+    The arguments are `dvariety.DeltaJetSpace`s, read by attribute, as
+    `delta_modules` sits below `dvariety`; their orders must agree, and
+    the product's base point be the factors' concatenated.  Each product
+    jet v, indexed by `product.jet.indices`, extends by zero to one matrix
+    V over ({0} u L) x ({0} u R), L and R the factor index sets: V[a1][a2]
+    is v at the concatenated index a1 + a2 while its total degree stays
+    within the jet order, and zero beyond it and at (0, 0).  With W0 =
+    [e_0 | W] and W0' = [e_0 | W'], the factor bases put beside the unit
+    functional, a decomposition is one constant matrix C with V = W0 C
+    W0'^T: C[0][0] is the unit, column 0 below it the left coefficients,
+    row 0 past it the right coefficients, and the rest the mixed pairs.
+    The extension by zero is what makes the system uniquely solvable, so
+    the exact solve over the series field must recover the constants.
 
     V = W0 C W0'^T is solved through the two factors, in two series solves
     for all jets: M_L Y = V on the rows below row 0, one column of Y per
@@ -314,24 +312,25 @@ def product_jet_decompose(vs, basis_left, basis_right, n_left, n_right, order_m)
     DecompositionFailure: the first one met jet by jet, taking the left,
     right and mixed block of each jet in turn.
     """
-    vs = list(vs)
-    lam_prod = multi_indices(n_left + n_right, order_m)
-    lam_left = multi_indices(n_left, order_m)
-    lam_right = multi_indices(n_right, order_m)
-    for v in vs:
-        if len(v) != len(lam_prod):
-            raise DimensionMismatch("jet vector does not match the product index set")
-    for w in basis_left:
-        if len(w) != len(lam_left):
-            raise DimensionMismatch("left basis vector has the wrong length")
-    for w in basis_right:
-        if len(w) != len(lam_right):
-            raise DimensionMismatch("right basis vector has the wrong length")
+    spaces = product.jet, left.jet, right.jet
+    if len({js.order for js in spaces}) > 1:
+        raise DimensionMismatch("jet orders differ: product {}, factors {} and {}"
+                                .format(*(js.order for js in spaces)))
+    if product.jet.point != left.jet.point + right.jet.point:
+        raise DimensionMismatch("base points differ: product {}, factors {} and {}"
+                                .format(*(format_point(js.point) for js in spaces)))
+    for space, message in ((product, "jet vector does not match the product index set"),
+                           (left, "left basis vector has the wrong length"),
+                           (right, "right basis vector has the wrong length")):
+        if any(len(v) != len(space.jet.indices) for v in space.horizontal):
+            raise DimensionMismatch(message)
+    lam_prod, lam_left, lam_right = (js.indices for js in spaces)
+    vs, basis_left, basis_right = product.horizontal, left.horizontal, right.horizontal
     if not vs:
         return []
     n_l, n_r, width = len(basis_left), len(basis_right), 1 + len(lam_right)
-    alphas_left = [(0,) * n_left] + lam_left
-    alphas_right = [(0,) * n_right] + lam_right
+    alphas_left = ((0,) * len(left.jet.point), *lam_left)
+    alphas_right = ((0,) * len(right.jet.point), *lam_right)
     Vs = []
     for v in vs:
         vmap, zero = dict(zip(lam_prod, v)), TSeries.zero(min(x.prec for x in v))

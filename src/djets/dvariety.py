@@ -229,10 +229,12 @@ class DeltaJetSpace:
     `jet` is the rational jet space at x(0), which the flow of the section
     carries onto the jet space at x(t).  The horizontal vectors are a basis
     over the constants of the jets v with Dv = 0, as many as `dim_k`.
+    `equations` are the jet equations the vectors were checked against.
     """
 
     jet: JetSpace
     horizontal: list
+    equations: list
 
     @property
     def dim_k(self):
@@ -267,6 +269,7 @@ def delta_jet_space(point: SharpPoint, order_m):
     invalid section, or a point not solving x' = s(x)) raises
     InvarianceViolation naming the first failing equation, then vector.
     With no generators the check is vacuous, and v' = B v is not re-checked.
+    The checked rows are kept as the space's `equations`.
     """
     variety = point.variety
     a = tuple(c.constant_term for c in point.coords)
@@ -288,7 +291,7 @@ def delta_jet_space(point: SharpPoint, order_m):
             f"horizontal vector {i} fails jet equation {r}: residual "
             f"nonzero at order {order}, guaranteed to order {prec}"
         )
-    return DeltaJetSpace(js, horizontal)
+    return DeltaJetSpace(js, horizontal, rows)
 
 
 def constants_variety_jets(variety_generators, point, order_m, order=DEFAULT_PRECISION):
@@ -296,14 +299,15 @@ def constants_variety_jets(variety_generators, point, order_m, order=DEFAULT_PRE
 
     The horizontal vectors are exactly the rational nullspace of the jet
     equations, lifted to constant series of order `order`; this realizes
-    the zero-section D-variety structure on V(C).  A coordinate that is not
-    rational, such as a series, raises DomainMismatch (`jet_space`).
+    the zero-section D-variety structure on V(C), with the rational rows as
+    `equations`.  A non-rational coordinate, such as a series, raises
+    DomainMismatch (`jet_space`).
     """
     js = jet_space(variety_generators, point, order_m)
     horizontal = [
         [TSeries.constant(c, order) for c in vec] for vec in js.basis
     ]
-    return DeltaJetSpace(js, horizontal)
+    return DeltaJetSpace(js, horizontal, js.system.rows)
 
 
 def fresh_names(taken, names):

@@ -37,7 +37,6 @@ from .errors import (
     PointNotOnVariety,
     ZeroInput,
 )
-from .jets import jet_equations
 from .linalg import LinSystem, nullspace
 from .mpoly import MPoly, block_key, groebner, normal_form
 from .series import (
@@ -475,14 +474,14 @@ def m1_equivalence(point: SharpPoint):
     residuals in the fiber module (at precision 0 there is no derivative to
     check).  Solutions are fixed by their values at t = 0, so the two bases
     then contain each other over the constants exactly when their t^0 values
-    and the union of both have one rank (`rank_at_zero`).
+    and the union of both have one rank (`rank_at_zero`).  The order-1 jet
+    rows are the `equations` route one was checked against.
     """
     djs = delta_jet_space(point, 1)
     module = delta_tangent(point.variety).fiber_module(point.coords, point.prec)
     columns = horizontal_sections(module)
-    constraints = jet_equations(point.variety.generators, point.coords, 1)
     rational_rows = []
-    for combo in mat_mul(constraints, transpose(columns)):
+    for combo in mat_mul(djs.equations, transpose(columns)):
         rational_rows += integer_rows(combo, min(x.prec for x in combo))
     # row i of the ODE basis is sum_j kernel[i][j] * columns[j]; without
     # generators there are no rows, the kernel is the identity and the

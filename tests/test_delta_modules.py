@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -269,9 +270,9 @@ def mutate_right_sections(monkeypatch, mutant):
     """
     calls = []
 
-    def mutated(module, *args):
+    def mutated(module):
         calls.append(module)
-        sections = horizontal_sections(module, *args)
+        sections = horizontal_sections(module)
         return mutant(sections) if len(calls) % 2 == 0 else sections
 
     monkeypatch.setattr(djets.delta_modules, "horizontal_sections", mutated)
@@ -402,29 +403,29 @@ def exp_line(coeff, name):
 
 
 def build_product(left, right, start_left, start_right, order_m, prec=N):
+    """The differential jet spaces of the product and of its two factors."""
     lp = sharp_integrate(left, start_left, prec)
     rp = sharp_integrate(right, start_right, prec)
     pp = product_sharp_point(lp, rp)
-    W = delta_jet_space(lp, order_m).horizontal
-    Wp = delta_jet_space(rp, order_m).horizontal
-    space = delta_jet_space(pp, order_m)
-    return pp.variety, space, W, Wp
+    left_space = delta_jet_space(lp, order_m)
+    right_space = delta_jet_space(rp, order_m)
+    return delta_jet_space(pp, order_m), left_space, right_space
 
 
 def test_embedded_factor_jet_decomposes_to_unit_vector():
     left = exp_line(1, "L1")
     right = exp_line(2, "L2")
-    prod, space, W, Wp = build_product(left, right, (1,), (1,), 1)
+    space, left_space, right_space = build_product(left, right, (1,), (1,), 1)
     lam = multi_indices(2, 1)
     # extend the first left basis vector by zero to the product coordinates
-    w = W[0]
+    w = left_space.horizontal[0]
     v = []
     for alpha in lam:
         if alpha[1] == 0:
             v.append(w[alpha[0] - 1] if alpha[0] == 1 else w[0])
         else:
             v.append(TSeries.zero(N))
-    dec = product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
+    dec = product_jet_decompose(replace(space, horizontal=[v]), left_space, right_space)[0]
     assert dec.left == [F(1)] and dec.right == [F(0)]
     assert dec.pair == [[F(0)]]
     assert dec.unit == 0
@@ -433,10 +434,11 @@ def test_embedded_factor_jet_decomposes_to_unit_vector():
 def test_product_decomposition_exp_lines_m1():
     left = exp_line(1, "L1")
     right = exp_line(2, "L2")
-    prod, space, W, Wp = build_product(left, right, (1,), (1,), 1)
+    space, left_space, right_space = build_product(left, right, (1,), (1,), 1)
+    W, Wp = left_space.horizontal, right_space.horizontal
     assert space.dim_c == 2
     for v in space.horizontal:
-        dec = product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
+        dec = product_jet_decompose(replace(space, horizontal=[v]), left_space, right_space)[0]
         # each coefficient is an exact rational; the jet is recovered exactly
         _assert_reconstructs(v, dec, W, Wp, 1, 1, 1)
 
@@ -444,10 +446,11 @@ def test_product_decomposition_exp_lines_m1():
 def test_product_decomposition_mixed_index_m2():
     left = exp_line(1, "L1")
     right = exp_line(2, "L2")
-    prod, space, W, Wp = build_product(left, right, (1,), (1,), 2)
+    space, left_space, right_space = build_product(left, right, (1,), (1,), 2)
+    W, Wp = left_space.horizontal, right_space.horizontal
     lam = multi_indices(2, 2)
     for v in space.horizontal:
-        dec = product_jet_decompose([v], W, Wp, 1, 1, 2)[0]
+        dec = product_jet_decompose(replace(space, horizontal=[v]), left_space, right_space)[0]
         _assert_reconstructs(v, dec, W, Wp, 1, 1, 2)
         # the mixed coordinate is exactly the bilinear combination
         mixed = lam.index((1, 1))
@@ -465,29 +468,35 @@ def test_product_decomposition_with_proper_subvariety_factor():
     parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x),
                         name="parabola")
     right = exp_line(1, "L1")
-    prod, space, W, Wp = build_product(parabola, right, (1, 1), (1,), 2)
+    space, left_space, right_space = build_product(parabola, right, (1, 1), (1,), 2)
+    W, Wp = left_space.horizontal, right_space.horizontal
     assert space.dim_c == space.dim_k
     for v in space.horizontal:
-        dec = product_jet_decompose([v], W, Wp, 2, 1, 2)[0]
+        dec = product_jet_decompose(replace(space, horizontal=[v]), left_space, right_space)[0]
         _assert_reconstructs(v, dec, W, Wp, 2, 1, 2)
 
 
 def test_decomposition_failure_on_corrupted_jet():
     left = exp_line(1, "L1")
     right = exp_line(2, "L2")
-    prod, space, W, Wp = build_product(left, right, (1,), (1,), 1)
+    space, left_space, right_space = build_product(left, right, (1,), (1,), 1)
     v = [x for x in space.horizontal[0]]
     v[0] = v[0] * TSeries([1, 1], N)  # no longer horizontal
     with pytest.raises(DecompositionFailure):
-        product_jet_decompose([v], W, Wp, 1, 1, 1)[0]
+        product_jet_decompose(replace(space, horizontal=[v]), left_space, right_space)
 
 
 def test_decomposition_failures_without_a_usable_factor_basis():
     # pinned messages: an empty or dependent factor basis fails in the block
     # that first meets it, whichever way the mixed block is solved
-    prod, space, W, Wp = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
-                                       (1,), (1,), 2)
-    vs = space.horizontal
+    space, left_space, right_space = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
+                                                   (1,), (1,), 2)
+    vs, W, Wp = space.horizontal, left_space.horizontal, right_space.horizontal
+
+    def factors(basis_left, basis_right):
+        return (replace(left_space, horizontal=basis_left),
+                replace(right_space, horizontal=basis_right))
+
     for bases, message in [
         (([], Wp), "left block inconsistent with empty basis"),
         ((W, []), "right block inconsistent with empty basis"),
@@ -497,35 +506,36 @@ def test_decomposition_failures_without_a_usable_factor_basis():
         (([], Wp + [Wp[0]]), "left block inconsistent with empty basis"),
     ]:
         with pytest.raises(DecompositionFailure) as caught:
-            product_jet_decompose(vs, *bases, 1, 1, 2)
+            product_jet_decompose(space, *factors(*bases))
         assert str(caught.value) == message
     # with the pure left coordinates cleared, only the mixed block needs the
     # left basis
     lam = multi_indices(2, 2)
-    right_only = [
+    right_only = replace(space, horizontal=[
         [TSeries.zero(N) if alpha[0] and not alpha[1] else e for alpha, e in zip(lam, v)]
         for v in vs
-    ]
+    ])
     with pytest.raises(DecompositionFailure) as caught:
-        product_jet_decompose(right_only, [], Wp, 1, 1, 2)
+        product_jet_decompose(right_only, *factors([], Wp))
     assert str(caught.value) == "mixed block inconsistent with empty basis"
     with pytest.raises(DecompositionFailure) as caught:
-        product_jet_decompose(right_only, W, Wp + [Wp[0]], 1, 1, 2)
+        product_jet_decompose(right_only, *factors(W, Wp + [Wp[0]]))
     assert str(caught.value) == "right block is underdetermined; basis vectors are dependent"
     # a jet of the right factor alone decomposes with no left basis at all
     embedded = [TSeries.zero(N)] * len(lam)
     embedded[lam.index((0, 1))], embedded[lam.index((0, 2))] = Wp[0]
-    dec = product_jet_decompose([embedded], [], Wp, 1, 1, 2)[0]
+    embedded = replace(space, horizontal=[embedded])
+    dec = product_jet_decompose(embedded, *factors([], Wp))[0]
     assert (dec.left, dec.right, dec.pair) == ([], [F(1), F(0)], [])
-    dec = product_jet_decompose([embedded], W, [Wp[0]], 1, 1, 2)[0]
+    dec = product_jet_decompose(embedded, *factors(W, [Wp[0]]))[0]
     assert (dec.left, dec.right, dec.pair) == ([F(0), F(0)], [F(1)], [[F(0)], [F(0)]])
 
 
 def test_decomposition_rejects_vectors_of_the_wrong_length():
-    prod, space, W, Wp = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
-                                       (1,), (1,), 2)
-    vs = space.horizontal
-    for args, message in [
+    space, left_space, right_space = build_product(exp_line(1, "L1"), exp_line(2, "L2"),
+                                                   (1,), (1,), 2)
+    vs, W, Wp = space.horizontal, left_space.horizontal, right_space.horizontal
+    for (jets, basis_left, basis_right), message in [
         (([vs[0][:-1]], W, Wp), "jet vector does not match the product index set"),
         ((vs, W + [W[0][:-1]], Wp), "left basis vector has the wrong length"),
         ((vs, W, Wp + [Wp[0] + Wp[0]]), "right basis vector has the wrong length"),
@@ -533,8 +543,36 @@ def test_decomposition_rejects_vectors_of_the_wrong_length():
         (([], [W[0][:-1]], Wp), "left basis vector has the wrong length"),
     ]:
         with pytest.raises(DimensionMismatch) as caught:
-            product_jet_decompose(*args, 1, 1, 2)
+            product_jet_decompose(replace(space, horizontal=jets),
+                                  replace(left_space, horizontal=basis_left),
+                                  replace(right_space, horizontal=basis_right))
         assert str(caught.value) == message
+
+
+def test_decomposition_refuses_factors_of_another_order_or_base_point():
+    # L1 x L2 from (1, 1) at order 2, against the factor space of L1 from
+    # x(0) = 3, against factors of order 1, and, from (1, 2), with its two
+    # factors swapped; an empty family of product jets is refused alike
+    lines = exp_line(1, "L1"), exp_line(2, "L2")
+    space, left_space, right_space = build_product(*lines, (1,), (1,), 2)
+    elsewhere = delta_jet_space(sharp_integrate(lines[0], (3,), N), 2)
+    low_left, low_right = build_product(*lines, (1,), (1,), 1)[1:]
+    apart, apart_left, apart_right = build_product(*lines, (1,), (2,), 2)
+    for args, message in [
+        ((space, elsewhere, right_space),
+         "base points differ: product (1, 1), factors (3) and (1)"),
+        ((space, low_left, right_space),
+         "jet orders differ: product 2, factors 1 and 2"),
+        ((space, left_space, low_right),
+         "jet orders differ: product 2, factors 2 and 1"),
+        ((apart, apart_right, apart_left),
+         "base points differ: product (1, 2), factors (2) and (1)"),
+    ]:
+        product, left, right = args
+        for jets in (product.horizontal, []):
+            with pytest.raises(DimensionMismatch) as caught:
+                product_jet_decompose(replace(product, horizontal=jets), left, right)
+            assert str(caught.value) == message
 
 
 def test_one_product_decomposition_makes_two_series_solves(monkeypatch, tmp_path):

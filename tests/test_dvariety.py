@@ -278,6 +278,7 @@ def test_delta_jets_dimension_law_across_examples():
         # horizontal vectors satisfy the jet equations at the sharp point and
         # the dual condition
         rows = jet_equations(variety.generators, point.coords, order_m)
+        assert space.equations == rows
         B = _derivation_matrix(point, order_m)
         lam = multi_indices(variety.nvars, order_m)
         for v in space.horizontal:
@@ -341,6 +342,7 @@ def test_constant_points_parabola():
     y = MPoly.variable(xy, "y")
     space = constants_variety_jets((y - x**2,), (1, 1), 1, order=10)
     assert space.jet.basis == [[F(1), F(2)]]
+    assert space.equations == space.jet.system.rows == [[F(-2), F(1)]]
     assert all(e.is_constant() for v in space.horizontal for e in v)
 
 

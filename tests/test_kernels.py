@@ -18,6 +18,7 @@ randomness is seeded, so every run checks the same cases.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -34,6 +35,7 @@ from djets.delta_modules import (
     verify_tensor_pairing,
 )
 from djets.dvariety import (
+    DeltaJetSpace,
     DVariety,
     delta_jet_space,
     product_sharp_point,
@@ -47,6 +49,7 @@ from djets.errors import (
     PointNotOnVariety,
     SingularPivot,
 )
+from djets.jets import jet_space
 from djets.linalg import (
     RATIONAL,
     SERIES,
@@ -1212,7 +1215,9 @@ def reference_decompose(v, basis_left, basis_right, n_left, n_right, order_m, je
 
 
 def product_suite(order_m):
-    """The acceptance product suites plus a parabola factor, at order m."""
+    """The acceptance product suites plus a parabola factor, at order m: the
+    product, left and right differential jet spaces, and the arguments of
+    `reference_decompose` past the jet."""
     xy = ("x", "y")
     x, y = MPoly.variable(xy, "x"), MPoly.variable(xy, "y")
     parabola = DVariety(xy, (y - x**2,), (MPoly.constant(xy, 1), 2 * x),
@@ -1227,10 +1232,11 @@ def product_suite(order_m):
         lp = sharp_integrate(left, left_pt, PRECISION)
         rp = sharp_integrate(right, right_pt, PRECISION)
         pp = product_sharp_point(lp, rp)
-        W = delta_jet_space(lp, order_m).horizontal
-        Wp = delta_jet_space(rp, order_m).horizontal
+        left_space = delta_jet_space(lp, order_m)
+        right_space = delta_jet_space(rp, order_m)
         space = delta_jet_space(pp, order_m)
-        yield space.horizontal, (W, Wp, left.nvars, right.nvars, order_m)
+        yield (space, left_space, right_space), (
+            left_space.horizontal, right_space.horizontal, left.nvars, right.nvars, order_m)
 
 
 def reference_failure(vs, args):
@@ -1244,13 +1250,14 @@ def reference_failure(vs, args):
 
 @pytest.mark.parametrize("order_m", [1, 2])
 def test_batched_decomposition_matches_per_jet(order_m):
-    for vs, args in product_suite(order_m):
-        got = product_jet_decompose(vs, *args)
+    for (space, *factors), args in product_suite(order_m):
+        vs = space.horizontal
+        got = product_jet_decompose(space, *factors)
         assert len(got) == len(vs)
         for dec, v in zip(got, vs):
             assert (dec.left, dec.right, dec.pair) == reference_decompose(v, *args)
             assert dec.unit == 0
-        assert product_jet_decompose([], *args) == []
+        assert product_jet_decompose(replace(space, horizontal=[]), *factors) == []
 
 
 @pytest.mark.parametrize("order_m", [1, 2])
@@ -1258,7 +1265,8 @@ def test_batch_with_corrupted_jets_fails_like_per_jet(order_m):
     bump = TSeries([1, 1], PRECISION)
     t = TSeries([0, 1], PRECISION)
     seen = set()
-    for vs, args in product_suite(order_m):
+    for (space, *factors), args in product_suite(order_m):
+        vs = space.horizontal
         _, _, n_left, n_right, _ = args
         lam_prod = multi_indices(n_left + n_right, order_m)
         last = len(vs[0]) - 1  # (0, .., m): a coordinate of the right block
@@ -1282,13 +1290,14 @@ def test_batch_with_corrupted_jets_fails_like_per_jet(order_m):
                     for c in coords:
                         batch[j][c] = change(batch[j][c])
                 message = reference_failure(batch, args)
+                batch_space = replace(space, horizontal=batch)
                 if message is None:
-                    got = product_jet_decompose(batch, *args)
+                    got = product_jet_decompose(batch_space, *factors)
                     assert [(d.left, d.right, d.pair) for d in got] == [
                         reference_decompose(v, *args) for v in batch]
                     continue
                 with pytest.raises(DecompositionFailure) as caught:
-                    product_jet_decompose(batch, *args)
+                    product_jet_decompose(batch_space, *factors)
                 assert str(caught.value) == message
                 seen.add(message.split(" block")[0].split()[-1] + " " +
                          ("inconsistent" if "inconsistent" in message else "non-constant"))
@@ -1303,6 +1312,7 @@ def test_mixed_failures_name_each_step_of_the_factor_solve():
     """Unit-vector factor bases on two lines at m = 4, so a jet's mixed
     block is read off directly: X[p][q] is the jet at (p + 1, q + 1)."""
     order_m = 4
+    line, plane = jet_space((), (0,), order_m), jet_space((), (0, 0), order_m)
     lam = multi_indices(2, order_m)
     units = [[TSeries.constant(int(i == k), PRECISION) for i in range(order_m)]
              for k in range(order_m)]
@@ -1328,12 +1338,13 @@ def test_mixed_failures_name_each_step_of_the_factor_solve():
     ]
     for basis_left, basis_right, bad, message in cases:
         args = (basis_left, basis_right, 1, 1, order_m)
+        factors = DeltaJetSpace(line, basis_left, []), DeltaJetSpace(line, basis_right, [])
         batch = [jet(a11=2), bad]
         assert reference_failure(batch, args) == message
         with pytest.raises(DecompositionFailure) as caught:
-            product_jet_decompose(batch, *args)
+            product_jet_decompose(DeltaJetSpace(plane, batch, []), *factors)
         assert str(caught.value) == message
-        (ok,) = product_jet_decompose(batch[:1], *args)
+        (ok,) = product_jet_decompose(DeltaJetSpace(plane, batch[:1], []), *factors)
         assert ok.pair[0][0] == 2 and sum(sum(map(abs, r)) for r in ok.pair) == 2
 
 

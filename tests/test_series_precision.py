@@ -27,6 +27,7 @@ draws the same examples.
 
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +51,15 @@ from djets.dvariety import (
 )
 from djets.errors import DecompositionFailure, InsufficientPrecision
 from djets.mpoly import MPoly, multi_indices_with_zero
-from djets.series import TSeries, from_hurwitz, fundamental_matrix, mat_mul, packed_kron, unpack
+from djets.series import (
+    TSeries,
+    from_hurwitz,
+    fundamental_matrix,
+    mat_mul,
+    packed_kron,
+    transpose,
+    unpack,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -184,8 +193,14 @@ def test_solutions_from_an_initial_value_read_only_through_order_minus_one(case)
     assert exact(fundamental_matrix(B, order, Y0)) == exact(got)
     with pytest.raises(InsufficientPrecision):
         fundamental_matrix(A, order + 1, Y0)
-    sections = horizontal_sections(DeltaModule(A), Y0)
-    longer = horizontal_sections(DeltaModule(B), Y0)
+
+    def solutions(M):
+        """The solutions of c' = -M c through Y0, one order past M."""
+        neg = [[-e for e in row] for row in M]
+        prec = min(e.prec for row in M for e in row)
+        return transpose(fundamental_matrix(neg, prec + 1, Y0))
+
+    sections, longer = solutions(A), solutions(B)
     assert len(sections) == len(Y0[0])
     assert all(e.prec == order for v in sections for e in v)
     assert [[e.at_precision(order) for e in v] for v in longer] == sections
@@ -330,22 +345,20 @@ PRODUCTS = [
 
 
 def product_jets(doc, lpoint, rpoint, m, n):
-    """The product's horizontal jets and the two factor bases at order m,
-    all from sharp points integrated to precision n."""
+    """The differential jet spaces of the product and of its two factors at
+    order m, all from sharp points integrated to precision n."""
     lp, rp = doc.sharp_point(lpoint, n), doc.sharp_point(rpoint, n)
     pp = product_sharp_point(lp, rp)
-    return (delta_jet_space(pp, m).horizontal,
-            delta_jet_space(lp, m).horizontal,
-            delta_jet_space(rp, m).horizontal)
+    return delta_jet_space(pp, m), delta_jet_space(lp, m), delta_jet_space(rp, m)
 
 
-def decompose(jets, W, Wp, nvars, m):
-    return [d.to_json() for d in product_jet_decompose(jets, W, Wp, *nvars, m)]
+def decompose(*spaces):
+    return [d.to_json() for d in product_jet_decompose(*spaces)]
 
 
-def decomposition_failure(jets, W, Wp, nvars, m):
+def decomposition_failure(*spaces):
     with pytest.raises(DecompositionFailure) as info:
-        product_jet_decompose(jets, W, Wp, *nvars, m)
+        product_jet_decompose(*spaces)
     return str(info.value)
 
 
@@ -364,21 +377,23 @@ def extended(vectors, rng):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("case", PRODUCTS, ids=lambda c: f"{c[1]}x{c[3]}")
 def test_product_jet_decompose_reads_its_inputs_only_through_their_precision(case, m, n):
-    name, left, lpoint, right, rpoint = case
+    name, _, lpoint, _, rpoint = case
     doc = parse_document((DJV / name).read_text(encoding="utf-8"))
-    nvars = (doc.variety(left).nvars, doc.variety(right).nvars)
-    jets, W, Wp = product_jets(doc, lpoint, rpoint, m, n)
-    got = decompose(jets, W, Wp, nvars, m)
+    space, left_space, right_space = product_jets(doc, lpoint, rpoint, m, n)
+    jets = space.horizontal
+    got = decompose(space, left_space, right_space)
     assert len(got) == len(jets) > 0
-    assert decompose(*product_jets(doc, lpoint, rpoint, m, n + 3), nvars, m) == got
+    assert decompose(*product_jets(doc, lpoint, rpoint, m, n + 3)) == got
     rng = random.Random(100 * m + n)
-    W2, Wp2 = extended(W, rng), extended(Wp, rng)
-    assert decompose(jets, W2, Wp2, nvars, m) == got
+    left2 = replace(left_space, horizontal=extended(left_space.horizontal, rng))
+    right2 = replace(right_space, horizontal=extended(right_space.horizontal, rng))
+    assert decompose(space, left2, right2) == got
     # one jet entry changed at its top guaranteed order
     j = rng.randrange(len(jets))
     i = rng.randrange(len(jets[j]))
     e = jets[j][i]
     changed = [list(v) for v in jets]
     changed[j][i] = e + TSeries([0] * e.prec + [1], e.prec)
-    failure = decomposition_failure(changed, W, Wp, nvars, m)
-    assert decomposition_failure(changed, W2, Wp2, nvars, m) == failure
+    changed = replace(space, horizontal=changed)
+    failure = decomposition_failure(changed, left_space, right_space)
+    assert decomposition_failure(changed, left2, right2) == failure

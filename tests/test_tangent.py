@@ -1,17 +1,18 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import djets.dvariety
+import djets.jets
 import djets.series
 import djets.tangent
 from djets.acceptance import corpus
-from djets.delta_modules import DeltaModule, horizontal_sections, is_horizontal, rank_at_zero
+from djets.delta_modules import DeltaModule, is_horizontal, rank_at_zero
 from djets.diffpoly import log_derivative_constant_identity
 from djets.dvariety import (
-    DeltaJetSpace,
     DVariety,
     delta_jet_space,
     sharp_integrate,
@@ -26,7 +27,7 @@ from djets.errors import (
     ZeroInput,
 )
 from djets.mpoly import MPoly
-from djets.series import TSeries, exp_series
+from djets.series import TSeries, exp_series, fundamental_matrix, transpose
 from djets.tangent import (
     WITNESS_RATIOS,
     LinearDVariety,
@@ -708,13 +709,36 @@ def test_m1_equivalence_sees_a_jet_route_leaving_the_jet_space_by_the_rank(monke
     curve = parabola()
     point = sharp_integrate(curve, (1, 1), 16)
     module = delta_tangent(curve).fiber_module(point.coords, point.prec)
-    off = horizontal_sections(module, [[1], [0]])
+    neg = [[-e for e in row] for row in module.matrix]
+    off = transpose(fundamental_matrix(neg, module.prec + 1, [[1], [0]]))
     assert is_horizontal(module, *off)
     jets = delta_jet_space(point, 1)
     monkeypatch.setattr(djets.tangent, "delta_jet_space",
-                        lambda *args: DeltaJetSpace(jets.jet, off))
+                        lambda *args: replace(jets, horizontal=off))
     rep = m1_equivalence(point)
     assert (rep.dim_jet_route, rep.dim_ode_route, rep.mutually_contained) == (1, 1, False)
+
+
+def test_m1_equivalence_builds_the_jet_equations_at_x_t_once(monkeypatch):
+    # route one's check builds them in delta_jet_space, and the Jacobian
+    # route reads them off the space; the spy sits wherever a module other
+    # than `jets` binds jet_equations, so jet_space's rows at x(0) are not
+    # counted
+    original = djets.jets.jet_equations
+    builds = []
+
+    def spy(generators, point, order):
+        builds.append((point, order))
+        return original(generators, point, order)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "djets" and name != "djets.jets"
+                and vars(module).get("jet_equations") is original):
+            monkeypatch.setattr(module, "jet_equations", spy)
+    for point in corpus():
+        builds.clear()
+        assert m1_equivalence(point).ok
+        assert builds == [(point.coords, 1)], point.variety.name
 
 
 def test_m1_equivalence_at_precision_0_on_the_corpus_singles():
